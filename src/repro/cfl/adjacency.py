@@ -12,15 +12,22 @@ Lists are indexed by dense vertex id:
 - ``user_acts[e]`` — activities that used entity ``e``           (follow U^-1)
 - ``used_ents[a]`` — entities used by activity ``a``             (follow U)
 - ``gen_ents[a]``  — entities generated by activity ``a``        (follow G^-1)
+
+:class:`AncestryArrays` is the same filtered adjacency as numpy CSR rows for
+the two *forward* relations only — what SimProvTst's array kernel descends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
+
+import numpy as np
 
 from repro.model.graph import ProvenanceGraph
 from repro.model.types import EdgeType, VertexType
+from repro.store.csr import CsrAdjacency
 from repro.store.records import EdgeRecord, VertexRecord
 
 VertexPredicate = Callable[[VertexRecord], bool]
@@ -117,3 +124,125 @@ class ProvAdjacency:
     def is_live(self, vertex_id: int) -> bool:
         """True when the id survived the filters."""
         return 0 <= vertex_id < self.n and self.orders[vertex_id] >= 0
+
+    def arrays(self) -> "AncestryArrays":
+        """The forward relations converted to CSR rows (O(V+E))."""
+        return AncestryArrays(
+            self.n, np.asarray(self.orders, dtype=np.int64),
+            _rows_to_csr(self.gen_acts), _rows_to_csr(self.used_ents),
+        )
+
+
+def _rows_to_csr(rows: list[list[int]]) -> CsrAdjacency:
+    """One list-of-lists relation as CSR rows."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)),
+              out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), np.int64,
+                          int(indptr[-1]))
+    return CsrAdjacency(indptr, indices)
+
+
+@dataclass(frozen=True, slots=True)
+class AncestryArrays:
+    """Filtered G / U adjacency as read-only CSR rows over dense vertex ids.
+
+    Built by :meth:`repro.store.snapshot.GraphSnapshot.ancestry_arrays` (the
+    unfiltered view *borrows* the snapshot's CSR, so it must never be
+    written) or converted from a :class:`ProvAdjacency`.
+
+    Attributes:
+        n: vertex id space size.
+        orders: creation ordinal per vertex id (-1 for excluded/dead ids).
+        gen: rows following G (entity -> generating activities).
+        used: rows following U (activity -> used entities).
+    """
+
+    n: int
+    orders: np.ndarray
+    gen: CsrAdjacency
+    used: CsrAdjacency
+
+    def is_live(self, vertex_id: int) -> bool:
+        """True when the id survived the filters."""
+        return 0 <= vertex_id < self.n and self.orders[vertex_id] >= 0
+
+
+class AncestryCone:
+    """The ancestry cone of one destination, relabelled to local ids.
+
+    Discovered one breadth-first level per :meth:`grow` over ``(vertex,
+    depth parity)`` states — even depths expand through G, odd depths
+    through U, exactly the steps SimProvTst's layers take — so level ``t``
+    is in place before the solver's ``t``-th half-layer needs it, and a
+    query that stops early never pays for the ancestry it did not reach.
+    Local ids are handed out in discovery order: a vertex at BFS distance
+    ``t`` has a local id below the cone size after ``t`` levels.
+
+    Each level costs a handful of numpy calls (a ragged CSR gather plus
+    appends) sized by the level; one ``n``-sized id map and two ``n``-byte
+    masks are allocated per cone.
+
+    Attributes:
+        ids: global vertex id per local id.
+        orders: creation ordinal per local id.
+        g_src / g_dst: local endpoints of every G edge gathered so far.
+        u_src / u_dst: local endpoints of every U edge gathered so far.
+    """
+
+    def __init__(self, arrays: AncestryArrays, root: int):
+        self._arrays = arrays
+        self._seen = (np.zeros(arrays.n, dtype=bool),
+                      np.zeros(arrays.n, dtype=bool))
+        self._seen[0][root] = True
+        self._local_of = np.empty(arrays.n, dtype=np.int64)
+        self._local_of[root] = 0
+        self._frontier = np.array([root], dtype=np.int64)
+        self._parity = 0
+        self.ids = self._frontier
+        self.orders = arrays.orders[self.ids]
+        empty = np.empty(0, dtype=np.int64)
+        self.g_src = self.g_dst = self.u_src = self.u_dst = empty
+
+    @property
+    def size(self) -> int:
+        """Number of vertices discovered so far."""
+        return len(self.ids)
+
+    def grow(self) -> bool:
+        """Discover the next level; True when the cone gained a vertex."""
+        frontier = self._frontier
+        if not frontier.size:
+            return False
+        parity = self._parity
+        rows = self._arrays.used if parity else self._arrays.gen
+        starts = rows.indptr[frontier]
+        counts = rows.indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        # Ragged arange: positions of every frontier row, concatenated.
+        targets = rows.indices[np.arange(ends[-1])
+                               + np.repeat(starts - (ends - counts), counts)]
+
+        seen_here, seen_next = self._seen[parity], self._seen[parity ^ 1]
+        self._frontier = np.unique(targets[~seen_next[targets]])
+        seen_next[self._frontier] = True
+        new = self._frontier[~seen_here[self._frontier]]
+        self._local_of[new] = np.arange(self.size, self.size + len(new))
+        self.ids = np.concatenate([self.ids, new])
+        self.orders = np.concatenate([self.orders, self._arrays.orders[new]])
+
+        src = np.repeat(self._local_of[frontier], counts)
+        dst = self._local_of[targets]
+        if parity:
+            self.u_src = np.concatenate([self.u_src, src])
+            self.u_dst = np.concatenate([self.u_dst, dst])
+        else:
+            self.g_src = np.concatenate([self.g_src, src])
+            self.g_dst = np.concatenate([self.g_dst, dst])
+        self._parity = parity ^ 1
+        return bool(len(new))
+
+    def locate(self, vertex_ids: np.ndarray) -> np.ndarray:
+        """Local ids of those ``vertex_ids`` discovered so far."""
+        known = self._seen[0][vertex_ids] | self._seen[1][vertex_ids]
+        return self._local_of[vertex_ids[known]]

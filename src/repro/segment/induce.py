@@ -105,8 +105,8 @@ def direct_path_vertices(graph: ProvenanceGraph,
 
     Provenance paths run from descendants to ancestors (out-edges of the
     destination), so the computation is the classic two-sided reachability
-    intersection: forward-reachable from Vdst ∩ backward-reachable to Vsrc.
-    O(V + E).
+    intersection: forward-reachable from Vdst ∩ backward-reachable to Vsrc,
+    with the backward walk confined to the forward set. O(ancestry cone).
     """
     view = _View(graph, snapshot)
     src_list = [v for v in dict.fromkeys(src_ids)
@@ -126,21 +126,18 @@ def direct_path_vertices(graph: ProvenanceGraph,
                 forward.add(nxt)
                 stack.append(nxt)
 
-    backward = set(src_list)
-    stack = list(src_list)
+    # Every vertex between a reached Vsrc entity and Vdst is itself
+    # forward-reachable, so the backward pass never needs to leave
+    # ``forward`` — it costs the answer, not the descendant cone of Vsrc.
+    on_path = {v for v in src_list if v in forward}
+    stack = list(on_path)
     while stack:
         current = stack.pop()
         for nxt in _filtered_step(view, current, edge_types, False,
                                   vertex_ok, edge_ok):
-            if nxt not in backward:
-                backward.add(nxt)
+            if nxt in forward and nxt not in on_path:
+                on_path.add(nxt)
                 stack.append(nxt)
-
-    on_path = forward & backward
-    # Drop endpoints that are not actually connected (e.g. a dst that reaches
-    # no src contributes nothing to VC1).
-    if not on_path:
-        return set()
     return on_path
 
 

@@ -1116,7 +1116,7 @@ class WorkerPool:
                     f"unexpected {kind!r} frame during checkpoint load")
         for payload in tail:
             client.transport.send_binary(payload)
-        client.epoch = self.log.epoch
+        client.epoch = ckpt.epoch + len(tail)    # see ship(): not "now"
         client.batches_shipped += len(tail)
         return True
 
@@ -1148,7 +1148,10 @@ class WorkerPool:
             for line in lines:
                 client.transport.send_text(line)
             count = len(lines)
-        client.epoch = self.log.epoch
+        # The log holds one batch per epoch, so the span read above ends at
+        # ``start + count`` — not at ``self.log.epoch``, which a writer may
+        # have moved since: that batch belongs to the next ship.
+        client.epoch = start + count
         client.batches_shipped += count
         if count:
             # Arm the ship->apply latency probe: the next frame echoing

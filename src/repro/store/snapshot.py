@@ -12,7 +12,8 @@ parameter:
 - :mod:`repro.query.ops` lineage/impact/blame walks,
 - the PgSeg induction rules (:mod:`repro.segment.induce`,
   :class:`repro.segment.pgseg.PgSegOperator`),
-- the SimProv CFL solvers (which reuse one cached
+- the SimProv CFL solvers (SimProvTst's array kernel borrows the ancestry
+  CSR rows; SimProvAlg reuses one cached
   :class:`repro.cfl.adjacency.ProvAdjacency` across queries),
 - the CypherLite evaluator's scans and expansions.
 
@@ -56,7 +57,7 @@ from repro.store.records import EdgeRecord, VertexRecord
 from repro.store.store import PropertyGraphStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.cfl.adjacency import ProvAdjacency
+    from repro.cfl.adjacency import AncestryArrays, ProvAdjacency
 
 #: Inverse of :data:`repro.store.csr.VERTEX_TYPE_CODES`.
 CODE_TO_VERTEX_TYPE: dict[int, VertexType] = {
@@ -160,9 +161,10 @@ class GraphSnapshot(_CsrSnapshot):
       :meth:`in_edges`) and lazily materialized Python list views
       (:meth:`out_lists`, :meth:`in_lists`, ...) for tight pure-Python
       loops;
-    - a cached, reusable :class:`~repro.cfl.adjacency.ProvAdjacency`
-      (:meth:`prov_adjacency`) so repeated CFL queries skip the per-query
-      O(V+E) rebuild — the main source of the snapshot speedup.
+    - the CFL solvers' ancestry views: borrowed CSR rows for SimProvTst's
+      array kernel (:meth:`ancestry_arrays`, O(1)) and a cached, reusable
+      :class:`~repro.cfl.adjacency.ProvAdjacency` (:meth:`prov_adjacency`)
+      so repeated SimProvAlg queries skip the per-query O(V+E) rebuild.
 
     Args:
         source: a :class:`PropertyGraphStore` or anything exposing a
@@ -788,21 +790,14 @@ class GraphSnapshot(_CsrSnapshot):
         The snapshot analog of
         :meth:`repro.model.graph.ProvenanceGraph.induced_edge_ids`.
         """
-        members = set(vertex_ids)
-        result: list[int] = []
-        for edge_type in self.forward:
-            neighbor_rows = self.out_lists(edge_type)
-            edge_rows = self.out_edge_lists(edge_type)
-            for vertex_id in members:
-                neighbors = neighbor_rows[vertex_id]
-                if not neighbors:
-                    continue
-                edge_ids = edge_rows[vertex_id]
-                for position, dst in enumerate(neighbors):
-                    if dst in members:
-                        result.append(edge_ids[position])
-        result.sort()
-        return result
+        # One extra, never-set slot: the ``-1`` endpoints of dead and
+        # unmaterialised (restricted ``edge_types``) edge ids index it.
+        member = np.zeros(self.n + 1, dtype=bool)
+        member[np.fromiter(vertex_ids, np.int64)] = True
+        member[self.n] = False
+        return np.flatnonzero(
+            member[self.edge_src] & member[self.edge_dst]
+        ).tolist()
 
     # ------------------------------------------------------------------
     # CFL solver adjacency
@@ -902,6 +897,49 @@ class GraphSnapshot(_CsrSnapshot):
             edge_total_g=edge_total_g,
             edge_total_u=edge_total_u,
         )
+
+    def ancestry_arrays(self, vertex_ok: VertexPredicate | None = None,
+                        edge_ok: EdgePredicate | None = None,
+                        ) -> "AncestryArrays":
+        """The G / U rows SimProvTst's array kernel descends.
+
+        Unfiltered, this is an O(1) *borrow* of the forward CSR the
+        snapshot already owns (and :meth:`advance` already patches) —
+        read-only, never cached, never built inside ``advance``. With
+        boundary predicates the same rows are masked: one predicate call
+        per live vertex and per ancestry edge between allowed endpoints,
+        then a numpy compress.
+        """
+        from repro.cfl.adjacency import AncestryArrays
+
+        gen = self.forward[EdgeType.WAS_GENERATED_BY]
+        used = self.forward[EdgeType.USED]
+        if vertex_ok is None and edge_ok is None:
+            return AncestryArrays(self.n, self.orders, gen, used)
+
+        allowed = self.vertex_codes >= 0
+        if vertex_ok is not None:
+            for vertex_id in self.vertex_ids():
+                if not vertex_ok(self._vertex_records[vertex_id]):
+                    allowed[vertex_id] = False
+        edge_records = self._edge_records
+
+        def masked(csr: CsrAdjacency) -> CsrAdjacency:
+            sources = np.repeat(np.arange(self.n), np.diff(csr.indptr))
+            keep = allowed[sources] & allowed[csr.indices]
+            if edge_ok is not None:
+                candidates = np.flatnonzero(keep)
+                keep[candidates] = [
+                    edge_ok(edge_records[edge_id])
+                    for edge_id in csr.edge_ids[candidates].tolist()
+                ]
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(sources[keep], minlength=self.n),
+                      out=indptr[1:])
+            return CsrAdjacency(indptr, csr.indices[keep])
+
+        return AncestryArrays(self.n, np.where(allowed, self.orders, -1),
+                              masked(gen), masked(used))
 
     # ------------------------------------------------------------------
 

@@ -1,0 +1,274 @@
+"""SimProvTst's array kernel vs the per-element loop and the naive oracle.
+
+``set_impl="set"`` runs the frontier solver as numpy scatter/gathers over
+the destination's ancestry cone; ``"bitset"`` keeps the per-element loop
+the kernel replaced. On random small PROV graphs — creation order unrelated
+to ancestry, ancestry cycles, dead ids, boundary filters — the two must
+return the same sets *and* the same work counters, whichever way the kernel
+is fed: from the live graph, from a fresh :class:`GraphSnapshot`, or from a
+snapshot patched forward by ``advance`` across append and removal spans.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.cfl.adjacency import AncestryCone
+from repro.cfl.grammar import simprov_normal_form
+from repro.cfl.reference import naive_cflr
+from repro.cfl.simprov_tst import SimProvTst
+from repro.errors import CycleError, QueryTimeout
+from repro.model.graph import ProvenanceGraph
+from repro.model.types import EdgeType, VertexType
+from repro.store.snapshot import GraphSnapshot
+from repro.store.store import PropertyGraphStore
+from repro.workloads.pd_generator import generate_pd_sized
+
+
+def outcome(result):
+    stats = result.stats
+    return (result.path_vertices, result.similar_entities,
+            result.sources_matched, result.answer_pairs,
+            (stats.facts_entity, stats.facts_activity,
+             stats.worklist_pops, stats.pruned))
+
+
+@st.composite
+def scenarios(draw):
+    """Three mutation phases (base, appends, removals) plus one query."""
+    index = st.integers(0, 50)
+    step = st.tuples(st.just("step"), st.lists(index, min_size=1, max_size=3),
+                     st.integers(1, 2), st.booleans())
+    edge = st.tuples(st.sampled_from(["G", "U"]), index, index)
+    vertex = st.tuples(st.sampled_from(["entity", "activity"]))
+    base = [("entity",), ("entity",)]
+    base += draw(st.lists(step, min_size=2, max_size=7))
+    base += draw(st.lists(edge, max_size=8))
+    appends = draw(st.lists(st.one_of(step, edge, vertex), max_size=5))
+    removals = draw(st.lists(
+        st.tuples(st.sampled_from(["vertex", "edge"]), index), max_size=3))
+    shape = draw(st.sampled_from(["acyclic", "cyclic", "ill-typed"]))
+    return {
+        "phases": (base, appends, removals),
+        "shape": shape,
+        # Vsrc from anywhere, Vdst from the new end (they may overlap).
+        "src": draw(st.lists(index, min_size=1, max_size=3)),
+        "dst": draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)),
+        "prune": draw(st.booleans()),
+        "max_layers": draw(st.one_of(st.none(), st.integers(1, 4))),
+        "drop_vertices": draw(st.lists(index, max_size=2)),
+        "drop_edges": draw(st.lists(index, max_size=2)),
+    }
+
+
+def new_graph(shape):
+    if shape == "ill-typed":
+        return ProvenanceGraph(PropertyGraphStore(check_signatures=False))
+    return ProvenanceGraph(check_acyclic=shape == "acyclic")
+
+
+def apply_phase(graph, ops, shape):
+    """Pipeline steps build connected ancestry; loose G/U edges then tie
+    arbitrary vertices together, so creation order and ancestry disagree
+    (and, unless ``shape`` is acyclic, cycles close)."""
+    store = graph.store
+    for op in ops:
+        entities = list(graph.entities())
+        activities = list(graph.activities())
+        if op[0] == "entity":
+            graph.add_entity()
+        elif op[0] == "activity":
+            graph.add_activity()
+        elif op[0] == "step":
+            _, uses, n_outputs, outputs_first = op
+            outputs = [graph.add_entity() for _ in range(n_outputs)] \
+                if outputs_first else []        # older than their generator
+            activity = graph.add_activity()
+            for i in dict.fromkeys(uses):
+                graph.used(activity, entities[i % len(entities)])
+            outputs += [graph.add_entity()
+                        for _ in range(n_outputs - len(outputs))]
+            for entity in outputs:
+                graph.was_generated_by(entity, activity)
+        elif op[0] in ("G", "U"):
+            edge_type = (EdgeType.WAS_GENERATED_BY if op[0] == "G"
+                         else EdgeType.USED)
+            if shape == "ill-typed":
+                live = [r.vertex_id for r in store.vertices()]
+                store.add_edge(edge_type, live[op[1] % len(live)],
+                               live[op[2] % len(live)])
+            elif activities:
+                entity = entities[op[1] % len(entities)]
+                activity = activities[op[2] % len(activities)]
+                try:
+                    if op[0] == "G":
+                        graph.was_generated_by(entity, activity)
+                    else:
+                        graph.used(activity, entity)
+                except CycleError:
+                    pass
+        elif op[0] == "vertex":
+            live = [r.vertex_id for r in store.vertices()]
+            if len(entities) > 1:
+                store.remove_vertex(live[op[1] % len(live)])
+        else:
+            live = [r.edge_id for r in store.edges()]
+            if live:
+                store.remove_edge(live[op[1] % len(live)])
+
+
+class TestKernelDifferential:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=scenarios())
+    def test_kernel_matches_per_element_loop_on_every_feed(self, scenario):
+        graph = new_graph(scenario["shape"])
+        advanced = None
+        for ops in scenario["phases"]:
+            apply_phase(graph, ops, scenario["shape"])
+            if advanced is None:
+                advanced = GraphSnapshot(graph)
+            elif advanced.epoch != graph.store.epoch:
+                advanced = advanced.advance(graph)
+                assert advanced.advanced_from is not None    # patched
+            self.check(graph, advanced, scenario)
+
+    def check(self, graph, advanced, scenario):
+        entities = list(graph.entities())
+        src = [entities[i % len(entities)] for i in scenario["src"]]
+        dst = [entities[-1 - i % len(entities)] for i in scenario["dst"]]
+        live_v = [r.vertex_id for r in graph.store.vertices()]
+        live_e = [r.edge_id for r in graph.store.edges()]
+        drop_v = {live_v[i % len(live_v)] for i in scenario["drop_vertices"]}
+        drop_e = {live_e[i % len(live_e)]
+                  for i in scenario["drop_edges"] if live_e}
+        filters = [{}]
+        if drop_v or drop_e:
+            filters.append({
+                "vertex_ok": (lambda r: r.vertex_id not in drop_v)
+                if drop_v else None,
+                "edge_ok": (lambda r: r.edge_id not in drop_e)
+                if drop_e else None,
+            })
+        for boundary in filters:
+            options = dict(boundary, prune=scenario["prune"],
+                           max_layers=scenario["max_layers"],
+                           collect_pairs=True)
+            expected = outcome(SimProvTst(
+                graph, src, dst, set_impl="bitset", **options).solve())
+            feeds = {"live": None, "fresh": GraphSnapshot(graph),
+                     "advanced": advanced}
+            for name, snapshot in feeds.items():
+                got = outcome(SimProvTst(
+                    graph, src, dst, snapshot=snapshot, **options).solve())
+                assert got == expected, name
+            if scenario["shape"] == "acyclic" and not scenario["prune"] \
+                    and scenario["max_layers"] is None:
+                facts = naive_cflr(graph, simprov_normal_form(dst),
+                                   boundary.get("vertex_ok"),
+                                   boundary.get("edge_ok"))
+                allowed = set(src) - (drop_v if boundary else set())
+                assert expected[3] == {
+                    (min(u, v), max(u, v)) for u, v in facts["Re"]
+                    if u in allowed or v in allowed
+                }
+
+
+class TestKernelEdgeCases:
+    def build(self):
+        """src -> b -> x -> a -> vj, plus an unrelated entity ``far``."""
+        g = ProvenanceGraph()
+        src = g.add_entity()
+        b = g.add_activity()
+        g.used(b, src)
+        x = g.add_entity()
+        g.was_generated_by(x, b)
+        a = g.add_activity()
+        g.used(a, x)
+        vj = g.add_entity()
+        g.was_generated_by(vj, a)
+        far = g.add_entity()
+        return g, src, vj, far
+
+    def test_source_outside_the_cone(self):
+        g, src, vj, far = self.build()
+        result = SimProvTst(g, [far, src], [vj], snapshot=GraphSnapshot(g),
+                            prune=False).solve()
+        assert result.sources_matched == {src}
+
+    def test_destination_in_vsrc_matches_only_below_itself(self):
+        g, src, vj, _far = self.build()
+        result = SimProvTst(g, [vj], [vj], snapshot=GraphSnapshot(g)).solve()
+        assert not result.has_answers
+
+    def test_no_surviving_source_returns_empty_without_descending(self):
+        """Bugfix: an all-excluded Vsrc used to switch pruning off and walk
+        the whole cone for an answer that must be empty."""
+        g, src, vj, _far = self.build()
+        for impl in ("set", "bitset"):
+            result = SimProvTst(g, [src], [vj], set_impl=impl,
+                                vertex_ok=lambda r: r.vertex_id != src,
+                                collect_pairs=True).solve()
+            assert outcome(result) == (set(), set(), set(), set(),
+                                       (0, 0, 0, 0))
+
+    def test_cone_stops_growing_where_the_solver_stops(self):
+        """Early stop must not pay for ancestry it never reached."""
+        instance = generate_pd_sized(600, seed=11)
+        src, dst = instance.query_at_percentile(99)
+        snapshot = GraphSnapshot(instance.graph)
+        arrays = snapshot.ancestry_arrays()
+        full = AncestryCone(arrays, dst[0])
+        while full.grow():
+            pass
+        stats = SimProvTst(instance.graph, src, dst[:1],
+                           snapshot=snapshot).solve().stats
+        assert stats.pruned == 1
+        lazy = AncestryCone(arrays, dst[0])
+        for _ in range(2 * stats.worklist_pops):
+            lazy.grow()
+        assert lazy.size < full.size // 4
+
+    def test_unfiltered_arrays_borrow_the_snapshot_csr(self, pd_small):
+        snapshot = GraphSnapshot(pd_small.graph)
+        arrays = snapshot.ancestry_arrays()
+        assert arrays.gen is snapshot.forward[EdgeType.WAS_GENERATED_BY]
+        assert arrays.used is snapshot.forward[EdgeType.USED]
+        assert arrays.orders is snapshot.orders
+        src, dst = pd_small.default_query()
+        SimProvTst(pd_small.graph, src, dst, snapshot=snapshot).solve()
+        assert not snapshot._out_lists and snapshot._prov_adjacency is None
+
+    def test_timeout_still_raises(self, pd_small):
+        src, dst = pd_small.default_query()
+        with pytest.raises(QueryTimeout):
+            SimProvTst(pd_small.graph, src, dst, timeout_seconds=0.0,
+                       snapshot=GraphSnapshot(pd_small.graph)).solve()
+
+
+def test_layer_storage_stays_packed():
+    """A deep query stores ~depth x cone / 8 bytes of layers, not depth x
+    cone: the whole solve, result sets included, must fit in half of what
+    the unpacked layers alone would take."""
+    instance = generate_pd_sized(5000)
+    snapshot = GraphSnapshot(instance.graph)
+    entities = snapshot.vertex_ids(VertexType.ENTITY)
+    src, dst = entities[:2], [entities[int(len(entities) * 0.9)]]
+    cone = AncestryCone(snapshot.ancestry_arrays(), dst[0])
+    while cone.grow():
+        pass
+    # First-call allocations (code specialisation, numpy caches) stay out.
+    SimProvTst(instance.graph, src, entities[50:51], snapshot=snapshot).solve()
+    solver = SimProvTst(instance.graph, src, dst, snapshot=snapshot)
+    tracemalloc.start()
+    try:
+        result = solver.solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    depth = result.stats.worklist_pops
+    assert depth > 500 and cone.size > 2000
+    unpacked_layers = 2 * depth * cone.size * np.dtype(bool).itemsize
+    assert peak < unpacked_layers / 2

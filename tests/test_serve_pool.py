@@ -25,6 +25,7 @@ from repro.errors import (
 from repro.query.ops import blame, lineage
 from repro.segment.boundary import BoundaryCriteria
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
+from repro.serve.api import ServeConfig
 from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import LineTransport
@@ -570,6 +571,39 @@ class TestTransportFds:
         manager = pool.log._checkpoints
         assert manager is None or manager._dir is None \
             or not manager._dir.is_dir()
+
+
+class TestShipCursor:
+    """A batch committed between ``ship``'s span read and its cursor set
+    belongs to the *next* ship; the cursor must not jump over it."""
+
+    @pytest.mark.parametrize("wire_version", [1, 2])
+    def test_write_racing_the_span_read_is_not_skipped(
+            self, wire_version, monkeypatch):
+        graph = build_paper_example().graph
+        config = ServeConfig(replicas=1, wire_version=wire_version)
+        with WorkerPool(graph, config=config) as pool:
+            client = pool.clients[0]
+            assert client.wire_version == wire_version
+            graph.add_entity(name="in-span")
+            reader = "ship_binary_since" if wire_version == 2 \
+                else "ship_since"
+            read_span = getattr(pool.log, reader)
+
+            def read_then_lose_the_race(epoch):
+                span = read_span(epoch)
+                graph.add_entity(name="raced")
+                return span
+
+            monkeypatch.setattr(pool.log, reader, read_then_lose_the_race)
+            assert pool.ship(client) == 1
+            monkeypatch.undo()
+            assert client.epoch == pool.log.epoch - 1
+            assert client.lag == 1
+            assert pool.ship(client) == 1            # the raced batch
+            worker_epoch, _stats = client.ping()
+            assert worker_epoch == client.epoch == pool.log.epoch
+            assert client.restarts == 0
 
 
 class TestWorkerPoolLifecycle:
