@@ -1,7 +1,9 @@
 """Ablations beyond the paper's figures.
 
 - Fact-set implementations (set / bitset / roaring): the Fig. 5(a) Cbm
-  trade-off isolated on one instance.
+  trade-off isolated on one instance. For both solvers ``"set"`` is the
+  array kernel and ``"bitset"`` / ``"roaring"`` the per-element loop over
+  compressed sets.
 - Provenance-type radius Rk ∈ {0, 1}: finer types mean fewer merge
   opportunities (higher cr) — the Sec. IV "tuning the summary" knob.
 - Early-stop pruning on/off on a fixed hard query (complements Fig. 5(d)).

@@ -14,11 +14,14 @@ Lists are indexed by dense vertex id:
 - ``gen_ents[a]``  — entities generated by activity ``a``        (follow G^-1)
 
 :class:`AncestryArrays` is the same filtered adjacency as numpy CSR rows for
-the two *forward* relations only — what SimProvTst's array kernel descends.
+the two *forward* relations only — what the SimProv array kernels descend;
+:class:`AncestryCone` is the part of it reachable from a query's
+destinations, relabelled to dense local ids.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -143,6 +146,32 @@ def _rows_to_csr(rows: list[list[int]]) -> CsrAdjacency:
     return CsrAdjacency(indptr, indices)
 
 
+def edges_to_csr(src: np.ndarray, dst: np.ndarray, n: int) -> CsrAdjacency:
+    """The edge list ``src[i] -> dst[i]`` as CSR rows over ``n`` sources.
+
+    Parallel edges stay parallel; a row keeps its edges in list order.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CsrAdjacency(indptr, dst[np.argsort(src, kind="stable")])
+
+
+def gather_rows(rows: CsrAdjacency,
+                keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``keys`` of ``rows`` concatenated, and each row's length.
+
+    ``np.repeat(keys, lengths)`` lines the sources up with the targets.
+    """
+    starts = rows.indptr[keys]
+    counts = rows.indptr[1:][keys] - starts
+    ends = np.cumsum(counts)
+    # Ragged arange: positions of every requested row, concatenated.
+    starts -= ends - counts
+    positions = np.repeat(starts, counts)
+    positions += np.arange(ends[-1] if ends.size else 0)
+    return rows.indices[positions], counts
+
+
 @dataclass(frozen=True, slots=True)
 class AncestryArrays:
     """Filtered G / U adjacency as read-only CSR rows over dense vertex ids.
@@ -168,8 +197,29 @@ class AncestryArrays:
         return 0 <= vertex_id < self.n and self.orders[vertex_id] >= 0
 
 
+def solver_adjacency(graph: ProvenanceGraph, snapshot,
+                     adjacency: ProvAdjacency | None,
+                     vertex_ok: VertexPredicate | None,
+                     edge_ok: EdgePredicate | None,
+                     as_arrays: bool) -> AncestryArrays | ProvAdjacency:
+    """What a SimProv solver traverses: one kernel, three feeds.
+
+    The array kernels (``as_arrays``) read the snapshot's borrowed (or
+    masked) CSR, or a list adjacency — given, or built from the live store
+    — converted to the same rows. The per-element ablation loops read the
+    list adjacency itself.
+    """
+    if as_arrays and adjacency is None and snapshot is not None:
+        return snapshot.ancestry_arrays(vertex_ok, edge_ok)
+    if adjacency is None and snapshot is not None:
+        adjacency = snapshot.prov_adjacency(vertex_ok, edge_ok)
+    elif adjacency is None:
+        adjacency = ProvAdjacency.build(graph, vertex_ok, edge_ok)
+    return adjacency.arrays() if as_arrays else adjacency
+
+
 class AncestryCone:
-    """The ancestry cone of one destination, relabelled to local ids.
+    """The ancestry cone of a set of destinations, relabelled to local ids.
 
     Discovered one breadth-first level per :meth:`grow` over ``(vertex,
     depth parity)`` states — even depths expand through G, odd depths
@@ -177,7 +227,9 @@ class AncestryCone:
     is in place before the solver's ``t``-th half-layer needs it, and a
     query that stops early never pays for the ancestry it did not reach.
     Local ids are handed out in discovery order: a vertex at BFS distance
-    ``t`` has a local id below the cone size after ``t`` levels.
+    ``t`` has a local id below the cone size after ``t`` levels. SimProvTst
+    grows one cone per destination; SimProvAlg grows one from all of Vdst
+    (:meth:`grow_all`), because its pair tables are shared across them.
 
     Each level costs a handful of numpy calls (a ragged CSR gather plus
     appends) sized by the level; one ``n``-sized id map and two ``n``-byte
@@ -190,14 +242,14 @@ class AncestryCone:
         u_src / u_dst: local endpoints of every U edge gathered so far.
     """
 
-    def __init__(self, arrays: AncestryArrays, root: int):
+    def __init__(self, arrays: AncestryArrays, roots: int | Sequence[int]):
         self._arrays = arrays
         self._seen = (np.zeros(arrays.n, dtype=bool),
                       np.zeros(arrays.n, dtype=bool))
-        self._seen[0][root] = True
+        self._frontier = np.atleast_1d(np.asarray(roots, dtype=np.int64))
+        self._seen[0][self._frontier] = True
         self._local_of = np.empty(arrays.n, dtype=np.int64)
-        self._local_of[root] = 0
-        self._frontier = np.array([root], dtype=np.int64)
+        self._local_of[self._frontier] = np.arange(len(self._frontier))
         self._parity = 0
         self.ids = self._frontier
         self.orders = arrays.orders[self.ids]
@@ -215,13 +267,8 @@ class AncestryCone:
         if not frontier.size:
             return False
         parity = self._parity
-        rows = self._arrays.used if parity else self._arrays.gen
-        starts = rows.indptr[frontier]
-        counts = rows.indptr[frontier + 1] - starts
-        ends = np.cumsum(counts)
-        # Ragged arange: positions of every frontier row, concatenated.
-        targets = rows.indices[np.arange(ends[-1])
-                               + np.repeat(starts - (ends - counts), counts)]
+        targets, counts = gather_rows(
+            self._arrays.used if parity else self._arrays.gen, frontier)
 
         seen_here, seen_next = self._seen[parity], self._seen[parity ^ 1]
         self._frontier = np.unique(targets[~seen_next[targets]])
@@ -241,6 +288,11 @@ class AncestryCone:
             self.g_dst = np.concatenate([self.g_dst, dst])
         self._parity = parity ^ 1
         return bool(len(new))
+
+    def grow_all(self) -> None:
+        """Discover every remaining level."""
+        while self._frontier.size:
+            self.grow()
 
     def locate(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Local ids of those ``vertex_ids`` discovered so far."""

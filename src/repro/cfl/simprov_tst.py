@@ -42,11 +42,11 @@ from typing import Iterable
 import numpy as np
 
 from repro.cfl.adjacency import (
-    AncestryArrays,
     AncestryCone,
     EdgePredicate,
     ProvAdjacency,
     VertexPredicate,
+    solver_adjacency,
 )
 from repro.cfl.fastset import IntBitSet
 from repro.cfl.results import SimProvResult, SimProvStats
@@ -111,18 +111,8 @@ class SimProvTst:
                 "set_impl must be one of ('set', 'bitset', 'roaring')"
             )
         self._set_impl = set_impl
-        # One kernel, three feeds: the snapshot's borrowed (or masked) CSR,
-        # or a list adjacency — given, or built from the live store —
-        # converted to the same rows.
-        self._adj: AncestryArrays | ProvAdjacency
-        if set_impl == "set" and adjacency is None and snapshot is not None:
-            self._adj = snapshot.ancestry_arrays(vertex_ok, edge_ok)
-        else:
-            if adjacency is None and snapshot is not None:
-                adjacency = snapshot.prov_adjacency(vertex_ok, edge_ok)
-            elif adjacency is None:
-                adjacency = ProvAdjacency.build(graph, vertex_ok, edge_ok)
-            self._adj = adjacency.arrays() if set_impl == "set" else adjacency
+        self._adj = solver_adjacency(graph, snapshot, adjacency, vertex_ok,
+                                     edge_ok, as_arrays=set_impl == "set")
         self._prune = prune
         self._collect_pairs = collect_pairs
         self._max_layers = max_layers

@@ -12,8 +12,8 @@ parameter:
 - :mod:`repro.query.ops` lineage/impact/blame walks,
 - the PgSeg induction rules (:mod:`repro.segment.induce`,
   :class:`repro.segment.pgseg.PgSegOperator`),
-- the SimProv CFL solvers (SimProvTst's array kernel borrows the ancestry
-  CSR rows; SimProvAlg reuses one cached
+- the SimProv CFL solvers (both array kernels borrow the ancestry CSR
+  rows; the per-element Cbm ablation loops reuse one cached
   :class:`repro.cfl.adjacency.ProvAdjacency` across queries),
 - the CypherLite evaluator's scans and expansions.
 
@@ -161,10 +161,10 @@ class GraphSnapshot(_CsrSnapshot):
       :meth:`in_edges`) and lazily materialized Python list views
       (:meth:`out_lists`, :meth:`in_lists`, ...) for tight pure-Python
       loops;
-    - the CFL solvers' ancestry views: borrowed CSR rows for SimProvTst's
-      array kernel (:meth:`ancestry_arrays`, O(1)) and a cached, reusable
+    - the CFL solvers' ancestry views: borrowed CSR rows for the SimProv
+      array kernels (:meth:`ancestry_arrays`, O(1)) and a cached, reusable
       :class:`~repro.cfl.adjacency.ProvAdjacency` (:meth:`prov_adjacency`)
-      so repeated SimProvAlg queries skip the per-query O(V+E) rebuild.
+      for their per-element Cbm ablation loops.
 
     Args:
         source: a :class:`PropertyGraphStore` or anything exposing a
@@ -901,7 +901,7 @@ class GraphSnapshot(_CsrSnapshot):
     def ancestry_arrays(self, vertex_ok: VertexPredicate | None = None,
                         edge_ok: EdgePredicate | None = None,
                         ) -> "AncestryArrays":
-        """The G / U rows SimProvTst's array kernel descends.
+        """The G / U rows the SimProv array kernels descend.
 
         Unfiltered, this is an O(1) *borrow* of the forward CSR the
         snapshot already owns (and :meth:`advance` already patches) —

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cfl.simprov_alg import SimProvAlg
 from repro.model.graph import ProvenanceGraph
+from repro.store.snapshot import GraphSnapshot
 
 
 def constrained_oracle(graph, src_ids, dst_ids, activity_key,
@@ -91,6 +92,16 @@ def branching_graph():
     return g, root, final
 
 
+def solve_on_both_feeds(graph, src, dst, **options):
+    """The solve on the live graph, checked equal to the snapshot feed's."""
+    live = SimProvAlg(graph, src, dst, **options).solve()
+    frozen = SimProvAlg(graph, src, dst, snapshot=GraphSnapshot(graph),
+                        **options).solve()
+    assert (live.answer_pairs, live.path_vertices) \
+        == (frozen.answer_pairs, frozen.path_vertices)
+    return live
+
+
 class TestConstrainedVsOracle:
     def test_branching_fixture(self, branching_graph):
         g, root, final = branching_graph
@@ -98,8 +109,8 @@ class TestConstrainedVsOracle:
         def command_of(activity):
             return g.vertex(activity).get("command")
 
-        solver = SimProvAlg(g, [root], [final], activity_key=command_of)
-        result = solver.solve()
+        result = solve_on_both_feeds(g, [root], [final],
+                                     activity_key=command_of)
         oracle = constrained_oracle(g, [root], [final], command_of)
         assert result.answer_pairs == oracle
 
@@ -109,9 +120,9 @@ class TestConstrainedVsOracle:
         def command_of(activity):
             return g.vertex(activity).get("command")
 
-        solver = SimProvAlg(g, [paper["dataset-v1"]], [paper["weight-v2"]],
-                            activity_key=command_of)
-        result = solver.solve()
+        result = solve_on_both_feeds(
+            g, [paper["dataset-v1"]], [paper["weight-v2"]],
+            activity_key=command_of)
         oracle = constrained_oracle(
             g, [paper["dataset-v1"]], [paper["weight-v2"]], command_of
         )
@@ -134,8 +145,8 @@ class TestConstrainedVsOracle:
         def command_of(activity):
             return graph.vertex(activity).get("command")
 
-        result = SimProvAlg(graph, src, dst,
-                            activity_key=command_of).solve()
+        result = solve_on_both_feeds(graph, src, dst,
+                                     activity_key=command_of)
         oracle = constrained_oracle(graph, src, dst, command_of, max_depth=4)
         assert result.answer_pairs == oracle
 
@@ -145,8 +156,8 @@ class TestConstrainedVsOracle:
         def command_of(activity):
             return g.vertex(activity).get("command")
 
-        free = SimProvAlg(g, [root], [final]).solve()
-        tight = SimProvAlg(g, [root], [final],
-                           activity_key=command_of).solve()
+        free = solve_on_both_feeds(g, [root], [final])
+        tight = solve_on_both_feeds(g, [root], [final],
+                                    activity_key=command_of)
         assert tight.answer_pairs <= free.answer_pairs
         assert tight.path_vertices <= free.path_vertices

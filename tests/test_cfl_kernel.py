@@ -1,8 +1,9 @@
-"""SimProvTst's array kernel vs the per-element loop and the naive oracle.
+"""The SimProv array kernels vs the per-element loops and the naive oracle.
 
-``set_impl="set"`` runs the frontier solver as numpy scatter/gathers over
-the destination's ancestry cone; ``"bitset"`` keeps the per-element loop
-the kernel replaced. On random small PROV graphs — creation order unrelated
+``set_impl="set"`` runs SimProvTst's frontiers as numpy scatter/gathers and
+SimProvAlg's worklist as level-synchronous pair arrays, both over the
+destinations' ancestry cone; ``"bitset"`` keeps the per-element loops the
+kernels replaced. On random small PROV graphs — creation order unrelated
 to ancestry, ancestry cycles, dead ids, boundary filters — the two must
 return the same sets *and* the same work counters, whichever way the kernel
 is fed: from the live graph, from a fresh :class:`GraphSnapshot`, or from a
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cfl.adjacency import AncestryCone
 from repro.cfl.grammar import simprov_normal_form
 from repro.cfl.reference import naive_cflr
+from repro.cfl.simprov_alg import SimProvAlg
 from repro.cfl.simprov_tst import SimProvTst
 from repro.errors import CycleError, QueryTimeout
 from repro.model.graph import ProvenanceGraph
@@ -119,40 +121,62 @@ def apply_phase(graph, ops, shape):
                 store.remove_edge(live[op[1] % len(live)])
 
 
+def check_after_every_phase(scenario, check):
+    """Run ``check(graph, advanced snapshot, scenario)`` after each phase."""
+    graph = new_graph(scenario["shape"])
+    advanced = None
+    for ops in scenario["phases"]:
+        apply_phase(graph, ops, scenario["shape"])
+        if advanced is None:
+            advanced = GraphSnapshot(graph)
+        elif advanced.epoch != graph.store.epoch:
+            advanced = advanced.advance(graph)
+            assert advanced.advanced_from is not None    # patched
+        check(graph, advanced, scenario)
+
+
+def query_of(graph, scenario):
+    """``(src, dst, boundaries, dropped vertices)`` on the current graph;
+    the boundaries are "none" and, when the scenario drops anything, the
+    ``vertex_ok`` / ``edge_ok`` pair that does."""
+    entities = list(graph.entities())
+    src = [entities[i % len(entities)] for i in scenario["src"]]
+    dst = [entities[-1 - i % len(entities)] for i in scenario["dst"]]
+    live_v = [r.vertex_id for r in graph.store.vertices()]
+    live_e = [r.edge_id for r in graph.store.edges()]
+    drop_v = {live_v[i % len(live_v)] for i in scenario["drop_vertices"]}
+    drop_e = {live_e[i % len(live_e)]
+              for i in scenario["drop_edges"] if live_e}
+    boundaries = [{}]
+    if drop_v or drop_e:
+        boundaries.append({
+            "vertex_ok": (lambda r: r.vertex_id not in drop_v)
+            if drop_v else None,
+            "edge_ok": (lambda r: r.edge_id not in drop_e)
+            if drop_e else None,
+        })
+    return src, dst, boundaries, drop_v
+
+
+def oracle_answers(graph, src, dst, boundary, drop_v):
+    """Answer pairs by the naive CFLR closure of the Fig. 6 normal form."""
+    facts = naive_cflr(graph, simprov_normal_form(dst),
+                       boundary.get("vertex_ok"), boundary.get("edge_ok"))
+    allowed = set(src) - (drop_v if boundary else set())
+    return {(min(u, v), max(u, v)) for u, v in facts["Re"]
+            if u in allowed or v in allowed}
+
+
 class TestKernelDifferential:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(scenario=scenarios())
     def test_kernel_matches_per_element_loop_on_every_feed(self, scenario):
-        graph = new_graph(scenario["shape"])
-        advanced = None
-        for ops in scenario["phases"]:
-            apply_phase(graph, ops, scenario["shape"])
-            if advanced is None:
-                advanced = GraphSnapshot(graph)
-            elif advanced.epoch != graph.store.epoch:
-                advanced = advanced.advance(graph)
-                assert advanced.advanced_from is not None    # patched
-            self.check(graph, advanced, scenario)
+        check_after_every_phase(scenario, self.check)
 
     def check(self, graph, advanced, scenario):
-        entities = list(graph.entities())
-        src = [entities[i % len(entities)] for i in scenario["src"]]
-        dst = [entities[-1 - i % len(entities)] for i in scenario["dst"]]
-        live_v = [r.vertex_id for r in graph.store.vertices()]
-        live_e = [r.edge_id for r in graph.store.edges()]
-        drop_v = {live_v[i % len(live_v)] for i in scenario["drop_vertices"]}
-        drop_e = {live_e[i % len(live_e)]
-                  for i in scenario["drop_edges"] if live_e}
-        filters = [{}]
-        if drop_v or drop_e:
-            filters.append({
-                "vertex_ok": (lambda r: r.vertex_id not in drop_v)
-                if drop_v else None,
-                "edge_ok": (lambda r: r.edge_id not in drop_e)
-                if drop_e else None,
-            })
-        for boundary in filters:
+        src, dst, boundaries, drop_v = query_of(graph, scenario)
+        for boundary in boundaries:
             options = dict(boundary, prune=scenario["prune"],
                            max_layers=scenario["max_layers"],
                            collect_pairs=True)
@@ -166,14 +190,75 @@ class TestKernelDifferential:
                 assert got == expected, name
             if scenario["shape"] == "acyclic" and not scenario["prune"] \
                     and scenario["max_layers"] is None:
-                facts = naive_cflr(graph, simprov_normal_form(dst),
-                                   boundary.get("vertex_ok"),
-                                   boundary.get("edge_ok"))
-                allowed = set(src) - (drop_v if boundary else set())
-                assert expected[3] == {
-                    (min(u, v), max(u, v)) for u, v in facts["Re"]
-                    if u in allowed or v in allowed
-                }
+                assert expected[3] == oracle_answers(graph, src, dst,
+                                                     boundary, drop_v)
+
+
+@st.composite
+def pair_scenarios(draw):
+    """A scenario plus SimProvAlg's own knobs: similarity keys (vertex id
+    modulo a small number, so classes collide) and a step budget."""
+    scenario = draw(scenarios())
+    modulus = st.one_of(st.none(), st.integers(1, 3))
+    scenario.update(
+        activity_mod=draw(modulus), entity_mod=draw(modulus),
+        max_steps=draw(st.one_of(st.none(), st.integers(1, 40))))
+    return scenario
+
+
+class TestPairKernelDifferential:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=pair_scenarios())
+    def test_pair_kernel_matches_worklist_on_every_feed(self, scenario):
+        check_after_every_phase(scenario, self.check)
+
+    @staticmethod
+    def solve(graph, src, dst, **options):
+        try:
+            return outcome(SimProvAlg(graph, src, dst, **options).solve())
+        except QueryTimeout:
+            return "step budget spent"
+
+    def check(self, graph, advanced, scenario):
+        src, dst, boundaries, drop_v = query_of(graph, scenario)
+        a_mod, e_mod = scenario["activity_mod"], scenario["entity_mod"]
+        for boundary in boundaries:
+            options = dict(
+                boundary, prune=scenario["prune"],
+                max_steps=scenario["max_steps"],
+                activity_key=a_mod and (lambda v: v % a_mod),
+                entity_key=e_mod and (lambda v: v % e_mod))
+            expected = self.solve(graph, src, dst, set_impl="bitset",
+                                  **options)
+            feeds = {"live": None, "fresh": GraphSnapshot(graph),
+                     "advanced": advanced}
+            for name, snapshot in feeds.items():
+                got = self.solve(graph, src, dst, snapshot=snapshot,
+                                 **options)
+                assert got == expected, name
+            if scenario["shape"] != "acyclic" or scenario["prune"] \
+                    or scenario["max_steps"] is not None \
+                    or a_mod is not None or e_mod is not None:
+                continue
+            # The pure label grammar: the closure, and SimProvTst's
+            # [e]_m x [e]_m products, level for level.
+            assert expected[3] == oracle_answers(graph, src, dst, boundary,
+                                                 drop_v)
+            by_class = SimProvTst(graph, src, dst, snapshot=advanced,
+                                  prune=False, collect_pairs=True,
+                                  **boundary).solve()
+            assert expected[:4] == outcome(by_class)[:4]
+
+    def test_late_sources_prune_with_multiplicity(self, pd_medium):
+        """``pruned`` counts derivations, not pairs: a late Vsrc prunes
+        thousands of them and every feed must count the same."""
+        src, dst = pd_medium.query_at_percentile(80)
+        expected = self.solve(pd_medium.graph, src, dst, set_impl="bitset")
+        assert expected[4][3] > 0
+        for snapshot in (None, GraphSnapshot(pd_medium.graph)):
+            assert self.solve(pd_medium.graph, src, dst,
+                              snapshot=snapshot) == expected
 
 
 class TestKernelEdgeCases:
@@ -205,14 +290,17 @@ class TestKernelEdgeCases:
 
     def test_no_surviving_source_returns_empty_without_descending(self):
         """Bugfix: an all-excluded Vsrc used to switch pruning off and walk
-        the whole cone for an answer that must be empty."""
+        the whole cone (SimProvAlg: run the whole fixpoint) for an answer
+        that must be empty — ``worklist_pops`` stays 0."""
         g, src, vj, _far = self.build()
-        for impl in ("set", "bitset"):
-            result = SimProvTst(g, [src], [vj], set_impl=impl,
+        for solver, options in ((SimProvTst, {"collect_pairs": True}),
+                                (SimProvAlg, {})):
+            for impl in ("set", "bitset"):
+                result = solver(g, [src], [vj], set_impl=impl,
                                 vertex_ok=lambda r: r.vertex_id != src,
-                                collect_pairs=True).solve()
-            assert outcome(result) == (set(), set(), set(), set(),
-                                       (0, 0, 0, 0))
+                                **options).solve()
+                assert outcome(result) == (set(), set(), set(), set(),
+                                           (0, 0, 0, 0))
 
     def test_cone_stops_growing_where_the_solver_stops(self):
         """Early stop must not pay for ancestry it never reached."""
@@ -238,13 +326,16 @@ class TestKernelEdgeCases:
         assert arrays.used is snapshot.forward[EdgeType.USED]
         assert arrays.orders is snapshot.orders
         src, dst = pd_small.default_query()
-        SimProvTst(pd_small.graph, src, dst, snapshot=snapshot).solve()
-        assert not snapshot._out_lists and snapshot._prov_adjacency is None
+        for solver in (SimProvTst, SimProvAlg):
+            solver(pd_small.graph, src, dst, snapshot=snapshot).solve()
+            assert not snapshot._out_lists
+            assert snapshot._prov_adjacency is None
 
     def test_timeout_still_raises(self, pd_small):
         src, dst = pd_small.default_query()
-        with pytest.raises(QueryTimeout):
-            SimProvTst(pd_small.graph, src, dst, timeout_seconds=0.0,
+        for solver in (SimProvTst, SimProvAlg):
+            with pytest.raises(QueryTimeout):
+                solver(pd_small.graph, src, dst, timeout_seconds=0.0,
                        snapshot=GraphSnapshot(pd_small.graph)).solve()
 
 
@@ -272,3 +363,23 @@ def test_layer_storage_stays_packed():
     assert depth > 500 and cone.size > 2000
     unpacked_layers = 2 * depth * cone.size * np.dtype(bool).itemsize
     assert peak < unpacked_layers / 2
+
+
+def test_pair_tables_are_sized_by_the_cone():
+    """The 95 % mark of the 2 000-vertex Pd graph holds ~4.7e5 facts; the
+    whole solve must peak under 16 MB, which tables over the graph's id
+    space squared could not."""
+    instance = generate_pd_sized(2000)
+    snapshot = GraphSnapshot(instance.graph)
+    entities = instance.entities
+    src, dst = entities[:2], [entities[int(len(entities) * 0.95)]]
+    SimProvAlg(instance.graph, src, entities[50:51], snapshot=snapshot).solve()
+    solver = SimProvAlg(instance.graph, src, dst, snapshot=snapshot)
+    tracemalloc.start()
+    try:
+        result = solver.solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.stats.worklist_pops > 400_000
+    assert peak < 16 * 2 ** 20

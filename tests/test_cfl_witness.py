@@ -9,6 +9,8 @@ from repro.cfl.grammar import (
     simprov_grammar,
 )
 from repro.cfl.simprov_alg import SimProvAlg
+from repro.errors import QueryTimeout
+from repro.model.graph import ProvenanceGraph
 from repro.query.paths import Path
 
 
@@ -98,8 +100,6 @@ class TestWitnessOnGenerated:
 class TestWitnessDepthTwo:
     def test_deep_witness(self):
         """A depth-2 answer yields an 8-edge palindrome witness."""
-        from repro.model.graph import ProvenanceGraph
-
         g = ProvenanceGraph()
         src = g.add_entity(name="src")
         b = g.add_activity(command="b")
@@ -124,3 +124,54 @@ class TestWitnessDepthTwo:
         assert len(path) == 8
         grammar = simprov_grammar([vj])
         assert earley_recognize(grammar, word_of(g, path))
+
+
+@pytest.mark.parametrize("impl", ["set", "bitset"])
+class TestWitnessDeepChain:
+    LEVELS = 700
+
+    @pytest.fixture()
+    def chain(self):
+        """e0 <-U- a1 <-G- e1 <-U- ... <-G- e700: one derivation, 700 deep."""
+        g = ProvenanceGraph()
+        entities = [g.add_entity()]
+        for _ in range(self.LEVELS):
+            activity = g.add_activity()
+            g.used(activity, entities[-1])
+            entities.append(g.add_entity())
+            g.was_generated_by(entities[-1], activity)
+        return g, entities
+
+    def test_deep_derivation_does_not_recurse(self, chain, impl):
+        """Bugfix: the decomposition recursed once per level and overflowed
+        the interpreter's stack here."""
+        g, entities = chain
+        first, last = entities[0], entities[-1]
+        solver = SimProvAlg(g, [first], [last], set_impl=impl)
+        assert solver.solve().answer_pairs == {(first, first)}
+        path = solver.witness_path(first, first)
+        assert len(path) == 4 * self.LEVELS
+        assert path.start == path.end == first
+        assert path.vertices[2 * self.LEVELS] == last
+        assert path.vertices == path.vertices[::-1]
+        assert solver.witness_path(first, last) is None
+
+    def test_failed_solve_forgets_the_previous_tables(self, chain, impl):
+        """Bugfix: a solve that raised left witness_path reading the
+        tables of the solve before it."""
+        g, entities = chain
+        spent = []
+
+        def key(_activity):
+            if spent:
+                raise QueryTimeout("budget spent")
+            return 0
+
+        solver = SimProvAlg(g, entities[:1], entities[-1:], set_impl=impl,
+                            activity_key=key)
+        solver.solve()
+        assert solver.witness_path(entities[0], entities[0]) is not None
+        spent.append(True)
+        with pytest.raises(QueryTimeout):
+            solver.solve()
+        assert solver.witness_path(entities[0], entities[0]) is None
