@@ -28,13 +28,14 @@ from typing import Sequence
 from repro.errors import SummarizationError
 from repro.segment.pgseg import Segment
 from repro.summarize.aggregation import TYPE_ONLY, PropertyAggregation
-from repro.summarize.provtype import compute_vertex_classes
-from repro.summarize.psg import Psg, build_psg
+from repro.summarize.provtype import classify_union
+from repro.summarize.psg import Psg, assemble_psg
 from repro.summarize.simulation import (
+    Preorder,
     dominated_pairs,
-    mutual_equivalence_classes,
-    simulation_preorder,
+    solve_preorder,
 )
+from repro.summarize.union import UnionGraph
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +50,10 @@ class PgSumQuery:
         rk_direction: neighborhood direction for ``Rk`` — ``"both"`` is the
             formal Sec. IV.A.1 definition, ``"out"`` the ancestry-only
             variant that reproduces the paper's Fig. 2(e) example.
+
+    Raises:
+        SummarizationError: for a negative ``k`` or ``max_rounds``, or an
+            ``rk_direction`` other than ``"both"`` / ``"out"``.
     """
 
     aggregation: PropertyAggregation = TYPE_ONLY
@@ -57,14 +62,41 @@ class PgSumQuery:
     verify_isomorphism: bool = True
     rk_direction: str = "both"
 
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise SummarizationError(f"k must be >= 0, got {self.k}")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise SummarizationError(
+                f"max_rounds must be >= 0 or None, got {self.max_rounds}")
+        if self.rk_direction not in ("both", "out"):
+            raise SummarizationError(
+                f"rk_direction must be 'both' or 'out', "
+                f"got {self.rk_direction!r}")
+
 
 @dataclass(slots=True)
 class PgSumStats:
-    """Work counters for one summarization."""
+    """Work counters for one summarization.
+
+    Attributes:
+        rounds / merges / class_count: merge rounds run, groups absorbed,
+            ``≡kκ`` classes.
+        sim_solves: simulation fixpoints solved (a preorder carried over
+            from the previous round's merge is not solved again).
+        sim_nodes: total size of the contracted quotients they ran on.
+        sim_sweeps: total passes over those quotients (one per solve on
+            acyclic input).
+        iso_checks: exact neighbourhood comparisons inside ``≡kκ`` buckets.
+        seconds: wall time of the evaluate call.
+    """
 
     rounds: int = 0
     merges: int = 0
     class_count: int = 0
+    sim_solves: int = 0
+    sim_nodes: int = 0
+    sim_sweeps: int = 0
+    iso_checks: int = 0
     seconds: float = 0.0
 
 
@@ -83,106 +115,101 @@ class PgSumOperator:
         """Run the full pipeline and return the summary graph."""
         query = query if query is not None else PgSumQuery()
         start_time = time.perf_counter()
+        stats = self.stats = PgSumStats()
 
-        classes = compute_vertex_classes(
-            self.segments, query.aggregation, query.k,
+        union = UnionGraph.from_segments(self.segments)
+        classes = classify_union(
+            union, query.aggregation, query.k,
             verify_isomorphism=query.verify_isomorphism,
             direction=query.rk_direction,
         )
-        self.stats.class_count = classes.class_count
+        stats.class_count = classes.class_count
+        stats.iso_checks = classes.iso_checks
 
-        # Union-node indexing.
-        nodes = [
-            (seg_index, vertex_id)
-            for seg_index, segment in enumerate(self.segments)
-            for vertex_id in sorted(segment.vertices)
-        ]
-        index_of = {node: index for index, node in enumerate(nodes)}
-        node_class = [classes.class_of[node] for node in nodes]
-        union_edges: list[tuple[int, int, str]] = []
-        for seg_index, segment in enumerate(self.segments):
-            for record in segment.edges():
-                union_edges.append((
-                    index_of[(seg_index, record.src)],
-                    index_of[(seg_index, record.dst)],
-                    record.label,
-                ))
+        node_class = [classes.class_of[node] for node in union.nodes]
+        # Partition: group id per union index; start as singletons. A group
+        # is named after one of its members, so ``node_class[gid]`` is its ρ.
+        group_of = list(range(len(union.nodes)))
+        group_members = {index: [index] for index in group_of}
 
-        # Partition: group id per union node; start as singletons.
-        group_of = list(range(len(nodes)))
-        group_members: dict[int, list[int]] = {
-            index: [index] for index in range(len(nodes))
-        }
-
-        def merge_groups(into: int, absorbed: int) -> None:
-            if into == absorbed:
-                return
-            for member in group_members[absorbed]:
-                group_of[member] = into
-            group_members[into].extend(group_members.pop(absorbed))
-            self.stats.merges += 1
-
-        rounds = 0
-        while query.max_rounds is None or rounds < query.max_rounds:
-            rounds += 1
-            merged = self._merge_round(
-                node_class, union_edges, group_of, group_members, merge_groups
-            )
-            if not merged:
+        # Preorders known without solving: merging the mutual classes of a
+        # preorder leaves exactly that preorder on the merged graph.
+        known: dict[str, Preorder] = {}
+        while query.max_rounds is None or stats.rounds < query.max_rounds:
+            stats.rounds += 1
+            if not self._merge_round(union, node_class, group_of,
+                                     group_members, known):
                 break
-        self.stats.rounds = rounds
 
         partition = [
-            [nodes[member] for member in members]
+            [union.nodes[member] for member in members]
             for members in group_members.values()
         ]
-        psg = build_psg(self.segments, classes, partition)
-        self.stats.seconds = time.perf_counter() - start_time
+        psg = assemble_psg(union, classes, partition)
+        stats.seconds = time.perf_counter() - start_time
         return psg
 
     # ------------------------------------------------------------------
 
-    def _merge_round(self, node_class, union_edges, group_of,
-                     group_members, merge_groups) -> bool:
-        """One merge round on the current quotient; True if anything merged."""
+    def _merge_round(self, union: UnionGraph, node_class: list[int],
+                     group_of: list[int],
+                     group_members: dict[int, list[int]],
+                     known: dict[str, Preorder]) -> bool:
+        """One merge round on the current quotient; True if anything merged.
+
+        The schedule — mutual in-simulation classes, else mutual
+        out-simulation classes, else disjoint stars in pair order — decides
+        which valid Psg comes out, so it is fixed; how the preorders are
+        obtained is not.
+        """
+        stats = self.stats
         group_ids = sorted(group_members)
         dense = {gid: index for index, gid in enumerate(group_ids)}
-        labels = [node_class[group_members[gid][0]] for gid in group_ids]
-        quotient_edges = {
-            (dense[group_of[u]], dense[group_of[v]], label)
-            for u, v, label in union_edges
-        }
-        edge_list = sorted(quotient_edges)
+        labels = [node_class[gid] for gid in group_ids]
+        dense_of = [dense[gid] for gid in group_of]
+        edges = {(dense_of[src], dense_of[dst], label) for src, dst, label
+                 in zip(union.src, union.dst, union.label)}
 
-        sim_in = simulation_preorder(labels, edge_list, "in")
-        sim_out = simulation_preorder(labels, edge_list, "out")
+        def merge(into: int, absorbed: int) -> None:
+            target, gone = group_ids[into], group_ids[absorbed]
+            for member in group_members[gone]:
+                group_of[member] = target
+            group_members[target].extend(group_members.pop(gone))
+            stats.merges += 1
 
-        # (1) mutual in-simulation classes.
-        for sim in (sim_in, sim_out):
-            plan = [
-                cls for cls in mutual_equivalence_classes(sim) if len(cls) > 1
-            ]
-            if plan:
-                for cls in plan:
-                    target = group_ids[cls[0]]
+        # (1)/(2) mutual simulation classes, in- before out-.
+        preorders = {}
+        for direction in ("in", "out"):
+            preorder = known.pop(direction, None)
+            if preorder is None:
+                preorder = solve_preorder(labels, edges, direction)
+                stats.sim_solves += 1
+                stats.sim_nodes += len(preorder.members)
+                stats.sim_sweeps += preorder.sweeps
+            classes = preorder.classes()
+            if len(classes) < len(group_ids):
+                for cls in classes:
                     for other in cls[1:]:
-                        merge_groups(target, group_ids[other])
+                        merge(cls[0], other)
+                known.clear()
+                known[direction] = preorder.merged()
                 return True
+            preorders[direction] = preorder
 
         # (3) dominated stars: each star has one top that dominates all its
         # bottoms in both directions; stars are vertex-disjoint.
-        pairs = dominated_pairs(sim_in, sim_out)
+        pairs = dominated_pairs(preorders["in"].lift(),
+                                preorders["out"].lift())
         bottoms: set[int] = set()
         tops: set[int] = set()
-        merged_any = False
         for u, v in pairs:
             if u in bottoms or u in tops or v in bottoms:
                 continue
-            merge_groups(group_ids[v], group_ids[u])
+            merge(v, u)
             bottoms.add(u)
             tops.add(v)
-            merged_any = True
-        return merged_any
+        known.clear()
+        return bool(bottoms)
 
 
 def pgsum(segments: Sequence[Segment],

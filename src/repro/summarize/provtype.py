@@ -9,27 +9,31 @@ c) their k-hop neighborhoods (induced subgraphs within their segments) are
    isomorphic respecting labels, aggregated properties, edge types, and edge
    directions, with centers mapped to centers.
 
-Equality is decided in two stages: a deterministic Weisfeiler–Leman-style
-certificate buckets candidates (isomorphism-invariant, so isomorphic
-neighborhoods never separate), then exact isomorphism (networkx VF2 on
-labeled multidigraphs) confirms within buckets. ``k = 0`` degenerates to
+Equality is decided in two stages over the :class:`UnionGraph` arrays. A
+colour-refinement certificate (``k + 1`` Weisfeiler–Leman rounds over the
+neighbourhood, centre marked, colours interned as integers) buckets the
+candidates; it is isomorphism-invariant, so isomorphic neighbourhoods never
+separate. Inside a bucket a backtracking matcher over colour-preserving
+bijections confirms exactly — one candidate per vertex when the colouring
+is discrete, still exact when it is not. ``k = 0`` degenerates to
 label+property equality.
+
+The depth-k type recurrence of Moreau's provenance types [25] is such a
+certificate; it is coarser than (c) — it cannot see edges among the k-th
+ring — so it buckets here and never decides.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-import networkx as nx
-from networkx.algorithms import isomorphism as nx_iso
-
 from repro.segment.pgseg import Segment
 from repro.summarize.aggregation import PropertyAggregation
+from repro.summarize.union import UnionGraph, UnionNode
 
-#: A union-graph node: (segment index, vertex id within that segment's graph).
-UnionNode = tuple[int, int]
+__all__ = ["ClassAssignment", "UnionNode", "classify_union",
+           "compute_vertex_classes"]
 
 
 @dataclass(slots=True)
@@ -39,107 +43,221 @@ class ClassAssignment:
     Attributes:
         class_of: union node -> class index.
         class_labels: class index -> hashable canonical label (base label +
-            neighborhood certificate); used as the ``ρ`` vertex label in Psg
-            path words.
+            neighborhood certificate number); used as the ``ρ`` vertex label
+            in Psg path words. Like class indices, certificate numbers are
+            only comparable within one assignment.
         members: class index -> list of union nodes.
+        iso_checks: exact neighbourhood comparisons the partition needed.
     """
 
     class_of: dict[UnionNode, int] = field(default_factory=dict)
     class_labels: list[Hashable] = field(default_factory=list)
     members: list[list[UnionNode]] = field(default_factory=list)
+    iso_checks: int = 0
 
     @property
     def class_count(self) -> int:
         """Number of equivalence classes."""
         return len(self.class_labels)
 
+    def _open_class(self, label: Hashable) -> int:
+        self.class_labels.append(label)
+        self.members.append([])
+        return len(self.class_labels) - 1
 
-def _khop_neighborhood(segment: Segment, center: int, k: int,
-                       aggregation: PropertyAggregation,
-                       direction: str = "both") -> nx.MultiDiGraph:
-    """k-hop neighborhood of ``center`` inside its segment.
+    def _place(self, node: UnionNode, class_index: int) -> None:
+        self.class_of[node] = class_index
+        self.members[class_index].append(node)
 
-    ``direction="both"`` follows the formal ``Rk`` definition (induced
-    subgraph within undirected distance k). ``direction="out"`` follows only
-    outgoing (ancestry) edges, which matches the provenance types the paper's
-    Fig. 2(e) example assigns (and Moreau's edge-label concatenation [25]).
+
+@dataclass(slots=True)
+class _Neighbourhood:
+    """A k-hop neighbourhood over local indices; the centre is vertex 0.
+
+    Attributes:
+        colour: refined colour per vertex. Colours are interned across all
+            neighbourhoods of one call, so equal numbers mean equal
+            refinement histories wherever they occur.
+        out: per vertex, its induced outgoing edges as (label id, target).
     """
-    graph = segment.graph
-    adjacency: dict[int, list[tuple[int, str, bool]]] = {
-        v: [] for v in segment.vertices
-    }
-    for record in segment.edges():
-        adjacency[record.src].append((record.dst, record.label, True))
-        if direction == "both":
-            adjacency[record.dst].append((record.src, record.label, False))
 
-    frontier = {center}
-    members = {center}
+    colour: list[int]
+    out: list[list[tuple[int, int]]]
+
+
+def _neighbourhood(center: int, k: int, both: bool, base: list[int],
+                   out_adj: list[list[tuple[int, int]]],
+                   in_adj: list[list[tuple[int, int]]],
+                   colours: dict[tuple, int]) -> _Neighbourhood:
+    """Induced k-hop neighbourhood of ``center``, refined ``k + 1`` rounds.
+
+    ``both`` follows the formal ``Rk`` definition (undirected distance k);
+    otherwise only outgoing (ancestry) edges are followed, which matches the
+    provenance types the paper's Fig. 2(e) example assigns (and Moreau's
+    edge-label concatenation [25]). Either way every segment edge between
+    two members belongs to the neighbourhood.
+    """
+    local = {center: 0}
+    frontier = [center]
     for _ in range(k):
-        nxt: set[int] = set()
-        for vertex_id in frontier:
-            for other, _label, _fwd in adjacency[vertex_id]:
-                if other not in members:
-                    members.add(other)
-                    nxt.add(other)
-        frontier = nxt
+        reached = []
+        for vertex in frontier:
+            rows = (out_adj[vertex], in_adj[vertex]) if both \
+                else (out_adj[vertex],)
+            for row in rows:
+                for _label, other in row:
+                    if other not in local:
+                        local[other] = len(local)
+                        reached.append(other)
+        frontier = reached
         if not frontier:
             break
 
-    out = nx.MultiDiGraph()
-    for vertex_id in members:
-        record = graph.vertex(vertex_id)
-        out.add_node(
-            vertex_id,
-            label=aggregation.base_label(record),
-            center=(vertex_id == center),
-        )
-    for record in segment.edges():
-        if record.src in members and record.dst in members:
-            out.add_edge(record.src, record.dst, label=record.label)
-    return out
+    size = len(local)
+    out: list[list[tuple[int, int]]] = []
+    into: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for index, vertex in enumerate(local):
+        row = [(label, local[other]) for label, other in out_adj[vertex]
+               if other in local]
+        out.append(row)
+        for label, other in row:
+            into[other].append((label, index))
+
+    intern = colours.setdefault
+    colour = [intern((base[vertex], index == 0), len(colours))
+              for index, vertex in enumerate(local)]
+    for _ in range(k + 1):
+        colour = [
+            intern((colour[index],
+                    tuple(sorted([(label, colour[other])
+                                  for label, other in out[index]])),
+                    tuple(sorted([(label, colour[other])
+                                  for label, other in into[index]]))),
+                   len(colours))
+            for index in range(size)
+        ]
+    return _Neighbourhood(colour, out)
 
 
-def _wl_certificate(neighborhood: nx.MultiDiGraph, rounds: int) -> str:
-    """Deterministic WL-style hash of a labeled multidigraph with a center.
+def _pair_labels(out: list[list[tuple[int, int]]],
+                 ) -> dict[tuple[int, int], tuple[int, ...]]:
+    """(source, target) -> sorted labels of the parallel edges between them."""
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for source, row in enumerate(out):
+        for label, target in row:
+            pairs.setdefault((source, target), []).append(label)
+    return {pair: tuple(sorted(labels)) for pair, labels in pairs.items()}
 
-    Isomorphism-invariant: the per-node color refinement folds in sorted
-    multisets of (edge label, direction, neighbor color); the certificate is
-    the sorted multiset of final colors. Uses sha256 for run-to-run
-    stability (unlike builtin ``hash``).
+
+def _isomorphic(left: _Neighbourhood, right: _Neighbourhood) -> bool:
+    """Exact labeled isomorphism, centres to centres.
+
+    Depth-first search over colour-preserving bijections in the left
+    neighbourhood's BFS order, so every vertex after the centre is placed
+    next to an already placed one. A placement must reproduce the parallel
+    edge labels towards every placed neighbour; with equal edge totals that
+    leaves the right side no edge to spare, so a full placement is an
+    isomorphism.
     """
+    size = len(left.colour)
+    if size != len(right.colour) \
+            or sum(map(len, left.out)) != sum(map(len, right.out)):
+        return False
+    left_pairs = _pair_labels(left.out)
+    right_pairs = _pair_labels(right.out)
+    placed_before: list[list[int]] = [[] for _ in range(size)]
+    for later, earlier in {(max(pair), min(pair)) for pair in left_pairs}:
+        placed_before[later].append(earlier)
+    options: dict[int, list[int]] = {}
+    for vertex, colour in enumerate(right.colour):
+        options.setdefault(colour, []).append(vertex)
 
-    def digest(text: str) -> str:
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    colors = {
-        node: digest(repr((data["label"], data["center"])))
-        for node, data in neighborhood.nodes(data=True)
-    }
-    for _ in range(max(1, rounds)):
-        new_colors = {}
-        for node in neighborhood.nodes:
-            out_sig = sorted(
-                (data["label"], colors[dst])
-                for _, dst, data in neighborhood.out_edges(node, data=True)
+    image = [-1] * size
+    used = bytearray(size)
+    cursor = [0] * size
+    depth = 0
+    while True:
+        choices = options.get(left.colour[depth], ())
+        position = cursor[depth]
+        found = False
+        while position < len(choices) and not found:
+            candidate = choices[position]
+            position += 1
+            if used[candidate]:
+                continue
+            image[depth] = candidate
+            found = all(
+                left_pairs.get((depth, other))
+                == right_pairs.get((candidate, image[other]))
+                and left_pairs.get((other, depth))
+                == right_pairs.get((image[other], candidate))
+                for other in placed_before[depth]
             )
-            in_sig = sorted(
-                (data["label"], colors[src])
-                for src, _, data in neighborhood.in_edges(node, data=True)
-            )
-            new_colors[node] = digest(repr((colors[node], out_sig, in_sig)))
-        colors = new_colors
-    return digest(repr(sorted(colors.values())))
+        cursor[depth] = position
+        if found:
+            used[image[depth]] = 1
+            depth += 1
+            if depth == size:
+                return True
+            cursor[depth] = 0
+        else:
+            if depth == 0:
+                return False
+            depth -= 1
+            used[image[depth]] = 0
 
 
-def _isomorphic(left: nx.MultiDiGraph, right: nx.MultiDiGraph) -> bool:
-    """Exact labeled isomorphism (centers map to centers)."""
-    node_match = nx_iso.categorical_node_match(["label", "center"], [None, None])
-    edge_match = nx_iso.categorical_multiedge_match("label", None)
-    matcher = nx_iso.MultiDiGraphMatcher(
-        left, right, node_match=node_match, edge_match=edge_match
-    )
-    return matcher.is_isomorphic()
+def classify_union(union: UnionGraph, aggregation: PropertyAggregation,
+                   k: int = 0, verify_isomorphism: bool = True,
+                   direction: str = "both") -> ClassAssignment:
+    """:func:`compute_vertex_classes` over an already extracted union graph."""
+    if direction not in ("both", "out"):
+        raise ValueError("direction must be 'both' or 'out'")
+    assignment = ClassAssignment()
+    base, base_labels = union.base_labels(aggregation)
+    if k <= 0:
+        for label in base_labels:
+            assignment._open_class(label)
+        for node, label_id in zip(union.nodes, base):
+            assignment._place(node, label_id)
+        return assignment
+
+    count = len(union.nodes)
+    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    in_adj: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for src, dst, label in zip(union.src, union.dst, union.label):
+        out_adj[src].append((label, dst))
+        in_adj[dst].append((label, src))
+
+    # Bucket by (base label, certificate); dicts keep first-appearance order.
+    colours: dict[tuple, int] = {}
+    buckets: dict[tuple, list[tuple[UnionNode, _Neighbourhood]]] = {}
+    for center, node in enumerate(union.nodes):
+        neighbourhood = _neighbourhood(center, k, direction == "both", base,
+                                       out_adj, in_adj, colours)
+        key = (base[center], tuple(sorted(neighbourhood.colour)))
+        buckets.setdefault(key, []).append((node, neighbourhood))
+
+    for number, (key, entries) in enumerate(buckets.items()):
+        label = (base_labels[key[0]], number)
+        if not verify_isomorphism or len(entries) == 1:
+            class_index = assignment._open_class(label)
+            for node, _ in entries:
+                assignment._place(node, class_index)
+            continue
+        # Exact isomorphism split within the bucket (collision safety).
+        representatives: list[tuple[int, _Neighbourhood]] = []
+        for node, neighbourhood in entries:
+            for class_index, representative in representatives:
+                assignment.iso_checks += 1
+                if _isomorphic(neighbourhood, representative):
+                    break
+            else:
+                class_index = assignment._open_class(
+                    (label, len(representatives)))
+                representatives.append((class_index, neighbourhood))
+            assignment._place(node, class_index)
+    return assignment
 
 
 def compute_vertex_classes(segments: Sequence[Segment],
@@ -153,75 +271,13 @@ def compute_vertex_classes(segments: Sequence[Segment],
         segments: the PgSum input segments.
         aggregation: the property aggregation ``K``.
         k: provenance-type radius ``Rk`` (0 = labels only).
-        verify_isomorphism: confirm WL buckets with exact VF2 matching.
-            Disable for speed when neighborhoods are known to be small and
-            distinctive (the certificate is already isomorphism-invariant,
-            so disabling can only *merge* colliding non-isomorphic types,
-            never split isomorphic ones).
+        verify_isomorphism: confirm certificate buckets with the exact
+            matcher. Disable for speed when neighborhoods are known to be
+            small and distinctive (the certificate is already
+            isomorphism-invariant, so disabling can only *merge* colliding
+            non-isomorphic types, never split isomorphic ones).
         direction: ``"both"`` (formal definition) or ``"out"`` (ancestry
             neighborhood, as in the paper's Fig. 2(e) example).
     """
-    if direction not in ("both", "out"):
-        raise ValueError("direction must be 'both' or 'out'")
-    assignment = ClassAssignment()
-    if k <= 0:
-        label_to_class: dict[Hashable, int] = {}
-        for seg_index, segment in enumerate(segments):
-            for vertex_id in sorted(segment.vertices):
-                record = segment.graph.vertex(vertex_id)
-                label = aggregation.base_label(record)
-                if label not in label_to_class:
-                    label_to_class[label] = len(assignment.class_labels)
-                    assignment.class_labels.append(label)
-                    assignment.members.append([])
-                class_index = label_to_class[label]
-                node = (seg_index, vertex_id)
-                assignment.class_of[node] = class_index
-                assignment.members[class_index].append(node)
-        return assignment
-
-    # k >= 1: bucket by (base label, WL certificate), then iso-verify.
-    buckets: dict[Hashable, list[tuple[UnionNode, nx.MultiDiGraph]]] = {}
-    order: list[Hashable] = []
-    for seg_index, segment in enumerate(segments):
-        for vertex_id in sorted(segment.vertices):
-            record = segment.graph.vertex(vertex_id)
-            base = aggregation.base_label(record)
-            neighborhood = _khop_neighborhood(segment, vertex_id, k,
-                                              aggregation, direction)
-            certificate = _wl_certificate(neighborhood, rounds=k + 1)
-            key = (base, certificate)
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(((seg_index, vertex_id), neighborhood))
-
-    for key in order:
-        entries = buckets[key]
-        if not verify_isomorphism or len(entries) == 1:
-            class_index = len(assignment.class_labels)
-            assignment.class_labels.append(key)
-            assignment.members.append([])
-            for node, _nbhd in entries:
-                assignment.class_of[node] = class_index
-                assignment.members[class_index].append(node)
-            continue
-        # Exact isomorphism split within the bucket (collision safety).
-        representatives: list[tuple[int, nx.MultiDiGraph]] = []
-        for node, neighborhood in entries:
-            placed = False
-            for class_index, rep in representatives:
-                if _isomorphic(neighborhood, rep):
-                    assignment.class_of[node] = class_index
-                    assignment.members[class_index].append(node)
-                    placed = True
-                    break
-            if not placed:
-                class_index = len(assignment.class_labels)
-                assignment.class_labels.append(
-                    (key, len(representatives))
-                )
-                assignment.members.append([node])
-                assignment.class_of[node] = class_index
-                representatives.append((class_index, neighborhood))
-    return assignment
+    return classify_union(UnionGraph.from_segments(segments), aggregation,
+                          k, verify_isomorphism, direction)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from repro.segment.pgseg import Segment
-from repro.summarize.provtype import ClassAssignment, UnionNode
+from repro.summarize.provtype import ClassAssignment
+from repro.summarize.union import UnionGraph, UnionNode
 
 
 @dataclass(slots=True)
@@ -149,6 +150,13 @@ def build_psg(segments: Sequence[Segment], classes: ClassAssignment,
         ValueError: if a group mixes equivalence classes (violates the Psg
             definition) or partition cells overlap.
     """
+    return assemble_psg(UnionGraph.from_segments(segments), classes,
+                        partition)
+
+
+def assemble_psg(union: UnionGraph, classes: ClassAssignment,
+                 partition: Sequence[Iterable[UnionNode]]) -> Psg:
+    """:func:`build_psg` over an already extracted union graph."""
     node_to_group: dict[UnionNode, int] = {}
     nodes: list[PsgNode] = []
     for group_members in partition:
@@ -173,22 +181,21 @@ def build_psg(segments: Sequence[Segment], classes: ClassAssignment,
         ))
 
     edge_segments: dict[tuple[int, int, str], set[int]] = {}
-    for seg_index, segment in enumerate(segments):
-        for record in segment.edges():
-            src_group = node_to_group[(seg_index, record.src)]
-            dst_group = node_to_group[(seg_index, record.dst)]
-            key = (src_group, dst_group, record.label)
-            edge_segments.setdefault(key, set()).add(seg_index)
+    for src, dst, label, seg_index in zip(union.src, union.dst, union.label,
+                                          union.edge_segment):
+        key = (node_to_group[union.nodes[src]],
+               node_to_group[union.nodes[dst]], union.edge_labels[label])
+        edge_segments.setdefault(key, set()).add(seg_index)
 
-    total_vertices = sum(len(segment.vertices) for segment in segments)
+    segment_count = len(union.segments)
     return Psg(
         nodes=nodes,
         edges={
-            key: len(seg_ids) / len(segments)
+            key: len(seg_ids) / segment_count
             for key, seg_ids in edge_segments.items()
         },
-        segment_count=len(segments),
-        source_vertex_total=total_vertices,
+        segment_count=segment_count,
+        source_vertex_total=len(union.nodes),
     )
 
 

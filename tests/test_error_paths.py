@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.errors import QueryTimeout
+from repro.errors import QueryTimeout, SummarizationError
 from repro.cfl.simprov_tst import SimProvTst
 from repro.model.graph import ProvenanceGraph
 from repro.segment.pgseg import Segment
-from repro.summarize.pgsum import PgSumOperator
+from repro.summarize.pgsum import PgSumOperator, PgSumQuery, pgsum
 from repro.summarize.psum_baseline import psum_summarize
 
 
@@ -79,6 +79,32 @@ class TestEmptyAndDegenerateSegments:
         ]
         psg = psum_summarize(segments)
         assert psg.node_count == 1
+
+
+class TestPgSumQueryValidation:
+    @pytest.mark.parametrize("options", [
+        {"k": -3},
+        {"max_rounds": -1},
+        {"rk_direction": "sideways"},
+    ])
+    def test_meaningless_options_are_typed_errors(self, options):
+        with pytest.raises(SummarizationError):
+            PgSumQuery(**options)
+
+    def test_one_shot_helper_validates_too(self, paper):
+        segments = [Segment(paper.graph, [paper["dataset-v1"]])]
+        with pytest.raises(SummarizationError):
+            pgsum(segments, k=-1)
+
+    def test_wire_query_with_bad_options_is_typed(self):
+        from repro.serve.wire import pgsum_query_from_wire, pgsum_query_to_wire
+        record = pgsum_query_to_wire(PgSumQuery())
+        record["k"] = -3
+        with pytest.raises(SummarizationError):
+            pgsum_query_from_wire(record)
+
+    def test_boundary_values_stay_legal(self):
+        assert PgSumQuery(k=0, max_rounds=0, rk_direction="out").max_rounds == 0
 
 
 class TestSegmentValidation:

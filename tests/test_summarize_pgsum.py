@@ -59,6 +59,18 @@ class TestBasics:
         assert operator.stats.merges > 0
         assert operator.stats.seconds > 0
 
+    def test_stats_describe_one_evaluate(self):
+        """Counters restart with every call instead of accumulating."""
+        operator = PgSumOperator(identical_segments(3))
+        operator.evaluate(PgSumQuery())
+        first = operator.stats
+        assert first.merges == 6
+        operator.evaluate(PgSumQuery())
+        assert operator.stats.merges == first.merges
+        assert operator.stats.rounds == first.rounds
+        assert operator.stats.sim_solves == first.sim_solves
+        assert operator.stats is not first       # the earlier report survives
+
 
 class TestInvariantOnSd:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
