@@ -19,6 +19,8 @@ bounded-staleness routing with zero catch-up work on the read path.
 
 from __future__ import annotations
 
+import threading
+from contextlib import ExitStack
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
 
@@ -62,6 +64,7 @@ class QueryRouter:
             raise ValueError("a cluster needs at least one replica")
         self.replicas = replicas
         self._cursor = 0
+        self._lock = threading.Lock()    # the cursor is read-modify-write
 
     def route(self, min_epoch: int) -> Replica:
         """The next replica in rotation, caught up to ``min_epoch``.
@@ -87,24 +90,50 @@ class QueryRouter:
         # casualty succeeds even when every replica crashed at once (or
         # the rotation only has one replica to retry on).
         for _ in range(len(self.replicas) + 1):
-            replica = self.replicas[self._cursor]
-            self._cursor = (self._cursor + 1) % len(self.replicas)
+            with self._lock:
+                replica = self.replicas[self._cursor]
+                self._cursor = (self._cursor + 1) % len(self.replicas)
             if replica.epoch < min_epoch:
                 try:
                     replica.catch_up()
                 except ReplicaUnavailable as exc:
                     last_crash = exc
                     continue
-            if replica.epoch < min_epoch:
-                raise ValueError(
-                    f"consistency stamp {min_epoch} is ahead of the leader "
-                    f"(epoch {replica.epoch}); cannot serve a strong read"
-                )
+            self._require(replica, min_epoch)
             return replica
         raise ReplicaUnavailable(
             f"all {len(self.replicas)} replicas failed catch-up to "
             f"epoch {min_epoch}"
         ) from last_crash
+
+    @staticmethod
+    def _require(replica: Replica, min_epoch: int) -> None:
+        if replica.epoch < min_epoch:
+            raise ValueError(
+                f"consistency stamp {min_epoch} is ahead of the leader "
+                f"(epoch {replica.epoch}); cannot serve a strong read"
+            )
+
+    def caught_up(self, targets: list[Replica],
+                  min_epoch: int) -> list[Replica]:
+        """Caller-chosen ``targets`` (the front-end's leased workers)
+        brought to ``min_epoch``, without advancing the rotation.
+
+        Same contract as :meth:`route`: a target that crashes catching up
+        has been restarted and re-synced by the pool and drops out of
+        this batch; when none is left the rotation supplies one; a stamp
+        ahead of the leader raises ``ValueError``.
+        """
+        ready = []
+        for replica in targets:
+            if replica.epoch < min_epoch:
+                try:
+                    replica.catch_up()
+                except ReplicaUnavailable:
+                    continue
+                self._require(replica, min_epoch)
+            ready.append(replica)
+        return ready or [self.route(min_epoch)]
 
     def route_many(self, min_epoch: int, count: int) -> list[Replica]:
         """Up to ``count`` distinct caught-up replicas for a batch fan-out.
@@ -116,7 +145,11 @@ class QueryRouter:
         healthy still serves the whole batch on that one. Targets are
         distinct by identity and returned in rotation order, so splitting
         a batch across them keeps the fleet-warming property of the
-        strict rotation.
+        strict rotation. Ask for no more replicas than the batch can
+        use: every target taken advances the rotation, so asking for the
+        whole fleet on behalf of a one-spec batch brings the cursor back
+        to where it started and the next small batch lands on the same
+        replica again.
         """
         count = max(1, min(count, len(self.replicas)))
         targets = [self.route(min_epoch)]
@@ -257,9 +290,10 @@ class ProvCluster:
         attempts = len(self.replicas) + 1
         for attempt in range(attempts):
             replica = self.router.route(stamp)
-            replica.queries_served += 1
             try:
-                return request(replica)
+                with replica.lease:     # the counter is the holder's too
+                    replica.queries_served += 1
+                    return request(replica)
             except ReplicaUnavailable:
                 if attempt == attempts - 1:
                     raise
@@ -340,12 +374,13 @@ class ProvCluster:
         for attempt in range(attempts):
             replica = self.router.route(stamp)
             try:
-                psg = replica.summarize(queries, pgsum)
+                with replica.lease:
+                    psg = replica.summarize(queries, pgsum)
+                    replica.queries_served += len(queries)
             except ReplicaUnavailable:
                 if attempt == attempts - 1:
                     raise
                 continue
-            replica.queries_served += len(queries)
             return psg
         raise AssertionError("unreachable")   # pragma: no cover
 
@@ -361,6 +396,7 @@ class ProvCluster:
     def query_many(self, specs, min_epoch: int | None = None,
                    raw: bool = False,
                    trace_ids: "list[str | None] | None" = None,
+                   targets: "list[Replica] | None" = None,
                    ) -> list[Any]:
         """Serve a batch of read specs as one fan-out; results in order.
 
@@ -371,8 +407,12 @@ class ProvCluster:
         the one normalization point
         (:func:`~repro.serve.api.normalize_specs`), so tuple-speaking
         callers migrate incrementally. The batch is split strided across
-        up to ``len(replicas)`` distinct caught-up replicas
-        (:meth:`QueryRouter.route_many`); out-of-process, each worker
+        up to ``min(len(specs), len(replicas))`` distinct caught-up
+        replicas (:meth:`QueryRouter.route_many`) — or across ``targets``
+        when the caller already chose them (the async front-end leases
+        idle workers itself; :meth:`QueryRouter.caught_up`) — and their
+        leases are held, taken in ``replica_id`` order, until every
+        share is collected. Out-of-process, each worker
         gets its whole share as **one pipelined** ``requests`` bundle, so
         N workers execute concurrently while the client drains answers —
         the per-request round trip the lockstep path paid disappears.
@@ -416,7 +456,11 @@ class ProvCluster:
         if trace_ids is None:
             trace_ids = [None] * len(specs)
         route_started = perf_counter()
-        targets = self.router.route_many(stamp, len(self.replicas))
+        if targets is None:
+            targets = self.router.route_many(
+                stamp, min(len(specs), len(self.replicas)))
+        else:
+            targets = self.router.caught_up(targets, stamp)
         route_s = perf_counter() - route_started
         for trace_id in trace_ids:
             if trace_id is not None:
@@ -431,6 +475,22 @@ class ProvCluster:
             chunks[index % len(targets)].append((index, spec))
             traces[index % len(targets)].append(trace_ids[index])
         results: list[Any] = [None] * len(specs)
+        with ExitStack() as leases:
+            for target in sorted(targets, key=lambda r: r.replica_id):
+                leases.enter_context(target.lease)
+            failed = self._fan_out(targets, chunks, traces, raw, results)
+        # Leases released: a re-route may wait on a replica another batch
+        # holds, and must not do so while holding one that batch may want.
+        for chunk in failed:
+            values = self._serve_chunk([spec for _, spec in chunk], stamp)
+            for (index, _), value in zip(chunk, values):
+                results[index] = value
+        return results
+
+    def _fan_out(self, targets: list, chunks: list, traces: list,
+                 raw: bool, results: list[Any]) -> list:
+        """Serve each target its chunk (caller holds the leases), filing
+        answers into ``results``; returns the chunks whose worker died."""
         failed: list[list[tuple[int, Any]]] = []
         if self.pool is not None:
             # Pipeline: every bundle on the wire before any collect.
@@ -472,11 +532,7 @@ class ProvCluster:
                 target.queries_served += len(chunk)
                 for (index, _), value in zip(chunk, values):
                     results[index] = value
-        for chunk in failed:
-            values = self._serve_chunk([spec for _, spec in chunk], stamp)
-            for (index, _), value in zip(chunk, values):
-                results[index] = value
-        return results
+        return failed
 
     def _serve_chunk(self, chunk_specs: list, stamp: int) -> list[Any]:
         """Re-route one batch share after its replica died mid-serve."""
@@ -484,12 +540,13 @@ class ProvCluster:
         for attempt in range(attempts):
             replica = self.router.route(stamp)
             try:
-                values = replica.query_many(chunk_specs)
+                with replica.lease:
+                    values = replica.query_many(chunk_specs)
+                    replica.queries_served += len(chunk_specs)
             except ReplicaUnavailable:
                 if attempt == attempts - 1:
                     raise
                 continue
-            replica.queries_served += len(chunk_specs)
             return values
         raise AssertionError("unreachable")   # pragma: no cover
 

@@ -7,11 +7,12 @@ thread, so a thousand dashboards meant a thousand threads. The
 thousands of client connections speaking the same ``repro-wire-v1``
 newline-framed protocol (``client_hello``/``welcome`` to open a session,
 then ``request``/``requests`` frames), and multiplexes their requests
-onto the existing cluster fan-out — each drain cycle gathers admitted
-requests into one batch served through
+onto the existing cluster fan-out — whenever work is queued and a worker
+is idle, admitted requests are gathered into one batch served through
 :meth:`ProvCluster.query_many <repro.serve.cluster.ProvCluster.query_many>`,
-i.e. the pool's pipelined ``route_many``/``begin_many`` bundles, so N
-workers execute concurrently per cycle no matter how many clients fed it.
+i.e. the pool's pipelined ``begin_many`` bundles, on the workers that
+batch leased: N workers execute concurrently no matter how many clients
+fed them, whether as one wide batch or as N narrow ones.
 
 Three invariants hold under any client behavior (guarded by
 ``tests/test_serve_frontend.py``):
@@ -24,8 +25,8 @@ Three invariants hold under any client behavior (guarded by
 - **Per-client fairness.** The dispatcher drains per-connection queues
   round-robin, one frame per connection per rotation (rotation origin
   advancing every cycle), so a flooding client cannot starve a light
-  one; a single connection's requests are still answered in arrival
-  order.
+  one; a connection has frames in at most one batch at a time, so its
+  requests are still answered in arrival order.
 - **Backpressure.** A connection is read only while its response queue
   has room and its own admitted-but-unanswered count is below
   ``ServeConfig.session_budget``; a client that stops draining responses
@@ -33,10 +34,19 @@ Three invariants hold under any client behavior (guarded by
   server-side buffers for that connection stay bounded by
   ``session_budget``-sized queues. Other connections are unaffected.
 
-The front-end never touches worker clients from its own loop thread —
-``WorkerClient`` is not thread-safe, so all pool access happens through
-one single-threaded executor running ``cluster.query_many`` (which is
-exactly the batched serving path the benchmarks gate).
+**Dispatch is work-conserving.** The loop thread keeps the cluster's
+replicas in an idle FIFO. A batch takes ``min(len(specs), idle)`` of them
+off the front, runs ``cluster.query_many(..., targets=leased)`` on an
+executor with one thread per replica (the loop thread itself never
+blocks on a worker), and hands them back to the rear when it completes —
+so a 16-tile bundle reaching an idle pool is still split across every
+worker, and two readers asking one thing each are served side by side
+instead of one after the other. Inside ``query_many`` each target's
+``lease`` is held (see :func:`repro.serve.replication.leased`), which is
+what makes leader-side traffic to the same worker a wait rather than a
+race. A :class:`~repro.serve.shards.ShardedCluster` has no ``replicas``
+of its own — its scatter-gather already fans out on threads — and is
+dispatched as a single slot.
 """
 
 from __future__ import annotations
@@ -121,7 +131,8 @@ class _ClientSession:
     """Per-connection state: queues, budgets, counters."""
 
     __slots__ = ("id", "client", "inbound", "outbound", "unanswered",
-                 "served", "errors", "overloaded", "closed", "_resume")
+                 "served", "errors", "overloaded", "closed", "busy",
+                 "_resume")
 
     def __init__(self, session_id: int, client: str):
         self.id = session_id
@@ -139,6 +150,9 @@ class _ClientSession:
         self.errors = 0
         self.overloaded = 0
         self.closed = False
+        #: Frames of this session are inside an in-flight batch; later
+        #: ones wait for it, which keeps answers in request order.
+        self.busy = False
         self._resume: asyncio.Future | None = None
 
     def stats(self) -> dict[str, Any]:
@@ -176,6 +190,8 @@ class AsyncFrontend:
     batches_dispatched = MetricAttr("batches_dispatched")
     #: Largest single dispatched batch (a high-water mark, not a rate).
     max_batch = MetricAttr("max_batch")
+    #: Most batches ever in flight at once (high-water mark).
+    max_concurrent_batches = MetricAttr("max_concurrent_batches")
     #: Requests admitted-but-unanswered right now (shared budget gauge).
     admitted = MetricAttr("admitted")
 
@@ -203,14 +219,20 @@ class AsyncFrontend:
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.Server | None = None
-        self._work: asyncio.Event | None = None
         self._stopping: asyncio.Event | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._ready = threading.Event()
         self._done = threading.Event()
         self._startup_error: BaseException | None = None
+        #: Idle dispatch slots, FIFO, touched on the loop thread only: the
+        #: cluster's replicas, or one anonymous slot for a cluster that
+        #: has none to lease (ShardedCluster).
+        self._idle: deque = deque(getattr(cluster, "replicas", None)
+                                  or [None])
+        self._batches: set[asyncio.Task] = set()
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="frontend-dispatch")
+            max_workers=len(self._idle),
+            thread_name_prefix="frontend-dispatch")
         self._started = False
         self._closed = False
 
@@ -288,6 +310,7 @@ class AsyncFrontend:
             "overloaded_rejections": self.overloaded_rejections,
             "batches_dispatched": self.batches_dispatched,
             "max_batch": self.max_batch,
+            "max_concurrent_batches": self.max_concurrent_batches,
             "sessions": [session.stats()
                          for session in list(self._sessions.values())],
         }
@@ -305,7 +328,6 @@ class AsyncFrontend:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._work = asyncio.Event()
         self._stopping = asyncio.Event()
         try:
             self._server = await asyncio.start_server(
@@ -315,16 +337,14 @@ class AsyncFrontend:
             self._startup_error = exc
             return
         self.address = self._server.sockets[0].getsockname()[:2]
-        dispatcher = asyncio.ensure_future(self._dispatch_loop())
         self._ready.set()
         await self._stopping.wait()
         self._server.close()
         await self._server.wait_closed()
-        dispatcher.cancel()
-        for task in list(self._conn_tasks):
+        tasks = [*self._batches, *self._conn_tasks]
+        for task in tasks:
             task.cancel()
-        await asyncio.gather(dispatcher, *self._conn_tasks,
-                             return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     # -- connection handling -------------------------------------------
 
@@ -506,7 +526,7 @@ class AsyncFrontend:
                 if traced:
                     entry.trace_id = new_trace_id()
             session.inbound.append(_WorkItem(session, bundle, entries))
-            self._work.set()
+            self._dispatch()
 
     def _entry(self, request_id: int, method: str,
                params: dict[str, Any]) -> _Entry:
@@ -579,7 +599,8 @@ class AsyncFrontend:
         ``max_inflight`` requests (the current frame always completes,
         so one oversized rotation can overshoot by at most one frame).
         """
-        sessions = [s for s in self._sessions.values() if s.inbound]
+        sessions = [s for s in self._sessions.values()
+                    if s.inbound and not s.busy]
         if not sessions:
             return []
         self._rr = (self._rr + 1) % len(sessions)
@@ -600,58 +621,72 @@ class AsyncFrontend:
                     break
         return items
 
-    async def _dispatch_loop(self) -> None:
-        """The one consumer of every session's inbound queue.
+    def _dispatch(self) -> None:
+        """Start one batch per idle worker while work is queued.
 
-        Batches are served strictly one at a time through the
-        single-thread executor (WorkerClient is not thread-safe), which
-        also makes per-session response order equal request order for
-        admitted requests.
+        Runs on the loop thread whenever a frame is admitted or a batch
+        completes, so neither a queued request nor an idle worker ever
+        waits for the other. A batch's sessions are ``busy`` until it
+        completes: a connection's frames are served one batch at a time,
+        which makes per-session response order equal request order.
         """
-        while True:
-            await self._work.wait()
+        while self._idle:
             items = self._gather_batch()
             if not items:
-                self._work.clear()
-                continue
-            specs = []
-            owners: list[_Entry] = []
+                return
+            owners = [entry for item in items for entry in item.entries
+                      if entry.spec is not None]
             for item in items:
-                for entry in item.entries:
-                    if entry.spec is not None:
-                        owners.append(entry)
-                        specs.append(entry.spec)
-            stamp = self.cluster.leader_epoch
+                item.session.busy = True
+            leased = [self._idle.popleft() for _ in range(
+                min(max(1, len(owners)), len(self._idle)))]
+            task = asyncio.ensure_future(
+                self._serve_batch(items, owners, leased))
+            self._batches.add(task)
             self.batches_dispatched += 1
-            self.max_batch = max(self.max_batch, len(specs))
-            trace_ids = [entry.trace_id for entry in owners]
-            if any(trace_id is not None for trace_id in trace_ids):
-                collector = self.obs.collector
-                now = perf_counter()
-                for entry in owners:
-                    if entry.trace_id is not None:
-                        collector.add_span(
-                            entry.trace_id, "frontend", "queue",
-                            now - entry.t_read, method=entry.method)
-            else:
-                trace_ids = None
-            if specs:
-                try:
-                    results = await self._loop.run_in_executor(
-                        self._executor,
-                        partial(self.cluster.query_many, specs,
-                                min_epoch=stamp, raw=True,
-                                trace_ids=trace_ids))
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as exc:  # total fan-out failure:
-                    results = [exc] * len(specs)    # typed error per spec
-            else:
-                results = []
-            for entry, result in zip(owners, results):
-                entry.result = result
-            for item in items:
-                self._finish_item(item, stamp)
+            self.max_batch = max(self.max_batch, len(owners))
+            self.max_concurrent_batches = max(self.max_concurrent_batches,
+                                              len(self._batches))
+
+    async def _serve_batch(self, items: list[_WorkItem],
+                           owners: list[_Entry], leased: list) -> None:
+        """One batch on its leased workers; then re-arm dispatch."""
+        stamp = self.cluster.leader_epoch
+        trace_ids = [entry.trace_id for entry in owners]
+        if any(trace_id is not None for trace_id in trace_ids):
+            collector = self.obs.collector
+            now = perf_counter()
+            for entry in owners:
+                if entry.trace_id is not None:
+                    collector.add_span(
+                        entry.trace_id, "frontend", "queue",
+                        now - entry.t_read, method=entry.method)
+        else:
+            trace_ids = None
+        results: list = []
+        try:
+            if owners:
+                # A cluster with no replicas to lease picks its own.
+                targets = {} if leased[0] is None else {"targets": leased}
+                results = await self._loop.run_in_executor(
+                    self._executor,
+                    partial(self.cluster.query_many,
+                            [entry.spec for entry in owners],
+                            min_epoch=stamp, raw=True,
+                            trace_ids=trace_ids, **targets))
+        except asyncio.CancelledError:
+            raise
+        except BaseException as exc:      # total fan-out failure:
+            results = [exc] * len(owners)       # typed error per spec
+        finally:
+            self._idle.extend(leased)
+            self._batches.discard(asyncio.current_task())
+        for entry, result in zip(owners, results):
+            entry.result = result
+        for item in items:
+            item.session.busy = False
+            self._finish_item(item, stamp)
+        self._dispatch()
 
     def _finish_item(self, item: _WorkItem, stamp: int) -> None:
         session = item.session
@@ -695,10 +730,10 @@ class AsyncFrontend:
                              request_id: int) -> None:
         """Answer one client-session ``metrics`` request.
 
-        Runs :meth:`ProvCluster.metrics` on the same single-thread
-        executor as query dispatch (worker clients are not thread-safe),
-        but outside the admission path: a monitoring probe neither
-        consumes budget nor waits behind a full batch queue.
+        Runs :meth:`ProvCluster.metrics` on the dispatch executor (each
+        worker's share waits for that worker's lease), but outside the
+        admission path: a monitoring probe neither consumes budget nor
+        waits behind a full batch queue.
         """
         try:
             payload = await self._loop.run_in_executor(
@@ -710,6 +745,7 @@ class AsyncFrontend:
                 "overloaded_rejections": self.overloaded_rejections,
                 "batches_dispatched": self.batches_dispatched,
                 "max_batch": self.max_batch,
+                "max_concurrent_batches": self.max_concurrent_batches,
                 "sessions": len(self._sessions),
             }
             frame = wire.response_to_wire(

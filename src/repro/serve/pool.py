@@ -74,7 +74,7 @@ from repro.query.cypherlite import Budget
 from repro.query.ops import Lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.api import ServeConfig
-from repro.serve.replication import ReplicationLog
+from repro.serve.replication import ReplicationLog, leased
 from repro.serve.transport import BinaryTransport, LineTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
@@ -135,9 +135,12 @@ class WorkerClient:
     is in-order and unacknowledged); responses echo the worker's epoch so
     the stamp accounting is verified on every answer. Multiple requests
     may be in flight at once (see the pending map in the module
-    docstring), but the client itself is not thread-safe — distinct
-    clients are fully independent (own process, own stream), which is
-    what the benchmark's fan-out threads rely on.
+    docstring). One thread at a time owns the client: every method that
+    touches the stream, the cursor or the pending map runs under
+    :attr:`lease` (:func:`~repro.serve.replication.leased`), so a
+    leader-side ``summarize`` racing a front-end batch waits its turn
+    instead of reading the other's frames. Distinct clients are fully
+    independent (own process, own stream, own lease).
     """
 
     #: Counters kept name-compatible with Replica.stats(); each is
@@ -161,6 +164,9 @@ class WorkerClient:
         self.replica_id = replica_id
         self._obs_registry = pool.obs.registry
         self._obs_prefix = f"{pool.obs_label}.worker{replica_id}"
+        #: The ownership lock. Order: leases by ascending ``replica_id``,
+        #: then the pool's ``_restart_lock`` — never the reverse.
+        self.lease = threading.RLock()
         self.proc: subprocess.Popen | None = None
         self.transport: LineTransport | None = None
         #: Negotiated wire protocol for the current spawn: 1 (JSON lines)
@@ -203,6 +209,7 @@ class WorkerClient:
         """True while the worker process is running."""
         return self.proc is not None and self.proc.poll() is None
 
+    @leased
     def catch_up(self) -> int:
         """Ship every batch since our epoch (or a full re-sync).
 
@@ -429,6 +436,7 @@ class WorkerClient:
                 f"{request_id} (restarted + re-synced)"
             ) from exc
 
+    @leased
     def _request(self, method: str, params: dict[str, Any]) -> Any:
         [request_id] = self._send_calls([(method, params)])
         ok, payload = self._await(request_id)
@@ -440,6 +448,7 @@ class WorkerClient:
     # Batched serving (spec form shared with the cluster)
     # ------------------------------------------------------------------
 
+    @leased
     def begin_many(self, specs: "list[tuple[str, dict[str, Any]]]",
                    trace_ids: "list[str | None] | None" = None,
                    ) -> "_BundleHandle":
@@ -489,6 +498,7 @@ class WorkerClient:
         ids = self._send_calls(wire_calls, wire_traces) if wire_calls else []
         return _BundleHandle(entries, ids)
 
+    @leased
     def collect_many(self, handle: "_BundleHandle",
                      raw: bool = False) -> list[Any]:
         """Redeem a :meth:`begin_many` handle, in spec order.
@@ -524,6 +534,7 @@ class WorkerClient:
             raise
         return results
 
+    @leased
     def query_many(self,
                    specs: "list[tuple[str, dict[str, Any]]]") -> list[Any]:
         """One-shot :meth:`begin_many` + :meth:`collect_many`."""
@@ -626,6 +637,7 @@ class WorkerClient:
 
     # ------------------------------------------------------------------
 
+    @leased
     def ping(self, timeout: float | None = None) -> tuple[int, dict]:
         """Health probe; returns ``(worker_epoch, worker_stats)``.
 
@@ -1042,11 +1054,6 @@ class WorkerPool:
             client.transport = BinaryTransport.adopt(client.transport)
             client.wire_version = 2
 
-    def _send_sync(self, client: WorkerClient) -> None:
-        """Ship a full bootstrap sync (memoized per epoch across workers)."""
-        client.transport.send(sync_frame(self.log.sync()))
-        client.epoch = self.log.epoch
-
     def _send_state(self, client: WorkerClient) -> None:
         """Bring a fresh worker to the leader epoch, the cheapest way in.
 
@@ -1078,9 +1085,11 @@ class WorkerPool:
                         f"{self.obs_label}.bootstrap.checkpoint_hits"
                     ).inc()
         if shipped is None:
-            payload = self.log.sync()
+            # The cursor is the epoch the payload was *encoded* at: a
+            # write landing after the encode belongs to the next ship.
+            epoch, payload = self.log.sync()
             client.transport.send(sync_frame(payload))
-            client.epoch = self.log.epoch
+            client.epoch = epoch
             shipped = len(payload)
             self.obs.registry.counter(
                 f"{self.obs_label}.bootstrap.full_syncs").inc()
@@ -1129,37 +1138,33 @@ class WorkerPool:
         span as binary batch frames — same deltas, same order, just the
         packed codec on the hot path.
         """
-        start = client.epoch
-        if client.wire_version >= 2:
-            payloads = self.log.ship_binary_since(start)
-            if payloads is None:
+        with client.lease:
+            start = client.epoch
+            binary = client.wire_version >= 2
+            span = self.log.ship_binary_since(start) if binary \
+                else self.log.ship_since(start)
+            if span is None:
                 self._send_state(client)
                 client.resyncs += 1
                 return client.epoch - start
-            for payload in payloads:
-                client.transport.send_binary(payload)
-            count = len(payloads)
-        else:
-            lines = self.log.ship_since(start)
-            if lines is None:
-                self._send_state(client)
-                client.resyncs += 1
-                return client.epoch - start
-            for line in lines:
-                client.transport.send_text(line)
-            count = len(lines)
-        # The log holds one batch per epoch, so the span read above ends at
-        # ``start + count`` — not at ``self.log.epoch``, which a writer may
-        # have moved since: that batch belongs to the next ship.
-        client.epoch = start + count
-        client.batches_shipped += count
-        if count:
-            # Arm the ship->apply latency probe: the next frame echoing
-            # this epoch (answer or pong) closes the measurement.
-            client._ship_mark = (client.epoch, time.perf_counter())
-            self.obs.registry.gauge(
-                client._obs_prefix + ".lag").set(client.lag)
-        return count
+            send = client.transport.send_binary if binary \
+                else client.transport.send_text
+            for payload in span:
+                send(payload)
+            count = len(span)
+            # The log holds one batch per epoch, so the span read above ends
+            # at ``start + count`` — not at ``self.log.epoch``, which a
+            # writer may have moved since: that batch belongs to the next
+            # ship.
+            client.epoch = start + count
+            client.batches_shipped += count
+            if count:
+                # Arm the ship->apply latency probe: the next frame echoing
+                # this epoch (answer or pong) closes the measurement.
+                client._ship_mark = (client.epoch, time.perf_counter())
+                self.obs.registry.gauge(
+                    client._obs_prefix + ".lag").set(client.lag)
+            return count
 
     def refresh(self) -> int:
         """Ship pending batches to every worker.
@@ -1201,7 +1206,7 @@ class WorkerPool:
         """
         if self._closed:
             raise ReplicaUnavailable("worker pool is closed")
-        with self._restart_lock:
+        with client.lease, self._restart_lock:
             if client.transport is not None \
                     and client.transport is not failed and client.alive():
                 return                # another thread already healed it
@@ -1250,20 +1255,21 @@ class WorkerPool:
         """
         restarted: list[int] = []
         for client in self.clients:
-            probed = client.transport
-            healthy = client.alive()
-            if healthy:
-                try:
-                    client.ping()
-                except (TransportClosed, TransportTimeout,
-                        SerializationError):
-                    healthy = False
-            if not healthy:
-                # Pass the probed transport so a hung-but-alive worker is
-                # really restarted (the idempotence check must not mistake
-                # its current stream for another thread's fresh one).
-                self.restart(client, failed=probed)
-                restarted.append(client.replica_id)
+            with client.lease:    # probe + restart as one owner, one at a time
+                probed = client.transport
+                healthy = client.alive()
+                if healthy:
+                    try:
+                        client.ping()
+                    except (TransportClosed, TransportTimeout,
+                            SerializationError):
+                        healthy = False
+                if not healthy:
+                    # Pass the probed transport so a hung-but-alive worker
+                    # is really restarted (the idempotence check must not
+                    # mistake its current stream for a fresh one).
+                    self.restart(client, failed=probed)
+                    restarted.append(client.replica_id)
         return restarted
 
     # ------------------------------------------------------------------

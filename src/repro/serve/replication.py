@@ -33,6 +33,8 @@ multiplies warm read capacity without touching the leader's write path.
 
 from __future__ import annotations
 
+import threading
+from functools import wraps
 from typing import Any
 
 from repro.errors import ModelError, StoreError
@@ -58,6 +60,21 @@ from repro.store.snapshot import GraphSnapshot
 from repro.store.store import PropertyGraphStore
 
 
+def leased(method):
+    """Run a replica method holding that replica's ``lease``.
+
+    The lease (a ``threading.RLock`` on every :class:`Replica` and
+    :class:`~repro.serve.pool.WorkerClient`) is the ownership rule: one
+    thread at a time touches a replica's transport or state. Whoever
+    holds several takes them in ``replica_id`` order.
+    """
+    @wraps(method)
+    def run(self, *args, **kwargs):
+        with self.lease:
+            return method(self, *args, **kwargs)
+    return run
+
+
 class ReplicationLog:
     """Leader-side publisher of the delta-log replication stream.
 
@@ -81,27 +98,34 @@ class ReplicationLog:
         self.store: PropertyGraphStore = getattr(source, "store", source)
         self._sync_cache: tuple[int, str] | None = None
         self._checkpoints: CheckpointManager | None = None
+        #: Guards the two memos above: replicas catch up on any thread.
+        self._lock = threading.Lock()
 
     @property
     def epoch(self) -> int:
         """The leader's current mutation epoch."""
         return self.store.epoch
 
-    def sync(self) -> str:
-        """A full-snapshot bootstrap payload at the current epoch.
+    def sync(self) -> tuple[int, str]:
+        """``(epoch, payload)``: a full-snapshot bootstrap payload and the
+        epoch it was encoded at — the follower's cursor is *that* epoch,
+        not whatever the leader has reached by the time it is sent.
 
         Memoized per epoch: bootstrapping N replicas (or several re-syncs
         of the same span) encodes the store once, not N times. The cached
         payload is released as soon as the epoch moves on (see
         :meth:`ship_since`) or via :meth:`release_sync`.
         """
-        if self._sync_cache is None or self._sync_cache[0] != self.epoch:
-            self._sync_cache = (self.epoch, encode_sync(self.store))
-        return self._sync_cache[1]
+        with self._lock:
+            if self._sync_cache is None \
+                    or self._sync_cache[0] != self.epoch:
+                self._sync_cache = (self.epoch, encode_sync(self.store))
+            return self._sync_cache
 
     def release_sync(self) -> None:
         """Drop the memoized bootstrap payload (O(V+E) of JSON text)."""
-        self._sync_cache = None
+        with self._lock:
+            self._sync_cache = None
 
     def ship_since(self, epoch: int) -> list[str] | None:
         """Encoded batch lines covering ``(epoch, leader_epoch]``.
@@ -110,11 +134,12 @@ class ReplicationLog:
         leader's bounded delta log — the follower must bootstrap again
         from :meth:`sync` (partial replay is never allowed).
         """
-        if self._sync_cache is not None \
-                and self._sync_cache[0] != self.epoch:
-            # The cached bootstrap payload went stale with the first write
-            # after it; free it on the next replication interaction.
-            self._sync_cache = None
+        with self._lock:
+            if self._sync_cache is not None \
+                    and self._sync_cache[0] != self.epoch:
+                # The cached bootstrap payload went stale with the first
+                # write after it; free it on the next interaction.
+                self._sync_cache = None
         batches = self.store.delta_log.batches_since(epoch)
         if batches is None:
             return None
@@ -153,28 +178,31 @@ class ReplicationLog:
           JSON sync (the caller counts it), and the next one captures
           fresh.
         """
-        if self._checkpoints is None:
-            self._checkpoints = CheckpointManager()
-        latest = self._checkpoints.latest
-        log = self.store.delta_log
-        if latest is not None:
-            if log.batches_since(latest.epoch) is None:
-                self._checkpoints.invalidate()
-                return None
-            if log.record_count_since(latest.epoch) \
-                    <= self.CHECKPOINT_REFRESH_RECORDS:
-                return latest
-        return self._checkpoints.capture(self.store)
+        with self._lock:
+            if self._checkpoints is None:
+                self._checkpoints = CheckpointManager()
+            latest = self._checkpoints.latest
+            log = self.store.delta_log
+            if latest is not None:
+                if log.batches_since(latest.epoch) is None:
+                    self._checkpoints.invalidate()
+                    return None
+                if log.record_count_since(latest.epoch) \
+                        <= self.CHECKPOINT_REFRESH_RECORDS:
+                    return latest
+            return self._checkpoints.capture(self.store)
 
     def invalidate_checkpoint(self) -> None:
         """Drop the current checkpoint (e.g. a worker failed to load it)."""
-        if self._checkpoints is not None:
-            self._checkpoints.invalidate()
+        with self._lock:
+            if self._checkpoints is not None:
+                self._checkpoints.invalidate()
 
     def close(self) -> None:
         """Release the sync cache and delete checkpoint files. Idempotent."""
         self.release_sync()
-        checkpoints, self._checkpoints = self._checkpoints, None
+        with self._lock:
+            checkpoints, self._checkpoints = self._checkpoints, None
         if checkpoints is not None:
             checkpoints.close()
 
@@ -208,11 +236,14 @@ class Replica:
         # sharing one registry never collide on counter names.
         self._obs_prefix = obs_prefix if obs_prefix is not None \
             else f"replica{replica_id}"
+        #: Held by whichever thread is replaying into or reading from this
+        #: replica (see :func:`leased`).
+        self.lease = threading.RLock()
         self._bootstrap()
 
     def _bootstrap(self) -> None:
         """(Re-)build local state from a full leader sync."""
-        self.store = decode_sync(self._log.sync())
+        self.store = decode_sync(self._log.sync()[1])
         self.graph = ProvenanceGraph(self.store)
         self._snapshot = GraphSnapshot(self.graph)
         self._operator = PgSegOperator(self.graph, snapshot=self._snapshot)
@@ -231,6 +262,7 @@ class Replica:
         """Epochs behind the leader."""
         return self._log.epoch - self.epoch
 
+    @leased
     def catch_up(self) -> int:
         """Replay every batch the leader has shipped since our epoch.
 
@@ -281,27 +313,32 @@ class Replica:
     # Read serving (ids are leader ids: replication is id-exact)
     # ------------------------------------------------------------------
 
+    @leased
     def lineage(self, entity: int,
                 max_depth: int | None = None) -> Lineage:
         """Ancestry walk served from the replica snapshot."""
         return _lineage(self.graph, entity, max_depth=max_depth,
                         snapshot=self.snapshot())
 
+    @leased
     def impacted(self, entity: int,
                  max_depth: int | None = None) -> Lineage:
         """Impact walk served from the replica snapshot."""
         return _impacted(self.graph, entity, max_depth=max_depth,
                          snapshot=self.snapshot())
 
+    @leased
     def blame(self, entity: int) -> dict[int, set[int]]:
         """Blame report served from the replica snapshot."""
         return _blame(self.graph, entity, snapshot=self.snapshot())
 
+    @leased
     def segment(self, query: PgSegQuery) -> Segment:
         """PgSeg served by this replica's epoch-synced operator."""
         self.snapshot()                    # arm the operator fast path
         return self._operator.evaluate(query)
 
+    @leased
     def summarize(self, queries: "list[PgSegQuery]",
                   pgsum: PgSumQuery) -> Psg:
         """PgSum over per-query segments, evaluated entirely replica-side.
@@ -317,10 +354,12 @@ class Replica:
         segments = [self._operator.evaluate(query) for query in queries]
         return PgSumOperator(segments).evaluate(pgsum)
 
+    @leased
     def cypher(self, text: str, budget: Budget | None = None) -> list:
         """CypherLite rows served from the replica snapshot."""
         return run_query(self.graph, text, budget, snapshot=self.snapshot())
 
+    @leased
     def query_many(self,
                    specs: "list[tuple[str, dict[str, Any]]]") -> list[Any]:
         """Serve a batch of query specs in order, with per-spec isolation.

@@ -7,13 +7,20 @@ the one copy of each injection, so every suite kills a worker (or
 starves a feed) the same way and new suites don't re-derive the
 incantations.
 
-All helpers are synchronous and deterministic: they inject the fault
+The injections are synchronous and deterministic: they inject the fault
 and return; observing the recovery (restart counters, re-sync counts,
-bit-identical answers) is the calling test's job.
+bit-identical answers) is the calling test's job. Two observation
+helpers the suites share live here too: ``open_fds`` (leak checks) and
+``join_or_dump`` (bounded joins that fail with every thread's stack).
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+import traceback
 from contextlib import contextmanager
 
 
@@ -77,3 +84,27 @@ def delay_ship(target, method: str = "refresh"):
         yield target
     finally:
         setattr(target, method, original)
+
+
+def open_fds() -> int:
+    """File descriptors this process holds right now (leak checks compare
+    two readings taken after ``gc.collect()``)."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+def join_or_dump(threads, timeout: float) -> None:
+    """Join ``threads`` within ``timeout`` seconds in total, or fail with
+    every live thread's stack — a deadlock must fail the test, never
+    hang the job."""
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    stuck = [thread.name for thread in threads if thread.is_alive()]
+    if stuck:
+        frames = sys._current_frames()
+        dump = "\n".join(
+            f"--- {thread.name}\n"
+            + "".join(traceback.format_stack(frames[thread.ident]))
+            for thread in threading.enumerate() if thread.ident in frames)
+        raise AssertionError(
+            f"threads still running after {timeout}s: {stuck}\n{dump}")

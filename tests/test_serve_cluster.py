@@ -314,6 +314,43 @@ class TestQueryMany:
             cluster.query_many([("lineage", {"entity": entity})],
                                min_epoch=cluster.leader_epoch + 1)
 
+    @pytest.mark.parametrize("out_of_process", [False, True])
+    def test_small_batches_advance_the_rotation_by_what_they_use(
+            self, out_of_process):
+        """A batch smaller than the fleet used to ask ``route_many`` for
+        the whole fleet, bringing the cursor back to where it started:
+        every one-spec batch landed on replica 0 (``[20, 0]``)."""
+        example = build_paper_example()
+        target = example["weight-v2"]
+        with ProvCluster(example.graph, replicas=2,
+                         out_of_process=out_of_process) as cluster:
+            for _ in range(20):
+                [result] = cluster.query_many(
+                    [("lineage", {"entity": target})])
+                assert result.vertices \
+                    == lineage(example.graph, target).vertices
+            assert [r.queries_served for r in cluster.replicas] == [10, 10]
+            # A batch as wide as the fleet still uses all of it.
+            cluster.query_many([("blame", {"entity": target})] * 4)
+            assert [r.queries_served for r in cluster.replicas] == [12, 12]
+
+    def test_targets_serve_the_batch_without_moving_the_rotation(self, paper):
+        cluster = ProvCluster(paper.graph, replicas=3)
+        out = grow(paper.graph, 43)            # every replica now lags
+        cursor = cluster.router._cursor
+        chosen = [cluster.replicas[2], cluster.replicas[1]]
+        results = cluster.query_many(
+            [("lineage", {"entity": out})] * 4, targets=chosen)
+        assert all(out in result.vertices for result in results)
+        assert [r.queries_served for r in cluster.replicas] == [0, 2, 2]
+        assert cluster.router._cursor == cursor
+        # Only the chosen replicas were caught up to the stamp.
+        assert [r.lag == 0 for r in cluster.replicas] == [False, True, True]
+        with pytest.raises(ValueError, match="ahead of the leader"):
+            cluster.query_many([("lineage", {"entity": out})],
+                               min_epoch=cluster.leader_epoch + 1,
+                               targets=chosen)
+
     def test_session_query_many_with_and_without_serving(self):
         example = build_paper_example()
         session = LifecycleSession(graph=example.graph)

@@ -515,6 +515,105 @@ class TestFairnessGather:
 
 
 # ---------------------------------------------------------------------------
+# Work-conserving dispatch: one batch per idle worker
+# ---------------------------------------------------------------------------
+
+
+class TestConcurrentDispatch:
+    #: Runs out its wall-clock budget inside the worker: a request of
+    #: known service time, answered with a typed QueryTimeout.
+    SLOW_S = 0.4
+    SLOW = ("MATCH (a:E)<-[:U|G*]-(b:E) MATCH (c:E)<-[:U|G*]-(d:E) "
+            "RETURN a LIMIT 999999999")
+
+    @pytest.fixture(scope="class")
+    def oop_frontend(self, pd_medium):
+        cluster = ProvCluster(pd_medium.graph, config=ServeConfig(
+            replicas=2, out_of_process=True, frontend=True))
+        try:
+            yield pd_medium, cluster
+        finally:
+            cluster.close()
+
+    def test_two_readers_are_served_side_by_side(self, oop_frontend):
+        from repro.errors import QueryTimeout
+        from repro.query.cypherlite import Budget
+
+        _instance, cluster = oop_frontend
+        served_before = [r.queries_served for r in cluster.replicas]
+        budget = Budget(timeout_seconds=self.SLOW_S, max_expansions=10 ** 9)
+        outcomes = []
+
+        def ask():
+            with FrontendClient(cluster.frontend.address,
+                                timeout=60.0) as client:
+                started = time.perf_counter()
+                try:
+                    client.cypher(self.SLOW, budget)
+                except QueryTimeout:
+                    outcomes.append(time.perf_counter() - started)
+
+        readers = [threading.Thread(target=ask) for _ in range(2)]
+        started = time.perf_counter()
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60)
+        wall = time.perf_counter() - started
+        assert len(outcomes) == 2 and min(outcomes) >= self.SLOW_S
+        # Reader B did not wait out reader A's service time...
+        assert cluster.frontend.stats()["max_concurrent_batches"] == 2
+        assert wall < 2 * self.SLOW_S
+        # ...because each batch leased a worker of its own.
+        served = [r.queries_served - before for r, before
+                  in zip(cluster.replicas, served_before)]
+        assert served == [1, 1]
+
+    def test_a_wide_bundle_at_an_idle_pool_uses_every_worker(
+            self, oop_frontend):
+        instance, cluster = oop_frontend
+        graph = instance.graph
+        tiles = list(instance.entities)[-16:]
+        served_before = [r.queries_served for r in cluster.replicas]
+        batches_before = cluster.frontend.batches_dispatched
+        with FrontendClient(cluster.frontend.address) as client:
+            results = client.query_many(
+                [("lineage", {"entity": tile}) for tile in tiles])
+        assert [r.vertices for r in results] \
+            == [lineage(graph, tile).vertices for tile in tiles]
+        assert cluster.frontend.batches_dispatched == batches_before + 1
+        served = [r.queries_served - before for r, before
+                  in zip(cluster.replicas, served_before)]
+        assert served == [8, 8]
+
+    def test_pipelined_frames_are_answered_in_request_order(
+            self, oop_frontend):
+        """A session has frames in at most one batch at a time, so a
+        client that pipelines sees its answers in the order it asked —
+        even with an idle second worker that could overtake."""
+        instance, cluster = oop_frontend
+        entities = list(instance.entities)
+        sock = socket.create_connection(cluster.frontend.address)
+        stream = LineTransport.over_socket(sock)
+        try:
+            stream.send(wire.client_hello_frame("pipeliner"))
+            wire.welcome_from_wire(stream.recv(timeout=10))
+            # Expensive first, cheap after: full-depth lineage of the
+            # youngest entities, then depth-1 walks of the oldest.
+            asks = [(entity, None) for entity in entities[-6:]] \
+                + [(entity, 1) for entity in entities[:6]]
+            for request_id, (entity, depth) in enumerate(asks, 1):
+                stream.send(wire.request_to_wire(
+                    request_id, "lineage",
+                    {"entity": entity, "max_depth": depth}))
+            order = [wire.response_from_wire(stream.recv(timeout=30))[0]
+                     for _ in asks]
+            assert order == list(range(1, len(asks) + 1))
+        finally:
+            stream.close()
+
+
+# ---------------------------------------------------------------------------
 # Crash rerouting through the front-end
 # ---------------------------------------------------------------------------
 

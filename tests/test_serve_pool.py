@@ -30,6 +30,7 @@ from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import LineTransport
 from repro.workloads.lifecycle import build_paper_example
+from faults import open_fds, truncate_log
 
 
 def socketpair_transports():
@@ -524,12 +525,6 @@ class TestWorkerResultCache:
             assert worker.cache_misses == 1
 
 
-def _open_fds() -> int:
-    import os
-
-    return len(os.listdir("/proc/self/fd"))
-
-
 class TestTransportFds:
     """Satellite regression: pool restart loops must not leak fds
     (socket ``makefile`` wrappers, pipe ends of failed handshakes)."""
@@ -552,7 +547,7 @@ class TestTransportFds:
             client = pool.clients[0]
             assert client.lineage(target).root == target
             gc.collect()
-            baseline = _open_fds()
+            baseline = open_fds()
             for _ in range(4):
                 client.proc.kill()
                 client.proc.wait()
@@ -563,7 +558,7 @@ class TestTransportFds:
                 # many restarts reused it.
                 assert len(checkpoint_files(pool)) <= 1
             gc.collect()
-            assert _open_fds() <= baseline
+            assert open_fds() <= baseline
         assert client.restarts == 4
         # stop_serving()/close() removes the checkpoint scratch directory
         # with everything in it — nothing stale survives the pool.
@@ -600,6 +595,37 @@ class TestShipCursor:
             monkeypatch.undo()
             assert client.epoch == pool.log.epoch - 1
             assert client.lag == 1
+            assert pool.ship(client) == 1            # the raced batch
+            worker_epoch, _stats = client.ping()
+            assert worker_epoch == client.epoch == pool.log.epoch
+            assert client.restarts == 0
+
+    @pytest.mark.parametrize("wire_version", [1, 2])
+    def test_write_racing_the_full_sync_is_not_skipped(
+            self, wire_version, monkeypatch):
+        """The full-sync fallback's cursor is the epoch the payload was
+        encoded at (``ReplicationLog.sync`` hands it back), not the
+        leader epoch once the frame is out."""
+        graph = build_paper_example().graph
+        config = ServeConfig(replicas=1, wire_version=wire_version,
+                             checkpoint=False)
+        with WorkerPool(graph, config=config) as pool:
+            client = pool.clients[0]
+            truncate_log(graph.store, 4)
+            for tag in range(8):            # the span falls off the log
+                graph.add_entity(name=f"burst{tag}")
+            encode = pool.log.sync
+
+            def encode_then_lose_the_race():
+                encoded = encode()
+                graph.add_entity(name="raced")
+                return encoded
+
+            monkeypatch.setattr(pool.log, "sync", encode_then_lose_the_race)
+            pool.ship(client)               # truncated: full re-sync
+            monkeypatch.undo()
+            assert client.resyncs == 1
+            assert client.epoch == pool.log.epoch - 1
             assert pool.ship(client) == 1            # the raced batch
             worker_epoch, _stats = client.ping()
             assert worker_epoch == client.epoch == pool.log.epoch
