@@ -48,22 +48,6 @@ recompute. Both modes serve the identical seeded stream and must agree
 on the digest, so batching cannot pass the gate by answering different
 questions.
 
-``--steady-writes`` (implies ``--out-of-process``) gates the PR 6
-footprint-retention path: a write lands **every** round (the steady
-trickle a live lifecycle produces) while one fixed dashboard re-asks
-full-depth lineage and blame questions, so every epoch-keyed cache is
-invalidated every round. Two otherwise identical 4-worker pools serve
-the same seeded stream: the gated pool retains result-cache entries
-whose dependency footprint each shipped batch provably missed
-(``cache_mode="footprint"``), the baseline pool clears everything on
-any advance (``cache_mode="epoch"``, the PR 5 behavior). Digests must
-match, the retained pool must clear the throughput floor, **and** its
-retained-hit-rate (hits across epoch advances over all cache lookups,
-from pong counters) must clear ``RETAINED_HIT_RATE_FLOOR``. Pong
-``generation`` counters make the hit-rate math restart-aware: a
-crash-restart silently resets a worker's cumulative counters, so the
-record reports ``restart_detected`` instead of conflating spawns.
-
 ``--open-loop`` (implies ``--out-of-process``) gates the PR 7 async
 front-end under many-client fan-in: 500 simulated clients — asyncio
 coroutines, each its own wire-protocol connection through
@@ -101,28 +85,6 @@ shard-exact) is re-asked between bursts through ``query_many`` and must
 produce identical digests on both sides — sharding cannot pass the gate
 by serving different answers.
 
-``--bootstrap`` (implies ``--out-of-process``) gates the PR 10
-checkpoint bootstrap path: a single-worker pool is crash-restarted in a
-loop (writes land between crashes) and the gated figure is
-**restart-to-caught-up** — the state-reload window of each restart (the
-pool's ``bootstrap.duration_s`` send window plus the ping barrier that
-proves the worker caught up to the leader epoch; the respawn's
-interpreter start + imports is identical in every mode and reported
-separately, SIGKILL-to-ping, as ``restart_wall_s``) — for the
-checkpoint+tail path (negotiated
-``repro-wire-v2``: the worker mmaps the leader's snapshot checkpoint
-file and replays a packed-binary delta tail) against the full-JSON-sync
-path (``ServeConfig(wire_version=1)``, the pre-PR 10 bootstrap). Both
-modes replay the identical seeded stream and answer the identical
-post-restart dashboard, so the digest identity check proves the
-restored workers bit-equal across v1/v2 and checkpoint/full-sync; the
-pool's ``bootstrap.*`` counters additionally pin that each side took
-the path it claims (the gate cannot pass by silently full-syncing).
-Leader-side ship CPU (``time.process_time`` across the restart) rides
-along in the record, and a ``checkpoint-v2-sync`` contender (v2
-framing, ``checkpoint=False``) is reported informationally to separate
-the framing win from the checkpoint win.
-
 ``--trace-overhead`` (implies ``--out-of-process``) gates the PR 8
 observability layer's cost: the batched spec stream served with full
 instrumentation — a real :class:`repro.obs.MetricsRegistry` in the
@@ -135,8 +97,8 @@ must cost under 5%. ``--metrics-snapshot PATH`` additionally writes
 the instrumented run's cluster-wide metrics document (the same payload
 ``repro.cli serve-stats`` renders) as a CI artifact.
 
-Replica bootstrap (full sync, and worker spawn in ``--out-of-process``
-mode) happens before the timed window — the gate measures steady-state
+Replica bootstrap (and worker spawn in ``--out-of-process`` mode)
+happens before the timed window — the gate measures steady-state
 serving throughput — and is reported separately in the JSON record.
 
 Plain script so CI can smoke it cheaply::
@@ -148,16 +110,12 @@ Plain script so CI can smoke it cheaply::
     PYTHONPATH=src python benchmarks/bench_replication.py --quick \
         --batched --json BENCH_replication_batched.json
     PYTHONPATH=src python benchmarks/bench_replication.py --quick \
-        --steady-writes --json BENCH_replication_retention.json
-    PYTHONPATH=src python benchmarks/bench_replication.py --quick \
         --open-loop --json BENCH_serving_async.json
     PYTHONPATH=src python benchmarks/bench_replication.py --quick \
         --trace-overhead --json BENCH_trace_overhead.json \
         --metrics-snapshot METRICS_snapshot.json
     PYTHONPATH=src python benchmarks/bench_replication.py --quick \
         --sharded --json BENCH_replication_sharded.json
-    PYTHONPATH=src python benchmarks/bench_replication.py --quick \
-        --bootstrap --json BENCH_bootstrap.json
 
 Exits non-zero when the gated mode's aggregate read throughput is not at
 least ``FLOORS[mode]`` times its baseline — the single-store live server
@@ -192,7 +150,6 @@ from repro.workloads.pd_generator import generate_pd_sized
 #: gates the batched pipeline vs the *unbatched* out-of-process baseline.
 FLOORS = {"full": 2.0, "quick": 2.0, "full-oop": 2.0, "quick-oop": 2.0,
           "full-batched": 2.0, "quick-batched": 2.0,
-          "full-retention": 2.0, "quick-retention": 2.0,
           "full-open-loop": 1.0, "quick-open-loop": 1.0,
           # --trace-overhead gates a *ratio*, not a speedup: fully
           # instrumented serving (real registries everywhere, every
@@ -202,16 +159,7 @@ FLOORS = {"full": 2.0, "quick": 2.0, "full-oop": 2.0, "quick-oop": 2.0,
           "full-trace-overhead": 0.95, "quick-trace-overhead": 0.95,
           # --sharded gates write-heavy ingest throughput: 4 shards x 2
           # workers vs an unsharded 8-worker pool on the same stream.
-          "full-sharded": 1.5, "quick-sharded": 1.5,
-          # --bootstrap gates worker restart-to-caught-up wall time:
-          # checkpoint+tail (negotiated v2) vs full JSON sync (v1).
-          "full-bootstrap": 3.0, "quick-bootstrap": 3.0}
-
-#: ``--steady-writes`` additionally gates the fraction of cache lookups
-#: the footprint-retaining pool answers from entries that survived an
-#: epoch advance (every hit in that regime is a retained hit: a write
-#: lands between any two asks of the same question).
-RETAINED_HIT_RATE_FLOOR = 0.30
+          "full-sharded": 1.5, "quick-sharded": 1.5}
 
 N_REPLICAS = 4
 
@@ -228,9 +176,9 @@ def append_run(graph, rng: random.Random, entities: list[int],
                index: int) -> int:
     """Append one recorded run: 4-5 mutations, the paper's workload grain.
 
-    Returns the freshly generated output entity so steady-write schedules
-    can annotate it afterwards (new artifacts collect notes and metrics;
-    the established dashboard targets do not).
+    Returns the freshly generated output entity so write schedules can
+    annotate it afterwards (new artifacts collect notes and metrics; the
+    established dashboard targets do not).
     """
     activity = graph.add_activity(command=f"bench-run{index}")
     for entity in rng.sample(entities, k=2):
@@ -350,7 +298,7 @@ class OopClusterServer:
 
     def __init__(self, graph):
         self.cluster = ProvCluster(graph, replicas=N_REPLICAS,
-                                   out_of_process=True, transport="socket")
+                                   out_of_process=True)
 
     def serve_round(self, walk_targets, pool, pgseg_repeats):
         self.cluster.refresh()      # one ship per worker, inside the timing
@@ -467,7 +415,7 @@ class BatchedOopClusterServer:
 
     def __init__(self, graph):
         self.cluster = ProvCluster(graph, replicas=N_REPLICAS,
-                                   out_of_process=True, transport="socket")
+                                   out_of_process=True)
 
     def serve_specs(self, specs):
         self.cluster.refresh()      # one ship per worker, inside the timing
@@ -475,39 +423,8 @@ class BatchedOopClusterServer:
         return (sum(digest_of(spec, result)
                     for spec, result in zip(specs, results)), len(specs))
 
-    def worker_stats(self):
-        """Final pong counters per worker, tagged with the client-side
-        restart count so hit-rate math can detect counter resets (pong
-        counters are cumulative per *spawn*; ``generation`` names the
-        spawn)."""
-        stats = []
-        for client in self.cluster.replicas:
-            _, pong = client.ping()
-            pong["restarts"] = client.restarts
-            stats.append(pong)
-        return stats
-
     def close(self):
         self.cluster.close()
-
-
-class RetainedOopClusterServer(BatchedOopClusterServer):
-    """PR 6 gated mode: batched serving over footprint-retaining workers."""
-
-    name = f"retained-oop-x{N_REPLICAS}"
-    cache_mode = "footprint"
-
-    def __init__(self, graph):
-        self.cluster = ProvCluster(graph, replicas=N_REPLICAS,
-                                   out_of_process=True, transport="socket",
-                                   cache_mode=self.cache_mode)
-
-
-class EpochClearOopClusterServer(RetainedOopClusterServer):
-    """PR 6 baseline: identical pool, PR 5 clear-on-any-advance cache."""
-
-    name = f"epoch-clear-oop-x{N_REPLICAS}"
-    cache_mode = "epoch"
 
 
 class NoObsOopClusterServer(BatchedOopClusterServer):
@@ -521,7 +438,7 @@ class NoObsOopClusterServer(BatchedOopClusterServer):
 
     def __init__(self, graph):
         self.cluster = ProvCluster(graph, config=ServeConfig(
-            replicas=N_REPLICAS, out_of_process=True, transport="socket",
+            replicas=N_REPLICAS, out_of_process=True,
             metrics=False))
 
 
@@ -543,7 +460,7 @@ class TracedOopClusterServer(BatchedOopClusterServer):
 
     def __init__(self, graph):
         self.cluster = ProvCluster(graph, config=ServeConfig(
-            replicas=N_REPLICAS, out_of_process=True, transport="socket",
+            replicas=N_REPLICAS, out_of_process=True,
             metrics=True, trace_sample=1.0, trace_ring=1024,
             slow_query_s=0.25))
 
@@ -591,7 +508,7 @@ class ShardedIngestServer:
         from repro.serve.shards import ShardedCluster
         self.cluster = ShardedCluster(graph, config=ServeConfig(
             shards=N_SHARDS, replicas=WORKERS_PER_SHARD,
-            out_of_process=True, transport="socket"))
+            out_of_process=True))
 
     def serve_specs(self, specs):
         self.cluster.refresh()      # split + ship the burst, inside timing
@@ -613,7 +530,7 @@ class UnshardedIngestServer:
     def __init__(self, graph):
         self.cluster = ProvCluster(graph, config=ServeConfig(
             replicas=N_SHARDS * WORKERS_PER_SHARD,
-            out_of_process=True, transport="socket"))
+            out_of_process=True))
 
     def serve_specs(self, specs):
         self.cluster.refresh()      # one ship per worker, inside timing
@@ -754,187 +671,6 @@ def _sharded_main(args, mode: str) -> int:
         print(f"FAIL: {ShardedIngestServer.name} ingest+serve throughput "
               f"{speedup:.2f}x the {UnshardedIngestServer.name} baseline "
               f"(floor {floor}x)", file=sys.stderr)
-        return 1
-    print("ok")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# --bootstrap: checkpoint+tail crash recovery vs a full JSON sync
-# ---------------------------------------------------------------------------
-
-#: The three bootstrap contenders: label -> ServeConfig overrides. The
-#: gate compares ``checkpoint`` (PR 10 defaults: negotiated v2 +
-#: checkpoint files) against ``full-sync`` (wire pinned to v1 — the
-#: pre-PR 10 restart path); ``v2-sync`` (v2 framing, checkpoints off)
-#: is reported informationally so the framing win and the checkpoint
-#: win stay separable in the record.
-BOOTSTRAP_CONTENDERS = (
-    ("full-sync", {"wire_version": 1}),
-    ("v2-sync", {"checkpoint": False}),
-    ("checkpoint", {}),
-)
-
-
-def run_bootstrap_workload(label: str, n_vertices: int, restarts: int,
-                           writes_per_round: int, seed: int = 17,
-                           **config_kwargs) -> dict:
-    """One bootstrap contender: crash-restart a 1-worker pool in a loop.
-
-    Each round lands ``writes_per_round`` recorded runs, ships them, then
-    SIGKILLs the worker and drives the pool's restart + a ping answered
-    at the leader epoch. The gated **restart-to-caught-up** figure is
-    the state-reload window: the pool's ``bootstrap.duration_s`` send
-    window (sync encode+ship, or checkpoint publish + worker-load
-    roundtrip + tail ship) plus the caught-up ping barrier (the worker
-    finishing its apply). The respawn itself — interpreter start +
-    imports + handshake, several hundred ms *identical in every mode* —
-    is reported separately in ``restart_wall_s`` (SIGKILL to ping) but
-    deliberately kept out of the gated ratio: it is untouched by the
-    bootstrap path under test and would let an unrelated interpreter
-    regression mask a 10x reload regression. The post-restart dashboard
-    (fixed lineage/blame targets) feeds the digest identity check — a
-    restored worker that diverged from the leader in *any* mode fails
-    loudly, so checkpoint+tail restore is proven bit-equal to the full
-    sync it replaces. Leader-side CPU across the restart
-    (``time.process_time``) isolates the ship-path cost: encoding a
-    12k-vertex JSON sync vs publishing a checkpoint path + short binary
-    tail.
-    """
-    instance = generate_pd_sized(n_vertices, seed=7)
-    graph = instance.graph
-    entities = list(instance.entities)
-    rng = random.Random(seed)
-    targets = rng.sample(entities, k=6)     # the post-restart dashboard
-
-    t0 = time.perf_counter()
-    cluster = ProvCluster(graph, config=ServeConfig(
-        replicas=1, out_of_process=True, transport="socket",
-        **config_kwargs))
-    first_bootstrap_s = time.perf_counter() - t0
-    digest = 0
-    restart_wall = 0.0
-    caught_up_wall = 0.0
-    restart_cpu = 0.0
-    try:
-        client = cluster.replicas[0]
-        pool = cluster.pool
-        send_window = pool.obs.registry.histogram(
-            f"{pool.obs_label}.bootstrap.duration_s")
-        for index in range(restarts):
-            for write in range(writes_per_round):
-                append_run(graph, rng, entities,
-                           index * writes_per_round + write)
-            cluster.refresh()            # ship the burst pre-crash
-            client.proc.kill()           # the crash under test (SIGKILL)
-            client.proc.wait()
-            sent0 = send_window.sum
-            t0 = time.perf_counter()
-            c0 = time.process_time()
-            pool.restart(client)
-            ping0 = time.perf_counter()
-            client.ping()                # caught-up barrier
-            done = time.perf_counter()
-            restart_cpu += time.process_time() - c0
-            restart_wall += done - t0
-            caught_up_wall += (send_window.sum - sent0) + (done - ping0)
-            for entity in targets:
-                digest += len(client.lineage(entity).vertices)
-                digest += len(client.blame(entity))
-        stats = pool.stats()
-    finally:
-        cluster.close()
-    return {
-        "mode": label,
-        "digest": digest,
-        "restarts": restarts,
-        "wire_version": stats["wire_version"],
-        "first_bootstrap_s": first_bootstrap_s,
-        "restart_wall_s": restart_wall,
-        "caught_up_wall_s": caught_up_wall,
-        "restart_to_caught_up_s": caught_up_wall / restarts,
-        "leader_cpu_s": restart_cpu,
-        "bootstrap_counters": stats["bootstrap"],
-    }
-
-
-def _bootstrap_main(args, mode: str) -> int:
-    """``--bootstrap``: checkpoint+tail restart vs the full-JSON-sync one."""
-    floor = FLOORS[mode]
-    restarts = 3 if args.quick else 6
-    writes_per_round = 8
-    trials = 2 if args.quick else 3
-    print(f"workload: {restarts} crash-restarts of a 1-worker pool on a "
-          f"Pd graph (n=12000), {writes_per_round} recorded runs between "
-          f"crashes, restart-to-caught-up = state reload + caught-up "
-          f"ping (respawn reported separately), best of {trials} trials "
-          f"per contender")
-    results = {}
-    digests = set()
-    for label, overrides in BOOTSTRAP_CONTENDERS:
-        best = None
-        for _ in range(trials):
-            result = run_bootstrap_workload(label, 12000, restarts,
-                                            writes_per_round, **overrides)
-            digests.add(result["digest"])
-            if best is None \
-                    or result["caught_up_wall_s"] < best["caught_up_wall_s"]:
-                best = result
-        results[label] = best
-        counters = best["bootstrap_counters"]
-        print(f"{best['mode']:<12s} {best['restarts']} restarts: "
-              f"reload {best['caught_up_wall_s']:7.3f}s   "
-              f"({best['restart_to_caught_up_s'] * 1e3:7.1f} ms/restart, "
-              f"wall incl. respawn {best['restart_wall_s']:6.3f}s, "
-              f"leader cpu {best['leader_cpu_s']:6.3f}s, "
-              f"checkpoint_hits={counters['checkpoint_hits']} "
-              f"full_syncs={counters['full_syncs']} "
-              f"shipped={counters['bytes_shipped']}B, "
-              f"best of {trials})")
-    if len(digests) != 1:
-        raise AssertionError(
-            f"serving modes diverged: digests {sorted(digests)}")
-    # Path sanity: the gate must compare the paths it claims to. Every
-    # restart on the gated side reused the checkpoint; every restart on
-    # the baseline was a full JSON sync.
-    gated = results["checkpoint"]
-    baseline = results["full-sync"]
-    if gated["bootstrap_counters"]["checkpoint_hits"] < restarts:
-        raise AssertionError(
-            f"checkpoint mode fell back to full sync: "
-            f"{gated['bootstrap_counters']}")
-    if baseline["bootstrap_counters"]["full_syncs"] < restarts:
-        raise AssertionError(
-            f"full-sync baseline took a checkpoint path: "
-            f"{baseline['bootstrap_counters']}")
-    speedup = baseline["caught_up_wall_s"] / gated["caught_up_wall_s"]
-    cpu_ratio = (baseline["leader_cpu_s"] / gated["leader_cpu_s"]
-                 if gated["leader_cpu_s"] else float("inf"))
-    print(f"checkpoint vs full-sync : {speedup:5.2f}x restart-to-caught-up"
-          f"  (floor {floor}x; leader ship-path cpu {cpu_ratio:5.2f}x)")
-    passed = speedup >= floor
-    record = {
-        "benchmark": "bench_replication",
-        "mode": mode,
-        "n_vertices": 12000,
-        "replicas": 1,
-        "bootstrap": True,
-        "restarts": restarts,
-        "baseline": "full-sync",
-        "floor": floor,
-        "speedup_vs_baseline": speedup,
-        "leader_cpu_ratio": cpu_ratio,
-        "results": results,
-        "pass": passed,
-    }
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    if not args.no_assert and not passed:
-        print(f"FAIL: checkpoint restart-to-caught-up {speedup:.2f}x the "
-              f"full-sync baseline (floor {floor}x)", file=sys.stderr)
         return 1
     print("ok")
     return 0
@@ -1400,8 +1136,7 @@ def run_workload(server_cls, n_vertices: int, rounds: int,
 def run_spec_workload(server_cls, n_vertices: int, rounds: int,
                       targets_per_round: int, walk_repeats: int,
                       walk_depth: int, append_every: int,
-                      warmup_rounds: int = 2, seed: int = 17,
-                      steady_writes: bool = False) -> dict:
+                      warmup_rounds: int = 2, seed: int = 17) -> dict:
     """One batched-gate contender over the shared seeded spec stream.
 
     The dashboard fan-in regime the batching PR targets: one **fixed**
@@ -1418,41 +1153,15 @@ def run_spec_workload(server_cls, n_vertices: int, rounds: int,
     the timed window (identically for both contenders): the gate
     measures steady-state serving throughput, not the one-off lazy
     materialization the first post-bootstrap queries pay per worker.
-
-    ``steady_writes`` switches the write schedule to the retention
-    gate's regime: a write lands **every** round — mostly property
-    annotations on freshly appended run outputs (the live-lifecycle
-    trickle: new artifacts collect notes and metrics, and they are never
-    ancestors of the established dashboard targets, so epoch-keyed
-    caches pay full price while footprint retention provably survives) —
-    with a structural append every 4th round, whose ``used`` edges touch
-    historical entities, so the structural eviction rules stay in the
-    measured path too.
     """
     instance = generate_pd_sized(n_vertices, seed=7)
     graph = instance.graph
     entities = list(instance.entities)
     rng = random.Random(seed)
     targets = rng.sample(entities, k=targets_per_round)   # the dashboard
-    fresh: list[int] = []                  # outputs appended after seeding
 
     def round_specs():
         specs = []
-        if steady_writes:
-            # Blame panels dominate the retention dashboard: ancestry
-            # attribution is the costliest recompute in the repertoire
-            # (~3x a full-depth lineage here) with a tiny report payload,
-            # so a retained entry saves the whole recompute while a
-            # lineage hit still pays to ship its thousands of closure
-            # vertices. This is the mix the footprint cache targets:
-            # expensive answers whose dependencies the steady trickle
-            # provably misses.
-            for entity in targets:
-                specs.append(("blame", {"entity": entity}))
-            for entity in targets[:4]:
-                specs.append(("lineage", {"entity": entity,
-                                          "max_depth": walk_depth}))
-            return specs
         for _ in range(walk_repeats):
             for entity in targets:
                 specs.append(("lineage", {"entity": entity,
@@ -1462,13 +1171,7 @@ def run_spec_workload(server_cls, n_vertices: int, rounds: int,
         return specs
 
     def write_for_round(index: int) -> None:
-        if steady_writes:
-            subject = rng.choice(fresh) if fresh else rng.choice(entities)
-            graph.store.set_vertex_property(subject, "bench_note",
-                                            f"round{index}")
-            if index % 4 == 0:
-                fresh.append(append_run(graph, rng, entities, index))
-        elif index % append_every == 0:
+        if index % append_every == 0:
             append_run(graph, rng, entities, index)
 
     t0 = time.perf_counter()
@@ -1481,7 +1184,6 @@ def run_spec_workload(server_cls, n_vertices: int, rounds: int,
     t0 = time.perf_counter()
     digest = 0
     queries = 0
-    workers = None
     metrics = None
     try:
         for index in range(rounds):
@@ -1490,11 +1192,8 @@ def run_spec_workload(server_cls, n_vertices: int, rounds: int,
             digest += round_digest
             queries += round_queries
         elapsed = time.perf_counter() - t0      # teardown stays untimed
-        collect = getattr(server, "worker_stats", None)
-        if collect is not None:
-            workers = collect()                 # untimed, needs live pool
         snap = getattr(server, "metrics_snapshot", None)
-        metrics = snap() if snap is not None else None   # untimed too
+        metrics = snap() if snap is not None else None   # untimed, live pool
     finally:
         server.close()
     return {
@@ -1504,7 +1203,6 @@ def run_spec_workload(server_cls, n_vertices: int, rounds: int,
         "bootstrap_s": bootstrap_s,
         "elapsed_s": elapsed,
         "queries_per_s": queries / elapsed if elapsed else float("inf"),
-        "workers": workers,
         "metrics": metrics,
     }
 
@@ -1520,10 +1218,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate query_many batching/pipelining against "
                              "the unbatched out-of-process baseline "
                              "(implies --out-of-process)")
-    parser.add_argument("--steady-writes", action="store_true",
-                        help="gate footprint cache retention against the "
-                             "epoch-clear baseline under a write every "
-                             "round (implies --out-of-process)")
     parser.add_argument("--open-loop", action="store_true",
                         help="gate the async front-end under 500 concurrent "
                              "simulated clients against a thread-per-"
@@ -1538,10 +1232,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate write-heavy ingest on 4 shards x 2 "
                              "workers against an unsharded 8-worker pool "
                              "(implies --out-of-process)")
-    parser.add_argument("--bootstrap", action="store_true",
-                        help="gate worker restart-to-caught-up time: "
-                             "checkpoint+tail bootstrap vs a full JSON "
-                             "sync (implies --out-of-process)")
     parser.add_argument("--metrics-snapshot", metavar="PATH",
                         help="with --trace-overhead: write the "
                              "instrumented run's cluster-wide metrics "
@@ -1551,27 +1241,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="write a machine-readable result record")
     args = parser.parse_args(argv)
-    if args.batched or args.steady_writes or args.open_loop \
-            or args.trace_overhead or args.sharded or args.bootstrap:
+    if args.batched or args.open_loop or args.trace_overhead \
+            or args.sharded:
         args.out_of_process = True
-    if sum((args.batched, args.steady_writes, args.open_loop,
-            args.trace_overhead, args.sharded, args.bootstrap)) > 1:
-        parser.error("--batched, --steady-writes, --open-loop, "
-                     "--trace-overhead, --sharded, and --bootstrap are "
-                     "separate gates")
+    if sum((args.batched, args.open_loop, args.trace_overhead,
+            args.sharded)) > 1:
+        parser.error("--batched, --open-loop, --trace-overhead and "
+                     "--sharded are separate gates")
 
     mode = "quick" if args.quick else "full"
-    if args.bootstrap:
-        return _bootstrap_main(args, mode + "-bootstrap")
     if args.sharded:
         return _sharded_main(args, mode + "-sharded")
     if args.trace_overhead:
         return _trace_overhead_main(args, mode + "-trace-overhead")
     if args.open_loop:
         return _open_loop_main(args, mode + "-open-loop")
-    if args.steady_writes:
-        mode += "-retention"
-    elif args.batched:
+    if args.batched:
         mode += "-batched"
     elif args.out_of_process:
         mode += "-oop"
@@ -1590,21 +1275,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         spec_rounds, targets, walk_repeats, walk_depth, append_every = \
             16, 8, 64, 2, 4
-    if args.steady_writes:
-        # The retention regime: one fixed dashboard of *expensive*
-        # questions (full-depth lineage + blame, asked once per round),
-        # a write landing every round. Epoch-clear recomputes the whole
-        # dashboard per round; footprint retention recomputes only what
-        # the append actually touched.
-        spec_rounds = 12 if args.quick else 24
-        targets, walk_repeats, walk_depth, append_every = 8, 1, None, 1
     floor = FLOORS[mode]
-    if args.steady_writes:
-        gated_cls = RetainedOopClusterServer
-        baseline_cls = EpochClearOopClusterServer
-        server_classes = (EpochClearOopClusterServer,
-                          RetainedOopClusterServer)
-    elif args.batched:
+    if args.batched:
         gated_cls, baseline_cls = BatchedOopClusterServer, OopClusterServer
         server_classes = (OopClusterServer, BatchedOopClusterServer)
     elif args.out_of_process:
@@ -1614,12 +1286,7 @@ def main(argv: list[str] | None = None) -> int:
         gated_cls, baseline_cls = ClusterServer, LiveServer
         server_classes = (LiveServer, ClusterServer, SnapshotServer)
 
-    spec_stream = args.batched or args.steady_writes
-    if args.steady_writes:
-        print(f"workload: {spec_rounds} rounds x ({targets} blame + "
-              f"{targets // 2} full-depth lineage) on a Pd graph "
-              f"(n={n_vertices}), write EVERY round (steady writes)")
-    elif args.batched:
+    if args.batched:
         print(f"workload: {spec_rounds} rounds x ({targets} targets x "
               f"{walk_repeats} shallow-lineage re-asks + 2 blame) "
               f"on a Pd graph (n={n_vertices}), append every "
@@ -1630,11 +1297,10 @@ def main(argv: list[str] | None = None) -> int:
               f"(n={n_vertices}), writes interleaved")
     results = {}
     for server_cls in server_classes:
-        if spec_stream:
+        if args.batched:
             result = run_spec_workload(server_cls, n_vertices, spec_rounds,
                                        targets, walk_repeats, walk_depth,
-                                       append_every,
-                                       steady_writes=args.steady_writes)
+                                       append_every)
         else:
             result = run_workload(server_cls, n_vertices, rounds,
                                   walks_per_round, pool_size, pgseg_repeats)
@@ -1661,32 +1327,6 @@ def main(argv: list[str] | None = None) -> int:
               f"(replication overhead, informational)")
 
     passed = speedup >= floor
-    retained_hit_rate = None
-    baseline_hit_rate = None
-    restart_detected = None
-    if args.steady_writes:
-        def hit_rate(result):
-            workers = result.get("workers") or []
-            hits = sum(w["cache_hits"] for w in workers)
-            lookups = hits + sum(w["cache_misses"] for w in workers)
-            return hits / lookups if lookups else 0.0
-
-        retained_hit_rate = hit_rate(results[gated_cls.name])
-        baseline_hit_rate = hit_rate(results[baseline_cls.name])
-        # Pong counters are cumulative per spawn; a crash-restart resets
-        # them silently. generation (== the pool's restart count at
-        # spawn) exposes it, so a reset is reported instead of quietly
-        # skewing the rate.
-        restart_detected = any(
-            w["generation"] != 0 or w["restarts"] != 0
-            for result in results.values()
-            for w in (result.get("workers") or []))
-        print(f"retained-hit-rate: {retained_hit_rate:.1%} "
-              f"(floor {RETAINED_HIT_RATE_FLOOR:.0%}); "
-              f"epoch-clear baseline: {baseline_hit_rate:.1%}"
-              + ("  [RESTART DETECTED: rates cover the newest spawn only]"
-                 if restart_detected else ""))
-        passed = passed and retained_hit_rate > RETAINED_HIT_RATE_FLOOR
     record = {
         "benchmark": "bench_replication",
         "mode": mode,
@@ -1694,17 +1334,11 @@ def main(argv: list[str] | None = None) -> int:
         "replicas": N_REPLICAS,
         "out_of_process": args.out_of_process,
         "batched": args.batched,
-        "steady_writes": args.steady_writes,
         "baseline": baseline_cls.name,
         "floor": floor,
         "speedup_vs_baseline": speedup,
         "speedup_vs_live": speedup if baseline_cls is LiveServer else None,
         "single_snapshot_vs_cluster": overhead,
-        "retained_hit_rate": retained_hit_rate,
-        "retained_hit_rate_floor":
-            RETAINED_HIT_RATE_FLOOR if args.steady_writes else None,
-        "baseline_hit_rate": baseline_hit_rate,
-        "restart_detected": restart_detected,
         "results": results,
         "pass": passed,
     }
@@ -1715,12 +1349,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.json}")
 
     if not args.no_assert and not passed:
-        detail = (f"aggregate read throughput {speedup:.2f}x the "
-                  f"{baseline_cls.name} baseline (floor {floor}x)")
-        if retained_hit_rate is not None:
-            detail += (f", retained-hit-rate {retained_hit_rate:.1%} "
-                       f"(floor {RETAINED_HIT_RATE_FLOOR:.0%})")
-        print(f"FAIL: {gated_cls.name} {detail}", file=sys.stderr)
+        print(f"FAIL: {gated_cls.name} aggregate read throughput "
+              f"{speedup:.2f}x the {baseline_cls.name} baseline "
+              f"(floor {floor}x)", file=sys.stderr)
         return 1
     print("ok")
     return 0

@@ -14,8 +14,8 @@ the offline install simple). Subcommands:
   entrypoint :class:`repro.serve.pool.WorkerPool` spawns; speaks the wire
   protocol — including batched ``requests`` bundles served against one
   armed snapshot with a footprint-retaining result cache and materialized
-  summary views (``--cache-mode``) — on a socket or stdio and exits when
-  the pool hangs up)
+  summary views — on the loopback socket it dials with ``--connect`` and
+  exits when the pool hangs up)
 - ``serve-frontend`` load a graph and serve it to remote wire-protocol
   clients through the asyncio front-end (admission control, per-client
   fairness, backpressure; see :mod:`repro.serve.frontend`); prints
@@ -144,33 +144,23 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
     from repro.serve.wire import WIRE_FORMAT_V2, hello_frame
     from repro.serve.worker import ReplicaWorker
 
-    if bool(args.connect) == bool(args.stdio):
-        print("serve-worker needs exactly one of --connect or --stdio",
-              file=sys.stderr)
-        return 2
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        sock = socket.create_connection((host, int(port)))
-        transport = LineTransport.over_socket(sock)
-    else:
-        # Pipe mode: the protocol owns stdout; diagnostics go to stderr.
-        transport = LineTransport.over_files(sys.stdin.buffer,
-                                             sys.stdout.buffer)
+    host, _, port = args.connect.rpartition(":")
+    sock = socket.create_connection((host, int(port)))
+    transport = LineTransport.over_socket(sock)
     registry = None
     if args.no_metrics:
         from repro.obs import NullRegistry
         registry = NullRegistry()
-    caps = [WIRE_FORMAT_V2] if args.wire_version >= 2 else None
     worker = ReplicaWorker(transport, args.worker_id,
-                           cache_mode=args.cache_mode,
                            generation=args.generation,
                            registry=registry,
                            shard=args.shard)
-    # Close through the worker, not a bare `with transport:` — a
-    # negotiated welcome swaps the worker onto an adopted binary framer
-    # over the same fds, and only the worker knows the current one.
+    # Close through the worker, not a bare `with transport:` — the
+    # welcome swaps the worker onto an adopted binary framer over the
+    # same fds, and only the worker knows the current one.
     try:
-        transport.send(hello_frame(args.worker_id, args.token, wire=caps))
+        transport.send(hello_frame(args.worker_id, args.token,
+                                   wire=[WIRE_FORMAT_V2]))
         return worker.run()
     finally:
         worker.close()
@@ -186,7 +176,6 @@ def _cmd_serve_frontend(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         shards=args.shards,
         out_of_process=args.out_of_process,
-        cache_mode=args.cache_mode,
         frontend=True,
         frontend_host=args.host,
         frontend_port=args.port,
@@ -398,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "coordinator; 1 = unsharded")
     p.add_argument("--out-of-process", action="store_true",
                    help="serve from spawned worker processes")
-    p.add_argument("--cache-mode", default="footprint",
-                   choices=["footprint", "epoch"])
     p.add_argument("--max-inflight", type=int, default=256,
                    help="largest multiplexed batch per dispatch cycle")
     p.add_argument("--admission-budget", type=int, default=1024,
@@ -432,18 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-worker",
         help="run one out-of-process replica worker (internal)",
     )
-    p.add_argument("--connect", metavar="HOST:PORT",
-                   help="dial the pool's loopback listener (socket mode)")
-    p.add_argument("--stdio", action="store_true",
-                   help="speak the protocol on stdin/stdout (pipe mode)")
+    p.add_argument("--connect", metavar="HOST:PORT", required=True,
+                   help="dial the pool's loopback listener")
     p.add_argument("--token", default="",
                    help="spawn token echoed in the hello frame")
     p.add_argument("--worker-id", type=int, default=0)
-    p.add_argument("--cache-mode", default="footprint",
-                   choices=["footprint", "epoch"],
-                   help="result-cache retention: footprint keeps entries "
-                        "a batch's write set provably missed; epoch "
-                        "clears everything on any advance")
     p.add_argument("--generation", type=int, default=0,
                    help="monotonic spawn counter (pool restart count), "
                         "echoed in pong stats")
@@ -453,10 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-metrics", action="store_true",
                    help="swap in the no-op metrics registry (the "
                         "--trace-overhead benchmark baseline)")
-    p.add_argument("--wire-version", type=int, default=2, choices=[1, 2],
-                   help="highest wire protocol to advertise in the "
-                        "hello: 2 (default) offers repro-wire-v2 binary "
-                        "framing, 1 pins classic JSON lines")
     p.set_defaults(func=_cmd_serve_worker)
 
     return parser

@@ -4,7 +4,7 @@ Turns the single-process provenance store into a leader + N read-replica
 cluster: :mod:`repro.serve.wire` is the JSON-lines wire format (replication
 stream + request/response query frames — spec in ``docs/wire-protocol.md``),
 :mod:`repro.serve.replication` the leader publisher and in-process replica
-catch-up protocol, :mod:`repro.serve.transport` the framed socket/pipe
+catch-up protocol, :mod:`repro.serve.transport` the framed socket
 channel, :mod:`repro.serve.worker` the out-of-process replica worker, and
 :mod:`repro.serve.pool` the worker pool that spawns, health-checks, and
 restarts those workers. :mod:`repro.serve.cluster` routes every read family
@@ -14,8 +14,8 @@ thousands of remote client connections onto that fan-out.
 
 Configuration rides one value type: ``LifecycleSession.serve(
 config=ServeConfig(replicas=N, out_of_process=True, frontend=True))``
-wires a session's reads through a cluster (the historical bare kwargs
-keep working as a deprecated alias path), and :class:`QuerySpec` is the
+wires a session's reads through a cluster (``replicas=`` /
+``out_of_process=`` are shorthand for the same value), and :class:`QuerySpec` is the
 typed spec ``query_many`` batches take.
 """
 

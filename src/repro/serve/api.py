@@ -6,8 +6,8 @@ kwarg per PR:
 - :class:`ServeConfig` — one frozen dataclass naming every serving
   knob. ``LifecycleSession.serve(config=...)``, :class:`ProvCluster`,
   :class:`WorkerPool`, and the async front-end all consume it; the
-  bare kwargs those constructors grew historically keep working as a
-  deprecated alias path that builds a ``ServeConfig`` internally.
+  ``replicas=`` / ``count=`` / ``out_of_process=`` shorthand on those
+  constructors builds a ``ServeConfig`` internally.
 - :class:`QuerySpec` — a typed batch-query spec with per-method
   constructors, replacing the bare ``(method, params-dict)`` tuples of
   ``query_many``/``route_many``. Tuples stay accepted everywhere via
@@ -24,20 +24,12 @@ from typing import Any, Mapping
 from repro.errors import ConfigError
 
 __all__ = [
-    "CACHE_MODES",
     "QUERY_METHODS",
-    "TRANSPORTS",
     "QuerySpec",
     "ServeConfig",
     "normalize_spec",
     "normalize_specs",
 ]
-
-#: Worker transports (mirrors ``serve/pool.py``).
-TRANSPORTS = ("socket", "pipe")
-
-#: Worker result-cache retention policies (mirrors ``serve/worker.py``).
-CACHE_MODES = ("footprint", "epoch")
 
 #: Methods a :class:`QuerySpec` may name — the batchable read families.
 #: ``summarize`` stays single-replica-routed (epoch-coherent views) and
@@ -59,21 +51,6 @@ class ServeConfig:
             replication feed and replica set; reads scatter-gather.
         out_of_process: serve from spawned worker processes instead of
             in-process :class:`~repro.serve.replication.Replica` objects.
-        transport: worker transport, ``"socket"`` or ``"pipe"``.
-        cache_mode: worker result-cache retention, ``"footprint"`` or
-            ``"epoch"``.
-        wire_version: highest worker wire protocol the pool negotiates:
-            ``2`` (default) upgrades capable workers to ``repro-wire-v2``
-            — length-prefixed binary framing plus binary batch/bundle
-            codecs — via the hello/welcome capability exchange; ``1``
-            pins classic JSON-lines framing (workers may still advertise
-            v2; the pool simply never accepts). Mixed fleets serve
-            identically either way.
-        checkpoint: bootstrap v2 workers from a binary snapshot
-            checkpoint plus the delta-log tail
-            (:mod:`repro.store.checkpoint`) instead of a full JSON sync;
-            ``False`` forces the JSON sync path even on v2 sessions
-            (the bench baseline).
         frontend: also start the asyncio front-end
             (:class:`repro.serve.frontend.AsyncFrontend`) so remote
             clients can fan in over the wire protocol.
@@ -103,10 +80,6 @@ class ServeConfig:
     replicas: int = 2
     shards: int = 1
     out_of_process: bool = False
-    transport: str = "socket"
-    cache_mode: str = "footprint"
-    wire_version: int = 2
-    checkpoint: bool = True
     frontend: bool = False
     frontend_host: str = "127.0.0.1"
     frontend_port: int = 0
@@ -130,18 +103,6 @@ class ServeConfig:
             raise ConfigError("trace_ring must be >= 1")
         if self.slow_query_s is not None and self.slow_query_s <= 0:
             raise ConfigError("slow_query_s must be > 0 (or None)")
-        if self.transport not in TRANSPORTS:
-            raise ConfigError(
-                f"unknown transport {self.transport!r}; "
-                f"choose from {TRANSPORTS}")
-        if self.cache_mode not in CACHE_MODES:
-            raise ConfigError(
-                f"unknown cache_mode {self.cache_mode!r}; "
-                f"choose from {CACHE_MODES}")
-        if self.wire_version not in (1, 2):
-            raise ConfigError(
-                f"unknown wire_version {self.wire_version!r}; "
-                "choose 1 (JSON lines) or 2 (negotiated binary)")
         if not 0 <= self.frontend_port <= 65535:
             raise ConfigError("frontend_port must be in [0, 65535]")
         if self.max_inflight < 1:

@@ -179,18 +179,10 @@ class ProvCluster:
             :mod:`repro.serve.pool`). Same routing, same consistency
             stamps; call :meth:`close` (or use the cluster as a context
             manager) when done so the workers shut down.
-        transport: worker transport when out-of-process — ``"socket"``
-            or ``"pipe"``.
-        cache_mode: worker result-cache retention policy when
-            out-of-process — ``"footprint"`` (default: keep entries whose
-            dependency footprint a batch's write set provably missed) or
-            ``"epoch"`` (clear everything on any epoch advance; the
-            pre-retention baseline, kept for benchmarking).
         config: a :class:`~repro.serve.api.ServeConfig` naming every
-            serving knob (including the async front-end fields the bare
-            kwargs never grew) in one validated value; mutually
-            exclusive with the bare kwargs above, which remain as the
-            deprecated alias path. ``config.frontend=True`` also starts
+            serving knob (including the async front-end fields) in one
+            validated value; mutually exclusive with the two shorthand
+            kwargs above. ``config.frontend=True`` also starts
             an :class:`~repro.serve.frontend.AsyncFrontend` bound to
             this cluster (exposed as :attr:`frontend`, shut down by
             :meth:`close`).
@@ -198,14 +190,11 @@ class ProvCluster:
 
     def __init__(self, source, replicas: int | None = None,
                  out_of_process: bool | None = None,
-                 transport: str | None = None,
-                 cache_mode: str | None = None,
                  config: ServeConfig | None = None,
                  obs: ObsContext | None = None,
                  shard: int | None = None):
         config = ServeConfig.of(config, replicas=replicas,
-                                out_of_process=out_of_process,
-                                transport=transport, cache_mode=cache_mode)
+                                out_of_process=out_of_process)
         if config.shards != 1 and shard is None:
             from repro.errors import ConfigError
 

@@ -2,8 +2,10 @@
 
 PR 3 made the JSON-lines wire format the process boundary; this module
 actually crosses it. A :class:`WorkerPool` spawns N ``repro.cli
-serve-worker`` subprocesses (socket or pipe transport), bootstraps each
-from one memoized full-sync payload, and hands back
+serve-worker`` subprocesses that dial back to its loopback listener,
+upgrades each stream to ``repro-wire-v2`` binary framing
+(``hello`` -> ``welcome``), bootstraps each from the leader's snapshot
+checkpoint plus the delta-log tail, and hands back
 :class:`WorkerClient` handles that quack exactly like in-process
 :class:`~repro.serve.replication.Replica` objects — same ``epoch`` /
 ``catch_up()`` / query-family surface — so the existing
@@ -42,8 +44,7 @@ Failure handling (the contract ``tests/test_serve_pool.py`` pins):
   restarts the dead ones (crash recovery off the read path);
 - killing the pool (or the leader process) closes every control stream,
   and workers exit on EOF — no leaked processes or fds (transport close
-  sweeps the socket's ``makefile`` wrappers too, and failed pipe
-  handshakes close the subprocess pipe ends).
+  sweeps the socket's ``makefile`` wrappers too).
 
 PgSeg queries carrying boundary criteria or property-key callables cannot
 cross the wire (arbitrary Python functions); :meth:`WorkerClient.segment`
@@ -103,16 +104,12 @@ from repro.serve.wire import (
     welcome_frame,
 )
 
-#: Transport kinds the pool can spawn workers over.
-TRANSPORTS = ("socket", "pipe")
-
 #: Pong keys that are point-in-time (not cumulative): a restart fold
 #: takes the latest value, never a sum.
 _PONG_GAUGE_KEYS = frozenset({"cache_size", "view_count"})
 
 #: Pong keys that identify the spawn rather than count anything.
-_PONG_IDENTITY_KEYS = frozenset({"worker_id", "generation", "cache_mode",
-                                 "wire_version"})
+_PONG_IDENTITY_KEYS = frozenset({"worker_id", "generation"})
 
 
 def _worker_env() -> dict[str, str]:
@@ -168,12 +165,7 @@ class WorkerClient:
         #: then the pool's ``_restart_lock`` — never the reverse.
         self.lease = threading.RLock()
         self.proc: subprocess.Popen | None = None
-        self.transport: LineTransport | None = None
-        #: Negotiated wire protocol for the current spawn: 1 (JSON lines)
-        #: until a hello/welcome exchange upgrades the stream to 2
-        #: (length-prefixed binary framing). Reset on every respawn — the
-        #: fresh worker renegotiates from scratch.
-        self.wire_version = 1
+        self.transport: BinaryTransport | None = None
         #: The epoch the pool has shipped this worker up to.
         self.epoch = -1
         self._next_request = 0
@@ -238,7 +230,7 @@ class WorkerClient:
     # Request plumbing (pending-map correlation; pipelining-safe)
     # ------------------------------------------------------------------
 
-    def _ensure_transport(self) -> LineTransport:
+    def _ensure_transport(self) -> BinaryTransport:
         """The live stream, healing a detached client first.
 
         A previously failed restart leaves ``transport is None``; heal
@@ -734,7 +726,6 @@ class WorkerClient:
             "epoch": self.epoch,
             "lag": self.lag,
             "alive": self.alive(),
-            "wire_version": self.wire_version,
             "batches_shipped": self.batches_shipped,
             "resyncs": self.resyncs,
             "restarts": self.restarts,
@@ -752,7 +743,7 @@ class WorkerClient:
     # ------------------------------------------------------------------
 
     def _attach(self, proc: subprocess.Popen,
-                transport: LineTransport) -> None:
+                transport: BinaryTransport) -> None:
         self.proc = proc
         self.transport = transport
 
@@ -766,8 +757,6 @@ class WorkerClient:
                 self.proc.kill()
             self.proc.wait()
             self.proc = None
-        # Negotiation is per-spawn; the replacement starts back at v1.
-        self.wire_version = 1
         # Every in-flight request died with the process; late answers can
         # never arrive on the fresh stream (ids are never reused, so a
         # stale entry could only leak memory, not misroute).
@@ -826,35 +815,24 @@ class WorkerPool:
         source: the leader — a :class:`ProvenanceGraph`, a bare store, or
             anything exposing ``.store``. Stays the sole writer.
         count: number of worker processes.
-        transport: ``"socket"`` (workers connect back to a loopback
-            listener) or ``"pipe"`` (workers speak stdio).
         request_timeout: seconds to wait for one answer before declaring
             the request lost (None = wait forever). A clean-boundary
             timeout abandons the request and keeps the worker; a
             mid-frame timeout restarts it.
         spawn_timeout: seconds to wait for a spawned worker's handshake.
-        cache_mode: worker result-cache retention policy — ``"footprint"``
-            (default; applied batches keep entries their write set
-            provably missed) or ``"epoch"`` (clear everything on any
-            advance; the benchmark baseline). Passed on every worker's
-            command line, including respawns.
-        config: a :class:`~repro.serve.api.ServeConfig` naming
-            ``replicas``/``transport``/``cache_mode`` in one validated
-            value; mutually exclusive with the bare kwargs above, which
-            remain as the deprecated alias path.
+        config: a :class:`~repro.serve.api.ServeConfig`; mutually
+            exclusive with the ``count=`` shorthand for
+            ``ServeConfig(replicas=count)``.
     """
 
     def __init__(self, source, count: int | None = None,
-                 transport: str | None = None,
                  request_timeout: float | None = 120.0,
                  spawn_timeout: float = 60.0,
                  ping_timeout: float = 10.0,
-                 cache_mode: str | None = None,
                  config: "ServeConfig | None" = None,
                  obs: ObsContext | None = None,
                  shard: int | None = None):
-        config = ServeConfig.of(config, replicas=count, transport=transport,
-                                cache_mode=cache_mode)
+        config = ServeConfig.of(config, replicas=count)
         self.config = config
         #: The leader process's observability handle. The cluster passes
         #: its own so leader, pool, and front-end share one registry; a
@@ -866,26 +844,22 @@ class WorkerPool:
         #: never collide — and operators can read per-shard lag directly.
         self.shard = shard
         self.obs_label = "pool" if shard is None else f"shard{shard}.pool"
-        count = config.replicas
-        transport = config.transport
-        self.cache_mode = config.cache_mode
         store = getattr(source, "store", source)
         self.graph = source if isinstance(source, ProvenanceGraph) \
             else ProvenanceGraph(store)
         self.log = ReplicationLog(store)
-        self.transport_kind = transport
         self.request_timeout = request_timeout
         self.spawn_timeout = spawn_timeout
         self.ping_timeout = ping_timeout
         self._env = _worker_env()
         self._token = uuid4().hex
         self._restart_lock = threading.Lock()
-        self._listener: socket.socket | None = None
-        if transport == "socket":
-            self._listener = socket.create_server(("127.0.0.1", 0))
-            self._listener.settimeout(spawn_timeout)
+        self._listener: socket.socket | None = \
+            socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(spawn_timeout)
         self._closed = False
-        self.clients = [WorkerClient(self, i) for i in range(count)]
+        self.clients = [WorkerClient(self, i)
+                        for i in range(config.replicas)]
         try:
             self._bootstrap()
         except BaseException:
@@ -902,9 +876,10 @@ class WorkerPool:
         # worker echoes it in pong stats, so clients reading cumulative
         # counters can detect the silent reset a crash-restart causes.
         generation = self.clients[worker_id].restarts
+        host, port = self._listener.getsockname()
         command = [sys.executable, "-m", "repro.cli", "serve-worker",
+                   "--connect", f"{host}:{port}",
                    "--worker-id", str(worker_id), "--token", self._token,
-                   "--cache-mode", self.cache_mode,
                    "--generation", str(generation)]
         if not self.config.metrics:
             # The overhead-benchmark baseline: workers run the no-op
@@ -914,32 +889,28 @@ class WorkerPool:
             # The worker echoes its shard in pong stats, so cluster-wide
             # telemetry can attribute counters without positional guessing.
             command += ["--shard", str(self.shard)]
-        if self.transport_kind == "socket":
-            host, port = self._listener.getsockname()
-            command += ["--connect", f"{host}:{port}"]
-            stdin = subprocess.DEVNULL
-            stdout = subprocess.DEVNULL
-        else:
-            command += ["--stdio"]
-            stdin = subprocess.PIPE
-            stdout = subprocess.PIPE
         # stderr stays inherited: worker tracebacks reach the operator.
         return subprocess.Popen(command, env=self._env,
-                                stdin=stdin, stdout=stdout)
+                                stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL)
 
-    def _handshake_socket(self, expect: int | None = None,
-                          ) -> tuple[int, LineTransport, tuple[str, ...]]:
-        """Accept one worker connection; returns (id, transport, caps).
+    def _handshake(self, expect: int | None = None,
+                   ) -> tuple[int, BinaryTransport]:
+        """Accept one worker connection; returns ``(id, transport)``.
 
-        ``caps`` is the wire-format capability list the worker's hello
-        advertised (empty for v1 workers) — :meth:`_negotiate` turns it
-        into a framing decision once the client is attached.
+        The exchange is ``hello`` (worker: id, spawn token, wire
+        capabilities) then ``welcome`` naming ``repro-wire-v2`` — the
+        last line-framed frame on the stream; both ends then swap to
+        length-prefixed binary framing on the same fds. A connection
+        whose hello is malformed, carries the wrong token or does not
+        advertise ``repro-wire-v2`` is dropped and the accept loop goes
+        on: the spawn deadline, not the stray peer, decides the outcome.
 
         With ``expect`` set (restart path), connections from any *other*
-        worker id are dropped, not returned: an orphaned dial from an
-        earlier failed restart must not be mistaken for the respawn (the
-        dropped worker exits on EOF). Bootstrap passes ``None`` and
-        routes accepted connections by their announced id instead.
+        worker id are dropped too: an orphaned dial from an earlier
+        failed restart must not be mistaken for the respawn (the dropped
+        worker exits on EOF). Bootstrap passes ``None`` and routes
+        accepted connections by their announced id instead.
         """
         while True:
             try:
@@ -952,76 +923,48 @@ class WorkerPool:
             try:
                 hello = transport.recv(timeout=self.spawn_timeout)
                 worker_id, token = hello_from_wire(hello)
+                accepted = token == self._token \
+                    and WIRE_FORMAT_V2 in hello_wire_formats(hello) \
+                    and expect in (None, worker_id)
+                if accepted:
+                    transport.send(welcome_frame(
+                        worker_id, self.log.epoch, wire=WIRE_FORMAT_V2))
             except (TransportClosed, TransportTimeout,
                     SerializationError):
-                transport.close()     # stray or broken connection
-                continue
-            if token != self._token or \
-                    (expect is not None and worker_id != expect):
+                accepted = False      # stray or broken connection
+            if not accepted:
                 transport.close()
                 continue
-            return worker_id, transport, hello_wire_formats(hello)
-
-    def _handshake_pipe(self, proc: subprocess.Popen, worker_id: int,
-                        ) -> tuple[LineTransport, tuple[str, ...]]:
-        transport = LineTransport.over_files(proc.stdout, proc.stdin)
-        try:
-            hello = transport.recv(timeout=self.spawn_timeout)
-            got_id, token = hello_from_wire(hello)
-        except (TransportClosed, TransportTimeout) as exc:
-            # Close the pipe wrappers now: the Popen object alone keeps
-            # the parent-side pipe fds open until GC, which is exactly
-            # the restart-loop fd leak the fd test pins.
-            transport.close()
-            raise ReplicaUnavailable(
-                f"worker {worker_id} exited before its handshake"
-            ) from exc
-        if got_id != worker_id or token != self._token:
-            transport.close()
-            raise ReplicaUnavailable(
-                f"worker {worker_id} sent a bad handshake"
-            )
-        return transport, hello_wire_formats(hello)
+            return worker_id, BinaryTransport.adopt(transport)
 
     def _bootstrap(self) -> None:
         """Spawn everyone, collect handshakes, send one shared state load."""
         procs = {client.replica_id: self._spawn_process(client.replica_id)
                  for client in self.clients}
-        caps_by_id: dict[int, tuple[str, ...]] = {}
-        if self.transport_kind == "socket":
-            transports: dict[int, LineTransport] = {}
-            try:
-                for _ in self.clients:
-                    worker_id, transport, caps = self._handshake_socket()
-                    if worker_id in transports or worker_id not in procs:
-                        transport.close()
-                        raise ReplicaUnavailable(
-                            f"unexpected worker id {worker_id} in handshake"
-                        )
-                    transports[worker_id] = transport
-                    caps_by_id[worker_id] = caps
-            except BaseException:
-                # Un-attached transports would leak their fds past the
-                # pool teardown (close() only sweeps attached clients).
-                for transport in transports.values():
+        transports: dict[int, BinaryTransport] = {}
+        try:
+            for _ in self.clients:
+                worker_id, transport = self._handshake()
+                if worker_id in transports or worker_id not in procs:
                     transport.close()
-                raise
-        else:
-            transports = {}
-            for client in self.clients:
-                transport, caps = self._handshake_pipe(
-                    procs[client.replica_id], client.replica_id)
-                transports[client.replica_id] = transport
-                caps_by_id[client.replica_id] = caps
+                    raise ReplicaUnavailable(
+                        f"unexpected worker id {worker_id} in handshake"
+                    )
+                transports[worker_id] = transport
+        except BaseException:
+            # Un-attached transports would leak their fds past the
+            # pool teardown (close() only sweeps attached clients).
+            for transport in transports.values():
+                transport.close()
+            raise
         for client in self.clients:
             client._attach(procs[client.replica_id],
                            transports[client.replica_id])
-            self._negotiate(client, caps_by_id[client.replica_id])
             self._send_state(client)
-        # Pong arrives only after the sync frame ahead of it is processed:
-        # one ping per worker is a bootstrap barrier, so construction (not
-        # the first serving burst) pays the store decode — and a worker
-        # that cannot bootstrap fails fast, here.
+        # Pong arrives only after the state frames ahead of it are
+        # processed: one ping per worker is a bootstrap barrier, so
+        # construction (not the first serving burst) pays the store load
+        # — and a worker that cannot bootstrap fails fast, here.
         for client in self.clients:
             try:
                 client.ping(timeout=self.spawn_timeout)
@@ -1029,68 +972,42 @@ class WorkerPool:
                 raise ReplicaUnavailable(
                     f"worker {client.replica_id} failed to bootstrap"
                 ) from exc
-        # All workers bootstrapped off one memoized payload; free it.
-        self.log.release_sync()
 
     # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
 
-    def _negotiate(self, client: WorkerClient,
-                   caps: tuple[str, ...]) -> None:
-        """Settle the stream's wire version from the hello capabilities.
-
-        A v2-capable worker under a v2-configured pool gets a worker-
-        directed ``welcome`` naming ``repro-wire-v2`` — the last
-        line-framed frame on the stream; both ends then swap to
-        length-prefixed binary framing on the same fds. Every other
-        combination (v1 worker, or ``wire_version=1`` pinned in config)
-        silently stays on JSON lines: the worker learns the pool's
-        choice by *never* seeing a welcome before its sync/checkpoint.
-        """
-        if self.config.wire_version >= 2 and WIRE_FORMAT_V2 in caps:
-            client.transport.send(welcome_frame(
-                client.replica_id, self.log.epoch, wire=WIRE_FORMAT_V2))
-            client.transport = BinaryTransport.adopt(client.transport)
-            client.wire_version = 2
-
     def _send_state(self, client: WorkerClient) -> None:
-        """Bring a fresh worker to the leader epoch, the cheapest way in.
+        """Bring a fresh worker to the leader epoch: checkpoint + tail.
 
-        v2 streams try checkpoint + delta-log tail first: the worker
-        mmaps a binary snapshot the leader already wrote (zero-copy on
-        the ship path — only the frame naming the file crosses the
-        stream) and replays just the batches logged after it. The full
-        JSON sync remains both the v1 path and the universal fallback —
-        a checkpoint that predates the log's truncation horizon, or a
-        worker that fails to load the file, degrades to exactly the
-        bytes v1 would have shipped.
+        The worker mmaps a binary snapshot the leader already wrote
+        (zero-copy on the ship path — only the frame naming the file
+        crosses the stream) and replays just the batches logged after
+        it. The full JSON ``sync`` frame is the fault fallback only: the
+        log truncated past the checkpoint between capture and ship, or
+        the worker could not load the file. Either way the checkpoint is
+        dropped so the next bootstrap captures fresh.
         """
         duration = self.obs.registry.histogram(
             f"{self.obs_label}.bootstrap.duration_s")
         start = time.perf_counter()
-        shipped = None
-        if client.wire_version >= 2 and self.config.checkpoint:
-            ckpt = self.log.checkpoint()
-            if ckpt is not None:
-                tail = self.log.ship_binary_since(ckpt.epoch)
-                if tail is None:
-                    # The log truncated past the checkpoint between
-                    # capture and ship; drop it so the next bootstrap
-                    # captures fresh, and fall back this time.
-                    self.log.invalidate_checkpoint()
-                elif self._ship_checkpoint(client, ckpt, tail):
-                    shipped = ckpt.nbytes + sum(len(p) for p in tail)
-                    self.obs.registry.counter(
-                        f"{self.obs_label}.bootstrap.checkpoint_hits"
-                    ).inc()
-        if shipped is None:
+        ckpt = self.log.checkpoint()
+        tail = self.log.ship_binary_since(ckpt.epoch)
+        if tail is not None and self._ship_checkpoint(client, ckpt, tail):
+            shipped = ckpt.nbytes + sum(len(p) for p in tail)
+            self.obs.registry.counter(
+                f"{self.obs_label}.bootstrap.checkpoint_hits").inc()
+        else:
+            self.log.invalidate_checkpoint()
             # The cursor is the epoch the payload was *encoded* at: a
             # write landing after the encode belongs to the next ship.
             epoch, payload = self.log.sync()
             client.transport.send(sync_frame(payload))
             client.epoch = epoch
             shipped = len(payload)
+            # The next bootstrap captures a checkpoint, so nobody shares
+            # this O(graph) payload: do not keep it memoized.
+            self.log.release_sync()
             self.obs.registry.counter(
                 f"{self.obs_label}.bootstrap.full_syncs").inc()
         self.obs.registry.counter(
@@ -1134,23 +1051,18 @@ class WorkerPool:
 
         A truncated span degrades to a full re-sync, mirroring the
         in-process replica (never a partial replay). Returns the number
-        of batches (or re-synced epochs) shipped. v2 streams carry the
-        span as binary batch frames — same deltas, same order, just the
-        packed codec on the hot path.
+        of batches (or re-synced epochs) shipped. The span crosses as
+        binary batch frames (the packed codec).
         """
         with client.lease:
             start = client.epoch
-            binary = client.wire_version >= 2
-            span = self.log.ship_binary_since(start) if binary \
-                else self.log.ship_since(start)
+            span = self.log.ship_binary_since(start)
             if span is None:
                 self._send_state(client)
                 client.resyncs += 1
                 return client.epoch - start
-            send = client.transport.send_binary if binary \
-                else client.transport.send_text
             for payload in span:
-                send(payload)
+                client.transport.send_binary(payload)
             count = len(span)
             # The log holds one batch per epoch, so the span read above ends
             # at ``start + count`` — not at ``self.log.epoch``, which a
@@ -1186,13 +1098,12 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def restart(self, client: WorkerClient,
-                failed: LineTransport | None = None) -> None:
+                failed: BinaryTransport | None = None) -> None:
         """Respawn one worker and queue its state reload.
 
-        The state (checkpoint + tail on negotiated-v2 streams, a full
-        sync frame otherwise) is written to the fresh stream immediately, so by
-        the time the router rotates back to this replica it answers at
-        the leader's epoch without special-casing.
+        The state (checkpoint + tail) is written to the fresh stream
+        immediately, so by the time the router rotates back to this
+        replica it answers at the leader's epoch without special-casing.
 
         Restarts are serialized pool-wide (the socket listener is shared,
         and two concurrent restarts could cross-accept each other's
@@ -1214,14 +1125,8 @@ class WorkerPool:
             client.restarts += 1
             proc = self._spawn_process(client.replica_id)
             try:
-                if self.transport_kind == "socket":
-                    _, transport, caps = self._handshake_socket(
-                        expect=client.replica_id)
-                else:
-                    transport, caps = self._handshake_pipe(
-                        proc, client.replica_id)
+                _, transport = self._handshake(expect=client.replica_id)
                 client._attach(proc, transport)
-                self._negotiate(client, caps)
                 client.resyncs += 1
                 self._send_state(client)
             except BaseException as exc:
@@ -1233,12 +1138,6 @@ class WorkerPool:
                     if proc.poll() is None:
                         proc.kill()
                     proc.wait()
-                    for pipe in (proc.stdin, proc.stdout):
-                        if pipe is not None:
-                            try:
-                                pipe.close()
-                            except OSError:  # pragma: no cover
-                                pass
                 if isinstance(exc, (TransportClosed, TransportTimeout)):
                     raise ReplicaUnavailable(
                         f"worker {client.replica_id} failed to restart"
@@ -1279,8 +1178,6 @@ class WorkerPool:
         registry = self.obs.registry
         return {
             "leader_epoch": self.log.epoch,
-            "transport": self.transport_kind,
-            "wire_version": self.config.wire_version,
             "bootstrap": {
                 "checkpoint_hits": registry.counter(
                     f"{self.obs_label}.bootstrap.checkpoint_hits").value,
@@ -1338,6 +1235,5 @@ class WorkerPool:
     def __repr__(self) -> str:   # pragma: no cover - cosmetic
         return (
             f"WorkerPool(workers={len(self.clients)}, "
-            f"transport={self.transport_kind!r}, "
             f"leader_epoch={self.log.epoch})"
         )

@@ -13,7 +13,7 @@ turns that log into a replication stream:
   obeys). ``checkpoint()`` maintains the binary snapshot checkpoint
   (:mod:`repro.store.checkpoint`) that out-of-process workers bootstrap
   from — checkpoint + delta-log tail instead of an O(graph) JSON sync —
-  and ``ship_binary_since(epoch)`` is the tail in the negotiated
+  and ``ship_binary_since(epoch)`` is the tail in the
   ``repro-wire-v2`` binary batch codec.
 
 - :class:`Replica` — a read-only follower. It bootstraps from a full sync
@@ -46,6 +46,7 @@ from repro.query.ops import blame as _blame
 from repro.query.ops import impacted as _impacted
 from repro.query.ops import lineage as _lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
+from repro.serve.api import QUERY_METHODS
 from repro.serve.wire import (
     decode_batch,
     decode_sync,
@@ -149,8 +150,8 @@ class ReplicationLog:
         """The :meth:`ship_since` span as v2 binary batch payloads.
 
         Same truncation contract: ``None`` means the follower must
-        bootstrap again. Used for workers that negotiated
-        ``repro-wire-v2`` (:func:`repro.serve.wire.encode_batch_binary`).
+        bootstrap again. What every out-of-process worker is shipped
+        (:func:`repro.serve.wire.encode_batch_binary`).
         """
         batches = self.store.delta_log.batches_since(epoch)
         if batches is None:
@@ -161,34 +162,26 @@ class ReplicationLog:
     # Checkpoint lifecycle (binary bootstrap snapshots)
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> Checkpoint | None:
+    def checkpoint(self) -> Checkpoint:
         """The checkpoint a worker should bootstrap from right now.
 
-        Policy:
-
-        - no checkpoint yet -> capture one at the current epoch (its tail
-          is empty, so the first bootstrap is checkpoint-only);
-        - current checkpoint's tail still fully retained by the delta log
-          and shorter than :attr:`CHECKPOINT_REFRESH_RECORDS` -> reuse it
-          (the common restart path: ship the file path + a short tail);
-        - tail retained but long -> recapture at the current epoch
-          (periodic refresh);
-        - checkpoint predates the log's truncation horizon -> drop it and
-          return ``None``: **this** bootstrap must fall back to a full
-          JSON sync (the caller counts it), and the next one captures
-          fresh.
+        The current checkpoint is reused while its tail is still fully
+        retained by the delta log and shorter than
+        :attr:`CHECKPOINT_REFRESH_RECORDS` (the common restart path: ship
+        the file path + a short tail). Otherwise — none yet, a long tail,
+        or a checkpoint that predates the log's truncation horizon — one
+        is captured at the current epoch, replacing the old file; its
+        tail is empty, so that bootstrap is checkpoint-only.
         """
         with self._lock:
             if self._checkpoints is None:
                 self._checkpoints = CheckpointManager()
             latest = self._checkpoints.latest
-            log = self.store.delta_log
             if latest is not None:
-                if log.batches_since(latest.epoch) is None:
-                    self._checkpoints.invalidate()
-                    return None
-                if log.record_count_since(latest.epoch) \
-                        <= self.CHECKPOINT_REFRESH_RECORDS:
+                # None: the tail fell off the log's truncation horizon.
+                tail = self.store.delta_log.record_count_since(latest.epoch)
+                if tail is not None \
+                        and tail <= self.CHECKPOINT_REFRESH_RECORDS:
                     return latest
             return self._checkpoints.capture(self.store)
 
@@ -374,9 +367,8 @@ class Replica:
         one bad request never poisons its siblings (the same error
         isolation a worker bundle guarantees across the wire).
         """
-        known = ("lineage", "impacted", "blame", "segment", "cypher")
         for method, _ in specs:
-            if method not in known:        # caller bug, not a query error
+            if method not in QUERY_METHODS:    # caller bug, not a query error
                 raise ValueError(f"unknown query_many method {method!r}")
         results: list[Any] = []
         for method, params in specs:

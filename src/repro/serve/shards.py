@@ -113,8 +113,7 @@ class ShardedCluster:
             or anything exposing ``.store``. Stays the sole writer.
         config: the serving configuration; ``config.shards`` clusters of
             ``config.replicas`` replicas each are bootstrapped (every
-            other knob — transport, cache mode, metrics — applies
-            per shard).
+            other knob except the front-end applies per shard).
         shard_map: an explicit vertex->shard assignment; defaults to a
             hash-mode :class:`~repro.store.sharding.ShardMap` over
             ``config.shards``. Must agree with ``config.shards``.

@@ -1,14 +1,10 @@
-"""Framed JSON-lines transport over sockets and pipes.
+"""Framed JSON-lines transport over stream sockets.
 
 The wire frames (:mod:`repro.serve.wire`) are one JSON object per line;
-this module moves those lines across a process boundary. One class covers
-both duplex carriers the worker pool uses:
-
-- **sockets** — the pool listens on loopback, workers connect back
-  (:meth:`LineTransport.over_socket`);
-- **pipes** — the worker speaks the protocol on stdin/stdout
-  (:meth:`LineTransport.over_files`), e.g. ``repro.cli serve-worker
-  --stdio``.
+this module moves those lines across a process boundary. The one duplex
+carrier is a connected stream socket (:meth:`LineTransport.over_socket`):
+the pool listens on loopback and workers connect back, and front-end
+client sessions arrive the same way.
 
 Framing is newline-delimited UTF-8 JSON: JSON string escaping guarantees
 no frame contains a raw newline, so ``\\n`` is an unambiguous frame
@@ -34,10 +30,10 @@ path a real peer death takes. A timeout that strikes on a clean frame
 boundary leaves the transport reusable (the in-flight answer is simply
 late, not torn).
 
-:class:`BinaryTransport` is the negotiated ``repro-wire-v2`` framing mode
-over the same carriers: ``[u32 big-endian length][payload]`` instead of
-newline delimiters. A payload starting with ``{`` is a UTF-8 JSON frame;
-any other leading byte is a binary codec tag resolved through
+:class:`BinaryTransport` is the ``repro-wire-v2`` framing every worker
+stream runs after its handshake: ``[u32 big-endian length][payload]``
+instead of newline delimiters. A payload starting with ``{`` is a UTF-8
+JSON frame; any other leading byte is a binary codec tag resolved through
 :func:`register_frame_decoder` (populated by :mod:`repro.serve.wire` for
 the two hot frame families — shipped delta batches and response
 bundles). ``recv`` always returns the same frame dict either way, so
@@ -97,8 +93,8 @@ class LineTransport:
         reader: binary file-like the peer writes to (must have
             ``fileno()``/``readinto`` semantics; only ``fileno`` is used).
         writer: binary file-like we write frames to (``write`` + ``flush``).
-        on_close: extra callables invoked once on :meth:`close` (socket
-            shutdown, subprocess handles, ...).
+        on_close: extra callables invoked once on :meth:`close` (the
+            socket shutdown sweep).
 
     Not thread-safe: one transport belongs to one request loop. The worker
     pool gives every worker its own transport, which is what makes
@@ -140,12 +136,6 @@ class LineTransport:
                     pass                        # close is best-effort
 
         return cls(reader, writer, on_close=(_shutdown,))
-
-    @classmethod
-    def over_files(cls, reader: BinaryIO, writer: BinaryIO,
-                   ) -> "LineTransport":
-        """Frame over a pipe pair (subprocess stdio or ``os.pipe`` ends)."""
-        return cls(reader, writer)
 
     # ------------------------------------------------------------------
     # Framing
@@ -297,7 +287,7 @@ class LineTransport:
 
 
 # ---------------------------------------------------------------------------
-# Length-prefixed binary framing (negotiated repro-wire-v2)
+# Length-prefixed binary framing (repro-wire-v2)
 # ---------------------------------------------------------------------------
 
 #: Binary-payload decoders by tag byte. A decoder takes the full payload

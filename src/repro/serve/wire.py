@@ -95,12 +95,13 @@ from repro.store.store import PropertyGraphStore
 #: persistence format tag (the record shapes are identical).
 WIRE_FORMAT = "repro-wire-v1"
 
-#: Negotiated upgrade: length-prefixed binary framing plus binary codecs
-#: for the two hot frame families (shipped batches, response bundles) and
+#: What every worker stream speaks after its hello/welcome handshake:
+#: length-prefixed binary framing plus binary codecs for the two hot
+#: frame families (shipped batches, response bundles) and
 #: checkpoint-based bootstrap. Every JSON frame shape is unchanged — v2
 #: is a transport/codec upgrade, not a new frame vocabulary — so ``format``
-#: tags inside frames stay ``repro-wire-v1`` and v1 peers interoperate
-#: byte-compatibly when the capability exchange does not land.
+#: tags inside frames stay ``repro-wire-v1``, which is also still the
+#: framing of the handshake itself and of front-end client sessions.
 WIRE_FORMAT_V2 = "repro-wire-v2"
 
 _PROPERTY_OPS = (DeltaOp.SET_VERTEX_PROPERTY, DeltaOp.SET_EDGE_PROPERTY)
@@ -315,11 +316,10 @@ def hello_frame(worker_id: int, token: str,
     spawn token (rejects stray connections to the pool's listener).
 
     ``wire`` (additive under ``repro-wire-v1``) lists the wire formats the
-    worker can speak beyond v1, e.g. ``["repro-wire-v2"]``. A v1 pool
-    ignores the field (:func:`hello_from_wire` reads only worker + token),
-    so advertising costs nothing; a v2 pool answers with a ``welcome``
-    frame naming the chosen format (:func:`welcome_frame` ``wire=``)
-    before any bootstrap state flows.
+    worker can speak beyond v1 — ``["repro-wire-v2"]`` from every real
+    worker. The pool refuses a hello without it and answers the rest
+    with a ``welcome`` frame naming the format (:func:`welcome_frame`
+    ``wire=``) before any bootstrap state flows.
     """
     frame: dict[str, Any] = {"kind": "hello", "format": WIRE_FORMAT,
                              "worker": int(worker_id), "token": token}
@@ -376,10 +376,7 @@ def checkpoint_frame(path: str, epoch: int,
                      generation: int) -> dict[str, Any]:
     """Bootstrap-by-checkpoint order: load the binary snapshot at ``path``.
 
-    New frame kind under ``repro-wire-v1`` (additive: v1 peers answer
-    unknown kinds with an event frame, which the pool treats as "fall
-    back to a full JSON sync"). Sent only to workers that negotiated
-    ``repro-wire-v2``; the path is a leader-local file
+    How every worker is bootstrapped; the path is a leader-local file
     (:mod:`repro.store.checkpoint`), valid because workers are always
     subprocesses on the same host — that locality is what makes the
     bootstrap zero-copy (the worker mmaps the file instead of parsing an
@@ -496,11 +493,11 @@ def welcome_frame(session_id: int, epoch: int,
 
     ``wire`` (additive) names the wire format the sender selected from
     the peer's advertised capabilities (:func:`hello_frame` ``wire=``).
-    The pool sends a worker-directed welcome with
-    ``wire="repro-wire-v2"`` to accept the upgrade; both sides then
-    switch to length-prefixed binary framing
-    (:class:`repro.serve.transport.BinaryTransport`) for every
-    subsequent frame. Absent, the session stays on v1 JSON lines.
+    The pool sends every worker a welcome with
+    ``wire="repro-wire-v2"``; both sides then switch to length-prefixed
+    binary framing (:class:`repro.serve.transport.BinaryTransport`) for
+    every subsequent frame. Absent (front-end client sessions), the
+    session stays on v1 JSON lines.
     """
     frame: dict[str, Any] = {"kind": "welcome", "format": WIRE_FORMAT,
                              "session": int(session_id),
@@ -804,7 +801,7 @@ def responses_bundle_from_wire(record: dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# Binary frame codecs (negotiated repro-wire-v2 hot path)
+# Binary frame codecs (the repro-wire-v2 hot path)
 # ---------------------------------------------------------------------------
 #
 # The two highest-volume frame families — shipped delta batches

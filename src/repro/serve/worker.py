@@ -2,7 +2,8 @@
 
 A worker is the process-boundary twin of
 :class:`repro.serve.replication.Replica`: it bootstraps its store from a
-framed ``sync``, applies shipped ``batch`` frames through
+leader ``checkpoint`` file (or, on a fault, a framed ``sync``), applies
+shipped ``batch`` frames through
 :meth:`~repro.store.PropertyGraphStore.apply_replicated_batch` (so its
 delta log mirrors the leader's and its read snapshot advances with the
 shared incremental patcher), and answers ``request`` frames —
@@ -31,10 +32,8 @@ provably cannot have changed, evicting only the overlap
 :meth:`repro.session.LifecycleSession._revalidate`). A re-sync still
 clears everything: a bootstrap crosses an unknown span, so nothing is
 provable (``docs/consistency.md`` §"Worker result cache (footprint
-retention)"). ``cache_mode="epoch"`` restores the PR 5 clear-on-advance
-behavior (the benchmark baseline). Budgeted CypherLite queries with a
-wall-clock timeout are never cached (their truncation point is
-nondeterministic).
+retention)"). Budgeted CypherLite queries with a wall-clock timeout are
+never cached (their truncation point is nondeterministic).
 
 **Materialized summary views.** A ``summarize`` request (wire-safe PgSeg
 queries + one PgSum query) is answered from a per-request materialized
@@ -64,9 +63,9 @@ Failure contract:
 - EOF on the control stream means the leader is gone; the worker exits
   cleanly, so killing the pool never leaks worker processes.
 
-Spawned via ``python -m repro.cli serve-worker`` (see
-:func:`repro.cli._cmd_serve_worker`) with either ``--connect host:port``
-(socket mode) or ``--stdio`` (pipe mode).
+Spawned via ``python -m repro.cli serve-worker --connect host:port`` (see
+:func:`repro.cli._cmd_serve_worker`): the worker dials the pool's
+loopback listener, sends its ``hello`` and serves from :meth:`run`.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ from repro.serve.wire import (
     request_from_wire,
     requests_bundle_from_wire,
     response_to_wire,
-    responses_bundle_to_wire,
     rows_to_wire,
     segment_to_wire,
     sync_from_frame,
@@ -128,9 +126,6 @@ DEFAULT_CACHE_SIZE = 256
 #: Default bound on materialized summary views (views are much heavier
 #: than plain cache entries: each holds its input segments).
 DEFAULT_VIEW_LIMIT = 32
-
-#: Recognized values of ``cache_mode`` (see :class:`ReplicaWorker`).
-CACHE_MODES = ("footprint", "epoch")
 
 #: Bound on the worker's ring of recent traced-request span lists.
 TRACE_RING = 32
@@ -165,10 +160,6 @@ class ReplicaWorker:
         worker_id: the pool-assigned identifier (stats/logging only).
         cache_size: bound on the result cache; ``0`` disables result
             caching *and* materialized views entirely.
-        cache_mode: ``"footprint"`` (default) retains cached entries
-            whose dependency footprint is disjoint from each applied
-            batch's write set; ``"epoch"`` restores the historical
-            clear-everything-on-advance behavior (benchmark baseline).
         generation: monotonic spawn counter assigned by the pool (0 for
             the first spawn, bumped per restart); echoed in pong stats so
             clients can detect counter resets across crash-restarts.
@@ -185,7 +176,7 @@ class ReplicaWorker:
     requests_served = MetricAttr("requests_served")
     bundles_served = MetricAttr("bundles_served")
     syncs = MetricAttr("syncs")
-    #: Bootstraps served from a binary checkpoint file (v2 fast path).
+    #: Bootstraps served from a binary checkpoint file.
     checkpoints = MetricAttr("checkpoints")
     cache_hits = MetricAttr("cache_hits")
     cache_misses = MetricAttr("cache_misses")
@@ -197,24 +188,17 @@ class ReplicaWorker:
     traces_recorded = MetricAttr("traces_recorded")
 
     def __init__(self, transport: LineTransport, worker_id: int = 0,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
-                 cache_mode: str = "footprint", generation: int = 0,
+                 cache_size: int = DEFAULT_CACHE_SIZE, generation: int = 0,
                  view_limit: int = DEFAULT_VIEW_LIMIT,
                  registry=None, shard: int | None = None):
-        if cache_mode not in CACHE_MODES:
-            raise ValueError(f"unknown cache_mode {cache_mode!r}")
         self._obs_registry = registry if registry is not None \
             else MetricsRegistry()
         self._obs_prefix = "worker" if shard is None else f"shard{shard}.worker"
         self._transport = transport
-        #: Negotiated wire protocol: 1 until the pool's worker-directed
-        #: ``welcome`` names ``repro-wire-v2`` (see :meth:`run`).
-        self.wire_version = 1
         self.worker_id = worker_id
         #: Shard index when spawned by a sharded pool (``--shard``);
         #: echoed in pong stats — additive, absent unsharded.
         self.shard = shard
-        self.cache_mode = cache_mode
         self.generation = int(generation)
         self.store = None
         self.graph: ProvenanceGraph | None = None
@@ -242,7 +226,22 @@ class ReplicaWorker:
     # ------------------------------------------------------------------
 
     def run(self) -> int:
-        """Process frames until shutdown/EOF; returns the exit code."""
+        """Process frames until shutdown/EOF; returns the exit code.
+
+        The pool answers the ``hello`` with a ``welcome`` naming
+        ``repro-wire-v2`` — the last line-framed frame; everything after
+        it is length-prefixed binary framing on the same fds. Any other
+        first frame is a peer this worker cannot serve: it exits non-zero
+        and the pool's restart path takes over.
+        """
+        try:
+            if welcome_wire_format(self._transport.recv()) != WIRE_FORMAT_V2:
+                return 1
+        except TransportClosed:
+            return 0
+        except SerializationError:
+            return 1
+        self._transport = BinaryTransport.adopt(self._transport)
         while True:
             try:
                 frame = self._transport.recv()
@@ -252,14 +251,6 @@ class ReplicaWorker:
             kind = frame.get("kind")
             if kind == "sync":
                 self._bootstrap(frame)
-            elif kind == "welcome":
-                # The pool's framing decision, always ahead of any state:
-                # a v2 welcome swaps this stream to length-prefixed
-                # binary frames on the same fds. (A v1 pool never sends
-                # one — the stream silently stays JSON lines.)
-                if welcome_wire_format(frame) == WIRE_FORMAT_V2:
-                    self._transport = BinaryTransport.adopt(self._transport)
-                    self.wire_version = 2
             elif kind == "checkpoint":
                 self._bootstrap_checkpoint(frame)
             elif kind == "batch":
@@ -295,8 +286,6 @@ class ReplicaWorker:
         stats: dict[str, Any] = {
             "worker_id": self.worker_id,
             "generation": self.generation,
-            "cache_mode": self.cache_mode,
-            "wire_version": self.wire_version,
             "batches_applied": self.batches_applied,
             "requests_served": self.requests_served,
             "bundles_served": self.bundles_served,
@@ -319,8 +308,8 @@ class ReplicaWorker:
     def close(self) -> None:
         """Close the control stream — the *current* one.
 
-        A negotiated upgrade swaps ``self._transport`` for an adopted
-        binary framer over the same fds (the original is neutered so its
+        The welcome swaps ``self._transport`` for an adopted binary
+        framer over the same fds (the original is neutered so its
         close is a no-op); callers holding the original transport must
         close through here or the fds leak.
         """
@@ -350,10 +339,11 @@ class ReplicaWorker:
     def _bootstrap_checkpoint(self, frame: dict[str, Any]) -> None:
         """(Re-)build local state by mmapping a leader checkpoint file.
 
-        The zero-copy twin of :meth:`_bootstrap`: the frame names a file
-        on shared local storage instead of carrying the store itself.
-        Success is acked with a pong at the checkpoint's epoch — the
-        pool ships the delta-log tail only after that ack. Any failure
+        The normal bootstrap (:meth:`_bootstrap` is its fault fallback):
+        the frame names a file on shared local storage instead of
+        carrying the store itself. Success is acked with a pong at the
+        checkpoint's epoch — the pool ships the delta-log tail only
+        after that ack. Any failure
         to load (file gone, corrupt, wrong format) is reported as a
         ``checkpoint-failed`` event with local state untouched-or-None,
         and the pool falls back to a full JSON sync on the same stream.
@@ -390,12 +380,7 @@ class ReplicaWorker:
             self._transport.send(event_frame("diverged", str(exc)))
             return False
         self.batches_applied += 1
-        if self.cache_mode == "epoch":
-            # Baseline behavior: every cached result is for a dead epoch.
-            self._cache.clear()
-            self._views.clear()
-        else:
-            self._retain(batch)
+        self._retain(batch)
         self._cache_epoch = self.store.epoch
         return True
 
@@ -479,16 +464,12 @@ class ReplicaWorker:
                                         trace_id=trace_ids.get(request_id))
                      for request_id, method, params in calls]
         self.bundles_served += 1
-        if self.wire_version >= 2:
-            # The bundle answer is the read path's highest-volume frame:
-            # on negotiated-v2 streams it ships as the packed binary
-            # codec (byte-for-byte the same responses, decoded back to
-            # the identical dict by the pool's frame decoder).
-            self._transport.send_binary(
-                encode_responses_binary(self.epoch, responses))
-        else:
-            self._transport.send(
-                responses_bundle_to_wire(self.epoch, responses))
+        # The bundle answer is the read path's highest-volume frame: it
+        # ships as the packed binary codec (byte-for-byte the same
+        # responses, decoded back to the identical dict by the pool's
+        # frame decoder).
+        self._transport.send_binary(
+            encode_responses_binary(self.epoch, responses))
 
     def metrics(self) -> dict[str, Any]:
         """The ``metrics`` wire method: registry snapshot + recent traces.

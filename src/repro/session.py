@@ -382,15 +382,13 @@ class LifecycleSession:
 
     def serve(self, replicas: int | None = None,
               out_of_process: bool | None = None,
-              transport: str | None = None,
-              cache_mode: str | None = None,
               config: "ServeConfig | None" = None) -> "ProvCluster":
         """Fan session reads out across read replicas.
 
         Configure with one :class:`repro.serve.ServeConfig` —
         ``session.serve(config=ServeConfig(replicas=4,
-        out_of_process=True, frontend=True))`` — or through the bare
-        kwargs, which remain as the deprecated alias path building the
+        out_of_process=True, frontend=True))`` — or through the
+        ``replicas=`` / ``out_of_process=`` shorthand, which builds the
         same ``ServeConfig`` internally (mixing both raises).
 
         Bootstraps a :class:`repro.serve.cluster.ProvCluster` over this
@@ -402,12 +400,9 @@ class LifecycleSession:
         (e.g. ``session.serve(4).cypher(...)``).
 
         With ``out_of_process=True`` the replicas are worker *processes*
-        speaking the wire protocol over ``transport`` (``"socket"`` or
-        ``"pipe"``) — true parallel reads across cores; crashed workers
-        are restarted and re-synced transparently. ``cache_mode`` picks
-        the workers' result-cache retention policy (``"footprint"`` or
-        ``"epoch"``; see :class:`repro.serve.worker.ReplicaWorker`).
-        ``ServeConfig(frontend=True, ...)`` additionally starts the
+        speaking the wire protocol over loopback sockets — true parallel
+        reads across cores; crashed workers are restarted and re-synced
+        transparently. ``ServeConfig(frontend=True, ...)`` additionally starts the
         asyncio front-end (:mod:`repro.serve.frontend`) so remote
         clients fan in over the wire protocol — reachable at
         ``session.cluster.frontend.address``. Call :meth:`stop_serving`
@@ -425,8 +420,7 @@ class LifecycleSession:
         from repro.serve.cluster import ProvCluster
 
         config = ServeConfig.of(config, replicas=replicas,
-                                out_of_process=out_of_process,
-                                transport=transport, cache_mode=cache_mode)
+                                out_of_process=out_of_process)
         self.stop_serving()
         if config.shards > 1:
             from repro.serve.shards import ShardedCluster

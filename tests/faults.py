@@ -2,7 +2,8 @@
 
 The replication, cache-retention, and sharded differential suites all
 drive the same failure machinery — worker crashes, leader-log
-truncation, transport poisoning, suspended shipping. These helpers are
+truncation, unreadable checkpoints, transport poisoning, suspended
+shipping. These helpers are
 the one copy of each injection, so every suite kills a worker (or
 starves a feed) the same way and new suites don't re-derive the
 incantations.
@@ -45,6 +46,19 @@ def truncate_log(store, capacity: int):
     """
     store.delta_log.capacity = capacity
     return store.delta_log
+
+
+def break_checkpoint(pool) -> None:
+    """Empty the checkpoint file the pool's next bootstrap will name.
+
+    The worker's load then fails and it answers ``checkpoint-failed``;
+    the pool must fall back to one JSON full sync on the same stream
+    (no restart) and drop the file so the bootstrap after that captures
+    fresh. Call it *after* the writes under test: a checkpoint past the
+    log's truncation horizon or refresh bound is recaptured, which would
+    replace the broken file. Accepts a :class:`repro.serve.pool.WorkerPool`.
+    """
+    pool.log.checkpoint().path.write_bytes(b"")
 
 
 def poison_transport(client) -> None:

@@ -13,13 +13,13 @@ Four layers, pinned bottom-up:
   upgrade that swaps framing on live fds;
 - the serving stack end to end: checkpoint+tail bootstrap serves
   answers identical to a full JSON sync across kill/restart loops,
-  degrades to the full sync when the checkpoint predates the log's
-  truncation horizon, and mixed-version fleets (v2 pool + v1 worker,
-  v1 pool + v2 worker) serve identically over JSON frames.
+  recaptures when the checkpoint predates the log's truncation horizon,
+  degrades to one full sync when the file cannot be loaded or the log
+  truncates between capture and ship, and refuses a peer whose hello
+  does not advertise ``repro-wire-v2``.
 """
 
 import socket
-import subprocess
 
 import pytest
 
@@ -29,7 +29,6 @@ from repro.errors import (
     TransportTimeout,
 )
 from repro.query.ops import blame, lineage
-from repro.serve.api import ServeConfig
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import BinaryTransport, LineTransport
 from repro.serve.wire import (
@@ -57,7 +56,7 @@ from repro.store.store import PropertyGraphStore
 from repro.model.types import EdgeType, VertexType
 from repro.workloads.lifecycle import build_paper_example
 
-from tests.faults import kill_worker, truncate_log
+from tests.faults import break_checkpoint, kill_worker, open_fds, truncate_log
 
 
 def varied_store():
@@ -282,23 +281,18 @@ def expected(graph, targets):
 class TestCheckpointBootstrapDifferential:
     """Checkpoint+tail must be observationally identical to a full sync."""
 
-    @pytest.mark.parametrize("transport", ["socket", "pipe"])
-    def test_restart_loop_checkpoint_vs_full_sync(self, transport):
+    def test_restart_loop_checkpoint_vs_full_sync(self):
         example = build_paper_example()
         graph = example.graph
         targets = [example["weight-v2"], example["model-v1"]]
-        configs = {
-            "checkpoint": ServeConfig(replicas=1, transport=transport),
-            "full-sync": ServeConfig(replicas=1, transport=transport,
-                                     checkpoint=False),
-            "v1": ServeConfig(replicas=1, transport=transport,
-                              wire_version=1),
-        }
         served = {}
-        for mode, config in configs.items():
-            with WorkerPool(graph, config=config) as pool:
+        for mode in ("checkpoint", "full-sync"):
+            with WorkerPool(graph, count=1) as pool:
                 client = pool.clients[0]
                 for round_index in range(2):
+                    graph.add_entity(name=f"{mode}-{round_index}")
+                    if mode == "full-sync":
+                        break_checkpoint(pool)       # forces the fallback
                     kill_worker(client)
                     pool.restart(client, failed=client.transport)
                     client.ping(timeout=30)
@@ -309,16 +303,18 @@ class TestCheckpointBootstrapDifferential:
                     assert boot["checkpoint_hits"] == 3    # boot + 2 restarts
                     assert boot["full_syncs"] == 0
                 else:
-                    assert boot["checkpoint_hits"] == 0
-                    assert boot["full_syncs"] == 3
-        assert served["checkpoint"] == served["full-sync"] == served["v1"] \
+                    assert boot["checkpoint_hits"] == 1    # the boot only
+                    assert boot["full_syncs"] == 2
+        assert served["checkpoint"] == served["full-sync"] \
             == expected(graph, targets)
 
-    def test_stale_checkpoint_falls_back_to_full_sync(self):
+    def test_stale_checkpoint_falls_back_to_fresh_capture(self):
+        """A checkpoint past the log's truncation horizon is replaced by
+        one captured now — never by the JSON sync."""
         example = build_paper_example()
         graph = example.graph
-        target = example["weight-v2"]
-        with WorkerPool(graph, count=1, transport="pipe") as pool:
+        targets = [example["weight-v2"], example["model-v1"]]
+        with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
             assert pool.stats()["bootstrap"]["checkpoint_hits"] == 1
             # Shrink the retained window, then write far past it: the
@@ -331,16 +327,55 @@ class TestCheckpointBootstrapDifferential:
             pool.restart(client, failed=client.transport)
             client.ping(timeout=30)
             boot = pool.stats()["bootstrap"]
-            assert boot["full_syncs"] == 1       # the mandated fallback
+            assert boot["full_syncs"] == 0
+            assert boot["checkpoint_hits"] == 2
             assert client.epoch == pool.log.epoch
-            assert sorted(client.lineage(target).vertices) \
-                == sorted(lineage(graph, target).vertices)
-            # The stale checkpoint was invalidated: the *next* restart
+            assert answers(pool, targets) == expected(graph, targets)
+
+    @pytest.mark.parametrize("fault", ["unreadable-file",
+                                       "truncated-after-capture"])
+    def test_checkpoint_fault_falls_back_to_one_full_sync(
+            self, fault, monkeypatch):
+        """The two faults the JSON ``sync`` frame survives for: the
+        worker answers ``checkpoint-failed``, or the log truncates past
+        the checkpoint between capture and ship. Either way: one full
+        sync on the same stream, then checkpoints again."""
+        example = build_paper_example()
+        graph = example.graph
+        targets = [example["weight-v2"], example["model-v1"]]
+        with WorkerPool(graph, count=1) as pool:
+            client = pool.clients[0]
+            truncate_log(graph.store, 4)
+            for index in range(8):          # the span falls off the log
+                graph.add_entity(name=f"burst-{index}")
+            if fault == "unreadable-file":
+                break_checkpoint(pool)
+            else:
+                capture = pool.log.checkpoint
+
+                def capture_then_lose_the_race():
+                    ckpt = capture()
+                    for index in range(8):
+                        graph.add_entity(name=f"raced-{index}")
+                    return ckpt
+
+                monkeypatch.setattr(pool.log, "checkpoint",
+                                    capture_then_lose_the_race)
+            pool.ship(client)               # truncated span: state reload
+            monkeypatch.undo()
+            worker_epoch, _stats = client.ping(timeout=30)
+            assert worker_epoch == client.epoch == pool.log.epoch
+            assert (client.restarts, client.resyncs) == (0, 1)
+            assert pool.stats()["bootstrap"]["full_syncs"] == 1
+            assert answers(pool, targets) == expected(graph, targets)
+            # The faulty checkpoint was dropped: the next restart
             # captures fresh and rides the fast path again.
             kill_worker(client)
             pool.restart(client, failed=client.transport)
             client.ping(timeout=30)
-            assert pool.stats()["bootstrap"]["checkpoint_hits"] == 2
+            boot = pool.stats()["bootstrap"]
+            assert (boot["checkpoint_hits"], boot["full_syncs"]) == (2, 1)
+            assert answers(pool, targets) == expected(graph, targets)
 
     def test_kill_mid_bootstrap_then_recover(self, monkeypatch):
         """A worker dying between the checkpoint frame and its ack must
@@ -360,7 +395,7 @@ class TestCheckpointBootstrapDifferential:
                 kill_worker(client)
             return original(self, client, ckpt, tail)
 
-        with WorkerPool(graph, count=1, transport="pipe") as pool:
+        with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
             monkeypatch.setattr(WorkerPool, "_ship_checkpoint", sabotage)
             sabotaged["armed"] = True
@@ -375,48 +410,32 @@ class TestCheckpointBootstrapDifferential:
                 == sorted(lineage(graph, target).vertices)
 
 
-class TestMixedVersionPool:
-    """Satellite: hello/welcome negotiation must degrade cleanly."""
+class TestRefusedPeer:
+    """A hello that does not advertise ``repro-wire-v2`` is a bad
+    handshake like any other: dropped, never attached."""
 
-    def test_v2_pool_with_v1_worker_serves_over_json(self, monkeypatch):
-        real_popen = subprocess.Popen
+    def test_peer_without_wire_v2_is_dropped(self):
+        import gc
 
-        def pin_v1(command, **kwargs):
-            if "serve-worker" in command:
-                command = list(command)
-                index = command.index("serve-worker") + 1
-                command[index:index] = ["--wire-version", "1"]
-            return real_popen(command, **kwargs)
-
-        monkeypatch.setattr("repro.serve.pool.subprocess.Popen", pin_v1)
         example = build_paper_example()
         graph = example.graph
         target = example["weight-v2"]
-        with WorkerPool(graph, count=1, transport="pipe") as pool:
+        with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
-            assert pool.config.wire_version == 2      # pool wanted v2...
-            assert client.wire_version == 1           # ...worker can't
-            assert pool.stats()["bootstrap"]["full_syncs"] == 1
+            gc.collect()
+            baseline = open_fds()
+            # The stub dials first, so the restart's accept loop meets it
+            # ahead of the real respawn: right token, right id, no caps.
+            stub = LineTransport.over_socket(
+                socket.create_connection(pool._listener.getsockname()))
+            with stub:
+                stub.send(hello_frame(client.replica_id, pool._token))
+                kill_worker(client)
+                pool.restart(client, failed=client.transport)
+                with pytest.raises(TransportClosed):    # no welcome: EOF
+                    stub.recv(timeout=10)
+            assert client.restarts == 1 and client.alive()
             assert sorted(client.lineage(target).vertices) \
                 == sorted(lineage(graph, target).vertices)
-            _, stats = client.ping()
-            assert stats["wire_version"] == 1
-            kill_worker(client)
-            pool.restart(client, failed=client.transport)
-            assert client.wire_version == 1           # renegotiated, same
-            assert sorted(client.lineage(target).vertices) \
-                == sorted(lineage(graph, target).vertices)
-
-    def test_v1_pool_with_v2_worker_serves_over_json(self):
-        example = build_paper_example()
-        graph = example.graph
-        target = example["weight-v2"]
-        config = ServeConfig(replicas=1, transport="pipe", wire_version=1)
-        with WorkerPool(graph, config=config) as pool:
-            client = pool.clients[0]
-            assert client.wire_version == 1
-            assert sorted(client.lineage(target).vertices) \
-                == sorted(lineage(graph, target).vertices)
-            _, stats = client.ping()
-            # The worker advertised v2; never welcomed, it stayed v1.
-            assert stats["wire_version"] == 1
+            gc.collect()
+            assert open_fds() <= baseline

@@ -270,7 +270,7 @@ class TestObsConfig:
 def traced_stack():
     example = build_paper_example()
     cluster = ProvCluster(example.graph, config=ServeConfig(
-        replicas=2, out_of_process=True, transport="socket",
+        replicas=2, out_of_process=True,
         frontend=True, trace_sample=1.0, slow_query_s=1e-9))
     try:
         yield example, cluster
@@ -358,7 +358,7 @@ class TestTracedFullStack:
 def untraced_stack():
     example = build_paper_example()
     cluster = ProvCluster(example.graph, config=ServeConfig(
-        replicas=2, out_of_process=True, transport="socket",
+        replicas=2, out_of_process=True,
         frontend=True))
     try:
         yield example, cluster

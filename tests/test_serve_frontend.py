@@ -57,14 +57,13 @@ def _wait_until(predicate, timeout=10.0, interval=0.01):
 class TestServeConfig:
     def test_defaults_are_valid_and_frozen(self):
         config = ServeConfig()
-        assert config.replicas == 2 and config.transport == "socket"
+        assert config.replicas == 2 and not config.out_of_process
         with pytest.raises(Exception):
             config.replicas = 5                       # frozen dataclass
 
     @pytest.mark.parametrize("bad", [
         {"replicas": 0},
-        {"transport": "carrier-pigeon"},
-        {"cache_mode": "psychic"},
+        {"shards": 0},
         {"frontend_port": -1},
         {"frontend_port": 70000},
         {"max_inflight": 0},
@@ -83,8 +82,8 @@ class TestServeConfig:
             ServeConfig(replicas=0)
 
     def test_of_builds_from_overrides(self):
-        config = ServeConfig.of(None, replicas=3, transport="pipe")
-        assert (config.replicas, config.transport) == (3, "pipe")
+        config = ServeConfig.of(None, replicas=3, out_of_process=True)
+        assert (config.replicas, config.out_of_process) == (3, True)
         # None-valued overrides mean "not given", not "None".
         assert ServeConfig.of(None, replicas=None).replicas == 2
 

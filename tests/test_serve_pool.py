@@ -25,12 +25,11 @@ from repro.errors import (
 from repro.query.ops import blame, lineage
 from repro.segment.boundary import BoundaryCriteria
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
-from repro.serve.api import ServeConfig
 from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import LineTransport
 from repro.workloads.lifecycle import build_paper_example
-from faults import open_fds, truncate_log
+from faults import break_checkpoint, open_fds, truncate_log
 
 
 def socketpair_transports():
@@ -442,7 +441,6 @@ class TestWorkerResultCache:
             client.lineage(target)
             client.lineage(target)                    # identical re-ask
             _, stats = client.ping()
-            assert stats["cache_mode"] == "footprint"
             assert stats["cache_misses"] >= 1
             assert stats["cache_hits"] >= 1
             assert stats["cache_size"] >= 1
@@ -470,29 +468,6 @@ class TestWorkerResultCache:
             client.lineage(target)                    # warm again
             _, stats = client.ping()
             assert stats["cache_hits"] == hits_before + 1
-
-    def test_epoch_mode_clears_everything_on_any_advance(self):
-        """The pre-retention baseline stays available for benchmarking:
-        ``cache_mode="epoch"`` drops the whole cache on any write, even
-        one provably disjoint from every cached footprint."""
-        example = build_paper_example()
-        graph = example.graph
-        target = example["weight-v2"]
-        with WorkerPool(graph, count=1, cache_mode="epoch") as pool:
-            client = pool.clients[0]
-            client.lineage(target)
-            client.lineage(target)
-            _, stats = client.ping()
-            assert stats["cache_mode"] == "epoch"
-            hits_before = stats["cache_hits"]
-            misses_before = stats["cache_misses"]
-            graph.add_entity(name="cache-buster")     # disjoint write
-            client.catch_up()
-            client.lineage(target)    # same request, new epoch: a miss
-            _, stats = client.ping()
-            assert stats["cache_hits"] == hits_before
-            assert stats["cache_misses"] == misses_before + 1
-            assert stats["cache_retained"] == 0
 
     def test_budgeted_cypher_with_timeout_never_cached(self):
         """Wall-clock budgets truncate nondeterministically; replaying
@@ -527,10 +502,9 @@ class TestWorkerResultCache:
 
 class TestTransportFds:
     """Satellite regression: pool restart loops must not leak fds
-    (socket ``makefile`` wrappers, pipe ends of failed handshakes)."""
+    (the socket and both of its ``makefile`` wrappers)."""
 
-    @pytest.mark.parametrize("transport", ["socket", "pipe"])
-    def test_restart_loop_does_not_leak_fds(self, transport):
+    def test_restart_loop_does_not_leak_fds(self):
         import gc
 
         def checkpoint_files(pool):
@@ -543,7 +517,7 @@ class TestTransportFds:
         example = build_paper_example()
         graph = example.graph
         target = example["weight-v2"]
-        with WorkerPool(graph, count=1, transport=transport) as pool:
+        with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
             assert client.lineage(target).root == target
             gc.collect()
@@ -572,25 +546,20 @@ class TestShipCursor:
     """A batch committed between ``ship``'s span read and its cursor set
     belongs to the *next* ship; the cursor must not jump over it."""
 
-    @pytest.mark.parametrize("wire_version", [1, 2])
-    def test_write_racing_the_span_read_is_not_skipped(
-            self, wire_version, monkeypatch):
+    def test_write_racing_the_span_read_is_not_skipped(self, monkeypatch):
         graph = build_paper_example().graph
-        config = ServeConfig(replicas=1, wire_version=wire_version)
-        with WorkerPool(graph, config=config) as pool:
+        with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
-            assert client.wire_version == wire_version
             graph.add_entity(name="in-span")
-            reader = "ship_binary_since" if wire_version == 2 \
-                else "ship_since"
-            read_span = getattr(pool.log, reader)
+            read_span = pool.log.ship_binary_since
 
             def read_then_lose_the_race(epoch):
                 span = read_span(epoch)
                 graph.add_entity(name="raced")
                 return span
 
-            monkeypatch.setattr(pool.log, reader, read_then_lose_the_race)
+            monkeypatch.setattr(pool.log, "ship_binary_since",
+                                read_then_lose_the_race)
             assert pool.ship(client) == 1
             monkeypatch.undo()
             assert client.epoch == pool.log.epoch - 1
@@ -600,20 +569,17 @@ class TestShipCursor:
             assert worker_epoch == client.epoch == pool.log.epoch
             assert client.restarts == 0
 
-    @pytest.mark.parametrize("wire_version", [1, 2])
-    def test_write_racing_the_full_sync_is_not_skipped(
-            self, wire_version, monkeypatch):
+    def test_write_racing_the_full_sync_is_not_skipped(self, monkeypatch):
         """The full-sync fallback's cursor is the epoch the payload was
         encoded at (``ReplicationLog.sync`` hands it back), not the
         leader epoch once the frame is out."""
         graph = build_paper_example().graph
-        config = ServeConfig(replicas=1, wire_version=wire_version,
-                             checkpoint=False)
-        with WorkerPool(graph, config=config) as pool:
+        with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
             truncate_log(graph.store, 4)
             for tag in range(8):            # the span falls off the log
                 graph.add_entity(name=f"burst{tag}")
+            break_checkpoint(pool)          # the worker will ask for a sync
             encode = pool.log.sync
 
             def encode_then_lose_the_race():
@@ -624,6 +590,7 @@ class TestShipCursor:
             monkeypatch.setattr(pool.log, "sync", encode_then_lose_the_race)
             pool.ship(client)               # truncated: full re-sync
             monkeypatch.undo()
+            assert pool.stats()["bootstrap"]["full_syncs"] == 1
             assert client.resyncs == 1
             assert client.epoch == pool.log.epoch - 1
             assert pool.ship(client) == 1            # the raced batch
@@ -633,9 +600,9 @@ class TestShipCursor:
 
 
 class TestWorkerPoolLifecycle:
-    def test_pipe_transport_and_clean_close(self):
+    def test_clean_close_is_idempotent(self):
         graph = build_paper_example().graph
-        with WorkerPool(graph, count=1, transport="pipe") as pool:
+        with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
             entities = list(graph.entities())
             assert client.lineage(entities[0]).root == entities[0]
@@ -645,7 +612,7 @@ class TestWorkerPoolLifecycle:
 
     def test_workers_exit_when_pool_closes_sockets(self):
         graph = build_paper_example().graph
-        pool = WorkerPool(graph, count=2, transport="socket")
+        pool = WorkerPool(graph, count=2)
         procs = [client.proc for client in pool.clients]
         pool.close()
         for proc in procs:
@@ -663,5 +630,3 @@ class TestWorkerPoolLifecycle:
         graph = build_paper_example().graph
         with pytest.raises(ValueError):
             WorkerPool(graph, count=0)
-        with pytest.raises(ValueError):
-            WorkerPool(graph, transport="carrier-pigeon")

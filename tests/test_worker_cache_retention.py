@@ -83,13 +83,12 @@ ROUNDS = 25
 class _Harness:
     """One ReplicaWorker driven in-process over a real transport."""
 
-    def __init__(self, graph, cache_mode="footprint"):
+    def __init__(self, graph):
         self.graph = graph
         left, right = socket_mod.socketpair()
         self._pool_side = LineTransport.over_socket(left)
         self._worker_side = LineTransport.over_socket(right)
-        self.worker = ReplicaWorker(self._worker_side, 0,
-                                    cache_mode=cache_mode)
+        self.worker = ReplicaWorker(self._worker_side, 0)
         self.worker._bootstrap(sync_to_frame(graph.store))
 
     def ship(self):
