@@ -1,10 +1,11 @@
 """Delta-log replication and the multi-replica query serving layer.
 
 Turns the single-process provenance store into a leader + N read-replica
-cluster: :mod:`repro.serve.wire` is the JSON-lines wire format (replication
-stream + request/response query frames — spec in ``docs/wire-protocol.md``),
-:mod:`repro.serve.replication` the leader publisher and in-process replica
-catch-up protocol, :mod:`repro.serve.transport` the framed socket
+cluster: :mod:`repro.serve.wire` is the wire format (replication stream +
+request/response query frames — spec in ``docs/wire-protocol.md``),
+:mod:`repro.serve.replication` the leader publisher, the one
+checkpoint + binary-tail bootstrap every follower shares, and the
+in-process replica, :mod:`repro.serve.transport` the framed socket
 channel, :mod:`repro.serve.worker` the out-of-process replica worker, and
 :mod:`repro.serve.pool` the worker pool that spawns, health-checks, and
 restarts those workers. :mod:`repro.serve.cluster` routes every read family
@@ -26,13 +27,7 @@ from repro.serve.pool import WorkerClient, WorkerPool
 from repro.serve.replication import Replica, ReplicationLog
 from repro.serve.shards import ShardedCluster
 from repro.serve.transport import LineTransport
-from repro.serve.wire import (
-    WIRE_FORMAT,
-    decode_batch,
-    decode_sync,
-    encode_batch,
-    encode_sync,
-)
+from repro.serve.wire import WIRE_FORMAT
 from repro.serve.worker import ReplicaWorker
 
 __all__ = [
@@ -50,8 +45,4 @@ __all__ = [
     "ShardedCluster",
     "WorkerClient",
     "WorkerPool",
-    "decode_batch",
-    "decode_sync",
-    "encode_batch",
-    "encode_sync",
 ]

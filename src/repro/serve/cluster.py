@@ -230,8 +230,6 @@ class ProvCluster:
                                      obs_prefix=f"{prefix}replica{i}")
                              for i in range(config.replicas)]
         self.router = QueryRouter(self.replicas)
-        # All replicas bootstrapped off one memoized payload; free it now.
-        self.log.release_sync()
         self.frontend: "AsyncFrontend | None" = None
         if config.frontend:
             from repro.serve.frontend import AsyncFrontend
@@ -670,7 +668,8 @@ class ProvCluster:
         return self.pool.health_check()
 
     def close(self) -> None:
-        """Shut down the front-end and worker pool, if any (idempotent).
+        """Shut down the front-end and worker pool, if any, and delete the
+        log's checkpoint directory (idempotent).
 
         Safe to call repeatedly and safe when a worker already died
         mid-shutdown: the front-end is stopped first (no new client work
@@ -685,6 +684,7 @@ class ProvCluster:
                 pass
         if self.pool is not None:
             self.pool.close()
+        self.log.close()
 
     def __enter__(self) -> "ProvCluster":
         return self

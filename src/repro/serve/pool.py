@@ -100,7 +100,6 @@ from repro.serve.wire import (
     rows_from_wire,
     segment_from_wire,
     shutdown_frame,
-    sync_frame,
     welcome_frame,
 )
 
@@ -980,39 +979,31 @@ class WorkerPool:
     def _send_state(self, client: WorkerClient) -> None:
         """Bring a fresh worker to the leader epoch: checkpoint + tail.
 
-        The worker mmaps a binary snapshot the leader already wrote
-        (zero-copy on the ship path — only the frame naming the file
-        crosses the stream) and replays just the batches logged after
-        it. The full JSON ``sync`` frame is the fault fallback only: the
-        log truncated past the checkpoint between capture and ship, or
-        the worker could not load the file. Either way the checkpoint is
-        dropped so the next bootstrap captures fresh.
+        The worker reads a binary snapshot the leader already wrote (only
+        the frame naming the file crosses the stream) and replays just the
+        batches logged after it, under the fault policy every follower
+        shares (:meth:`ReplicationLog.bootstrap
+        <repro.serve.replication.ReplicationLog.bootstrap>`). A bootstrap
+        that needed its fault recapture counts as ``full_syncs``, the rest
+        as ``checkpoint_hits``. When the fresh capture fails too, the
+        worker is discarded — the detached client restarts on its next
+        entry point — and :class:`~repro.errors.ReplicaUnavailable`
+        propagates.
         """
-        duration = self.obs.registry.histogram(
-            f"{self.obs_label}.bootstrap.duration_s")
+        registry = self.obs.registry
         start = time.perf_counter()
-        ckpt = self.log.checkpoint()
-        tail = self.log.ship_binary_since(ckpt.epoch)
-        if tail is not None and self._ship_checkpoint(client, ckpt, tail):
-            shipped = ckpt.nbytes + sum(len(p) for p in tail)
-            self.obs.registry.counter(
-                f"{self.obs_label}.bootstrap.checkpoint_hits").inc()
-        else:
-            self.log.invalidate_checkpoint()
-            # The cursor is the epoch the payload was *encoded* at: a
-            # write landing after the encode belongs to the next ship.
-            epoch, payload = self.log.sync()
-            client.transport.send(sync_frame(payload))
-            client.epoch = epoch
-            shipped = len(payload)
-            # The next bootstrap captures a checkpoint, so nobody shares
-            # this O(graph) payload: do not keep it memoized.
-            self.log.release_sync()
-            self.obs.registry.counter(
-                f"{self.obs_label}.bootstrap.full_syncs").inc()
-        self.obs.registry.counter(
-            f"{self.obs_label}.bootstrap.bytes_shipped").inc(shipped)
-        duration.observe(time.perf_counter() - start)
+        try:
+            ckpt, tail, recaptured = self.log.bootstrap(
+                lambda ckpt, tail: self._ship_checkpoint(client, ckpt, tail))
+        except ReplicaUnavailable:
+            client._discard_process()
+            raise
+        outcome = "full_syncs" if recaptured else "checkpoint_hits"
+        registry.counter(f"{self.obs_label}.bootstrap.{outcome}").inc()
+        registry.counter(f"{self.obs_label}.bootstrap.bytes_shipped").inc(
+            ckpt.nbytes + sum(len(payload) for payload in tail))
+        registry.histogram(f"{self.obs_label}.bootstrap.duration_s").observe(
+            time.perf_counter() - start)
 
     def _ship_checkpoint(self, client: WorkerClient, ckpt,
                          tail: list[bytes]) -> bool:
@@ -1021,8 +1012,8 @@ class WorkerPool:
         The worker pongs at the checkpoint's epoch once the file is
         loaded — only then does the tail go out, so a worker that cannot
         read the file (unlinked by a concurrent refresh, corrupt, ...)
-        reports a ``checkpoint-failed`` event instead and the caller
-        falls back to the full sync with nothing half-applied.
+        reports a ``checkpoint-failed`` event instead and this returns
+        ``False`` with nothing half-applied (the caller recaptures).
         """
         client.transport.send(checkpoint_frame(
             str(ckpt.path), ckpt.epoch, ckpt.generation))
@@ -1030,7 +1021,7 @@ class WorkerPool:
             frame = client.transport.recv(timeout=self.spawn_timeout)
             kind = frame.get("kind")
             if kind == "event":
-                return False         # checkpoint-failed: fall back
+                return False         # checkpoint-failed: recapture
             if kind == "pong":
                 epoch, stats = pong_from_wire(frame)
                 client._note_pong(stats)
@@ -1049,7 +1040,7 @@ class WorkerPool:
     def ship(self, client: WorkerClient) -> int:
         """Ship the span ``(client.epoch, leader_epoch]`` in-order.
 
-        A truncated span degrades to a full re-sync, mirroring the
+        A truncated span degrades to a fresh bootstrap, mirroring the
         in-process replica (never a partial replay). Returns the number
         of batches (or re-synced epochs) shipped. The span crosses as
         binary batch frames (the packed codec).
@@ -1133,7 +1124,8 @@ class WorkerPool:
                 # Never leak the respawn: a worker we cannot handshake
                 # with must not linger half-connected. (After a
                 # successful attach the client owns the process; a
-                # failed sync there is healed by the next entry point.)
+                # failed state load there is healed by the next entry
+                # point.)
                 if client.transport is None:
                     if proc.poll() is None:
                         proc.kill()
@@ -1174,7 +1166,12 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Pool-wide spawn/replication/serving counters."""
+        """Pool-wide spawn/replication/serving counters.
+
+        ``bootstrap`` counts state loads: ``checkpoint_hits`` served by
+        the first checkpoint tried, ``full_syncs`` by the fault
+        recapture (the key keeps the name readers of it already use).
+        """
         registry = self.obs.registry
         return {
             "leader_epoch": self.log.epoch,

@@ -2,28 +2,31 @@
 
 The store already commits one atomic, epoch-tagged
 :class:`~repro.store.delta.DeltaBatch` per mutation (PR 2); this module
-turns that log into a replication stream:
+turns that log into a replication stream with **one state-transfer
+format** for every follower, in-process or not:
 
-- :class:`ReplicationLog` — the leader-side publisher. ``sync()`` emits a
-  full-snapshot bootstrap payload; ``ship_since(epoch)`` emits the encoded
-  batch lines covering ``(epoch, leader_epoch]``, or ``None`` when the
-  bounded log has truncated the span — the follower must re-sync, never
-  partially replay (the same contract
+- :class:`ReplicationLog` — the leader-side publisher. ``checkpoint()``
+  maintains the binary snapshot file (:mod:`repro.store.checkpoint`) a
+  follower loads its state from; ``ship_binary_since(epoch)`` emits the
+  ``repro-wire-v2`` binary batch payloads covering ``(epoch,
+  leader_epoch]``, or ``None`` when the bounded log has truncated the
+  span — the follower must bootstrap again, never partially replay (the
+  same contract
   :meth:`GraphSnapshot.advance <repro.store.snapshot.GraphSnapshot.advance>`
-  obeys). ``checkpoint()`` maintains the binary snapshot checkpoint
-  (:mod:`repro.store.checkpoint`) that out-of-process workers bootstrap
-  from — checkpoint + delta-log tail instead of an O(graph) JSON sync —
-  and ``ship_binary_since(epoch)`` is the tail in the
-  ``repro-wire-v2`` binary batch codec.
+  obeys). ``bootstrap(load)`` is the one fault policy around the two: a
+  checkpoint the follower cannot load, or a log that truncated between
+  capture and ship, is dropped and captured fresh once; a second failure
+  raises :class:`~repro.errors.ReplicaUnavailable`.
 
-- :class:`Replica` — a read-only follower. It bootstraps from a full sync
-  (id-, ordinal-, and epoch-exact), then catches up by applying shipped
-  batches through
+- :class:`Replica` — a read-only in-process follower. It bootstraps from
+  the same inputs an out-of-process worker gets (``read_checkpoint``,
+  then the binary tail — id-, ordinal-, and epoch-exact), then catches up
+  by decoding shipped binary batches and applying them through
   :meth:`~repro.store.PropertyGraphStore.apply_replicated_batch`; its local
   delta log therefore mirrors the leader's, and its memoized read snapshot
   advances with the same incremental patching / crossover policy as the
   leader's (:func:`repro.store.snapshot.default_crossover`). On truncation
-  it falls back to a fresh bootstrap and counts the re-sync.
+  or divergence it bootstraps again and counts the re-sync.
 
 Replicas serve every read family in the repo — lineage/impact/blame walks,
 PgSeg (with the operator's epoch-synced segment cache), and CypherLite —
@@ -35,9 +38,14 @@ from __future__ import annotations
 
 import threading
 from functools import wraps
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import ModelError, StoreError
+from repro.errors import (
+    ModelError,
+    ReplicaUnavailable,
+    SerializationError,
+    StoreError,
+)
 from repro.model.graph import ProvenanceGraph
 from repro.obs import MetricAttr, MetricsRegistry
 from repro.query.cypherlite import Budget, run_query
@@ -48,13 +56,15 @@ from repro.query.ops import lineage as _lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.api import QUERY_METHODS
 from repro.serve.wire import (
-    decode_batch,
-    decode_sync,
-    encode_batch,
+    batch_from_wire,
     encode_batch_binary,
-    encode_sync,
+    unpack_batch_frame,
 )
-from repro.store.checkpoint import Checkpoint, CheckpointManager
+from repro.store.checkpoint import (
+    Checkpoint,
+    CheckpointManager,
+    read_checkpoint,
+)
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 from repro.summarize.psg import Psg
 from repro.store.snapshot import GraphSnapshot
@@ -97,9 +107,8 @@ class ReplicationLog:
 
     def __init__(self, source):
         self.store: PropertyGraphStore = getattr(source, "store", source)
-        self._sync_cache: tuple[int, str] | None = None
-        self._checkpoints: CheckpointManager | None = None
-        #: Guards the two memos above: replicas catch up on any thread.
+        self._checkpoints = CheckpointManager()
+        #: Guards the checkpoint memo: followers bootstrap on any thread.
         self._lock = threading.Lock()
 
     @property
@@ -107,50 +116,12 @@ class ReplicationLog:
         """The leader's current mutation epoch."""
         return self.store.epoch
 
-    def sync(self) -> tuple[int, str]:
-        """``(epoch, payload)``: a full-snapshot bootstrap payload and the
-        epoch it was encoded at — the follower's cursor is *that* epoch,
-        not whatever the leader has reached by the time it is sent.
-
-        Memoized per epoch: bootstrapping N replicas (or several re-syncs
-        of the same span) encodes the store once, not N times. The cached
-        payload is released as soon as the epoch moves on (see
-        :meth:`ship_since`) or via :meth:`release_sync`.
-        """
-        with self._lock:
-            if self._sync_cache is None \
-                    or self._sync_cache[0] != self.epoch:
-                self._sync_cache = (self.epoch, encode_sync(self.store))
-            return self._sync_cache
-
-    def release_sync(self) -> None:
-        """Drop the memoized bootstrap payload (O(V+E) of JSON text)."""
-        with self._lock:
-            self._sync_cache = None
-
-    def ship_since(self, epoch: int) -> list[str] | None:
-        """Encoded batch lines covering ``(epoch, leader_epoch]``.
+    def ship_binary_since(self, epoch: int) -> list[bytes] | None:
+        """Binary batch payloads covering ``(epoch, leader_epoch]``.
 
         Returns ``None`` when the span is no longer fully retained by the
         leader's bounded delta log — the follower must bootstrap again
-        from :meth:`sync` (partial replay is never allowed).
-        """
-        with self._lock:
-            if self._sync_cache is not None \
-                    and self._sync_cache[0] != self.epoch:
-                # The cached bootstrap payload went stale with the first
-                # write after it; free it on the next interaction.
-                self._sync_cache = None
-        batches = self.store.delta_log.batches_since(epoch)
-        if batches is None:
-            return None
-        return [encode_batch(batch, self.store) for batch in batches]
-
-    def ship_binary_since(self, epoch: int) -> list[bytes] | None:
-        """The :meth:`ship_since` span as v2 binary batch payloads.
-
-        Same truncation contract: ``None`` means the follower must
-        bootstrap again. What every out-of-process worker is shipped
+        (partial replay is never allowed). Every follower is shipped these
         (:func:`repro.serve.wire.encode_batch_binary`).
         """
         batches = self.store.delta_log.batches_since(epoch)
@@ -163,19 +134,18 @@ class ReplicationLog:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> Checkpoint:
-        """The checkpoint a worker should bootstrap from right now.
+        """The checkpoint a follower should bootstrap from right now.
 
         The current checkpoint is reused while its tail is still fully
         retained by the delta log and shorter than
-        :attr:`CHECKPOINT_REFRESH_RECORDS` (the common restart path: ship
-        the file path + a short tail). Otherwise — none yet, a long tail,
-        or a checkpoint that predates the log's truncation horizon — one
-        is captured at the current epoch, replacing the old file; its
-        tail is empty, so that bootstrap is checkpoint-only.
+        :attr:`CHECKPOINT_REFRESH_RECORDS` (the common path: N replicas
+        or a restart share one file + a short tail). Otherwise — none
+        yet, a long tail, or a checkpoint that predates the log's
+        truncation horizon — one is captured at the current epoch,
+        replacing the old file; its tail is empty, so that bootstrap is
+        checkpoint-only.
         """
         with self._lock:
-            if self._checkpoints is None:
-                self._checkpoints = CheckpointManager()
             latest = self._checkpoints.latest
             if latest is not None:
                 # None: the tail fell off the log's truncation horizon.
@@ -185,19 +155,43 @@ class ReplicationLog:
                     return latest
             return self._checkpoints.capture(self.store)
 
-    def invalidate_checkpoint(self) -> None:
-        """Drop the current checkpoint (e.g. a worker failed to load it)."""
-        with self._lock:
-            if self._checkpoints is not None:
-                self._checkpoints.invalidate()
+    def bootstrap(self, load: Callable[[Checkpoint, list[bytes]], bool],
+                  ) -> tuple[Checkpoint, list[bytes], bool]:
+        """Bring one follower to the leader: checkpoint + binary tail.
+
+        ``load(checkpoint, tail)`` is the follower's load step: load the
+        file, apply the tail, and return ``False`` — with nothing
+        half-applied — when the file cannot be loaded. The one fault
+        policy every follower shares: when the load fails, or the log
+        truncated past the checkpoint between capture and ship, the
+        checkpoint is dropped and one fresh capture is tried.
+
+        Returns ``(checkpoint, tail, recaptured)``. The follower's cursor
+        is ``checkpoint.epoch + len(tail)``, not the leader epoch by the
+        time the load finished: a write landing after the tail was read
+        belongs to the next ship.
+
+        Raises:
+            ReplicaUnavailable: the fresh capture could not be loaded
+                either.
+        """
+        for recaptured in (False, True):
+            ckpt = self.checkpoint()
+            tail = self.ship_binary_since(ckpt.epoch)
+            if tail is not None and load(ckpt, tail):
+                return ckpt, tail, recaptured
+            with self._lock:
+                if self._checkpoints.latest == ckpt:
+                    self._checkpoints.invalidate()
+        raise ReplicaUnavailable(
+            f"follower could not load a fresh checkpoint at epoch "
+            f"{ckpt.epoch}")
 
     def close(self) -> None:
-        """Release the sync cache and delete checkpoint files. Idempotent."""
-        self.release_sync()
+        """Delete the checkpoint directory; a closed log captures no
+        more. Idempotent."""
         with self._lock:
-            checkpoints, self._checkpoints = self._checkpoints, None
-        if checkpoints is not None:
-            checkpoints.close()
+            self._checkpoints.close()
 
 
 class Replica:
@@ -212,7 +206,7 @@ class Replica:
             one, so standalone replicas need no wiring.
     """
 
-    #: Number of full re-syncs forced by leader log truncation.
+    #: Number of re-bootstraps forced by log truncation or divergence.
     resyncs = MetricAttr("resyncs")
     #: Total shipped batches applied since construction.
     batches_applied = MetricAttr("batches_applied")
@@ -235,11 +229,26 @@ class Replica:
         self._bootstrap()
 
     def _bootstrap(self) -> None:
-        """(Re-)build local state from a full leader sync."""
-        self.store = decode_sync(self._log.sync()[1])
-        self.graph = ProvenanceGraph(self.store)
+        """(Re-)build local state from the leader's checkpoint + tail."""
+        self._log.bootstrap(self._load)
+
+    def _load(self, ckpt: Checkpoint, tail: list[bytes]) -> bool:
+        """The load step :meth:`ReplicationLog.bootstrap` drives: install
+        the checkpoint plus its tail, or report ``False`` with the current
+        state untouched when the file cannot be read."""
+        try:
+            store = read_checkpoint(ckpt.path)
+        except (SerializationError, OSError):
+            return False
+        for payload in tail:
+            store.apply_replicated_batch(
+                *batch_from_wire(unpack_batch_frame(payload)))
+        self.batches_applied += len(tail)
+        self.store = store
+        self.graph = ProvenanceGraph(store)
         self._snapshot = GraphSnapshot(self.graph)
         self._operator = PgSegOperator(self.graph, snapshot=self._snapshot)
+        return True
 
     # ------------------------------------------------------------------
     # Catch-up protocol
@@ -264,16 +273,17 @@ class Replica:
         router calls this on the read path for read-your-writes routing.
         """
         start_epoch = self.epoch
-        lines = self._log.ship_since(start_epoch)
-        if lines is None:
+        span = self._log.ship_binary_since(start_epoch)
+        if span is None:
             # The span fell out of the leader's bounded log: full re-sync,
             # exactly like GraphSnapshot.advance falling back to a rebuild.
             self._bootstrap()
             self.resyncs += 1
             return self.epoch - start_epoch
-        # Decode first: a malformed line is a transport/codec bug and must
+        # Decode first: a malformed payload is a codec bug and must
         # propagate — only *apply* failures mean this follower diverged.
-        decoded = [decode_batch(line) for line in lines]
+        decoded = [batch_from_wire(unpack_batch_frame(payload))
+                   for payload in span]
         try:
             for batch, payloads in decoded:
                 self.store.apply_replicated_batch(batch, payloads)
@@ -281,8 +291,8 @@ class Replica:
             # Divergence — an epoch gap, an id mismatch, or a delta that no
             # longer applies to the local state (possibly mid-batch, with
             # earlier deltas already applied): the local state is untrusted,
-            # so honor apply_replicated_batch's contract and rebuild from a
-            # full snapshot instead of wedging forever. The span counted is
+            # so honor apply_replicated_batch's contract and bootstrap again
+            # instead of wedging forever. The span counted is
             # everything covered since entry, including already-applied
             # batches superseded by the re-sync.
             self._bootstrap()

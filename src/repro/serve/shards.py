@@ -56,7 +56,7 @@ from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.api import ServeConfig, normalize_specs
 from repro.serve.cluster import ProvCluster
 from repro.serve.wire import pgseg_query_is_wire_safe
-from repro.store.checkpoint import read_checkpoint, write_checkpoint
+from repro.store.checkpoint import CheckpointManager, read_checkpoint
 from repro.store.delta import DeltaBatch
 from repro.store.sharding import ShardMap, delta_payload, split_batch
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
@@ -160,25 +160,16 @@ class ShardedCluster:
     def _bootstrap_shards(self) -> None:
         """(Re-)build every feed and shard cluster from one leader snapshot.
 
-        The leader store is checkpointed once to a binary file and every
-        feed store mmaps it back — one O(graph) encode regardless of
-        shard count, where the JSON-sync path paid one string decode per
-        shard. The file is bootstrap-scratch, deleted before any shard
-        serves; per-shard *worker* resyncs reuse each shard pool's own
+        The leader store is checkpointed once and every feed store reads
+        it back — one O(graph) encode regardless of shard count. The file
+        is bootstrap-scratch, deleted before any shard serves; per-shard
+        replicas and workers bootstrap from each shard log's own
         checkpoint through the ordinary replication machinery.
         """
-        import shutil
-        import tempfile
-        from pathlib import Path
-
-        scratch = tempfile.mkdtemp(prefix="repro-shard-boot-")
-        try:
-            path = Path(scratch) / "leader.bin"
-            write_checkpoint(self.store, path)
+        with CheckpointManager() as manager:
+            path = manager.capture(self.store).path
             feeds = [_ShardFeed(k, read_checkpoint(path))
                      for k in range(self.config.shards)]
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
         shard_config = self.config.with_(shards=1, frontend=False)
         shards: list[ProvCluster] = []
         try:

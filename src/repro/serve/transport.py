@@ -148,7 +148,7 @@ class LineTransport:
         self.send_raw(line, timeout=timeout)
 
     def send_text(self, line: str, timeout: float | None = None) -> None:
-        """Write one pre-encoded JSON line (e.g. a shipped batch line)."""
+        """Write one pre-encoded JSON line."""
         self.send_raw(line.encode("utf-8") + b"\n", timeout=timeout)
 
     @property

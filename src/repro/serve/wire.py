@@ -1,18 +1,18 @@
-"""Wire format for the replication stream: JSON-lines, round-trip exact.
+"""Wire format for the replication stream: JSON frames, round-trip exact.
 
-The JSON-lines frames defined here are the **process boundary** of the
-serving layer: the in-process cluster (PR 3) and the out-of-process worker
-pool (:mod:`repro.serve.pool` / :mod:`repro.serve.worker`) speak exactly
-the same lines — one JSON object per frame, every frame carrying a
-``kind``. The normative spec, with one worked example per frame kind, is
+The frames defined here are the **process boundary** of the serving
+layer: one JSON object per frame, every frame carrying a ``kind``. The
+normative spec, with one worked example per frame kind, is
 ``docs/wire-protocol.md``; ``tests/test_docs_examples.py`` round-trips
 every example in that document through the codecs below, so the spec and
 the code cannot drift apart.
 
 Four message families cross the leader -> replica boundary:
 
-- **Batch lines** (:func:`encode_batch` / :func:`decode_batch`): one JSON
-  line per :class:`repro.store.delta.DeltaBatch`. The typed
+- **Batch frames** (:func:`batch_to_wire` / :func:`batch_from_wire`, and
+  the packed binary codec :func:`encode_batch_binary` /
+  :func:`unpack_batch_frame` every follower is shipped): one frame per
+  :class:`repro.store.delta.DeltaBatch`. The typed
   :class:`~repro.store.delta.Delta` records are self-contained for
   *structure*, but deliberately carry no property payloads (the in-process
   snapshot patcher reads values through shared records). The wire codec
@@ -23,14 +23,6 @@ Four message families cross the leader -> replica boundary:
   — its tombstone batch follows in the same stream, so followers never
   serve the transiently stale value (see
   :meth:`~repro.store.PropertyGraphStore.apply_replicated_batch`).
-
-- **Sync lines** (:func:`encode_sync` / :func:`decode_sync`): a full store
-  snapshot for replica bootstrap, reusing the persistence record shapes
-  (:mod:`repro.store.persistence`) — a ``meta`` line carrying capacities and
-  the leader epoch, then one line per live vertex and edge. Decoding goes
-  through :func:`repro.store.persistence.restore_records`, the same id- and
-  ordinal-exact reconstruction path used by :func:`load_store`, then
-  restores the leader epoch so shipped batches apply contiguously.
 
 - **Request/response query frames** (:func:`request_to_wire` /
   :func:`response_to_wire` and their inverses): remote procedure calls a
@@ -45,13 +37,18 @@ Four message families cross the leader -> replica boundary:
   that makes batching/pipelining an additive protocol extension (no
   version bump).
 
-- **Control frames** (``hello`` / ``sync`` / ``ping`` / ``pong`` /
-  ``event`` / ``shutdown`` / ``bye``): worker lifecycle — handshake,
-  bootstrap, health checks, and divergence reporting.
+- **Control frames** (``hello`` / ``welcome`` / ``checkpoint`` /
+  ``ping`` / ``pong`` / ``event`` / ``shutdown`` / ``bye``): worker
+  lifecycle — handshake, bootstrap from a checkpoint file
+  (:mod:`repro.store.checkpoint` is the state format; only the frame
+  naming the file crosses the stream), health checks, and divergence
+  reporting.
+
+- **Client-session frames** (``client_hello`` / ``welcome``): the async
+  front-end's handshake.
 
 Round-trip guarantees (``tests/test_serve_wire.py``): every delta op kind,
-batch epochs, payload presence/absence, and sync reconstruction (ids,
-ordinals, tombstone gaps, properties, epoch) survive encode -> decode
+batch epochs, and payload presence/absence survive encode -> decode
 bit-exactly. Property values must be JSON-representable (str/int/float/
 bool/None and nested lists/dicts thereof) — the same constraint the
 persistence layer already imposes.
@@ -82,23 +79,15 @@ from repro.store.delta import (
     PropertyPayload,
     span_effects,
 )
-from repro.store.persistence import (
-    edge_record_to_json,
-    meta_record,
-    parse_snapshot_lines,
-    restore_records,
-    vertex_record_to_json,
-)
 from repro.store.store import PropertyGraphStore
 
-#: Wire format tag for batch lines; bootstrap sync lines reuse the
-#: persistence format tag (the record shapes are identical).
+#: Wire format tag carried by every frame.
 WIRE_FORMAT = "repro-wire-v1"
 
 #: What every worker stream speaks after its hello/welcome handshake:
 #: length-prefixed binary framing plus binary codecs for the two hot
-#: frame families (shipped batches, response bundles) and
-#: checkpoint-based bootstrap. Every JSON frame shape is unchanged — v2
+#: frame families (shipped batches, response bundles). Every JSON frame
+#: shape is unchanged — v2
 #: is a transport/codec upgrade, not a new frame vocabulary — so ``format``
 #: tags inside frames stay ``repro-wire-v1``, which is also still the
 #: framing of the handshake itself and of front-end client sessions.
@@ -244,59 +233,6 @@ def batch_from_wire(record: dict[str, Any],
     return batch, [payload for _, payload in decoded]
 
 
-def encode_batch(batch: DeltaBatch,
-                 store: PropertyGraphStore | None = None) -> str:
-    """One batch as a single JSON line (no trailing newline)."""
-    return json.dumps(batch_to_wire(batch, store), sort_keys=True)
-
-
-def decode_batch(line: str) -> tuple[DeltaBatch, list[Any]]:
-    """Inverse of :func:`encode_batch`."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid batch line: {exc}") from exc
-    return batch_from_wire(record)
-
-
-# ---------------------------------------------------------------------------
-# Full-snapshot sync (replica bootstrap)
-# ---------------------------------------------------------------------------
-
-
-def encode_sync(store: PropertyGraphStore) -> str:
-    """The full store as JSON Lines for replica bootstrap.
-
-    Same record and meta shapes as
-    :func:`repro.store.persistence.save_store` (one shared
-    :func:`~repro.store.persistence.meta_record` writer): the meta line
-    carries the leader epoch and signature-checking mode, so the replica
-    rejoins the leader's timeline in the leader's mode.
-    """
-    lines = [json.dumps(meta_record(store), sort_keys=True)]
-    for record in store.vertices():
-        lines.append(json.dumps(vertex_record_to_json(record),
-                                sort_keys=True))
-    for record in store.edges():
-        lines.append(json.dumps(edge_record_to_json(record), sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-def decode_sync(payload: str,
-                check_signatures: bool | None = None) -> PropertyGraphStore:
-    """Rebuild a store from a sync payload (ids, ordinals, epoch exact).
-
-    The leader's signature-checking mode is adopted from the meta line
-    unless overridden (see
-    :func:`repro.store.persistence.restore_records`).
-    """
-    meta, vertices, edges = parse_snapshot_lines(
-        payload.splitlines(), source="<sync>")
-    return restore_records(meta, vertices, edges,
-                           check_signatures=check_signatures,
-                           source="<sync>")
-
-
 # ---------------------------------------------------------------------------
 # Control frames (worker lifecycle)
 # ---------------------------------------------------------------------------
@@ -343,46 +279,16 @@ def hello_wire_formats(record: dict[str, Any]) -> tuple[str, ...]:
     return tuple(str(version) for version in record.get("wire") or ())
 
 
-def sync_frame(payload: str) -> dict[str, Any]:
-    """Wrap an already-encoded sync payload as one frame.
-
-    The ``payload`` field is the multi-line :func:`encode_sync` text (JSON
-    string-escaping keeps the frame itself one line) so the framed
-    transport and the raw replication stream share one sync codec. The
-    pool uses this directly with :meth:`ReplicationLog.sync`'s memoized
-    payload; there must be exactly one place that knows the frame shape.
-    """
-    return {"kind": "sync", "format": WIRE_FORMAT, "payload": payload}
-
-
-def sync_to_frame(store: PropertyGraphStore) -> dict[str, Any]:
-    """A full-snapshot bootstrap as one frame (see :func:`sync_frame`)."""
-    return sync_frame(encode_sync(store))
-
-
-def sync_from_frame(record: dict[str, Any],
-                    check_signatures: bool | None = None,
-                    ) -> PropertyGraphStore:
-    """Rebuild a store from a framed sync (see :func:`decode_sync`)."""
-    _expect_kind(record, "sync")
-    try:
-        payload = record["payload"]
-    except KeyError as exc:
-        raise SerializationError(f"malformed sync frame: {record!r}") from exc
-    return decode_sync(payload, check_signatures=check_signatures)
-
-
 def checkpoint_frame(path: str, epoch: int,
                      generation: int) -> dict[str, Any]:
     """Bootstrap-by-checkpoint order: load the binary snapshot at ``path``.
 
     How every worker is bootstrapped; the path is a leader-local file
     (:mod:`repro.store.checkpoint`), valid because workers are always
-    subprocesses on the same host — that locality is what makes the
-    bootstrap zero-copy (the worker mmaps the file instead of parsing an
-    O(graph) JSON payload). The worker answers ``pong`` at the
-    checkpoint's epoch on success so the leader can verify the load
-    before shipping the delta-log tail.
+    subprocesses on the same host — that locality is why only this frame
+    crosses the stream, never the store itself. The worker answers
+    ``pong`` at the checkpoint's epoch on success so the leader can
+    verify the load before shipping the delta-log tail.
     """
     return {"kind": "checkpoint", "format": WIRE_FORMAT,
             "path": str(path), "epoch": int(epoch),
@@ -972,7 +878,7 @@ def unpack_batch_frame(payload: bytes) -> dict[str, Any]:
 
 def encode_batch_binary(batch: DeltaBatch,
                         store: PropertyGraphStore | None = None) -> bytes:
-    """One batch as a binary payload (the v2 twin of :func:`encode_batch`)."""
+    """One batch as a binary payload: what every follower is shipped."""
     return pack_batch_frame(batch_to_wire(batch, store))
 
 

@@ -2,7 +2,7 @@
 
 A worker is the process-boundary twin of
 :class:`repro.serve.replication.Replica`: it bootstraps its store from a
-leader ``checkpoint`` file (or, on a fault, a framed ``sync``), applies
+leader ``checkpoint`` file plus the binary tail shipped after it, applies
 shipped ``batch`` frames through
 :meth:`~repro.store.PropertyGraphStore.apply_replicated_batch` (so its
 delta log mirrors the leader's and its read snapshot advances with the
@@ -29,8 +29,8 @@ for segments, ``global`` for CypherLite rows) — and on every applied
 batch the worker keeps each entry whose footprint the batch's write set
 provably cannot have changed, evicting only the overlap
 (:func:`repro.store.delta.entry_survives`, the predicate shared with
-:meth:`repro.session.LifecycleSession._revalidate`). A re-sync still
-clears everything: a bootstrap crosses an unknown span, so nothing is
+:meth:`repro.session.LifecycleSession._revalidate`). A (re-)bootstrap
+clears everything: it crosses an unknown span, so nothing is
 provable (``docs/consistency.md`` §"Worker result cache (footprint
 retention)"). Budgeted CypherLite queries with a wall-clock timeout are
 never cached (their truncation point is nondeterministic).
@@ -57,7 +57,7 @@ Failure contract:
   the exception type preserved (:func:`repro.serve.wire.error_to_wire`);
 - a batch that fails to apply means this follower diverged; the local
   state is untrusted, so the worker sends a ``diverged`` event and exits
-  non-zero. The pool restarts it with a full re-sync (the same
+  non-zero. The pool restarts it with a fresh bootstrap (the same
   "never partially replay" rule the in-process replica honors by
   re-bootstrapping);
 - EOF on the control stream means the leader is gone; the worker exits
@@ -111,7 +111,6 @@ from repro.serve.wire import (
     response_to_wire,
     rows_to_wire,
     segment_to_wire,
-    sync_from_frame,
     trace_id_from_wire,
     welcome_wire_format,
 )
@@ -175,7 +174,6 @@ class ReplicaWorker:
     batches_applied = MetricAttr("batches_applied")
     requests_served = MetricAttr("requests_served")
     bundles_served = MetricAttr("bundles_served")
-    syncs = MetricAttr("syncs")
     #: Bootstraps served from a binary checkpoint file.
     checkpoints = MetricAttr("checkpoints")
     cache_hits = MetricAttr("cache_hits")
@@ -249,9 +247,7 @@ class ReplicaWorker:
                 # Leader gone: exit quietly, never outlive the pool.
                 return 0
             kind = frame.get("kind")
-            if kind == "sync":
-                self._bootstrap(frame)
-            elif kind == "checkpoint":
+            if kind == "checkpoint":
                 self._bootstrap_checkpoint(frame)
             elif kind == "batch":
                 if not self._apply(frame):
@@ -273,7 +269,7 @@ class ReplicaWorker:
 
     @property
     def epoch(self) -> int:
-        """The epoch this worker has replayed up to (-1 before sync)."""
+        """The epoch this worker has replayed up to (-1 before bootstrap)."""
         return -1 if self.store is None else self.store.epoch
 
     def stats(self) -> dict[str, Any]:
@@ -289,7 +285,6 @@ class ReplicaWorker:
             "batches_applied": self.batches_applied,
             "requests_served": self.requests_served,
             "bundles_served": self.bundles_served,
-            "syncs": self.syncs,
             "checkpoints": self.checkpoints,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -319,40 +314,28 @@ class ReplicaWorker:
     # Replication inputs
     # ------------------------------------------------------------------
 
-    def _bootstrap(self, frame: dict[str, Any]) -> None:
-        """(Re-)build local state from a framed full sync.
-
-        A sync crosses an *unknown* span (truncation, restart), so no
-        footprint argument applies: the result cache and every
-        materialized view are cleared unconditionally — the conservative
-        fallback both delta-driven caches share with the snapshot layer.
-        """
-        self.store = sync_from_frame(frame)
-        self.graph = ProvenanceGraph(self.store)
-        self._snapshot = GraphSnapshot(self.graph)
-        self._operator = PgSegOperator(self.graph, snapshot=self._snapshot)
-        self._cache.clear()
-        self._views.clear()
-        self._cache_epoch = self.store.epoch
-        self.syncs += 1
-
     def _bootstrap_checkpoint(self, frame: dict[str, Any]) -> None:
-        """(Re-)build local state by mmapping a leader checkpoint file.
+        """(Re-)build local state from a leader checkpoint file.
 
-        The normal bootstrap (:meth:`_bootstrap` is its fault fallback):
-        the frame names a file on shared local storage instead of
+        The frame names a file on shared local storage instead of
         carrying the store itself. Success is acked with a pong at the
         checkpoint's epoch — the pool ships the delta-log tail only
-        after that ack. Any failure
-        to load (file gone, corrupt, wrong format) is reported as a
-        ``checkpoint-failed`` event with local state untouched-or-None,
-        and the pool falls back to a full JSON sync on the same stream.
+        after that ack. Any failure to load (file gone, corrupt, wrong
+        format) is reported as a ``checkpoint-failed`` event with local
+        state untouched-or-None; the pool then captures a fresh
+        checkpoint once (:meth:`~repro.serve.replication.ReplicationLog.
+        bootstrap`).
+
+        A bootstrap crosses an *unknown* span (truncation, restart), so
+        no footprint argument applies: the result cache and every
+        materialized view are cleared unconditionally — the conservative
+        fallback both delta-driven caches share with the snapshot layer.
         """
         path, _epoch, _generation = checkpoint_from_wire(frame)
         try:
             store = read_checkpoint(path)
         except Exception as exc:   # noqa: BLE001 - any load failure just
-            # means "use the fallback"; the pool decides, not us.
+            # means "capture again"; the pool decides, not us.
             self._transport.send(event_frame("checkpoint-failed", str(exc)))
             return
         self.store = store
@@ -369,7 +352,7 @@ class ReplicaWorker:
         """Apply one shipped batch; False means diverged (worker exits)."""
         if self.store is None:
             self._transport.send(event_frame(
-                "diverged", "batch before bootstrap sync"))
+                "diverged", "batch before bootstrap"))
             return False
         batch, payloads = batch_from_wire(frame)
         try:
@@ -501,7 +484,7 @@ class ReplicaWorker:
         started = perf_counter()
         try:
             if self.store is None:
-                raise SerializationError("request before bootstrap sync")
+                raise SerializationError("request before bootstrap")
             result = self._serve_cached(method, params)
         except Exception as exc:   # noqa: BLE001 - query errors must not
             # kill the worker; the type crosses back in the error record.
@@ -558,7 +541,7 @@ class ReplicaWorker:
         """Serve one request through the footprint-retaining result cache."""
         if self._cache_epoch != self.epoch:
             # Defense in depth: every epoch-moving path already
-            # retained/cleared explicitly (_apply/_bootstrap), so an
+            # retained/cleared explicitly (_apply/_bootstrap_checkpoint), so an
             # unexpected epoch here means an unclassified span — clear.
             self._cache.clear()
             self._views.clear()

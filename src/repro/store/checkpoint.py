@@ -1,15 +1,13 @@
-"""Binary snapshot checkpoints: zero-copy worker bootstrap state.
+"""Binary snapshot checkpoints: the one state-transfer format.
 
 A checkpoint is the store's full state — the dense vertex/edge id spaces,
 type codes, creation ordinals, topology, and property maps — written once
-to an mmap-able, length-prefixed binary file keyed by ``(epoch,
-generation)``. Workers bootstrap by reading the checkpoint and then
-replaying only the delta-log tail, so restart cost scales with the tail
-(what changed since the checkpoint), not with the graph. This replaces
-the O(graph) JSON ``encode_sync``/``decode_sync`` round trip on the
-restart path; the JSON sync remains the fallback when a checkpoint
-predates the delta log's truncation horizon (see
-:meth:`repro.serve.replication.ReplicationLog.checkpoint`).
+to a length-prefixed binary file keyed by ``(epoch, generation)``. Every
+follower — an out-of-process worker, an in-process replica, a shard
+feed — bootstraps by reading a checkpoint and then replaying only the
+delta-log tail, so (re)bootstrap cost scales with the tail (what changed
+since the checkpoint), not with the graph's history (see
+:meth:`repro.serve.replication.ReplicationLog.bootstrap`).
 
 File layout (all lengths little-endian ``u64``; arrays are raw
 little-endian numpy buffers, mmap-friendly because each section is
@@ -33,11 +31,12 @@ contiguous):
 Reconstruction (:func:`read_checkpoint`) builds the store's internal
 tables directly — records, adjacency, label index — instead of replaying
 ``add_vertex``/``add_edge`` per record, which is what makes it cheap. The
-result is observably identical to :func:`repro.store.persistence.
-restore_records` over the same state: same ids, orders, epoch, and
-signature mode, ready to apply the replicated tail (the differential
-suite in ``tests/test_checkpoint_bootstrap.py`` pins bit-identity of
-served answers against the JSON sync path).
+result is observably identical to the store that was written: same ids,
+tombstone gaps, orders, epoch, and signature mode, ready to apply the
+replicated tail (``tests/test_checkpoint_bootstrap.py`` pins it
+bit-exact). A checkpoint file is untrusted input: every section is
+validated before any store exists, and anything malformed raises
+:class:`~repro.errors.SerializationError`.
 
 :class:`CheckpointManager` owns the on-disk lifecycle: one live file in a
 private temp directory, the previous file deleted on every fresh capture
@@ -48,7 +47,6 @@ loops cannot grow stale checkpoint files (pinned by ``TestTransportFds``).
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import shutil
 import struct
@@ -60,7 +58,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.model.types import EdgeType, VertexType
+from repro.model.types import EdgeType
 from repro.store.csr import VERTEX_TYPE_CODES
 from repro.store.records import EdgeRecord, VertexRecord
 from repro.store.store import PropertyGraphStore
@@ -155,11 +153,13 @@ def write_checkpoint(store: PropertyGraphStore, path: str | Path,
 
 
 class _Cursor:
-    """Sequential section reader over one mmap'ed checkpoint buffer."""
+    """Sequential section reader over one checkpoint file's bytes."""
 
-    def __init__(self, view: memoryview, source: str):
-        self._view = view
-        self._offset = 0
+    def __init__(self, data: bytes, source: str):
+        if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise SerializationError(f"{source}: not a checkpoint file")
+        self._view = memoryview(data)
+        self._offset = len(CHECKPOINT_MAGIC)
         self._source = source
 
     def section(self) -> memoryview:
@@ -173,128 +173,167 @@ class _Cursor:
         self._offset = offset + length
         return view[offset:offset + length]
 
+    def array(self, dtype: str) -> np.ndarray:
+        raw = self.section()
+        if len(raw) % np.dtype(dtype).itemsize:
+            raise SerializationError(
+                f"{self._source}: torn {dtype} array section")
+        return np.frombuffer(raw, dtype=dtype)
+
+    def json(self, what: str) -> Any:
+        try:
+            return json.loads(bytes(self.section()).decode("utf-8"))
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep
+        # nesting exhausts the decoder's recursion limit.
+        except (ValueError, RecursionError) as exc:
+            raise SerializationError(
+                f"{self._source}: corrupt {what} section: {exc}") from exc
+
+    def meta(self) -> dict[str, Any]:
+        meta = self.json("meta")
+        if not isinstance(meta, dict) \
+                or meta.get("format") != CHECKPOINT_FORMAT:
+            raise SerializationError(
+                f"{self._source}: unsupported checkpoint format")
+        return meta
+
+    def done(self) -> bool:
+        return self._offset == len(self._view)
+
 
 def read_checkpoint_meta(path: str | Path) -> dict[str, Any]:
     """Read just the meta record of a checkpoint (cheap validity probe)."""
     source = Path(path)
     with source.open("rb") as handle:
-        magic = handle.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise SerializationError(f"{source}: not a checkpoint file")
-        header = handle.read(_LEN.size)
-        if len(header) != _LEN.size:
-            raise SerializationError(f"{source}: truncated checkpoint")
-        (length,) = _LEN.unpack(header)
-        payload = handle.read(length)
-        if len(payload) != length:
-            raise SerializationError(f"{source}: truncated checkpoint")
-    meta = json.loads(payload.decode("utf-8"))
-    if meta.get("format") != CHECKPOINT_FORMAT:
+        head = handle.read(len(CHECKPOINT_MAGIC) + _LEN.size)
+        length = _LEN.unpack_from(head, len(CHECKPOINT_MAGIC))[0] \
+            if len(head) == len(CHECKPOINT_MAGIC) + _LEN.size else 0
+        head += handle.read(length)
+    return _Cursor(head, str(source)).meta()
+
+
+def _count(meta: dict[str, Any], key: str, source: str) -> int:
+    value = meta.get(key)
+    if type(value) is not int or value < 0:
         raise SerializationError(
-            f"{source}: unsupported checkpoint format {meta.get('format')!r}")
-    return meta
+            f"{source}: bad checkpoint meta {key}={value!r}")
+    return value
+
+
+def _props_by_id(props: Any, kind: str, live: set[int],
+                 source: str) -> dict[int, dict[str, Any]]:
+    """One property table, keyed by live record ids."""
+    table = props.get(kind, {}) if isinstance(props, dict) else None
+    if not isinstance(table, dict):
+        raise SerializationError(f"{source}: corrupt {kind} property table")
+    by_id: dict[int, dict[str, Any]] = {}
+    for key, value in table.items():
+        try:
+            record_id = int(key)
+        except ValueError:
+            record_id = -1
+        if record_id not in live or not isinstance(value, dict):
+            raise SerializationError(
+                f"{source}: {kind} properties for no live record {key!r}")
+        by_id[record_id] = value
+    return by_id
+
+
+def _check_ids(ids: np.ndarray, capacity: int, kind: str,
+               source: str) -> None:
+    """Live ids must be strictly ascending (no duplicates) within the
+    id space the capacity declares."""
+    # Bounds first: within [0, capacity) the differences cannot overflow.
+    if len(ids) and (ids.min() < 0 or ids.max() >= capacity
+                     or (np.diff(ids) <= 0).any()):
+        raise SerializationError(
+            f"{source}: {kind} ids not ascending within capacity {capacity}")
 
 
 def read_checkpoint(path: str | Path) -> PropertyGraphStore:
     """Rebuild a store from a checkpoint file.
 
-    The file is mmap'ed and the array sections are decoded in place
-    (``np.frombuffer`` over the mapping — no intermediate text or copy of
-    the topology). The store's internal tables are then constructed
-    directly, skipping per-record mutation plumbing: observably identical
-    to the ``restore_records`` JSON path, an order of magnitude cheaper.
+    The file is read in one sequential read and the array sections are
+    decoded in place over that buffer (``np.frombuffer`` — no
+    intermediate text or copy of the topology). The store's internal
+    tables are then constructed directly, skipping per-record mutation
+    plumbing. Nothing references the file afterwards, so checkpoint files
+    can be deleted while bootstrapped followers live on.
 
-    The mapping and file descriptor are released before returning — the
-    reconstructed store owns plain Python records, never the mapping — so
-    checkpoint files can be deleted while bootstrapped workers live on.
+    Validation happens before any table is built: ids strictly ascending
+    within the declared capacities, type codes known, every edge endpoint
+    a live vertex, section lengths and live counts agreeing with the meta
+    record, property tables naming only live records, no trailing bytes.
 
     Raises:
-        SerializationError: on a torn, truncated, or foreign file.
+        SerializationError: on a torn, truncated, corrupt, or foreign file.
     """
-    source = Path(path)
-    with source.open("rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            view = memoryview(mapped)
-            try:
-                body = view[len(CHECKPOINT_MAGIC):]
-                cursor = None
-                try:
-                    if bytes(view[:len(CHECKPOINT_MAGIC)]) \
-                            != CHECKPOINT_MAGIC:
-                        raise SerializationError(
-                            f"{source}: not a checkpoint file")
-                    cursor = _Cursor(body, str(source))
-                    with cursor.section() as raw_meta:
-                        meta = json.loads(bytes(raw_meta).decode("utf-8"))
-                    if meta.get("format") != CHECKPOINT_FORMAT:
-                        raise SerializationError(
-                            f"{source}: unsupported checkpoint format "
-                            f"{meta.get('format')!r}")
-                    store = _decode_body(meta, cursor, str(source))
-                finally:
-                    # The decoded store holds plain Python records, never
-                    # the mapping: release every view so close() succeeds.
-                    del cursor
-                    body.release()
-            finally:
-                view.release()
-        finally:
-            mapped.close()
-    return store
-
-
-def _decode_body(meta: dict[str, Any], cursor: _Cursor,
-                 source: str) -> PropertyGraphStore:
-    vertex_ids = np.frombuffer(cursor.section(), dtype="<i8")
-    vertex_codes = np.frombuffer(cursor.section(), dtype="i1")
-    orders = np.frombuffer(cursor.section(), dtype="<i8")
-    edge_ids = np.frombuffer(cursor.section(), dtype="<i8")
-    edge_codes = np.frombuffer(cursor.section(), dtype="i1")
-    srcs = np.frombuffer(cursor.section(), dtype="<i8")
-    dsts = np.frombuffer(cursor.section(), dtype="<i8")
-    with cursor.section() as raw_props:
-        props = json.loads(bytes(raw_props).decode("utf-8"))
-    if (len(vertex_ids) != int(meta["live_vertices"])
-            or len(edge_ids) != int(meta["live_edges"])
+    source = str(path)
+    cursor = _Cursor(Path(path).read_bytes(), source)
+    meta = cursor.meta()
+    vertex_ids = cursor.array("<i8")
+    vertex_codes = cursor.array("i1")
+    orders = cursor.array("<i8")
+    edge_ids = cursor.array("<i8")
+    edge_codes = cursor.array("i1")
+    srcs = cursor.array("<i8")
+    dsts = cursor.array("<i8")
+    props = cursor.json("props")
+    if not cursor.done():
+        raise SerializationError(f"{source}: trailing bytes in checkpoint")
+    vertex_capacity = _count(meta, "vertex_capacity", source)
+    edge_capacity = _count(meta, "edge_capacity", source)
+    epoch = _count(meta, "epoch", source)
+    check_signatures = meta.get("check_signatures", True)
+    if (len(vertex_ids) != _count(meta, "live_vertices", source)
+            or len(edge_ids) != _count(meta, "live_edges", source)
             or len(vertex_codes) != len(vertex_ids)
             or len(orders) != len(vertex_ids)
             or len(edge_codes) != len(edge_ids)
             or len(srcs) != len(edge_ids)
-            or len(dsts) != len(edge_ids)):
+            or len(dsts) != len(edge_ids)
+            or not isinstance(check_signatures, bool)):
         raise SerializationError(f"{source}: checkpoint section mismatch")
-    vertex_props = {int(key): value
-                    for key, value in props.get("vertices", {}).items()}
-    edge_props = {int(key): value
-                  for key, value in props.get("edges", {}).items()}
+    _check_ids(vertex_ids, vertex_capacity, "vertex", source)
+    _check_ids(edge_ids, edge_capacity, "edge", source)
+    if not (set(np.unique(vertex_codes).tolist()) <= _VERTEX_TYPE_BY_CODE.keys()
+            and set(np.unique(edge_codes).tolist())
+            <= _EDGE_TYPE_BY_CODE.keys()):
+        raise SerializationError(f"{source}: unknown type code")
+    live = np.zeros(vertex_capacity, dtype=bool)
+    live[vertex_ids] = True
+    endpoints = np.concatenate((srcs, dsts))
+    if len(endpoints) and (endpoints.min() < 0
+                           or endpoints.max() >= vertex_capacity
+                           or not live[endpoints].all()):
+        raise SerializationError(
+            f"{source}: edge endpoint is not a live vertex")
+    vertex_id_list = vertex_ids.tolist()
+    edge_id_list = edge_ids.tolist()
+    vertex_props = _props_by_id(props, "vertices", set(vertex_id_list),
+                                source)
+    edge_props = _props_by_id(props, "edges", set(edge_id_list), source)
 
-    store = PropertyGraphStore(
-        check_signatures=bool(meta.get("check_signatures", True)))
-    vertex_capacity = int(meta["vertex_capacity"])
-    edge_capacity = int(meta["edge_capacity"])
+    store = PropertyGraphStore(check_signatures=check_signatures)
     vertices: list[VertexRecord | None] = [None] * vertex_capacity
     outgoing: list[dict[EdgeType, list[int]]] = [
         {} for _ in range(vertex_capacity)]
     incoming: list[dict[EdgeType, list[int]]] = [
         {} for _ in range(vertex_capacity)]
     label_index = store._label_index
-    for position in range(len(vertex_ids)):
-        vertex_id = int(vertex_ids[position])
-        vertex_type = _VERTEX_TYPE_BY_CODE[int(vertex_codes[position])]
-        record = VertexRecord(vertex_id, vertex_type,
-                              dict(vertex_props.get(vertex_id, {})),
-                              int(orders[position]))
-        vertices[vertex_id] = record
+    for vertex_id, code, order in zip(vertex_id_list, vertex_codes.tolist(),
+                                      orders.tolist()):
+        vertex_type = _VERTEX_TYPE_BY_CODE[code]
+        vertices[vertex_id] = VertexRecord(
+            vertex_id, vertex_type, dict(vertex_props.get(vertex_id, {})),
+            order)
         label_index.add_vertex(vertex_id, vertex_type)
     edges: list[EdgeRecord | None] = [None] * edge_capacity
-    for position in range(len(edge_ids)):
-        edge_id = int(edge_ids[position])
-        edge_type = _EDGE_TYPE_BY_CODE[int(edge_codes[position])]
-        src = int(srcs[position])
-        dst = int(dsts[position])
-        record = EdgeRecord(edge_id, edge_type, src, dst,
-                            dict(edge_props.get(edge_id, {})))
-        edges[edge_id] = record
+    for edge_id, code, src, dst in zip(edge_id_list, edge_codes.tolist(),
+                                       srcs.tolist(), dsts.tolist()):
+        edge_type = _EDGE_TYPE_BY_CODE[code]
+        edges[edge_id] = EdgeRecord(edge_id, edge_type, src, dst,
+                                    dict(edge_props.get(edge_id, {})))
         outgoing[src].setdefault(edge_type, []).append(edge_id)
         incoming[dst].setdefault(edge_type, []).append(edge_id)
         label_index.add_edge(edge_id, edge_type)
@@ -308,10 +347,10 @@ def _decode_body(meta: dict[str, Any], cursor: _Cursor,
     store._edges = edges
     store._out = outgoing
     store._in = incoming
-    store._live_vertex_count = len(vertex_ids)
-    store._live_edge_count = len(edge_ids)
+    store._live_vertex_count = len(vertex_id_list)
+    store._live_edge_count = len(edge_id_list)
     store._next_order = vertex_capacity
-    store.restore_epoch(int(meta["epoch"]))
+    store.restore_epoch(epoch)
     return store
 
 

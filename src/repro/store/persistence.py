@@ -8,17 +8,16 @@ Provenance stores are append-mostly logs, so durability comes in two parts:
   query saved yesterday must address the same snapshots today. The meta
   record also carries the store's **epoch** (format ``repro-store-v2``), so
   a reloaded store rejoins its epoch timeline instead of restarting at the
-  reconstruction count — epoch-keyed caches and replica bootstraps stay
-  coherent. ``repro-store-v1`` files (no epoch) remain readable.
+  reconstruction count — epoch-keyed caches stay coherent.
+  ``repro-store-v1`` files (no epoch) remain readable.
 - :class:`WriteAheadLog` — a thin mutation proxy that appends one JSON line
   per operation before applying it, with :func:`replay` to rebuild a store
   from the log (crash recovery, or shipping provenance increments).
 
 Format: first line is a ``meta`` record; then one record per live vertex and
-edge (snapshot) or per operation (log). The record shapes double as the
-serving layer's wire conventions: :mod:`repro.serve.wire` reuses
-:func:`vertex_record_to_json` / :func:`edge_record_to_json` and
-:func:`restore_records` for the leader -> replica full-snapshot sync.
+edge (snapshot) or per operation (log). Replication does not use this
+format: followers bootstrap from the binary checkpoint
+(:mod:`repro.store.checkpoint`).
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ from repro.model.types import EdgeType, VertexType, parse_edge_type, parse_verte
 from repro.store.records import EdgeRecord, VertexRecord
 from repro.store.store import PropertyGraphStore
 
-#: Current snapshot format tag (also used by the serving layer's sync).
+#: Current snapshot format tag.
 FORMAT = "repro-store-v2"
 _READABLE_FORMATS = ("repro-store-v1", "repro-store-v2")
 
 
 def meta_record(store: PropertyGraphStore) -> dict[str, Any]:
-    """The meta line of a snapshot/sync: one shared shape, one writer.
+    """The meta line of a snapshot: one shape, one writer.
 
     Carries everything a faithful reconstruction needs beyond the records
     themselves: the id-space capacities, the epoch, and the store's
@@ -57,7 +56,7 @@ def meta_record(store: PropertyGraphStore) -> dict[str, Any]:
 
 
 def vertex_record_to_json(record: VertexRecord) -> dict[str, Any]:
-    """The JSON shape of one vertex record (shared with the wire codec)."""
+    """The JSON shape of one vertex record."""
     return {
         "kind": "vertex",
         "id": record.vertex_id,
@@ -68,7 +67,7 @@ def vertex_record_to_json(record: VertexRecord) -> dict[str, Any]:
 
 
 def edge_record_to_json(record: EdgeRecord) -> dict[str, Any]:
-    """The JSON shape of one edge record (shared with the wire codec)."""
+    """The JSON shape of one edge record."""
     return {
         "kind": "edge",
         "id": record.edge_id,
@@ -98,15 +97,12 @@ def restore_records(meta: Mapping[str, Any],
                     edges: Mapping[int, Mapping[str, Any]],
                     check_signatures: bool | None = None,
                     source: str = "<records>") -> PropertyGraphStore:
-    """Rebuild a store from parsed snapshot records (the shared bootstrap).
+    """Rebuild a store from parsed snapshot records.
 
     Recreates the dense id space exactly — live records at their ids,
     tombstones in the gaps — and, when ``meta`` carries an ``epoch``
     (format v2), restores the store's epoch and rebases its delta log
     there, so the reloaded store continues the original epoch timeline.
-
-    Both :func:`load_store` and the serving layer's replica bootstrap
-    (:func:`repro.serve.wire.decode_sync`) go through this path.
 
     Args:
         check_signatures: ``None`` (default) adopts the saved store's mode

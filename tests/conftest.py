@@ -5,10 +5,15 @@ built here once, not inline in test modules: `paper` / `paper_copy` for the
 worked example, `team_medium` for a medium random team lifecycle, and
 `pd_small` / `pd_medium` for generated Pd graphs. Session-scoped fixtures
 are read-only by contract — tests that mutate must use the function-scoped
-ones (or build their own copy).
+ones (or build their own copy). One autouse guard fails the run if a
+checkpoint directory it created outlives it.
 """
 
 from __future__ import annotations
+
+import gc
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,25 @@ from repro.workloads.lifecycle import (
     generate_team_project,
 )
 from repro.workloads.pd_generator import PdInstance, generate_pd_sized
+
+
+def _checkpoint_dirs() -> set[Path]:
+    root = Path(tempfile.gettempdir())
+    return {path for pattern in ("repro-ckpt-*", "repro-shard-boot-*")
+            for path in root.glob(pattern)}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_checkpoint_dirs():
+    """Every replication log, pool and cluster deletes the checkpoint
+    directory it wrote — in-process clusters included — by close() or,
+    unreferenced, by garbage collection. Checked once, at session end."""
+    before = _checkpoint_dirs()
+    yield
+    gc.collect()
+    leaked = sorted(str(path) for path in _checkpoint_dirs() - before)
+    if leaked:
+        pytest.fail(f"checkpoint directories outlived the run: {leaked}")
 
 
 @pytest.fixture()

@@ -10,8 +10,9 @@ incantations.
 
 The injections are synchronous and deterministic: they inject the fault
 and return; observing the recovery (restart counters, re-sync counts,
-bit-identical answers) is the calling test's job. Two observation
-helpers the suites share live here too: ``open_fds`` (leak checks) and
+bit-identical answers) is the calling test's job. Three helpers the
+suites share live here too: ``bootstrap_worker`` (state load for a
+directly driven worker), ``open_fds`` (leak checks) and
 ``join_or_dump`` (bounded joins that fail with every thread's stack).
 """
 
@@ -52,13 +53,35 @@ def break_checkpoint(pool) -> None:
     """Empty the checkpoint file the pool's next bootstrap will name.
 
     The worker's load then fails and it answers ``checkpoint-failed``;
-    the pool must fall back to one JSON full sync on the same stream
-    (no restart) and drop the file so the bootstrap after that captures
-    fresh. Call it *after* the writes under test: a checkpoint past the
-    log's truncation horizon or refresh bound is recaptured, which would
-    replace the broken file. Accepts a :class:`repro.serve.pool.WorkerPool`.
+    the pool must capture a fresh checkpoint once and load that on the
+    same stream (no restart). Call it *after* the writes under test: a
+    checkpoint past the log's truncation horizon or refresh bound is
+    recaptured, which would replace the broken file. Accepts a
+    :class:`repro.serve.pool.WorkerPool`.
     """
     pool.log.checkpoint().path.write_bytes(b"")
+
+
+def bootstrap_worker(worker, store) -> None:
+    """Load ``store`` into a directly driven ``ReplicaWorker`` the way
+    the pool does: capture a checkpoint, hand the worker its
+    ``checkpoint`` frame, delete the file.
+
+    Suites that drive :class:`repro.serve.worker.ReplicaWorker` without
+    a process boundary bootstrap (and re-bootstrap after truncation)
+    through this one path. The worker's ack goes to the pool side of its
+    transport, which such harnesses never read.
+    """
+    from repro.serve.wire import checkpoint_frame
+    from repro.store.checkpoint import CheckpointManager
+
+    loaded = worker.checkpoints
+    with CheckpointManager() as manager:
+        ckpt = manager.capture(store)
+        worker._bootstrap_checkpoint(checkpoint_frame(
+            str(ckpt.path), ckpt.epoch, ckpt.generation))
+    if worker.checkpoints != loaded + 1:
+        raise AssertionError("the worker could not load the checkpoint")
 
 
 def poison_transport(client) -> None:

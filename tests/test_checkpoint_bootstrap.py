@@ -3,8 +3,12 @@
 Four layers, pinned bottom-up:
 
 - the checkpoint file itself: a round-tripped store is *bit-identical*
-  to the JSON-sync path (same encode_sync bytes, same epoch/ordinal
-  bookkeeping, same behavior under subsequently applied batches);
+  to the store that was written (``stores_identical``: ids, tombstone
+  gaps, orders, properties, epoch, signature mode; the delta log rebased
+  at the checkpoint epoch; the same behavior under subsequently applied
+  batches), and every malformed file — hand-built cases plus a
+  Hypothesis byte-level sweep — raises ``SerializationError`` or loads a
+  self-consistent store, never anything else;
 - the binary frame codecs: pack/unpack of the two hot frame families
   reproduces the JSON twin dict exactly, for every delta op and
   enrichment combination;
@@ -12,18 +16,28 @@ Four layers, pinned bottom-up:
   stream, EOF, clean-vs-mid-frame timeout poisoning, and the adopt()
   upgrade that swaps framing on live fds;
 - the serving stack end to end: checkpoint+tail bootstrap serves
-  answers identical to a full JSON sync across kill/restart loops,
-  recaptures when the checkpoint predates the log's truncation horizon,
-  degrades to one full sync when the file cannot be loaded or the log
-  truncates between capture and ship, and refuses a peer whose hello
-  does not advertise ``repro-wire-v2``.
+  answers identical to the leader across kill/restart loops, recaptures
+  when the checkpoint predates the log's truncation horizon, recaptures
+  exactly once when the file cannot be loaded or the log truncates
+  between capture and ship — and raises ``ReplicaUnavailable`` when the
+  fresh capture fails too — and refuses a peer whose hello does not
+  advertise ``repro-wire-v2``.
 """
 
+import gc
+import json
+import os
 import socket
+import struct
+import tempfile
+import time
+from itertools import accumulate
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import (
+    ReplicaUnavailable,
     SerializationError,
     TransportClosed,
     TransportTimeout,
@@ -33,8 +47,8 @@ from repro.serve.pool import WorkerPool
 from repro.serve.transport import BinaryTransport, LineTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
+    batch_from_wire,
     batch_to_wire,
-    encode_sync,
     hello_frame,
     hello_wire_formats,
     pack_batch_frame,
@@ -47,6 +61,7 @@ from repro.serve.wire import (
     welcome_wire_format,
 )
 from repro.store.checkpoint import (
+    CHECKPOINT_MAGIC,
     CheckpointManager,
     read_checkpoint,
     read_checkpoint_meta,
@@ -57,6 +72,7 @@ from repro.model.types import EdgeType, VertexType
 from repro.workloads.lifecycle import build_paper_example
 
 from tests.faults import break_checkpoint, kill_worker, open_fds, truncate_log
+from test_store_persistence import stores_identical
 
 
 def varied_store():
@@ -88,9 +104,7 @@ class TestCheckpointFile:
         assert restored.edge_capacity == store.edge_capacity
         assert restored.check_signatures == store.check_signatures
         assert restored._next_order == store._next_order
-        # The decisive identity: both stores serialize to the same sync
-        # payload, so every downstream consumer sees one store.
-        assert encode_sync(restored) == encode_sync(store)
+        assert stores_identical(restored, store)
 
     def test_restored_store_replays_batches_identically(self, tmp_path):
         leader = varied_store()
@@ -102,14 +116,9 @@ class TestCheckpointFile:
         marker = leader.add_vertex(VertexType.ENTITY, {"name": "late"})
         leader.set_vertex_property(marker, "состояние", "ready")
         for batch in leader.delta_log.batches_since(follower.epoch):
-            record = batch_to_wire(batch, leader)
-            payloads = [
-                {"props": delta.get("props"), "value": delta.get("value"),
-                 "has_value": delta.get("has_value", False)}
-                for delta in record["deltas"]]
-            from repro.serve.wire import batch_from_wire
-            follower.apply_replicated_batch(*batch_from_wire(record))
-        assert encode_sync(follower) == encode_sync(leader)
+            follower.apply_replicated_batch(
+                *batch_from_wire(batch_to_wire(batch, leader)))
+        assert stores_identical(follower, leader)
 
     def test_meta_readable_without_body(self, tmp_path):
         store = varied_store()
@@ -140,6 +149,225 @@ class TestCheckpointFile:
             assert second.path.exists()
             directory = second.path.parent
         assert not directory.exists()               # close removes the dir
+
+
+def round_trip(store):
+    """``store`` written to a checkpoint and read back."""
+    with CheckpointManager() as manager:
+        return read_checkpoint(manager.capture(store).path)
+
+
+class TestCheckpointRoundTrip:
+    def test_paper_store_bit_exact(self, paper):
+        store = paper.graph.store
+        restored = round_trip(store)
+        assert stores_identical(store, restored)
+        assert restored.epoch == store.epoch
+
+    def test_tombstone_gaps_and_orders_survive(self):
+        store = PropertyGraphStore()
+        keep = store.add_vertex(VertexType.ENTITY, {"name": "a"})
+        doomed = store.add_vertex(VertexType.ENTITY)
+        act = store.add_vertex(VertexType.ACTIVITY, {"command": "c"})
+        store.add_edge(EdgeType.USED, act, keep)
+        doomed_edge = store.add_edge(EdgeType.USED, act, doomed)
+        store.remove_edge(doomed_edge)
+        store.remove_vertex(doomed)
+        restored = round_trip(store)
+        assert stores_identical(store, restored)
+        assert restored.epoch == store.epoch
+        assert restored.order_of(act) == store.order_of(act)
+
+    def test_checkpoint_rebases_delta_log(self, paper):
+        store = paper.graph.store
+        restored = round_trip(store)
+        # The replayed window starts empty at the checkpoint epoch: the
+        # span since it is [], anything earlier is unavailable.
+        assert restored.delta_log.batches_since(store.epoch) == []
+        assert restored.delta_log.batches_since(store.epoch - 1) is None
+
+    def test_mutations_continue_after_load(self, paper):
+        restored = round_trip(paper.graph.store)
+        before = restored.epoch
+        restored.add_vertex(VertexType.ENTITY, {"name": "later"})
+        assert restored.epoch == before + 1
+        assert restored.delta_log.last_epoch == before + 1
+
+    def test_loose_store_round_trips_loose(self):
+        """A check_signatures=False store restores loose, or loading
+        would reject its own edges."""
+        store = PropertyGraphStore(check_signatures=False)
+        a = store.add_vertex(VertexType.ENTITY, {"name": "a"})
+        b = store.add_vertex(VertexType.ENTITY, {"name": "b"})
+        store.add_edge(EdgeType.USED, a, b)     # violates the PROV signature
+        restored = round_trip(store)
+        assert not restored.check_signatures
+        assert stores_identical(store, restored)
+
+
+# ---------------------------------------------------------------------------
+# Hostile files: every malformed checkpoint is a SerializationError
+# ---------------------------------------------------------------------------
+
+_LEN = struct.Struct("<Q")
+
+
+def two_vertex_store():
+    store = PropertyGraphStore()
+    entity = store.add_vertex(VertexType.ENTITY, {"name": "e"})
+    activity = store.add_vertex(VertexType.ACTIVITY, {"command": "c"})
+    store.add_edge(EdgeType.USED, activity, entity, {"role": "in"})
+    return store
+
+
+def split_sections(data):
+    """A checkpoint's nine sections, in file order."""
+    sections, offset = [], len(CHECKPOINT_MAGIC)
+    while offset < len(data):
+        (length,) = _LEN.unpack_from(data, offset)
+        offset += _LEN.size
+        sections.append(data[offset:offset + length])
+        offset += length
+    assert len(sections) == 9
+    return sections
+
+
+def join_sections(sections):
+    return CHECKPOINT_MAGIC + b"".join(
+        _LEN.pack(len(raw)) + raw for raw in sections)
+
+
+def valid_file_bytes():
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "valid.bin")
+        write_checkpoint(two_vertex_store(), path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+_VALID = valid_file_bytes()
+
+
+def i64(*values):
+    return struct.pack(f"<{len(values)}q", *values)
+
+
+def edit_meta(**fields):
+    def edit(sections):
+        meta = json.loads(sections[0])
+        meta.update(fields)
+        sections[0] = json.dumps(meta).encode()
+    return edit
+
+
+def set_section(index, raw):
+    def edit(sections):
+        sections[index] = raw
+    return edit
+
+
+#: Sections: 0 meta, 1 vertex ids, 2 vertex codes, 3 orders, 4 edge ids,
+#: 5 edge codes, 6 srcs, 7 dsts, 8 props.
+MALFORMED = {
+    "negative-edge-src": set_section(6, i64(-1)),
+    "duplicate-vertex-id": set_section(1, i64(0, 0)),
+    "vertex-id-past-capacity": set_section(1, i64(0, 5)),
+    "descending-vertex-ids": set_section(1, i64(1, 0)),
+    "edge-endpoint-past-capacity": set_section(7, i64(9)),
+    "edge-endpoint-is-a-gap": lambda sections: (
+        edit_meta(vertex_capacity=3)(sections),
+        set_section(1, i64(0, 2))(sections),
+        set_section(8, b'{"edges": {}, "vertices": {}}')(sections)),
+    "unknown-vertex-type-code": set_section(2, bytes([0, 9])),
+    "unknown-edge-type-code": set_section(5, bytes([42])),
+    "garbled-meta": set_section(0, b"\xff\xfe{not json"),
+    "garbled-props": set_section(8, b'{"vertices": {"0": '),
+    "props-for-dead-record": set_section(
+        8, b'{"edges": {}, "vertices": {"7": {"name": "ghost"}}}'),
+    "live-count-mismatch": edit_meta(live_vertices=3),
+    "capacity-not-an-int": edit_meta(vertex_capacity="2"),
+    "torn-array-section": set_section(3, b"\x00" * 15),
+    "trailing-bytes": lambda sections: sections.append(b"extra"),
+    "foreign-format": edit_meta(format="repro-ckpt-v0"),
+}
+
+
+def load_or_reject(data):
+    """read_checkpoint over ``data``: the store, or ``None`` when it was
+    rejected with SerializationError (anything else propagates). The
+    file must be unlinkable afterwards whatever happened."""
+    handle, path = tempfile.mkstemp(prefix="fuzz-", suffix=".bin")
+    try:
+        os.write(handle, data)
+        os.close(handle)
+        try:
+            return read_checkpoint(path)
+        except SerializationError:
+            return None
+    finally:
+        os.unlink(path)
+
+
+def assert_self_consistent(store):
+    vertices, edges = list(store.vertices()), list(store.edges())
+    assert store.vertex_count == len(vertices)
+    assert store.edge_count == len(edges)
+    for edge in edges:
+        assert edge.src in store and edge.dst in store
+        assert edge.edge_id in store.out_edge_ids(edge.src)
+        assert edge.edge_id in store.in_edge_ids(edge.dst)
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_rejected(self, case):
+        sections = split_sections(_VALID)
+        MALFORMED[case](sections)
+        assert load_or_reject(join_sections(sections)) is None
+
+    def test_untouched_file_loads(self):
+        store = load_or_reject(_VALID)
+        assert stores_identical(store, two_vertex_store())
+
+
+#: Offsets of the valid file's nine section-length fields.
+_LENGTH_FIELDS = list(accumulate(
+    (_LEN.size + len(raw) for raw in split_sections(_VALID)[:-1]),
+    initial=len(CHECKPOINT_MAGIC)))
+
+#: One edit of the valid file: truncate it, XOR one byte, or overwrite
+#: one section's length field.
+_EDIT = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, len(_VALID) - 1)),
+    st.tuples(st.just("flip"), st.integers(0, len(_VALID) - 1),
+              st.integers(1, 255)),
+    st.tuples(st.just("length"), st.sampled_from(_LENGTH_FIELDS),
+              st.one_of(st.integers(0, 64), st.integers(0, 2**64 - 1))),
+)
+
+
+def _apply(data, edit):
+    kind = edit[0]
+    if kind == "truncate":
+        return data[:edit[1]]
+    if kind == "flip":
+        _, index, mask = edit
+        return data[:index] + bytes([data[index] ^ mask]) + data[index + 1:]
+    _, offset, length = edit
+    return data[:offset] + _LEN.pack(length) + data[offset + _LEN.size:]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_byte_edits_are_rejected_or_self_consistent(edits):
+    data = _VALID
+    # Flips and length edits address the intact layout: truncate last.
+    for edit in sorted(edits, key=lambda edit: edit[0] == "truncate"):
+        data = _apply(data, edit)
+    store = load_or_reject(data)
+    if store is not None:
+        assert_self_consistent(store)
 
 
 class TestBinaryCodecs:
@@ -279,20 +507,21 @@ def expected(graph, targets):
 
 
 class TestCheckpointBootstrapDifferential:
-    """Checkpoint+tail must be observationally identical to a full sync."""
+    """Checkpoint+tail must be observationally identical to the leader,
+    on the reused-checkpoint path and on the fault-recapture path."""
 
-    def test_restart_loop_checkpoint_vs_full_sync(self):
+    def test_restart_loop_checkpoint_vs_fresh_capture(self):
         example = build_paper_example()
         graph = example.graph
         targets = [example["weight-v2"], example["model-v1"]]
         served = {}
-        for mode in ("checkpoint", "full-sync"):
+        for mode in ("checkpoint", "recapture"):
             with WorkerPool(graph, count=1) as pool:
                 client = pool.clients[0]
                 for round_index in range(2):
                     graph.add_entity(name=f"{mode}-{round_index}")
-                    if mode == "full-sync":
-                        break_checkpoint(pool)       # forces the fallback
+                    if mode == "recapture":
+                        break_checkpoint(pool)       # forces the fault path
                     kill_worker(client)
                     pool.restart(client, failed=client.transport)
                     client.ping(timeout=30)
@@ -305,12 +534,12 @@ class TestCheckpointBootstrapDifferential:
                 else:
                     assert boot["checkpoint_hits"] == 1    # the boot only
                     assert boot["full_syncs"] == 2
-        assert served["checkpoint"] == served["full-sync"] \
+        assert served["checkpoint"] == served["recapture"] \
             == expected(graph, targets)
 
     def test_stale_checkpoint_falls_back_to_fresh_capture(self):
         """A checkpoint past the log's truncation horizon is replaced by
-        one captured now — never by the JSON sync."""
+        one captured now, before anything is shipped — not a fault."""
         example = build_paper_example()
         graph = example.graph
         targets = [example["weight-v2"], example["model-v1"]]
@@ -334,12 +563,12 @@ class TestCheckpointBootstrapDifferential:
 
     @pytest.mark.parametrize("fault", ["unreadable-file",
                                        "truncated-after-capture"])
-    def test_checkpoint_fault_falls_back_to_one_full_sync(
+    def test_checkpoint_fault_falls_back_to_one_fresh_capture(
             self, fault, monkeypatch):
-        """The two faults the JSON ``sync`` frame survives for: the
-        worker answers ``checkpoint-failed``, or the log truncates past
-        the checkpoint between capture and ship. Either way: one full
-        sync on the same stream, then checkpoints again."""
+        """The two faults of a state load: the worker answers
+        ``checkpoint-failed``, or the log truncates past the checkpoint
+        between capture and ship. Either way: one fresh capture on the
+        same stream (no restart), then the fast path again."""
         example = build_paper_example()
         graph = example.graph
         targets = [example["weight-v2"], example["model-v1"]]
@@ -354,6 +583,7 @@ class TestCheckpointBootstrapDifferential:
                 capture = pool.log.checkpoint
 
                 def capture_then_lose_the_race():
+                    monkeypatch.undo()       # race the first capture only
                     ckpt = capture()
                     for index in range(8):
                         graph.add_entity(name=f"raced-{index}")
@@ -368,14 +598,49 @@ class TestCheckpointBootstrapDifferential:
             assert (client.restarts, client.resyncs) == (0, 1)
             assert pool.stats()["bootstrap"]["full_syncs"] == 1
             assert answers(pool, targets) == expected(graph, targets)
-            # The faulty checkpoint was dropped: the next restart
-            # captures fresh and rides the fast path again.
+            # The fresh capture is the one the next restart reuses.
             kill_worker(client)
             pool.restart(client, failed=client.transport)
             client.ping(timeout=30)
             boot = pool.stats()["bootstrap"]
             assert (boot["checkpoint_hits"], boot["full_syncs"]) == (2, 1)
             assert answers(pool, targets) == expected(graph, targets)
+
+    def test_checkpoint_failing_twice_raises_replica_unavailable(
+            self, monkeypatch):
+        """When the fresh capture cannot be loaded either, the state load
+        gives up with a typed error — well inside the spawn deadline, the
+        respawn discarded (no fd growth) — and the detached client
+        restarts cleanly on its next use."""
+        example = build_paper_example()
+        graph = example.graph
+        target = example["weight-v2"]
+        with WorkerPool(graph, count=1) as pool:
+            client = pool.clients[0]
+            gc.collect()
+            baseline = open_fds()
+            capture = pool.log.checkpoint
+
+            def unreadable_capture():
+                ckpt = capture()
+                ckpt.path.write_bytes(b"")
+                return ckpt
+
+            monkeypatch.setattr(pool.log, "checkpoint", unreadable_capture)
+            kill_worker(client)
+            started = time.monotonic()
+            with pytest.raises(ReplicaUnavailable):
+                pool.restart(client, failed=client.transport)
+            assert time.monotonic() - started < pool.spawn_timeout
+            assert client.transport is None and client.proc is None
+            monkeypatch.undo()
+            gc.collect()
+            assert open_fds() <= baseline
+            assert sorted(client.lineage(target).vertices) \
+                == sorted(lineage(graph, target).vertices)
+            assert client.epoch == pool.log.epoch
+            gc.collect()
+            assert open_fds() <= baseline
 
     def test_kill_mid_bootstrap_then_recover(self, monkeypatch):
         """A worker dying between the checkpoint frame and its ack must
@@ -415,8 +680,6 @@ class TestRefusedPeer:
     handshake like any other: dropped, never attached."""
 
     def test_peer_without_wire_v2_is_dropped(self):
-        import gc
-
         example = build_paper_example()
         graph = example.graph
         target = example["weight-v2"]

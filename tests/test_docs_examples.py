@@ -1,11 +1,12 @@
 """The wire-protocol spec's examples must round-trip through the codecs.
 
 ``docs/wire-protocol.md`` promises that every fenced ```json block is a
-complete frame and that the examples share one worked store (the sync
-example) and one epoch timeline. This suite walks the document in order
-and, per frame kind, decodes the example through the matching
-``serve/wire.py`` codec and re-encodes it, asserting exact equality — so
-the normative spec and the code cannot drift apart. ``tools/check_docs.py``
+complete frame and that the examples share one worked store and one
+epoch timeline. This suite walks the document in order and, per frame
+kind, decodes the example through the matching ``serve/wire.py`` codec
+and re-encodes it, asserting exact equality — and applies the batch
+examples to the worked store in order, so the timeline must hold too.
+The normative spec and the code cannot drift apart. ``tools/check_docs.py``
 separately keeps the prose honest (links resolve, fences parse); this
 file keeps the *protocol content* honest.
 """
@@ -17,8 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.model.graph import ProvenanceGraph
+from repro.model.types import EdgeType, VertexType
 from repro.serve import wire
 from repro.store.delta import DeltaOp, PropertyPayload
+from repro.store.store import PropertyGraphStore
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "wire-protocol.md"
 
@@ -37,6 +40,20 @@ def doc_blocks():
     return blocks
 
 
+def worked_store():
+    """The store the examples describe (§"The worked store"), epoch 7."""
+    store = PropertyGraphStore()
+    dataset = store.add_vertex(VertexType.ENTITY, {"name": "dataset"})
+    train = store.add_vertex(VertexType.ACTIVITY, {"command": "train -gpu"})
+    weights = store.add_vertex(VertexType.ENTITY, {"name": "weights"})
+    alice = store.add_vertex(VertexType.AGENT, {"name": "alice"})
+    store.add_edge(EdgeType.USED, train, dataset)
+    store.add_edge(EdgeType.WAS_GENERATED_BY, weights, train)
+    store.add_edge(EdgeType.WAS_ASSOCIATED_WITH, train, alice)
+    assert store.epoch == 7
+    return store
+
+
 def test_every_example_is_a_tagged_frame():
     for block in doc_blocks():
         assert isinstance(block, dict)
@@ -48,18 +65,15 @@ def test_examples_round_trip_through_codecs():
     """One dispatch per frame kind; exact re-encode equality."""
     blocks = doc_blocks()
     seen_kinds = set()
-    graph = None                 # bound by the sync example
+    store = worked_store()
+    graph = ProvenanceGraph(store)
     methods_by_id = {}           # request id -> method, for responses
 
     for block in blocks:
         kind = block["kind"]
         seen_kinds.add(kind)
-        if kind == "sync":
-            store = wire.sync_from_frame(block)
-            assert wire.sync_to_frame(store) == block
-            graph = ProvenanceGraph(store)
-        elif kind == "batch":
-            batch, payloads = wire.decode_batch(json.dumps(block))
+        if kind == "batch":
+            batch, payloads = wire.batch_from_wire(block)
             stripped = dict(block)
             stripped["deltas"] = [
                 {key: value for key, value in delta.items()
@@ -76,6 +90,8 @@ def test_examples_round_trip_through_codecs():
                     assert payload == dict(raw.get("props", {}))
                 else:
                     assert payload is None
+            # The documented timeline: each batch is the store's next.
+            store.apply_replicated_batch(batch, payloads)
         elif kind == "hello":
             worker_id, token = wire.hello_from_wire(block)
             # wire (capability list) is additive: from_wire ignores it,
@@ -146,7 +162,8 @@ def test_examples_round_trip_through_codecs():
             pytest.fail(f"example with unspecified kind {kind!r}")
 
     # The spec must keep one worked example per frame kind.
-    assert seen_kinds >= {"sync", "batch", "hello", "ping", "pong",
+    assert store.epoch == 10
+    assert seen_kinds >= {"batch", "hello", "ping", "pong",
                           "event", "shutdown", "bye", "request",
                           "response", "requests", "responses",
                           "client_hello", "welcome", "shard_map",
@@ -199,7 +216,6 @@ def _check_request_params(method, params):
 
 
 def _check_result(method, result, graph):
-    assert graph is not None, "result example precedes the sync example"
     if method in ("lineage", "impacted"):
         assert wire.lineage_to_wire(wire.lineage_from_wire(result)) == result
     elif method == "blame":
@@ -207,13 +223,13 @@ def _check_result(method, result, graph):
     elif method == "segment":
         segment = wire.segment_from_wire(graph, result)
         assert wire.segment_to_wire(segment) == result
-        # Worked examples bind to the sync store: ids must resolve there.
+        # Worked examples bind to the worked store: ids must resolve there.
         for vertex_id in segment.vertices:
             graph.vertex(vertex_id)
     elif method == "summarize":
         psg = wire.psg_from_wire(result)
         assert wire.psg_to_wire(psg) == result
-        # Worked examples bind to the sync store: member ids resolve there.
+        # Worked examples bind to the worked store: member ids resolve.
         for node in psg.nodes:
             for _seg_index, vertex_id in node.members:
                 graph.vertex(vertex_id)

@@ -8,6 +8,7 @@ from repro.segment.pgseg import PgSegQuery
 from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.replication import Replica, ReplicationLog
 from repro.session import LifecycleSession
+from repro.store.checkpoint import CheckpointManager
 from repro.store.delta import Delta, DeltaBatch, DeltaOp
 from repro.store.store import PropertyGraphStore
 from repro.workloads.lifecycle import build_paper_example
@@ -108,12 +109,47 @@ class TestReplica:
         assert replica.lineage(
             paper["weight-v2"]).vertices    # serves again after recovery
 
-    def test_sync_payload_memoized_per_epoch(self, paper):
-        log = ReplicationLog(paper.graph)
-        first = log.sync()
-        assert log.sync() is first            # same epoch: one encode
-        grow(paper.graph, 0)
-        assert log.sync() is not first        # mutation: fresh payload
+    def test_replicas_bootstrap_from_one_capture(self, paper, monkeypatch):
+        """N in-process replicas load one checkpoint file: the store is
+        encoded once, not once per replica."""
+        captured = []
+        capture = CheckpointManager.capture
+
+        def counting_capture(manager, store):
+            captured.append(store.epoch)
+            return capture(manager, store)
+
+        monkeypatch.setattr(CheckpointManager, "capture", counting_capture)
+        with ProvCluster(paper.graph, replicas=3) as cluster:
+            assert captured == [paper.graph.store.epoch]
+            for replica in cluster.replicas:
+                assert stores_identical(paper.graph.store, replica.store)
+
+    def test_unlinked_checkpoint_is_recaptured_once(self, paper):
+        """A re-sync whose checkpoint file vanished captures a fresh one
+        (exactly one) and converges on the leader."""
+        graph = paper.graph
+        with ProvCluster(graph, replicas=1) as cluster:
+            replica = cluster.replicas[0]
+            stale = cluster.log.checkpoint()
+            stale.path.unlink()
+            replica.store.add_vertex(VertexType.ENTITY)   # local divergence
+            target = grow(graph, 0)
+            replica.catch_up()                  # apply fails: re-sync
+            assert replica.resyncs == 1
+            assert cluster.log.checkpoint().generation \
+                == stale.generation + 1
+            assert stores_identical(graph.store, replica.store)
+            assert cluster.lineage(target).vertices \
+                == lineage(graph, target).vertices
+
+    def test_close_removes_checkpoint_directory(self, paper):
+        cluster = ProvCluster(paper.graph, replicas=2)
+        directory = cluster.log.checkpoint().path.parent
+        assert directory.is_dir()
+        cluster.close()
+        assert not directory.exists()
+        cluster.close()                         # idempotent
 
     def test_payload_count_mismatch_rejected(self, paper):
         replica = Replica(ReplicationLog(paper.graph))
@@ -407,8 +443,10 @@ class TestSessionServing:
         session.record("alice", "train", uses=["dataset"],
                        generates=["weights"])
         cluster = session.serve(replicas=1)
+        directory = cluster.log.checkpoint().path.parent
         session.stop_serving()
         assert session.cluster is None
+        assert not directory.exists()
         session._results.clear()
         session.how_was_it_made("weights")
         assert sum(r.queries_served for r in cluster.replicas) == 0

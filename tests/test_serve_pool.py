@@ -29,7 +29,7 @@ from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import LineTransport
 from repro.workloads.lifecycle import build_paper_example
-from faults import break_checkpoint, open_fds, truncate_log
+from faults import bootstrap_worker, break_checkpoint, open_fds, truncate_log
 
 
 def socketpair_transports():
@@ -475,7 +475,7 @@ class TestWorkerResultCache:
         import socket as socket_mod
 
         from repro.query.cypherlite import Budget
-        from repro.serve.wire import budget_to_wire, sync_to_frame
+        from repro.serve.wire import budget_to_wire
         from repro.serve.worker import ReplicaWorker
 
         example = build_paper_example()
@@ -483,7 +483,7 @@ class TestWorkerResultCache:
         with LineTransport.over_socket(left), \
                 LineTransport.over_socket(right) as worker_side:
             worker = ReplicaWorker(worker_side, 0)
-            worker._bootstrap(sync_to_frame(example.graph.store))
+            bootstrap_worker(worker, example.graph.store)
             params = {
                 "text": "MATCH (e:E) RETURN id(e)",
                 "budget": budget_to_wire(Budget(timeout_seconds=30.0)),
@@ -569,27 +569,31 @@ class TestShipCursor:
             assert worker_epoch == client.epoch == pool.log.epoch
             assert client.restarts == 0
 
-    def test_write_racing_the_full_sync_is_not_skipped(self, monkeypatch):
-        """The full-sync fallback's cursor is the epoch the payload was
-        encoded at (``ReplicationLog.sync`` hands it back), not the
-        leader epoch once the frame is out."""
+    def test_write_racing_the_fault_recapture_is_not_skipped(
+            self, monkeypatch):
+        """The fault recapture's cursor is its checkpoint epoch plus the
+        tail it read, not the leader epoch once the frames are out."""
         graph = build_paper_example().graph
         with WorkerPool(graph, count=1) as pool:
             client = pool.clients[0]
             truncate_log(graph.store, 4)
             for tag in range(8):            # the span falls off the log
                 graph.add_entity(name=f"burst{tag}")
-            break_checkpoint(pool)          # the worker will ask for a sync
-            encode = pool.log.sync
+            break_checkpoint(pool)          # the first load fails
+            load = pool._ship_checkpoint
+            loaded = []
 
-            def encode_then_lose_the_race():
-                encoded = encode()
-                graph.add_entity(name="raced")
-                return encoded
+            def load_then_lose_the_race(client, ckpt, tail):
+                loaded.append(ckpt.generation)
+                if len(loaded) == 2:        # the recapture: tail is read
+                    graph.add_entity(name="raced")
+                return load(client, ckpt, tail)
 
-            monkeypatch.setattr(pool.log, "sync", encode_then_lose_the_race)
-            pool.ship(client)               # truncated: full re-sync
+            monkeypatch.setattr(pool, "_ship_checkpoint",
+                                load_then_lose_the_race)
+            pool.ship(client)               # truncated: state reload
             monkeypatch.undo()
+            assert len(loaded) == 2 and loaded[1] > loaded[0]
             assert pool.stats()["bootstrap"]["full_syncs"] == 1
             assert client.resyncs == 1
             assert client.epoch == pool.log.epoch - 1

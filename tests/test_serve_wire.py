@@ -17,12 +17,10 @@ from repro.serve.wire import (
     blame_to_wire,
     budget_from_wire,
     budget_to_wire,
+    batch_from_wire,
     client_hello_frame,
     client_hello_from_wire,
-    decode_batch,
-    decode_sync,
-    encode_batch,
-    encode_sync,
+    encode_batch_binary,
     error_from_wire,
     error_to_wire,
     hello_frame,
@@ -45,18 +43,17 @@ from repro.serve.wire import (
     rows_to_wire,
     segment_from_wire,
     segment_to_wire,
-    sync_from_frame,
-    sync_to_frame,
+    unpack_batch_frame,
     welcome_frame,
     welcome_from_wire,
 )
 from repro.store.delta import Delta, DeltaBatch, DeltaOp, PropertyPayload
 from repro.store.store import PropertyGraphStore
-from test_store_persistence import stores_identical
 
 
 def roundtrip(batch, store=None):
-    return decode_batch(encode_batch(batch, store))
+    """Encode as every follower is shipped it, decode as it applies it."""
+    return batch_from_wire(unpack_batch_frame(encode_batch_binary(batch, store)))
 
 
 ALL_OP_DELTAS = [
@@ -93,7 +90,7 @@ class TestBatchRoundTrip:
         store.add_vertex(VertexType.ENTITY, {"name": "w", "tags": [1, 2]})
         store.add_edge(EdgeType.USED, 0, 1, {"role": "input"})
         batches = store.delta_log.batches_since(0)
-        decoded = [decode_batch(encode_batch(b, store)) for b in batches]
+        decoded = [roundtrip(b, store) for b in batches]
         assert decoded[0][1] == [{"command": "train"}]
         assert decoded[1][1] == [{"name": "w", "tags": [1, 2]}]
         assert decoded[2][1] == [{"role": "input"}]
@@ -103,7 +100,7 @@ class TestBatchRoundTrip:
         store.add_vertex(VertexType.ENTITY, {"name": "e"})
         store.set_vertex_property(0, "note", None)
         (batch,) = store.delta_log.batches_since(1)
-        _, payloads = decode_batch(encode_batch(batch, store))
+        _, payloads = roundtrip(batch, store)
         # "set to None" must stay distinguishable from "value unavailable".
         assert payloads == [PropertyPayload(None)]
 
@@ -113,69 +110,22 @@ class TestBatchRoundTrip:
         store.set_vertex_property(0, "note", "x")
         store.remove_vertex(0)
         add_b, set_b, _ = store.delta_log.batches_since(0)
-        _, add_payloads = decode_batch(encode_batch(add_b, store))
-        _, set_payloads = decode_batch(encode_batch(set_b, store))
+        _, add_payloads = roundtrip(add_b, store)
+        _, set_payloads = roundtrip(set_b, store)
         assert add_payloads == [{}]          # props unavailable -> empty
         assert set_payloads == [None]        # value unavailable -> absent
 
     def test_malformed_lines_raise(self):
         with pytest.raises(SerializationError):
-            decode_batch("not json")
+            unpack_batch_frame(b"not a packed batch")
         with pytest.raises(SerializationError):
-            decode_batch('{"kind": "other"}')
+            batch_from_wire({"kind": "other"})
         with pytest.raises(SerializationError):
-            decode_batch('{"kind": "batch", "format": "repro-wire-v1", '
-                         '"epoch": 1, "deltas": [{"op": "NO_SUCH_OP"}]}')
+            batch_from_wire({"kind": "batch", "format": "repro-wire-v1",
+                             "epoch": 1, "deltas": [{"op": "NO_SUCH_OP"}]})
         # A batch header missing epoch/deltas is malformed, not a KeyError.
         with pytest.raises(SerializationError):
-            decode_batch('{"kind": "batch", "format": "repro-wire-v1"}')
-
-
-class TestSyncRoundTrip:
-    def test_paper_store_bit_exact(self, paper):
-        store = paper.graph.store
-        restored = decode_sync(encode_sync(store))
-        assert stores_identical(store, restored)
-        assert restored.epoch == store.epoch
-
-    def test_tombstone_gaps_and_orders_survive(self):
-        store = PropertyGraphStore()
-        keep = store.add_vertex(VertexType.ENTITY, {"name": "a"})
-        doomed = store.add_vertex(VertexType.ENTITY)
-        act = store.add_vertex(VertexType.ACTIVITY, {"command": "c"})
-        store.add_edge(EdgeType.USED, act, keep)
-        doomed_edge = store.add_edge(EdgeType.USED, act, doomed)
-        store.remove_edge(doomed_edge)
-        store.remove_vertex(doomed)
-        restored = decode_sync(encode_sync(store))
-        assert stores_identical(store, restored)
-        assert restored.epoch == store.epoch
-        assert restored.order_of(act) == store.order_of(act)
-
-    def test_sync_rebases_delta_log(self, paper):
-        store = paper.graph.store
-        restored = decode_sync(encode_sync(store))
-        # The replayed window starts empty at the leader epoch: the span
-        # since the sync point is [], anything earlier is unavailable.
-        assert restored.delta_log.batches_since(store.epoch) == []
-        assert restored.delta_log.batches_since(store.epoch - 1) is None
-
-    def test_mutations_continue_contiguously_after_sync(self, paper):
-        store = paper.graph.store
-        restored = decode_sync(encode_sync(store))
-        before = restored.epoch
-        restored.add_vertex(VertexType.ENTITY, {"name": "later"})
-        assert restored.epoch == before + 1
-        assert restored.delta_log.last_epoch == before + 1
-
-    def test_framed_sync_round_trips(self, paper):
-        store = paper.graph.store
-        restored = sync_from_frame(sync_to_frame(store))
-        assert stores_identical(store, restored)
-        with pytest.raises(SerializationError):
-            sync_from_frame({"kind": "sync", "format": "repro-wire-v1"})
-        with pytest.raises(SerializationError):
-            sync_from_frame({"kind": "batch", "format": "repro-wire-v1"})
+            batch_from_wire({"kind": "batch", "format": "repro-wire-v1"})
 
 
 class TestControlFrames:
@@ -185,8 +135,8 @@ class TestControlFrames:
             hello_from_wire({"kind": "hello", "format": "repro-wire-v1"})
 
     def test_pong_round_trips(self):
-        epoch, stats = pong_from_wire(pong_frame(9, {"syncs": 1}))
-        assert (epoch, stats) == (9, {"syncs": 1})
+        epoch, stats = pong_from_wire(pong_frame(9, {"checkpoints": 1}))
+        assert (epoch, stats) == (9, {"checkpoints": 1})
         assert pong_from_wire(pong_frame(0)) == (0, {})
 
 

@@ -50,7 +50,6 @@ from repro.serve.wire import (
     psg_to_wire,
     rows_to_wire,
     segment_to_wire,
-    sync_to_frame,
 )
 from repro.serve.worker import ReplicaWorker
 from repro.store.snapshot import default_crossover
@@ -64,7 +63,7 @@ from repro.store.delta import (
 )
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 from repro.workloads.lifecycle import build_paper_example
-from faults import kill_worker, truncate_log
+from faults import bootstrap_worker, kill_worker, truncate_log
 from test_snapshot_differential import _mutate
 
 FULL = os.environ.get("RETENTION_FULL", "") not in ("", "0")
@@ -89,14 +88,14 @@ class _Harness:
         self._pool_side = LineTransport.over_socket(left)
         self._worker_side = LineTransport.over_socket(right)
         self.worker = ReplicaWorker(self._worker_side, 0)
-        self.worker._bootstrap(sync_to_frame(graph.store))
+        bootstrap_worker(self.worker, graph.store)
 
     def ship(self):
-        """Ship the span the worker is missing; truncation → full re-sync
-        (never partial replay), exactly like the pool."""
+        """Ship the span the worker is missing; truncation → a fresh
+        bootstrap (never partial replay), exactly like the pool."""
         batches = self.graph.store.delta_log.batches_since(self.worker.epoch)
         if batches is None:
-            self.worker._bootstrap(sync_to_frame(self.graph.store))
+            bootstrap_worker(self.worker, self.graph.store)
             return
         for batch in batches:
             assert self.worker._apply(
@@ -221,8 +220,8 @@ def test_truncation_forces_resync_then_answers_match(seed):
                 _mutate(rng, graph, counter)
             harness.ship()
             _check_round(harness, rng)
-        # syncs counts the construction bootstrap too, hence > 1.
-        assert harness.worker.syncs > 1, \
+        # checkpoints counts the construction bootstrap too, hence > 1.
+        assert harness.worker.checkpoints > 1, \
             "the truncation schedule must actually force full re-syncs"
     finally:
         harness.close()

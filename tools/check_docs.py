@@ -98,7 +98,7 @@ def check_links(path: Path, problems: list[str]) -> None:
 
 #: Frame-kind literals in serve/wire.py: encoder dict literals
 #: (``"kind": "batch"``) and decoder expectations
-#: (``_expect_kind(record, "sync")``).
+#: (``_expect_kind(record, "checkpoint")``).
 _WIRE_KIND_LITERAL = re.compile(r'"kind":\s*"(\w+)"')
 _WIRE_KIND_EXPECT = re.compile(r'_expect_kind\([^,]+,\s*"(\w+)"\)')
 
