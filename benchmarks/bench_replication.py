@@ -14,18 +14,19 @@ asked several times (the dashboard fan-in). Three serving modes run the
   query off the live mutable adjacency, re-deriving each answer per
   request (fresh operator/solver adjacency per PgSeg — no read layer).
 - **cluster** — a :class:`repro.serve.cluster.ProvCluster` with 4 read
-  replicas: writes land on the leader, reads are routed with
-  read-your-writes consistency, so every round pays wire encode/decode,
-  batch apply, per-replica snapshot advance, and 4x cold cache warm-up
-  *inside the timing* (each replica re-derives a pooled query once per
-  epoch before hitting its own caches).
+  replicas, each an in-process :class:`repro.serve.worker.ReplicaWorker`
+  behind an in-memory link: writes land on the leader, reads are routed
+  with read-your-writes consistency, so every round pays the record
+  codecs, batch apply, per-replica snapshot advance, and 4x cold cache
+  warm-up *inside the timing* (each replica re-derives a pooled query
+  once per epoch before hitting its own caches).
 - **single-snapshot** (informational) — the PR 1/2 single-process read
   layer (one advanced snapshot + epoch-synced operator), reported so the
   cluster's replication overhead over the best single-process path is
   visible. It wins on one core — the cluster's point is that the same
   wire protocol shards this read load across processes/machines.
 
-``--out-of-process`` swaps the in-process cluster for the real thing: a
+``--out-of-process`` spawns the same four workers as processes: a
 4-worker :class:`repro.serve.pool.WorkerPool` over the socket transport,
 each round shipping the new epoch to every worker and then fanning the
 read burst out across per-worker threads (one client per thread — clients
@@ -265,7 +266,7 @@ class SnapshotServer(SequentialRounds):
 
 
 class ClusterServer(SequentialRounds):
-    """The serving subsystem: leader + read replicas + router."""
+    """The serving subsystem: leader + in-process worker replicas + router."""
 
     name = f"cluster-x{N_REPLICAS}"
 

@@ -10,7 +10,7 @@ the offline install simple). Subcommands:
 - ``segment``       run a PgSeg query and print the segment
 - ``summarize``     PgSum over segments produced by repeated ``--dst``
 - ``bench``         run one named experiment and print its table
-- ``serve-worker``  run one out-of-process replica worker (internal: the
+- ``serve-worker``  run one replica worker process (internal: the
   entrypoint :class:`repro.serve.pool.WorkerPool` spawns; speaks the wire
   protocol — including batched ``requests`` bundles served against one
   armed snapshot with a footprint-retaining result cache and materialized
@@ -197,7 +197,7 @@ def _cmd_serve_frontend(args: argparse.Namespace) -> int:
     print(f"FRONTEND {host}:{port}", flush=True)
     shard_note = f" x {args.shards} shards" if config.shards > 1 else ""
     print(f"serving {args.graph} on {args.replicas} "
-          f"{'worker' if args.out_of_process else 'replica'}(s)"
+          f"{'' if args.out_of_process else 'in-process '}worker(s)"
           f"{shard_note}; Ctrl-C to stop", file=sys.stderr, flush=True)
     try:
         cluster.frontend.wait()
@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "own replica set) behind the scatter-gather "
                         "coordinator; 1 = unsharded")
     p.add_argument("--out-of-process", action="store_true",
-                   help="serve from spawned worker processes")
+                   help="spawn each replica worker as a process (default: "
+                        "in this process, behind an in-memory link)")
     p.add_argument("--max-inflight", type=int, default=256,
                    help="largest multiplexed batch per dispatch cycle")
     p.add_argument("--admission-budget", type=int, default=1024,
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve-worker",
-        help="run one out-of-process replica worker (internal)",
+        help="run one replica worker process (internal)",
     )
     p.add_argument("--connect", metavar="HOST:PORT", required=True,
                    help="dial the pool's loopback listener")

@@ -3,13 +3,14 @@
 Turns the single-process provenance store into a leader + N read-replica
 cluster: :mod:`repro.serve.wire` is the wire format (replication stream +
 request/response query frames — spec in ``docs/wire-protocol.md``),
-:mod:`repro.serve.replication` the leader publisher, the one
-checkpoint + binary-tail bootstrap every follower shares, and the
-in-process replica, :mod:`repro.serve.transport` the framed socket
-channel, :mod:`repro.serve.worker` the out-of-process replica worker, and
-:mod:`repro.serve.pool` the worker pool that spawns, health-checks, and
-restarts those workers. :mod:`repro.serve.cluster` routes every read family
-across either replica flavor with epoch-stamped consistency, and
+:mod:`repro.serve.replication` the leader publisher and the one
+checkpoint + binary-tail bootstrap every follower shares,
+:mod:`repro.serve.transport` the framed socket channel and the in-memory
+link, :mod:`repro.serve.worker` the replica worker (the one follower), and
+:mod:`repro.serve.pool` the worker pool that spawns (as processes or
+in-process), health-checks, and restarts those workers.
+:mod:`repro.serve.cluster` routes every read family across the pool with
+epoch-stamped consistency, and
 :mod:`repro.serve.frontend` is the asyncio front-end that multiplexes
 thousands of remote client connections onto that fan-out.
 
@@ -24,7 +25,7 @@ from repro.serve.api import QuerySpec, ServeConfig
 from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.frontend import AsyncFrontend, FrontendClient
 from repro.serve.pool import WorkerClient, WorkerPool
-from repro.serve.replication import Replica, ReplicationLog
+from repro.serve.replication import ReplicationLog
 from repro.serve.shards import ShardedCluster
 from repro.serve.transport import LineTransport
 from repro.serve.wire import WIRE_FORMAT
@@ -38,7 +39,6 @@ __all__ = [
     "ProvCluster",
     "QueryRouter",
     "QuerySpec",
-    "Replica",
     "ReplicaWorker",
     "ReplicationLog",
     "ServeConfig",

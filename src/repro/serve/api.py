@@ -42,15 +42,18 @@ class ServeConfig:
     """Every serving knob in one validated, immutable value.
 
     Args:
-        replicas: read replicas (in-process) or worker processes
-            (per shard, when sharded).
+        replicas: read replicas, each one
+            :class:`~repro.serve.worker.ReplicaWorker` (per shard, when
+            sharded).
         shards: partition serving into this many shards behind a
             :class:`~repro.serve.shards.ShardedCluster` coordinator
             (``1`` = today's single-leader :class:`ProvCluster`,
             byte-compatible stats/wire schemas). Each shard runs its own
             replication feed and replica set; reads scatter-gather.
-        out_of_process: serve from spawned worker processes instead of
-            in-process :class:`~repro.serve.replication.Replica` objects.
+        out_of_process: spawn each worker as a ``serve-worker`` process
+            (true parallel reads across cores) instead of in this process
+            behind an in-memory link. Only the spawn differs: the same
+            worker answers either way.
         frontend: also start the asyncio front-end
             (:class:`repro.serve.frontend.AsyncFrontend`) so remote
             clients can fan in over the wire protocol.

@@ -4,8 +4,10 @@ The paper's ProvDB architecture assumes one process owns the provenance
 graph; the ROADMAP north-star is heavy read traffic. :class:`ProvCluster`
 keeps the single leader as the only writer and fans every read family —
 introspection (PgSeg), overview (PgSum), lineage/impact/blame, CypherLite —
-out across :class:`~repro.serve.replication.Replica` followers fed by the
-delta-log replication stream.
+out across the :class:`~repro.serve.worker.ReplicaWorker` followers of one
+:class:`~repro.serve.pool.WorkerPool` (processes or in-memory workers,
+per ``ServeConfig.out_of_process``), fed by the delta-log replication
+stream.
 
 **Consistency: epoch-stamped read-your-writes.** Every query is stamped
 with a minimum epoch (by default the leader's current epoch, i.e. strict
@@ -29,16 +31,15 @@ from repro.model.graph import ProvenanceGraph
 from repro.obs import ObsContext
 from repro.query.cypherlite import Budget
 from repro.query.ops import Lineage
-from repro.segment.pgseg import PgSegQuery, Segment
+from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.api import ServeConfig, normalize_specs
-from repro.serve.replication import Replica, ReplicationLog
+from repro.serve.pool import WorkerClient, WorkerPool
 from repro.serve.wire import pgseg_query_is_wire_safe
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 from repro.summarize.psg import Psg
 
 if TYPE_CHECKING:   # pragma: no cover - types only
     from repro.serve.frontend import AsyncFrontend
-    from repro.serve.pool import WorkerPool
 
 T = TypeVar("T")
 
@@ -59,21 +60,21 @@ class QueryRouter:
     (and swappable) on its own.
     """
 
-    def __init__(self, replicas: list[Replica]):
+    def __init__(self, replicas: list[WorkerClient]):
         if not replicas:
             raise ValueError("a cluster needs at least one replica")
         self.replicas = replicas
         self._cursor = 0
         self._lock = threading.Lock()    # the cursor is read-modify-write
 
-    def route(self, min_epoch: int) -> Replica:
+    def route(self, min_epoch: int) -> WorkerClient:
         """The next replica in rotation, caught up to ``min_epoch``.
 
         A stale-tolerant stamp (e.g. ``0``) routes with zero catch-up work
         on the read path; the replica answers for its own epoch.
 
-        A replica that crashes *during* catch-up (out-of-process workers
-        can die at any frame) is not an error the caller sees: the pool
+        A replica that crashes *during* catch-up (a worker can die at any
+        frame) is not an error the caller sees: the pool
         restarts it with a full re-sync and the router retries the next
         replica in rotation. Only when the entire rotation is unavailable
         does :class:`~repro.errors.ReplicaUnavailable` propagate.
@@ -107,15 +108,15 @@ class QueryRouter:
         ) from last_crash
 
     @staticmethod
-    def _require(replica: Replica, min_epoch: int) -> None:
+    def _require(replica: WorkerClient, min_epoch: int) -> None:
         if replica.epoch < min_epoch:
             raise ValueError(
                 f"consistency stamp {min_epoch} is ahead of the leader "
                 f"(epoch {replica.epoch}); cannot serve a strong read"
             )
 
-    def caught_up(self, targets: list[Replica],
-                  min_epoch: int) -> list[Replica]:
+    def caught_up(self, targets: list[WorkerClient],
+                  min_epoch: int) -> list[WorkerClient]:
         """Caller-chosen ``targets`` (the front-end's leased workers)
         brought to ``min_epoch``, without advancing the rotation.
 
@@ -135,7 +136,8 @@ class QueryRouter:
             ready.append(replica)
         return ready or [self.route(min_epoch)]
 
-    def route_many(self, min_epoch: int, count: int) -> list[Replica]:
+    def route_many(self, min_epoch: int,
+                   count: int) -> list[WorkerClient]:
         """Up to ``count`` distinct caught-up replicas for a batch fan-out.
 
         The first target comes from :meth:`route` with its full
@@ -174,11 +176,11 @@ class ProvCluster:
             it directly (or through a session) and the cluster ships the
             deltas.
         replicas: number of read replicas to bootstrap.
-        out_of_process: serve from ``replicas`` worker *processes* over
-            the wire protocol instead of in-process followers (see
-            :mod:`repro.serve.pool`). Same routing, same consistency
-            stamps; call :meth:`close` (or use the cluster as a context
-            manager) when done so the workers shut down.
+        out_of_process: spawn each replica's worker as a process
+            instead of in this one (see :mod:`repro.serve.pool`). Same
+            worker, routing and consistency stamps either way; call
+            :meth:`close` (or use the cluster as a context manager) when
+            done so the workers shut down.
         config: a :class:`~repro.serve.api.ServeConfig` naming every
             serving knob (including the async front-end fields) in one
             validated value; mutually exclusive with the two shorthand
@@ -214,21 +216,10 @@ class ProvCluster:
         store = getattr(source, "store", source)
         self.graph = source if isinstance(source, ProvenanceGraph) \
             else ProvenanceGraph(store)
-        prefix = "" if shard is None else f"shard{shard}."
-        if config.out_of_process:
-            from repro.serve.pool import WorkerPool
-
-            self.pool: "WorkerPool | None" = WorkerPool(
-                self.graph, config=config, obs=self.obs, shard=shard)
-            self.log = self.pool.log
-            self.replicas = list(self.pool.clients)
-        else:
-            self.pool = None
-            self.log = ReplicationLog(store)
-            self.replicas = [Replica(self.log, i,
-                                     registry=self.obs.registry,
-                                     obs_prefix=f"{prefix}replica{i}")
-                             for i in range(config.replicas)]
+        self.pool = WorkerPool(self.graph, config=config, obs=self.obs,
+                               shard=shard)
+        self.log = self.pool.log
+        self.replicas = list(self.pool.clients)
         self.router = QueryRouter(self.replicas)
         self.frontend: "AsyncFrontend | None" = None
         if config.frontend:
@@ -256,19 +247,16 @@ class ProvCluster:
         Returns the total number of batches applied across replicas. A
         worker that dies mid-refresh is restarted at the leader epoch (a
         restart *is* a refresh), so the sweep keeps going — that policy
-        lives in :meth:`repro.serve.pool.WorkerPool.refresh`, delegated
-        to here so there is exactly one copy.
+        lives in :meth:`repro.serve.pool.WorkerPool.refresh`.
         """
-        if self.pool is not None:
-            return self.pool.refresh()
-        return sum(replica.catch_up() for replica in self.replicas)
+        return self.pool.refresh()
 
     def _serve(self, min_epoch: int | None,
-               request: Callable[[Replica], T]) -> T:
+               request: Callable[[WorkerClient], T]) -> T:
         """Route one read, retrying on worker crashes.
 
-        A replica that dies *while serving* (only possible out-of-process)
-        has already been restarted and re-synced by the pool when
+        A replica that dies *while serving* has already been restarted
+        and re-synced by the pool when
         :class:`~repro.errors.ReplicaUnavailable` surfaces; the read is
         then re-routed — the acceptance contract is that killing a worker
         mid-run loses no queries. One attempt per replica bounds the loop.
@@ -321,27 +309,23 @@ class ProvCluster:
         ``min_epoch``, independently routed segments could come from
         replicas at different epochs and merge states that never coexisted.
         So one replica is routed once and evaluates the *entire* summary —
-        segments and merge — replica-side (in-process via
-        :meth:`Replica.summarize
-        <repro.serve.replication.Replica.summarize>`, out-of-process via
-        one ``summarize`` wire request), which also lets out-of-process
-        workers serve repeat summaries from their incrementally maintained
-        materialized views. A replica crash mid-summary restarts the
-        *whole* summary on the next replica — partial segment sets must
-        never merge across replicas.
+        segments and merge — worker-side, as one ``summarize`` wire
+        request, which also lets the worker serve repeat summaries from
+        its incrementally maintained materialized views. A replica crash
+        mid-summary restarts the *whole* summary on the next replica —
+        partial segment sets must never merge across replicas.
 
-        Out-of-process, a non-wire-serializable query (boundary
-        predicates, key callables) would silently fall back to the live
-        leader while its siblings answer from a worker's replayed epoch —
-        merging states that never coexisted. So a summary containing any
-        such query is evaluated *wholly* leader-local: one graph, one
-        epoch, same coherence guarantee.
+        A non-wire-serializable query (boundary predicates, key
+        callables) would silently fall back to the live leader while its
+        siblings answer from a worker's replayed epoch — merging states
+        that never coexisted. So a summary containing any such query is
+        evaluated *wholly* leader-local: one graph, one epoch, same
+        coherence guarantee.
         """
         stamp = self.leader_epoch if min_epoch is None else min_epoch
         queries = list(queries)
         pgsum = pgsum if pgsum is not None else PgSumQuery()
-        if self.pool is not None \
-                and not all(pgseg_query_is_wire_safe(q) for q in queries):
+        if not all(pgseg_query_is_wire_safe(q) for q in queries):
             # Leader-local still honors the stamp contract: the leader
             # serves at its own epoch, so only a stamp from the future is
             # unsatisfiable — and it must raise exactly like the routed
@@ -352,8 +336,6 @@ class ProvCluster:
                     f"(epoch {self.leader_epoch}); cannot serve a strong "
                     f"read"
                 )
-            from repro.segment.pgseg import PgSegOperator
-
             operator = PgSegOperator(self.graph)
             segments = [operator.evaluate(query) for query in queries]
             return PgSumOperator(segments).evaluate(pgsum)
@@ -383,7 +365,7 @@ class ProvCluster:
     def query_many(self, specs, min_epoch: int | None = None,
                    raw: bool = False,
                    trace_ids: "list[str | None] | None" = None,
-                   targets: "list[Replica] | None" = None,
+                   targets: "list[WorkerClient] | None" = None,
                    ) -> list[Any]:
         """Serve a batch of read specs as one fan-out; results in order.
 
@@ -399,10 +381,10 @@ class ProvCluster:
         when the caller already chose them (the async front-end leases
         idle workers itself; :meth:`QueryRouter.caught_up`) — and their
         leases are held, taken in ``replica_id`` order, until every
-        share is collected. Out-of-process, each worker
-        gets its whole share as **one pipelined** ``requests`` bundle, so
-        N workers execute concurrently while the client drains answers —
-        the per-request round trip the lockstep path paid disappears.
+        share is collected. Each worker gets its whole share as **one
+        pipelined** ``requests`` bundle, so N worker processes execute
+        concurrently while the client drains answers — the per-request
+        round trip the lockstep path paid disappears.
 
         The returned list is index-aligned with ``specs``. A spec the
         server answered with an error contributes the rebuilt exception
@@ -418,13 +400,13 @@ class ProvCluster:
         epochs — use :meth:`summarize` when a *merge* needs one coherent
         epoch.
 
-        ``raw=True`` asks the out-of-process path to leave ok answers in
-        wire form (:class:`~repro.serve.pool.RawResult`) instead of
-        decoding them — the async front-end re-serves the same wire
-        format, so the decode/re-encode round trip is pure overhead
-        there. Best-effort: entries served in-process, by leader-local
-        fallback, or re-routed after a mid-bundle crash may still be
-        domain objects, so raw consumers must handle both shapes.
+        ``raw=True`` asks for ok answers in wire form
+        (:class:`~repro.serve.pool.RawResult`) instead of decoded ones —
+        the async front-end re-serves the same wire format, so the
+        decode/re-encode round trip is pure overhead there. Best-effort:
+        entries served by leader-local fallback, or re-routed after a
+        mid-bundle crash, may still be domain objects, so raw consumers
+        must handle both shapes.
 
         ``trace_ids`` (parallel to ``specs``; ``None`` entries untraced)
         threads sampled requests' trace ids down to the workers: the
@@ -479,46 +461,27 @@ class ProvCluster:
         """Serve each target its chunk (caller holds the leases), filing
         answers into ``results``; returns the chunks whose worker died."""
         failed: list[list[tuple[int, Any]]] = []
-        if self.pool is not None:
-            # Pipeline: every bundle on the wire before any collect.
-            begun = []
-            for target, chunk, chunk_traces in zip(targets, chunks, traces):
-                if not chunk:
-                    continue
-                try:
-                    handle = target.begin_many(
-                        [spec for _, spec in chunk],
-                        trace_ids=chunk_traces)
-                except ReplicaUnavailable:
-                    failed.append(chunk)
-                    continue
-                begun.append((target, chunk, handle))
-            for target, chunk, handle in begun:
-                try:
-                    values = target.collect_many(handle, raw=raw)
-                except ReplicaUnavailable:
-                    failed.append(chunk)
-                    continue
-                target.queries_served += len(chunk)
-                for (index, _), value in zip(chunk, values):
-                    results[index] = value
-        else:
-            for target, chunk, chunk_traces in zip(targets, chunks, traces):
-                if not chunk:
-                    continue
-                chunk_started = perf_counter()
-                values = target.query_many([spec for _, spec in chunk])
-                chunk_s = perf_counter() - chunk_started
-                for trace_id in chunk_traces:
-                    if trace_id is not None:
-                        # In-process serving has no transport hop; the
-                        # replica's share of the batch is the compute.
-                        self.obs.collector.add_span(
-                            trace_id, "worker", "compute-local", chunk_s,
-                            replica_id=target.replica_id)
-                target.queries_served += len(chunk)
-                for (index, _), value in zip(chunk, values):
-                    results[index] = value
+        # Pipeline: every bundle on the wire before any collect.
+        begun = []
+        for target, chunk, chunk_traces in zip(targets, chunks, traces):
+            if not chunk:
+                continue
+            try:
+                handle = target.begin_many(
+                    [spec for _, spec in chunk], trace_ids=chunk_traces)
+            except ReplicaUnavailable:
+                failed.append(chunk)
+                continue
+            begun.append((target, chunk, handle))
+        for target, chunk, handle in begun:
+            try:
+                values = target.collect_many(handle, raw=raw)
+            except ReplicaUnavailable:
+                failed.append(chunk)
+                continue
+            target.queries_served += len(chunk)
+            for (index, _), value in zip(chunk, values):
+                results[index] = value
         return failed
 
     def _serve_chunk(self, chunk_specs: list, stamp: int) -> list[Any]:
@@ -539,9 +502,8 @@ class ProvCluster:
 
     # ------------------------------------------------------------------
 
-    #: Per-replica counter keys every :meth:`stats` entry carries, even
-    #: for in-process replicas where the transport-failure counters are
-    #: structurally zero. One schema, one place to read it.
+    #: Per-replica counter keys every :meth:`stats` entry carries. One
+    #: schema, one place to read it.
     REPLICA_STAT_KEYS = (
         "replica_id", "epoch", "lag", "alive", "generation",
         "batches_applied", "resyncs", "restarts", "queries_served",
@@ -562,45 +524,37 @@ class ProvCluster:
                 "replica_id": int,
                 "epoch": int,           # replayed epoch (shipping ledger)
                 "lag": int,             # epochs behind the leader
-                "alive": bool,          # in-process replicas: always True
+                "alive": bool,          # process running / link open
                 "generation": int,      # spawn generation = restart count
-                                        #   (0 for in-process replicas)
-                "batches_applied": int, # batches_shipped out-of-process
+                "batches_applied": int, # batches shipped to the worker
                 "resyncs": int,
                 "restarts": int,
                 "queries_served": int,
                 "late_responses": int,  # answers for abandoned requests
                 "timeouts": int,        # deadline-abandoned requests
                 "poisoned": int,        # mid-frame timeouts (crash path)
-                ...                     # flavor-specific extras kept
+                ...                     # WorkerClient.stats() extras
              }, ...]}
 
         Every replica entry carries every :data:`REPLICA_STAT_KEYS` key
-        regardless of flavor; counters a flavor cannot produce (an
-        in-process replica cannot time out) are ``0``. With
-        ``ping=True``, each *out-of-process* entry additionally carries
-        the worker's own counters (cache/view telemetry and the
-        worker-echoed ``generation``) under ``"worker"`` — this sends a
-        ping frame per worker, so it is not free on the serving path.
-        (Without a ping, out-of-process entries still carry a ``worker``
-        key — the last observed pong's counters folded restart-aware by
-        :meth:`WorkerClient.stats
+        (an in-memory worker never times out, so its ``timeouts`` stay
+        ``0``). With ``ping=True``, each entry's ``"worker"`` is the
+        worker's own counters (cache/view telemetry and the
+        worker-echoed ``generation``) fetched now — this sends a ping
+        frame per worker, so it is not free on the serving path.
+        (Without a ping, ``worker`` holds the last observed pong's
+        counters folded restart-aware by :meth:`WorkerClient.stats
         <repro.serve.pool.WorkerClient.stats>`.)
 
         The top level also carries the leader process's registry
         snapshot under ``"metrics"``; :meth:`metrics` aggregates the
-        worker processes' registries on top.
+        workers' registries on top.
         """
         replicas = []
         for replica in self.replicas:
             entry = dict(replica.stats())
-            entry.setdefault("alive", True)
-            entry.setdefault("generation", 0)
-            entry.setdefault("batches_applied",
-                             entry.pop("batches_shipped", 0))
-            for key in self.REPLICA_STAT_KEYS:
-                entry.setdefault(key, 0)
-            if ping and self.pool is not None:
+            entry["batches_applied"] = entry.pop("batches_shipped")
+            if ping:
                 try:
                     _epoch, worker_stats = replica.ping()
                 except Exception:
@@ -616,7 +570,7 @@ class ProvCluster:
             replicas.append(entry)
         return {
             "leader_epoch": self.leader_epoch,
-            "out_of_process": self.pool is not None,
+            "out_of_process": self.config.out_of_process,
             "frontend": self.frontend.stats()
             if self.frontend is not None else None,
             "replicas": replicas,
@@ -642,16 +596,15 @@ class ProvCluster:
         self.obs.registry.gauge("cluster.leader_epoch").set(
             self.leader_epoch)
         workers: list[dict[str, Any] | None] = []
-        if self.pool is not None:
-            for client in self.replicas:
-                try:
-                    workers.append(client.metrics())
-                except Exception:   # noqa: BLE001 - health tooling must
-                    # degrade per worker, never fail the whole snapshot.
-                    workers.append(None)
+        for client in self.replicas:
+            try:
+                workers.append(client.metrics())
+            except Exception:   # noqa: BLE001 - health tooling must
+                # degrade per worker, never fail the whole snapshot.
+                workers.append(None)
         return {
             "leader_epoch": self.leader_epoch,
-            "out_of_process": self.pool is not None,
+            "out_of_process": self.config.out_of_process,
             "process": self.obs.registry.snapshot(),
             "workers": workers,
             "traces": {
@@ -661,15 +614,12 @@ class ProvCluster:
         }
 
     def health_check(self) -> list[int]:
-        """Ping out-of-process workers, restarting dead ones (no-op for
-        in-process replicas, which share the leader's fate)."""
-        if self.pool is None:
-            return []
+        """Ping every worker, restarting dead ones; returns restarted ids."""
         return self.pool.health_check()
 
     def close(self) -> None:
-        """Shut down the front-end and worker pool, if any, and delete the
-        log's checkpoint directory (idempotent).
+        """Shut down the front-end and worker pool, and delete the log's
+        checkpoint directory (idempotent).
 
         Safe to call repeatedly and safe when a worker already died
         mid-shutdown: the front-end is stopped first (no new client work
@@ -682,9 +632,7 @@ class ProvCluster:
                 frontend.stop()
             except Exception:   # pragma: no cover - best-effort teardown
                 pass
-        if self.pool is not None:
-            self.pool.close()
-        self.log.close()
+        self.pool.close()
 
     def __enter__(self) -> "ProvCluster":
         return self
@@ -695,6 +643,6 @@ class ProvCluster:
     def __repr__(self) -> str:   # pragma: no cover - cosmetic
         return (
             f"ProvCluster(replicas={len(self.replicas)}, "
-            f"out_of_process={self.pool is not None}, "
+            f"out_of_process={self.config.out_of_process}, "
             f"leader_epoch={self.leader_epoch})"
         )

@@ -1,18 +1,20 @@
-"""WorkerPool: out-of-process replicas over the wire protocol.
+"""WorkerPool: N read replicas, each a worker behind a client handle.
 
-PR 3 made the JSON-lines wire format the process boundary; this module
-actually crosses it. A :class:`WorkerPool` spawns N ``repro.cli
-serve-worker`` subprocesses that dial back to its loopback listener,
-upgrades each stream to ``repro-wire-v2`` binary framing
-(``hello`` -> ``welcome``), bootstraps each from the leader's snapshot
-checkpoint plus the delta-log tail, and hands back
-:class:`WorkerClient` handles that quack exactly like in-process
-:class:`~repro.serve.replication.Replica` objects — same ``epoch`` /
-``catch_up()`` / query-family surface — so the existing
+A :class:`WorkerPool` runs N :class:`~repro.serve.worker.ReplicaWorker`
+followers, bootstraps each from the leader's snapshot checkpoint plus
+the delta-log tail, and hands back one :class:`WorkerClient` per worker
+— the ``epoch`` / ``catch_up()`` / query-family surface the
 :class:`~repro.serve.cluster.QueryRouter` and
-:class:`~repro.serve.cluster.ProvCluster` route them unchanged and
-``LifecycleSession.serve(replicas=N, out_of_process=True)`` is a
-one-flag switch.
+:class:`~repro.serve.cluster.ProvCluster` route. ``ServeConfig.
+out_of_process`` only chooses how a worker is spawned:
+
+- ``True``: a ``repro.cli serve-worker`` subprocess that dials back to
+  the pool's loopback listener and upgrades its stream to
+  ``repro-wire-v2`` binary framing (``hello`` -> ``welcome``);
+- ``False``: the same worker, built with the arguments ``serve-worker``
+  would pass it, behind a :class:`~repro.serve.transport.MemoryTransport`
+  that runs it on the calling thread. Frames cross as dicts, so every
+  record codec still runs; only JSON text is skipped.
 
 Catch-up stays leader-driven and **in-order**: shipping writes the
 missing batch frames onto the worker's stream immediately before the
@@ -31,7 +33,8 @@ fans out over.
 
 Failure handling (the contract ``tests/test_serve_pool.py`` pins):
 
-- a worker crash (kill, divergence exit, hang past the deadline) surfaces
+- a worker crash (kill, divergence exit, hang past the deadline; an
+  in-process worker that raises or diverges closes its link) surfaces
   as :class:`~repro.errors.ReplicaUnavailable` after the pool has already
   respawned the worker and queued its full re-sync — the router then
   retries the query on the next replica in rotation, so no query is lost;
@@ -59,6 +62,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import wraps
 from pathlib import Path
 from typing import Any
 from uuid import uuid4
@@ -70,13 +74,13 @@ from repro.errors import (
     TransportTimeout,
 )
 from repro.model.graph import ProvenanceGraph
-from repro.obs import MetricAttr, ObsContext
+from repro.obs import MetricAttr, NullRegistry, ObsContext
 from repro.query.cypherlite import Budget
 from repro.query.ops import Lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.api import ServeConfig
-from repro.serve.replication import ReplicationLog, leased
-from repro.serve.transport import BinaryTransport, LineTransport
+from repro.serve.replication import ReplicationLog
+from repro.serve.transport import BinaryTransport, LineTransport, MemoryTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
     blame_from_wire,
@@ -102,6 +106,7 @@ from repro.serve.wire import (
     shutdown_frame,
     welcome_frame,
 )
+from repro.serve.worker import ReplicaWorker
 
 #: Pong keys that are point-in-time (not cumulative): a restart fold
 #: takes the latest value, never a sum.
@@ -109,6 +114,20 @@ _PONG_GAUGE_KEYS = frozenset({"cache_size", "view_count"})
 
 #: Pong keys that identify the spawn rather than count anything.
 _PONG_IDENTITY_KEYS = frozenset({"worker_id", "generation"})
+
+
+def leased(method):
+    """Run a client method holding that client's ``lease``.
+
+    The lease (a ``threading.RLock`` on every :class:`WorkerClient`) is
+    the ownership rule: one thread at a time touches a worker's stream or
+    state. Whoever holds several takes them in ``replica_id`` order.
+    """
+    @wraps(method)
+    def run(self, *args, **kwargs):
+        with self.lease:
+            return method(self, *args, **kwargs)
+    return run
 
 
 def _worker_env() -> dict[str, str]:
@@ -124,8 +143,7 @@ def _worker_env() -> dict[str, str]:
 
 
 class WorkerClient:
-    """A :class:`~repro.serve.replication.Replica`-shaped handle on one
-    out-of-process worker.
+    """The pool's handle on one worker, process or in-memory.
 
     The pool tracks the worker's replayed ``epoch`` leader-side (shipping
     is in-order and unacknowledged); responses echo the worker's epoch so
@@ -133,14 +151,15 @@ class WorkerClient:
     may be in flight at once (see the pending map in the module
     docstring). One thread at a time owns the client: every method that
     touches the stream, the cursor or the pending map runs under
-    :attr:`lease` (:func:`~repro.serve.replication.leased`), so a
+    :attr:`lease` (:func:`leased`), so a
     leader-side ``summarize`` racing a front-end batch waits its turn
-    instead of reading the other's frames. Distinct clients are fully
-    independent (own process, own stream, own lease).
+    instead of reading the other's frames — and an in-memory worker
+    computes under the lease of the thread that asked it. Distinct
+    clients are fully independent (own worker, own stream, own lease).
     """
 
-    #: Counters kept name-compatible with Replica.stats(); each is
-    #: backed by the pool registry under ``pool.worker<i>.<name>``.
+    #: Each counter is backed by the pool registry under
+    #: ``pool.worker<i>.<name>``.
     resyncs = MetricAttr("resyncs")
     restarts = MetricAttr("restarts")
     batches_shipped = MetricAttr("batches_shipped")
@@ -163,8 +182,9 @@ class WorkerClient:
         #: The ownership lock. Order: leases by ascending ``replica_id``,
         #: then the pool's ``_restart_lock`` — never the reverse.
         self.lease = threading.RLock()
+        #: The worker process (``None`` for an in-memory worker).
         self.proc: subprocess.Popen | None = None
-        self.transport: BinaryTransport | None = None
+        self.transport: BinaryTransport | MemoryTransport | None = None
         #: The epoch the pool has shipped this worker up to.
         self.epoch = -1
         self._next_request = 0
@@ -197,8 +217,11 @@ class WorkerClient:
         return self._pool.log.epoch - self.epoch
 
     def alive(self) -> bool:
-        """True while the worker process is running."""
-        return self.proc is not None and self.proc.poll() is None
+        """True while the worker process runs (or its link is open)."""
+        if self.proc is not None:
+            return self.proc.poll() is None
+        return isinstance(self.transport, MemoryTransport) \
+            and not self.transport.closed
 
     @leased
     def catch_up(self) -> int:
@@ -229,7 +252,7 @@ class WorkerClient:
     # Request plumbing (pending-map correlation; pipelining-safe)
     # ------------------------------------------------------------------
 
-    def _ensure_transport(self) -> BinaryTransport:
+    def _ensure_transport(self) -> BinaryTransport | MemoryTransport:
         """The live stream, healing a detached client first.
 
         A previously failed restart leaves ``transport is None``; heal
@@ -575,18 +598,18 @@ class WorkerClient:
     # ------------------------------------------------------------------
 
     def lineage(self, entity: int, max_depth: int | None = None) -> Lineage:
-        """Ancestry walk served by the worker process."""
+        """Ancestry walk served by the worker."""
         return lineage_from_wire(self._request(
             "lineage", {"entity": entity, "max_depth": max_depth}))
 
     def impacted(self, entity: int,
                  max_depth: int | None = None) -> Lineage:
-        """Impact walk served by the worker process."""
+        """Impact walk served by the worker."""
         return lineage_from_wire(self._request(
             "impacted", {"entity": entity, "max_depth": max_depth}))
 
     def blame(self, entity: int) -> dict[int, set[int]]:
-        """Blame report served by the worker process."""
+        """Blame report served by the worker."""
         return blame_from_wire(self._request("blame", {"entity": entity}))
 
     def segment(self, query: PgSegQuery) -> Segment:
@@ -594,7 +617,7 @@ class WorkerClient:
 
         The decoded segment is rebound to the leader graph, so downstream
         accessors (``describe()``, DOT export, PgSum merging) resolve
-        records exactly as with an in-process replica.
+        records exactly as on a leader-local segment.
         """
         if not pgseg_query_is_wire_safe(query):
             # Boundary predicates / key callables cannot cross the wire.
@@ -605,7 +628,7 @@ class WorkerClient:
             self._pool.graph, self._request("segment", params))
 
     def summarize(self, queries: "list[PgSegQuery]", pgsum) -> Any:
-        """A merged PgSum summary served by the worker process.
+        """A merged PgSum summary served by the worker.
 
         The worker evaluates every segment *and* the merge against one
         replayed epoch, holding the result as a materialized view it
@@ -622,7 +645,7 @@ class WorkerClient:
         return psg_from_wire(self._request("summarize", params))
 
     def cypher(self, text: str, budget: Budget | None = None) -> list:
-        """CypherLite rows served by the worker process."""
+        """CypherLite rows served by the worker."""
         return rows_from_wire(self._pool.graph, self._request(
             "cypher", {"text": text, "budget": budget_to_wire(budget)}))
 
@@ -704,7 +727,7 @@ class WorkerClient:
         return folded
 
     def stats(self) -> dict[str, Any]:
-        """Replication/serving counters (Replica-compatible keys).
+        """Replication/serving counters.
 
         ``generation`` is the worker's current spawn generation — the
         restart count the pool stamped on its command line, matched by
@@ -741,13 +764,13 @@ class WorkerClient:
 
     # ------------------------------------------------------------------
 
-    def _attach(self, proc: subprocess.Popen,
-                transport: BinaryTransport) -> None:
+    def _attach(self, proc: subprocess.Popen | None,
+                transport: BinaryTransport | MemoryTransport) -> None:
         self.proc = proc
         self.transport = transport
 
     def _discard_process(self) -> None:
-        """Drop the current process hard (crash path / teardown)."""
+        """Drop the current worker hard (crash path / teardown)."""
         if self.transport is not None:
             self.transport.close()
             self.transport = None
@@ -756,7 +779,7 @@ class WorkerClient:
                 self.proc.kill()
             self.proc.wait()
             self.proc = None
-        # Every in-flight request died with the process; late answers can
+        # Every in-flight request died with the worker; late answers can
         # never arrive on the fresh stream (ids are never reused, so a
         # stale entry could only leak memory, not misroute).
         self._pending.clear()
@@ -789,6 +812,8 @@ class RawResult:
     """A worker's ok answer left in wire form (``raw=True`` collects).
 
     Carries the undecoded JSON payload exactly as the worker encoded it.
+    Read it, never mutate it: from an in-memory worker it *is* the
+    worker's cached answer (decoded results are copies; this is not).
     A consumer that re-serves the same wire format — the async front-end
     — splices ``payload`` straight into its response frame; decoding to
     a domain object just to re-encode it would be pure overhead (for a
@@ -808,12 +833,12 @@ class RawResult:
 
 
 class WorkerPool:
-    """Spawns and replicates to N out-of-process replica workers.
+    """Spawns and replicates to N replica workers.
 
     Args:
         source: the leader — a :class:`ProvenanceGraph`, a bare store, or
             anything exposing ``.store``. Stays the sole writer.
-        count: number of worker processes.
+        count: number of workers.
         request_timeout: seconds to wait for one answer before declaring
             the request lost (None = wait forever). A clean-boundary
             timeout abandons the request and keeps the worker; a
@@ -821,7 +846,8 @@ class WorkerPool:
         spawn_timeout: seconds to wait for a spawned worker's handshake.
         config: a :class:`~repro.serve.api.ServeConfig`; mutually
             exclusive with the ``count=`` shorthand for
-            ``ServeConfig(replicas=count)``.
+            ``ServeConfig(replicas=count)``. ``config.out_of_process``
+            chooses worker processes or in-memory workers.
     """
 
     def __init__(self, source, count: int | None = None,
@@ -850,13 +876,14 @@ class WorkerPool:
         self.request_timeout = request_timeout
         self.spawn_timeout = spawn_timeout
         self.ping_timeout = ping_timeout
-        self._env = _worker_env()
-        self._token = uuid4().hex
         self._restart_lock = threading.Lock()
-        self._listener: socket.socket | None = \
-            socket.create_server(("127.0.0.1", 0))
-        self._listener.settimeout(spawn_timeout)
         self._closed = False
+        self._listener: socket.socket | None = None
+        if config.out_of_process:
+            self._env = _worker_env()
+            self._token = uuid4().hex
+            self._listener = socket.create_server(("127.0.0.1", 0))
+            self._listener.settimeout(spawn_timeout)
         self.clients = [WorkerClient(self, i)
                         for i in range(config.replicas)]
         try:
@@ -869,12 +896,57 @@ class WorkerPool:
     # Spawning
     # ------------------------------------------------------------------
 
-    def _spawn_process(self, worker_id: int) -> subprocess.Popen:
-        # The spawn generation is the client's restart count: 0 for the
-        # bootstrap spawn, bumped (in restart()) before each respawn. The
-        # worker echoes it in pong stats, so clients reading cumulative
-        # counters can detect the silent reset a crash-restart causes.
-        generation = self.clients[worker_id].restarts
+    def _spawn(self, clients: list[WorkerClient]) -> None:
+        """Start one worker per client and attach it: the one spawn branch.
+
+        In-process, each worker is built with exactly the arguments
+        ``serve-worker`` would pass it, behind a
+        :class:`~repro.serve.transport.MemoryTransport`. Otherwise every
+        process is launched before any handshake is awaited, so their
+        interpreter starts overlap; a worker that cannot be handshaken is
+        killed, never left half-connected.
+
+        The spawn generation is the client's restart count: 0 for the
+        bootstrap spawn, bumped (in restart()) before each respawn. The
+        worker echoes it in pong stats, so clients reading cumulative
+        counters can detect the silent reset a crash-restart causes.
+        """
+        if not self.config.out_of_process:
+            registry = None if self.config.metrics else NullRegistry()
+            for client in clients:
+                client._attach(None, MemoryTransport.connect(
+                    lambda end, client=client: ReplicaWorker(
+                        end, client.replica_id, generation=client.restarts,
+                        registry=registry, shard=self.shard)))
+            return
+        procs = {client.replica_id: self._spawn_process(client)
+                 for client in clients}
+        expect = clients[0].replica_id if len(clients) == 1 else None
+        transports: dict[int, BinaryTransport] = {}
+        try:
+            for _ in clients:
+                worker_id, transport = self._handshake(expect)
+                if worker_id in transports or worker_id not in procs:
+                    transport.close()
+                    raise ReplicaUnavailable(
+                        f"unexpected worker id {worker_id} in handshake")
+                transports[worker_id] = transport
+        except BaseException:
+            # Unattached transports would hold their fds past teardown
+            # (close() only sweeps attached clients).
+            for transport in transports.values():
+                transport.close()
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                proc.wait()
+            raise
+        for client in clients:
+            client._attach(procs[client.replica_id],
+                           transports[client.replica_id])
+
+    def _spawn_process(self, client: WorkerClient) -> subprocess.Popen:
+        worker_id, generation = client.replica_id, client.restarts
         host, port = self._listener.getsockname()
         command = [sys.executable, "-m", "repro.cli", "serve-worker",
                    "--connect", f"{host}:{port}",
@@ -905,11 +977,11 @@ class WorkerPool:
         advertise ``repro-wire-v2`` is dropped and the accept loop goes
         on: the spawn deadline, not the stray peer, decides the outcome.
 
-        With ``expect`` set (restart path), connections from any *other*
-        worker id are dropped too: an orphaned dial from an earlier
-        failed restart must not be mistaken for the respawn (the dropped
-        worker exits on EOF). Bootstrap passes ``None`` and routes
-        accepted connections by their announced id instead.
+        With ``expect`` set (one worker spawned), connections from any
+        *other* worker id are dropped too: an orphaned dial from an
+        earlier failed restart must not be mistaken for the respawn (the
+        dropped worker exits on EOF). A fleet spawn passes ``None`` and
+        routes accepted connections by their announced id instead.
         """
         while True:
             try:
@@ -937,28 +1009,9 @@ class WorkerPool:
             return worker_id, BinaryTransport.adopt(transport)
 
     def _bootstrap(self) -> None:
-        """Spawn everyone, collect handshakes, send one shared state load."""
-        procs = {client.replica_id: self._spawn_process(client.replica_id)
-                 for client in self.clients}
-        transports: dict[int, BinaryTransport] = {}
-        try:
-            for _ in self.clients:
-                worker_id, transport = self._handshake()
-                if worker_id in transports or worker_id not in procs:
-                    transport.close()
-                    raise ReplicaUnavailable(
-                        f"unexpected worker id {worker_id} in handshake"
-                    )
-                transports[worker_id] = transport
-        except BaseException:
-            # Un-attached transports would leak their fds past the
-            # pool teardown (close() only sweeps attached clients).
-            for transport in transports.values():
-                transport.close()
-            raise
+        """Spawn everyone, then send each one shared state load."""
+        self._spawn(self.clients)
         for client in self.clients:
-            client._attach(procs[client.replica_id],
-                           transports[client.replica_id])
             self._send_state(client)
         # Pong arrives only after the state frames ahead of it are
         # processed: one ping per worker is a bootstrap barrier, so
@@ -1040,8 +1093,8 @@ class WorkerPool:
     def ship(self, client: WorkerClient) -> int:
         """Ship the span ``(client.epoch, leader_epoch]`` in-order.
 
-        A truncated span degrades to a fresh bootstrap, mirroring the
-        in-process replica (never a partial replay). Returns the number
+        A truncated span degrades to a fresh bootstrap (never a partial
+        replay, the rule ``GraphSnapshot.advance`` follows too). Returns the number
         of batches (or re-synced epochs) shipped. The span crosses as
         binary batch frames (the packed codec).
         """
@@ -1089,7 +1142,8 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def restart(self, client: WorkerClient,
-                failed: BinaryTransport | None = None) -> None:
+                failed: BinaryTransport | MemoryTransport | None = None,
+                ) -> None:
         """Respawn one worker and queue its state reload.
 
         The state (checkpoint + tail) is written to the fresh stream
@@ -1098,7 +1152,7 @@ class WorkerPool:
 
         Restarts are serialized pool-wide (the socket listener is shared,
         and two concurrent restarts could cross-accept each other's
-        worker) and idempotent per casualty: ``failed`` is the transport
+        process) and idempotent per casualty: ``failed`` is the transport
         the caller observed dying — if another thread already replaced it
         (the client is attached to a *different*, live stream), the
         restart is complete and this call returns without churning the
@@ -1114,27 +1168,16 @@ class WorkerPool:
                 return                # another thread already healed it
             client._discard_process()
             client.restarts += 1
-            proc = self._spawn_process(client.replica_id)
             try:
-                _, transport = self._handshake(expect=client.replica_id)
-                client._attach(proc, transport)
+                # After a successful attach the client owns the worker; a
+                # failed state load there is healed by the next entry point.
+                self._spawn([client])
                 client.resyncs += 1
                 self._send_state(client)
-            except BaseException as exc:
-                # Never leak the respawn: a worker we cannot handshake
-                # with must not linger half-connected. (After a
-                # successful attach the client owns the process; a
-                # failed state load there is healed by the next entry
-                # point.)
-                if client.transport is None:
-                    if proc.poll() is None:
-                        proc.kill()
-                    proc.wait()
-                if isinstance(exc, (TransportClosed, TransportTimeout)):
-                    raise ReplicaUnavailable(
-                        f"worker {client.replica_id} failed to restart"
-                    ) from exc
-                raise
+            except (TransportClosed, TransportTimeout) as exc:
+                raise ReplicaUnavailable(
+                    f"worker {client.replica_id} failed to restart"
+                ) from exc
 
     def health_check(self) -> list[int]:
         """Ping every worker; restart the dead ones. Returns restarted ids.
@@ -1190,7 +1233,8 @@ class WorkerPool:
         """Shut every worker down and release the listener (idempotent).
 
         Each worker's teardown is isolated: a worker that already died
-        mid-shutdown (its process gone, its transport torn) must not
+        mid-shutdown (its process gone, its transport torn; an in-memory
+        worker's link closes as it says ``bye``) must not
         keep its siblings running or the listener held — a second
         ``close()``/``stop_serving()`` after such a casualty is a no-op,
         never a raise.
@@ -1203,7 +1247,8 @@ class WorkerPool:
                 try:
                     if client.transport is not None and client.alive():
                         client.transport.send(shutdown_frame())
-                        client.proc.wait(timeout=5.0)
+                        if client.proc is not None:
+                            client.proc.wait(timeout=5.0)
                 except (TransportClosed, TransportTimeout,
                         subprocess.TimeoutExpired, OSError):
                     pass

@@ -448,8 +448,8 @@ class ShardedCluster:
         thread — the shards execute concurrently and the gather's wall
         time is the *slowest* shard, not the sum. A whole-bundle failure
         surfaces as the exception instance in that shard's slot (the
-        caller re-raises); in-process shards serve inline, where a
-        thread would only add GIL ping-pong to pure-Python compute.
+        caller re-raises); shards with in-process workers serve inline,
+        where a thread would only add GIL ping-pong to pure-Python compute.
         """
         def dispatch(shard: int, indices: list[int]) -> Any:
             try:

@@ -37,11 +37,18 @@ JSON frame; any other leading byte is a binary codec tag resolved through
 :func:`register_frame_decoder` (populated by :mod:`repro.serve.wire` for
 the two hot frame families — shipped delta batches and response
 bundles). ``recv`` always returns the same frame dict either way, so
-everything above the transport is framing-agnostic. The failure mapping,
+everything above the transport is framing-agnostic. ``send`` packs the
+frame kinds registered through :func:`register_frame_packer` the same
+way. The failure mapping,
 mid-frame poisoning, and close-sweep contract are identical to
 :class:`LineTransport`; both sides switch framing on the same file
 descriptors after the hello/welcome capability exchange
 (:meth:`BinaryTransport.adopt`).
+
+:class:`MemoryTransport` keeps :class:`BinaryTransport`'s contract with
+no socket, no thread and no fd: it is the link to a worker that runs in
+the pool's own process (``ServeConfig(out_of_process=False)``). Frames
+cross it as the dicts ``recv`` would have returned.
 """
 
 from __future__ import annotations
@@ -51,7 +58,10 @@ import os
 import select
 import socket
 import struct
+import sys
 import time
+import traceback
+from collections import deque
 from typing import Any, BinaryIO, Callable
 
 from repro.errors import SerializationError, TransportClosed, TransportTimeout
@@ -309,6 +319,18 @@ def register_frame_decoder(tag: int,
     _FRAME_DECODERS[tag] = decoder
 
 
+#: Binary packers by frame kind: :meth:`BinaryTransport.send` ships a
+#: frame of a registered kind as ``packer(frame)`` instead of JSON.
+_FRAME_PACKERS: dict[str, Callable[[dict[str, Any]], bytes]] = {}
+
+
+def register_frame_packer(kind: str,
+                          packer: Callable[[dict[str, Any]], bytes]) -> None:
+    """Register the binary packer for frames of ``kind``; its payload must
+    start with a tag registered through :func:`register_frame_decoder`."""
+    _FRAME_PACKERS[kind] = packer
+
+
 class BinaryTransport(LineTransport):
     """Length-prefixed framing over the :class:`LineTransport` machinery.
 
@@ -340,8 +362,11 @@ class BinaryTransport(LineTransport):
 
     def send(self, frame: dict[str, Any],
              timeout: float | None = None) -> None:
-        """Write one frame (a JSON-able dict) with a length prefix."""
-        payload = json.dumps(frame, sort_keys=True).encode("utf-8")
+        """Write one frame with a length prefix: packed binary for a kind
+        with a registered packer, JSON otherwise."""
+        packer = _FRAME_PACKERS.get(frame.get("kind"))
+        payload = packer(frame) if packer is not None \
+            else json.dumps(frame, sort_keys=True).encode("utf-8")
         self.send_raw(self._HEADER.pack(len(payload)) + payload,
                       timeout=timeout)
 
@@ -397,3 +422,75 @@ class BinaryTransport(LineTransport):
             raise SerializationError(
                 f"binary decoder returned a non-frame: {frame!r}")
         return frame
+
+
+class MemoryTransport:
+    """One end of an in-memory link to a worker in this process.
+
+    :meth:`connect` builds the worker around its end and returns the
+    pool's. A frame sent on the pool end runs ``worker.handle(frame)`` on
+    the caller's thread; whatever the worker sends back waits in the pool
+    end's inbox until ``recv``. Shipped binary batches are decoded on the
+    way in, so the worker always sees frame dicts.
+
+    The failure mapping follows a socket's: a worker that raises (its
+    traceback goes to stderr, as a dying process's would) or returns
+    ``False`` (diverged, shut down) closes the link and the send raises
+    :class:`~repro.errors.TransportClosed`, as a dying process hangs up.
+    ``recv`` on an empty inbox raises it too: a synchronous worker that
+    owes no answer never will. Timeouts never fire.
+    """
+
+    def __init__(self):
+        self.peer: MemoryTransport | None = None
+        #: The worker this end drives (``None`` on the worker's end).
+        self.worker = None
+        self.closed = False
+        self._poisoned = False
+        self._inbox: deque[dict[str, Any]] = deque()
+
+    @classmethod
+    def connect(cls, make_worker: Callable[["MemoryTransport"], Any],
+                ) -> "MemoryTransport":
+        """The pool end of a link to ``make_worker(worker_end)``."""
+        pool_end, worker_end = cls(), cls()
+        pool_end.peer, worker_end.peer = worker_end, pool_end
+        pool_end.worker = make_worker(worker_end)
+        return pool_end
+
+    @property
+    def poisoned(self) -> bool:
+        return self._poisoned
+
+    def send(self, frame: dict[str, Any],
+             timeout: float | None = None) -> None:
+        if self._poisoned or self.closed:
+            state = "poisoned" if self._poisoned else "closed"
+            raise TransportClosed(f"in-memory link is {state}")
+        if self.worker is None:
+            self.peer._inbox.append(frame)
+            return
+        try:
+            alive = self.worker.handle(frame)
+        except Exception as exc:
+            traceback.print_exception(exc, file=sys.stderr)
+            self.close()
+            raise TransportClosed(f"worker failed: {exc!r}") from exc
+        if not alive:
+            self.close()
+            raise TransportClosed("worker exited")
+
+    def send_binary(self, payload: bytes,
+                    timeout: float | None = None) -> None:
+        self.send(BinaryTransport._decode(payload), timeout)
+
+    def recv(self, timeout: float | None = None) -> dict[str, Any]:
+        if self._poisoned:
+            raise TransportClosed("in-memory link is poisoned")
+        if not self._inbox:
+            raise TransportClosed("no frame pending on the in-memory link")
+        return self._inbox.popleft()
+
+    def close(self) -> None:
+        """Close both ends (idempotent)."""
+        self.closed = self.peer.closed = True

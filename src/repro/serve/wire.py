@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import SerializationError
 from repro.model.types import parse_edge_type, parse_vertex_type
 from repro.query.paths import Path, Step
-from repro.serve.transport import register_frame_decoder
+from repro.serve.transport import register_frame_decoder, register_frame_packer
 
 if TYPE_CHECKING:   # pragma: no cover - types only
     from repro.model.graph import ProvenanceGraph
@@ -921,16 +921,12 @@ def unpack_responses_frame(payload: bytes) -> dict[str, Any]:
             "responses": responses}
 
 
-def encode_responses_binary(epoch: int,
-                            responses: list[dict[str, Any]]) -> bytes:
-    """A responses bundle as a binary payload (v2 twin of the JSON form)."""
-    return pack_responses_frame(responses_bundle_to_wire(epoch, responses))
-
-
-# Any process that imports the wire codecs can decode v2 binary payloads:
-# the transport dispatches on the payload's first byte.
+# Any process that imports the wire codecs speaks v2 binary payloads:
+# the transport packs by frame kind and decodes by the first byte.
 register_frame_decoder(BATCH_FRAME_TAG, unpack_batch_frame)
 register_frame_decoder(RESPONSES_FRAME_TAG, unpack_responses_frame)
+register_frame_packer("batch", pack_batch_frame)
+register_frame_packer("responses", pack_responses_frame)
 
 
 #: Builtin exception names the error codec is allowed to rebuild.

@@ -1,7 +1,6 @@
-"""The out-of-process replica worker: one process, one read replica.
+"""The replica worker: the one read follower every serving path runs.
 
-A worker is the process-boundary twin of
-:class:`repro.serve.replication.Replica`: it bootstraps its store from a
+A worker bootstraps its store from a
 leader ``checkpoint`` file plus the binary tail shipped after it, applies
 shipped ``batch`` frames through
 :meth:`~repro.store.PropertyGraphStore.apply_replicated_batch` (so its
@@ -57,15 +56,21 @@ Failure contract:
   the exception type preserved (:func:`repro.serve.wire.error_to_wire`);
 - a batch that fails to apply means this follower diverged; the local
   state is untrusted, so the worker sends a ``diverged`` event and exits
-  non-zero. The pool restarts it with a fresh bootstrap (the same
-  "never partially replay" rule the in-process replica honors by
-  re-bootstrapping);
+  non-zero. The pool restarts it with a fresh bootstrap (never a partial
+  replay);
 - EOF on the control stream means the leader is gone; the worker exits
   cleanly, so killing the pool never leaks worker processes.
 
-Spawned via ``python -m repro.cli serve-worker --connect host:port`` (see
-:func:`repro.cli._cmd_serve_worker`): the worker dials the pool's
-loopback listener, sends its ``hello`` and serves from :meth:`run`.
+:meth:`ReplicaWorker.handle` is the one frame dispatch, and the pool
+spawns a worker one of two ways (``ServeConfig.out_of_process``):
+
+- as a process, ``python -m repro.cli serve-worker --connect host:port``
+  (see :func:`repro.cli._cmd_serve_worker`): the worker dials the pool's
+  loopback listener, sends its ``hello`` and serves from :meth:`run`,
+  the welcome check plus a loop over ``handle``;
+- in the pool's own process, behind a
+  :class:`~repro.serve.transport.MemoryTransport` that calls ``handle``
+  on the sending thread.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ from repro.query.ops import blame as _blame
 from repro.query.ops import impacted as _impacted
 from repro.query.ops import lineage as _lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
-from repro.serve.transport import BinaryTransport, LineTransport
+from repro.serve.transport import BinaryTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
     batch_from_wire,
@@ -98,7 +103,6 @@ from repro.serve.wire import (
     bundle_trace_ids,
     bye_frame,
     checkpoint_from_wire,
-    encode_responses_binary,
     error_to_wire,
     event_frame,
     lineage_to_wire,
@@ -109,6 +113,7 @@ from repro.serve.wire import (
     request_from_wire,
     requests_bundle_from_wire,
     response_to_wire,
+    responses_bundle_to_wire,
     rows_to_wire,
     segment_to_wire,
     trace_id_from_wire,
@@ -152,10 +157,12 @@ class _SummaryView:
 
 
 class ReplicaWorker:
-    """The serve loop of one out-of-process replica.
+    """One read replica: its store, caches, views and frame dispatch.
 
     Args:
-        transport: the duplex framed channel to the pool.
+        transport: the duplex framed channel to the pool (a socket
+            transport in a ``serve-worker`` process, the worker end of a
+            :class:`~repro.serve.transport.MemoryTransport` in-process).
         worker_id: the pool-assigned identifier (stats/logging only).
         cache_size: bound on the result cache; ``0`` disables result
             caching *and* materialized views entirely.
@@ -185,7 +192,7 @@ class ReplicaWorker:
     views_recomputed = MetricAttr("views_recomputed")
     traces_recorded = MetricAttr("traces_recorded")
 
-    def __init__(self, transport: LineTransport, worker_id: int = 0,
+    def __init__(self, transport, worker_id: int = 0,
                  cache_size: int = DEFAULT_CACHE_SIZE, generation: int = 0,
                  view_limit: int = DEFAULT_VIEW_LIMIT,
                  registry=None, shard: int | None = None):
@@ -224,7 +231,8 @@ class ReplicaWorker:
     # ------------------------------------------------------------------
 
     def run(self) -> int:
-        """Process frames until shutdown/EOF; returns the exit code.
+        """A ``serve-worker`` process's loop: :meth:`handle` every frame
+        until shutdown, divergence or EOF; returns the exit code.
 
         The pool answers the ``hello`` with a ``welcome`` naming
         ``repro-wire-v2`` — the last line-framed frame; everything after
@@ -246,26 +254,30 @@ class ReplicaWorker:
             except TransportClosed:
                 # Leader gone: exit quietly, never outlive the pool.
                 return 0
-            kind = frame.get("kind")
-            if kind == "checkpoint":
-                self._bootstrap_checkpoint(frame)
-            elif kind == "batch":
-                if not self._apply(frame):
-                    return 1
-            elif kind == "request":
-                self._answer(frame)
-            elif kind == "requests":
-                self._answer_bundle(frame)
-            elif kind == "ping":
-                self._transport.send(pong_frame(self.epoch, self.stats()))
-            elif kind == "shutdown":
-                self._transport.send(bye_frame())
-                return 0
-            else:
-                # Unknown frames are a protocol bug on a private channel;
-                # report and keep serving (forward compatibility).
-                self._transport.send(event_frame(
-                    "unknown-frame", str(kind)))
+            if not self.handle(frame):
+                return 0 if frame.get("kind") == "shutdown" else 1
+
+    def handle(self, frame: dict[str, Any]) -> bool:
+        """Process one frame; ``False`` means exit (diverged or shutdown)."""
+        kind = frame.get("kind")
+        if kind == "checkpoint":
+            self._bootstrap_checkpoint(frame)
+        elif kind == "batch":
+            return self._apply(frame)
+        elif kind == "request":
+            self._answer(frame)
+        elif kind == "requests":
+            self._answer_bundle(frame)
+        elif kind == "ping":
+            self._transport.send(pong_frame(self.epoch, self.stats()))
+        elif kind == "shutdown":
+            self._transport.send(bye_frame())
+            return False
+        else:
+            # Unknown frames are a protocol bug on a private channel;
+            # report and keep serving (forward compatibility).
+            self._transport.send(event_frame("unknown-frame", str(kind)))
+        return True
 
     @property
     def epoch(self) -> int:
@@ -447,12 +459,10 @@ class ReplicaWorker:
                                         trace_id=trace_ids.get(request_id))
                      for request_id, method, params in calls]
         self.bundles_served += 1
-        # The bundle answer is the read path's highest-volume frame: it
-        # ships as the packed binary codec (byte-for-byte the same
-        # responses, decoded back to the identical dict by the pool's
-        # frame decoder).
-        self._transport.send_binary(
-            encode_responses_binary(self.epoch, responses))
+        # The read path's highest-volume frame: a socket transport packs
+        # it with the binary responses codec (decoded back to this dict
+        # on the pool side); the in-memory link hands the dict over.
+        self._transport.send(responses_bundle_to_wire(self.epoch, responses))
 
     def metrics(self) -> dict[str, Any]:
         """The ``metrics`` wire method: registry snapshot + recent traces.
@@ -630,36 +640,40 @@ class ReplicaWorker:
     # ------------------------------------------------------------------
     # Method handlers — each returns (wire result, kind, footprint), the
     # classification _apply's retention predicate needs (kind/footprint
-    # are ignored on the uncached path).
+    # are ignored on the uncached path). A walk's own vertex set becomes
+    # the footprint: the walk result is dropped once encoded, so the
+    # cache is that set's only owner and no copy is needed.
     # ------------------------------------------------------------------
 
     def _serve_lineage(self, params: dict[str, Any],
-                       ) -> tuple[dict[str, Any], str, frozenset[int]]:
+                       ) -> tuple[dict[str, Any], str, set[int]]:
         result = _lineage(
             self.graph, int(params["entity"]),
             max_depth=params.get("max_depth"),
             snapshot=self._armed_snapshot())
-        return lineage_to_wire(result), "closure", frozenset(result.vertices)
+        return lineage_to_wire(result), "closure", result.vertices
 
     def _serve_impacted(self, params: dict[str, Any],
-                        ) -> tuple[dict[str, Any], str, frozenset[int]]:
+                        ) -> tuple[dict[str, Any], str, set[int]]:
         result = _impacted(
             self.graph, int(params["entity"]),
             max_depth=params.get("max_depth"),
             snapshot=self._armed_snapshot())
-        return lineage_to_wire(result), "closure", frozenset(result.vertices)
+        return lineage_to_wire(result), "closure", result.vertices
 
     def _serve_blame(self, params: dict[str, Any],
-                     ) -> tuple[dict[str, Any], str, frozenset[int]]:
+                     ) -> tuple[dict[str, Any], str, set[int]]:
         # Walk the ancestry once, hand it to blame, and footprint the
-        # *whole* closure plus the owning agents — a new attribution to
-        # any ancestor changes the report (same deps the session uses).
+        # *whole* closure (the entity included) plus the owning agents —
+        # a new attribution to any ancestor changes the report (same deps
+        # the session uses).
         entity = int(params["entity"])
         snapshot = self._armed_snapshot()
         ancestry = _lineage(self.graph, entity, snapshot=snapshot)
         report = _blame(self.graph, entity, snapshot=snapshot,
                         ancestry=ancestry)
-        footprint = frozenset({entity, *ancestry.vertices, *report})
+        footprint = ancestry.vertices
+        footprint.update(report)
         return blame_to_wire(report), "closure", footprint
 
     def _serve_segment(self, params: dict[str, Any],

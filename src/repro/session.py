@@ -399,9 +399,12 @@ class LifecycleSession:
         hits never touch a replica. Returns the cluster for direct use
         (e.g. ``session.serve(4).cypher(...)``).
 
-        With ``out_of_process=True`` the replicas are worker *processes*
-        speaking the wire protocol over loopback sockets — true parallel
-        reads across cores; crashed workers are restarted and re-synced
+        Every replica is a :class:`repro.serve.worker.ReplicaWorker`
+        with its own result cache and summary views. By default each runs
+        in this process behind an in-memory link; with
+        ``out_of_process=True`` each is a worker *process* speaking the
+        wire protocol over a loopback socket — true parallel reads across
+        cores. Either way, crashed workers are restarted and re-synced
         transparently. ``ServeConfig(frontend=True, ...)`` additionally starts the
         asyncio front-end (:mod:`repro.serve.frontend`) so remote
         clients fan in over the wire protocol — reachable at

@@ -10,10 +10,11 @@ incantations.
 
 The injections are synchronous and deterministic: they inject the fault
 and return; observing the recovery (restart counters, re-sync counts,
-bit-identical answers) is the calling test's job. Three helpers the
-suites share live here too: ``bootstrap_worker`` (state load for a
-directly driven worker), ``open_fds`` (leak checks) and
-``join_or_dump`` (bounded joins that fail with every thread's stack).
+bit-identical answers) is the calling test's job. Every worker fault
+accepts a client of either spawn mode (a worker process, or an
+in-process worker behind its in-memory link). Two helpers the suites
+share live here too: ``open_fds`` (leak checks) and ``join_or_dump``
+(bounded joins that fail with every thread's stack).
 """
 
 from __future__ import annotations
@@ -27,12 +28,17 @@ from contextlib import contextmanager
 
 
 def kill_worker(client) -> None:
-    """Kill a worker process outright (SIGKILL) and reap it.
+    """Kill a worker outright and reap it.
 
+    A worker process gets SIGKILL; an in-process worker has the worker
+    end of its link closed, which is what SIGKILL does to the socket.
     The next interaction through the client (catch-up, query, ping
     sweep) observes the death and drives the pool's restart + re-sync
     path. Accepts a :class:`repro.serve.pool.WorkerClient`.
     """
+    if client.proc is None:
+        client.transport.peer.close()
+        return
     client.proc.kill()
     client.proc.wait()
 
@@ -62,36 +68,14 @@ def break_checkpoint(pool) -> None:
     pool.log.checkpoint().path.write_bytes(b"")
 
 
-def bootstrap_worker(worker, store) -> None:
-    """Load ``store`` into a directly driven ``ReplicaWorker`` the way
-    the pool does: capture a checkpoint, hand the worker its
-    ``checkpoint`` frame, delete the file.
-
-    Suites that drive :class:`repro.serve.worker.ReplicaWorker` without
-    a process boundary bootstrap (and re-bootstrap after truncation)
-    through this one path. The worker's ack goes to the pool side of its
-    transport, which such harnesses never read.
-    """
-    from repro.serve.wire import checkpoint_frame
-    from repro.store.checkpoint import CheckpointManager
-
-    loaded = worker.checkpoints
-    with CheckpointManager() as manager:
-        ckpt = manager.capture(store)
-        worker._bootstrap_checkpoint(checkpoint_frame(
-            str(ckpt.path), ckpt.epoch, ckpt.generation))
-    if worker.checkpoints != loaded + 1:
-        raise AssertionError("the worker could not load the checkpoint")
-
-
 def poison_transport(client) -> None:
     """Mark a worker's transport mid-frame-poisoned.
 
     Every subsequent ``send``/``recv`` raises ``TransportClosed`` —
     the same stream-desync state a timeout striking mid-frame leaves
     behind — so the pool takes the crash-restart path without the
-    worker process actually dying. The abandoned process is reaped by
-    the restart.
+    worker actually dying. The abandoned worker is reaped by the
+    restart.
     """
     client.transport._poisoned = True
 

@@ -16,7 +16,8 @@ Four layers, pinned bottom-up:
   stream, EOF, clean-vs-mid-frame timeout poisoning, and the adopt()
   upgrade that swaps framing on live fds;
 - the serving stack end to end: checkpoint+tail bootstrap serves
-  answers identical to the leader across kill/restart loops, recaptures
+  answers identical to the leader across kill/restart loops (worker
+  processes, and in-process workers for the kill and give-up paths), recaptures
   when the checkpoint predates the log's truncation horizon, recaptures
   exactly once when the file cannot be loaded or the log truncates
   between capture and ship — and raises ``ReplicaUnavailable`` when the
@@ -43,6 +44,7 @@ from repro.errors import (
     TransportTimeout,
 )
 from repro.query.ops import blame, lineage
+from repro.serve.api import ServeConfig
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import BinaryTransport, LineTransport
 from repro.serve.wire import (
@@ -73,6 +75,10 @@ from repro.workloads.lifecycle import build_paper_example
 
 from tests.faults import break_checkpoint, kill_worker, open_fds, truncate_log
 from test_store_persistence import stores_identical
+
+
+#: One worker process per pool (the in-process twins below override it).
+PROCESSES = ServeConfig(replicas=1, out_of_process=True)
 
 
 def varied_store():
@@ -510,13 +516,14 @@ class TestCheckpointBootstrapDifferential:
     """Checkpoint+tail must be observationally identical to the leader,
     on the reused-checkpoint path and on the fault-recapture path."""
 
-    def test_restart_loop_checkpoint_vs_fresh_capture(self):
+    def test_restart_loop_checkpoint_vs_fresh_capture(
+            self, config=PROCESSES):
         example = build_paper_example()
         graph = example.graph
         targets = [example["weight-v2"], example["model-v1"]]
         served = {}
         for mode in ("checkpoint", "recapture"):
-            with WorkerPool(graph, count=1) as pool:
+            with WorkerPool(graph, config=config) as pool:
                 client = pool.clients[0]
                 for round_index in range(2):
                     graph.add_entity(name=f"{mode}-{round_index}")
@@ -537,13 +544,19 @@ class TestCheckpointBootstrapDifferential:
         assert served["checkpoint"] == served["recapture"] \
             == expected(graph, targets)
 
+    def test_restart_loop_in_process(self):
+        """The same loop with an in-process worker: a kill closes its
+        link, and the restart loads the same checkpoint + tail."""
+        self.test_restart_loop_checkpoint_vs_fresh_capture(
+            config=PROCESSES.with_(out_of_process=False))
+
     def test_stale_checkpoint_falls_back_to_fresh_capture(self):
         """A checkpoint past the log's truncation horizon is replaced by
         one captured now, before anything is shipped — not a fault."""
         example = build_paper_example()
         graph = example.graph
         targets = [example["weight-v2"], example["model-v1"]]
-        with WorkerPool(graph, count=1) as pool:
+        with WorkerPool(graph, config=PROCESSES) as pool:
             client = pool.clients[0]
             assert pool.stats()["bootstrap"]["checkpoint_hits"] == 1
             # Shrink the retained window, then write far past it: the
@@ -572,7 +585,7 @@ class TestCheckpointBootstrapDifferential:
         example = build_paper_example()
         graph = example.graph
         targets = [example["weight-v2"], example["model-v1"]]
-        with WorkerPool(graph, count=1) as pool:
+        with WorkerPool(graph, config=PROCESSES) as pool:
             client = pool.clients[0]
             truncate_log(graph.store, 4)
             for index in range(8):          # the span falls off the log
@@ -607,7 +620,7 @@ class TestCheckpointBootstrapDifferential:
             assert answers(pool, targets) == expected(graph, targets)
 
     def test_checkpoint_failing_twice_raises_replica_unavailable(
-            self, monkeypatch):
+            self, monkeypatch, config=PROCESSES):
         """When the fresh capture cannot be loaded either, the state load
         gives up with a typed error — well inside the spawn deadline, the
         respawn discarded (no fd growth) — and the detached client
@@ -615,7 +628,7 @@ class TestCheckpointBootstrapDifferential:
         example = build_paper_example()
         graph = example.graph
         target = example["weight-v2"]
-        with WorkerPool(graph, count=1) as pool:
+        with WorkerPool(graph, config=config) as pool:
             client = pool.clients[0]
             gc.collect()
             baseline = open_fds()
@@ -642,6 +655,12 @@ class TestCheckpointBootstrapDifferential:
             gc.collect()
             assert open_fds() <= baseline
 
+    def test_checkpoint_failing_twice_in_process(self, monkeypatch):
+        """In-process, the same give-up: one fresh capture, then
+        ``ReplicaUnavailable`` and a detached client that heals."""
+        self.test_checkpoint_failing_twice_raises_replica_unavailable(
+            monkeypatch, config=PROCESSES.with_(out_of_process=False))
+
     def test_kill_mid_bootstrap_then_recover(self, monkeypatch):
         """A worker dying between the checkpoint frame and its ack must
         leave the client restartable, and the next restart must converge
@@ -660,7 +679,7 @@ class TestCheckpointBootstrapDifferential:
                 kill_worker(client)
             return original(self, client, ckpt, tail)
 
-        with WorkerPool(graph, count=1) as pool:
+        with WorkerPool(graph, config=PROCESSES) as pool:
             client = pool.clients[0]
             monkeypatch.setattr(WorkerPool, "_ship_checkpoint", sabotage)
             sabotaged["armed"] = True
@@ -683,7 +702,7 @@ class TestRefusedPeer:
         example = build_paper_example()
         graph = example.graph
         target = example["weight-v2"]
-        with WorkerPool(graph, count=1) as pool:
+        with WorkerPool(graph, config=PROCESSES) as pool:
             client = pool.clients[0]
             gc.collect()
             baseline = open_fds()

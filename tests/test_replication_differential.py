@@ -14,6 +14,11 @@ A dedicated scenario shrinks the leader's delta log so mutation bursts
 truncate the shipped span, forcing the full re-sync path — the replica
 must come back bit-identical through that road too.
 
+The default replicas are in-process workers, so their armed snapshots
+are read through the link that holds them. The batched and fault
+scenarios run in both spawn modes (the ``*_in_process`` twins), and one
+seeded stream pins the two modes' wire answers to each other.
+
 8 seeds x 25 rounds = 200 randomized interleavings, matching the snapshot
 suite's floor.
 """
@@ -28,6 +33,13 @@ from repro.query.cypherlite import run_query
 from repro.query.ops import blame, impacted, lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve.cluster import ProvCluster
+from repro.serve.wire import (
+    blame_to_wire,
+    lineage_to_wire,
+    psg_to_wire,
+    rows_to_wire,
+    segment_to_wire,
+)
 from repro.store.snapshot import GraphSnapshot
 from repro.workloads.lifecycle import build_paper_example
 from faults import kill_worker, truncate_log
@@ -91,6 +103,12 @@ def _assert_snapshots_equivalent(leader_snap, replica_snap):
         == _prov_adjacency_key(leader_snap.prov_adjacency())
 
 
+def _armed_snapshot(replica):
+    """An in-process replica's read snapshot, from the worker its link
+    holds."""
+    return replica.transport.worker._armed_snapshot()
+
+
 def _check_routed_queries(graph, cluster, rng, entities):
     """Every read family must agree between leader-live and routed."""
     for entity in rng.sample(entities, k=min(3, len(entities))):
@@ -133,14 +151,14 @@ def test_mutate_ship_query_interleavings(seed):
         full = GraphSnapshot(graph)
         for replica in cluster.replicas:
             if replica.epoch == graph.store.epoch:
-                _assert_snapshots_equivalent(full, replica.snapshot())
+                _assert_snapshots_equivalent(full, _armed_snapshot(replica))
 
     # Both replicas served and finished convergent.
     cluster.refresh()
     full = GraphSnapshot(graph)
     for replica in cluster.replicas:
         assert replica.queries_served > 0
-        _assert_snapshots_equivalent(full, replica.snapshot())
+        _assert_snapshots_equivalent(full, _armed_snapshot(replica))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -159,7 +177,7 @@ def test_truncation_resync_interleavings(seed):
         cluster.refresh()
         full = GraphSnapshot(graph)
         for replica in cluster.replicas:
-            _assert_snapshots_equivalent(full, replica.snapshot())
+            _assert_snapshots_equivalent(full, _armed_snapshot(replica))
         entities = list(graph.entities())
         _check_routed_queries(graph, cluster, rng, entities)
 
@@ -247,7 +265,7 @@ def _assert_batched_matches_leader(graph, specs, results):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_batched_vs_sequential_interleavings(seed):
+def test_batched_vs_sequential_interleavings(seed, out_of_process=True):
     """Batched and sequential serving of one query set are identical.
 
     Each round mutates the leader (mutations interleaved *between*
@@ -260,7 +278,7 @@ def test_batched_vs_sequential_interleavings(seed):
     """
     rng = random.Random(8800 + seed)
     graph = build_paper_example().graph
-    cluster = ProvCluster(graph, replicas=2, out_of_process=True)
+    cluster = ProvCluster(graph, replicas=2, out_of_process=out_of_process)
     counter = [0]
     epochs_by_round = []
     try:
@@ -305,13 +323,18 @@ def test_batched_vs_sequential_interleavings(seed):
         cluster.close()
 
 
-def test_batched_kill_mid_bundle():
+@pytest.mark.parametrize("seed", range(2))
+def test_batched_vs_sequential_interleavings_in_process(seed):
+    test_batched_vs_sequential_interleavings(seed, out_of_process=False)
+
+
+def test_batched_kill_mid_bundle(out_of_process=True):
     """A worker killed while its bundle is in flight loses no queries:
     the dead worker's whole share is re-routed and the reassembled
     results still match the leader."""
     rng = random.Random(9911)
     graph = build_paper_example().graph
-    cluster = ProvCluster(graph, replicas=2, out_of_process=True)
+    cluster = ProvCluster(graph, replicas=2, out_of_process=out_of_process)
     counter = [0]
     try:
         for round_index in range(6):
@@ -334,13 +357,18 @@ def test_batched_kill_mid_bundle():
         cluster.close()
 
 
-def test_batched_survives_multiple_simultaneous_dead_workers():
+def test_batched_kill_mid_bundle_in_process():
+    test_batched_kill_mid_bundle(out_of_process=False)
+
+
+def test_batched_survives_multiple_simultaneous_dead_workers(
+        out_of_process=True):
     """TWO of three workers dead when the fan-out begins: the batch is
     still reassembled bit-identically (each orphaned share re-routes,
     the pool restarts the casualties underneath)."""
     rng = random.Random(5150)
     graph = build_paper_example().graph
-    cluster = ProvCluster(graph, replicas=3, out_of_process=True)
+    cluster = ProvCluster(graph, replicas=3, out_of_process=out_of_process)
     counter = [0]
     try:
         for round_index in range(5):
@@ -363,13 +391,18 @@ def test_batched_survives_multiple_simultaneous_dead_workers():
         cluster.close()
 
 
-def test_batched_survives_every_worker_dead():
+def test_batched_survives_multiple_simultaneous_dead_workers_in_process():
+    test_batched_survives_multiple_simultaneous_dead_workers(
+        out_of_process=False)
+
+
+def test_batched_survives_every_worker_dead(out_of_process=True):
     """The degenerate casualty schedule: EVERY worker is dead when the
     fan-out begins. The route path must restart workers (not just skip
     them) and the reassembled batch still matches the leader."""
     rng = random.Random(5151)
     graph = build_paper_example().graph
-    cluster = ProvCluster(graph, replicas=2, out_of_process=True)
+    cluster = ProvCluster(graph, replicas=2, out_of_process=out_of_process)
     counter = [0]
     try:
         for _ in range(4):
@@ -386,7 +419,11 @@ def test_batched_survives_every_worker_dead():
         cluster.close()
 
 
-def test_out_of_process_kill_restart_resync():
+def test_batched_survives_every_worker_dead_in_process():
+    test_batched_survives_every_worker_dead(out_of_process=False)
+
+
+def test_out_of_process_kill_restart_resync(out_of_process=True):
     """Worker kill mid-interleaving: restart + re-sync, answers identical.
 
     Extends the differential schedule with a mid-run casualty: after the
@@ -397,7 +434,7 @@ def test_out_of_process_kill_restart_resync():
     """
     rng = random.Random(7777)
     graph = build_paper_example().graph
-    cluster = ProvCluster(graph, replicas=2, out_of_process=True)
+    cluster = ProvCluster(graph, replicas=2, out_of_process=out_of_process)
     counter = [0]
     try:
         for round_index in range(8):
@@ -420,3 +457,97 @@ def test_out_of_process_kill_restart_resync():
         assert cluster.replicas[0].queries_served > served_before
     finally:
         cluster.close()
+
+
+def test_kill_restart_resync_in_process():
+    test_out_of_process_kill_restart_resync(out_of_process=False)
+
+
+# ---------------------------------------------------------------------------
+# One follower: both spawn modes answer identically
+# ---------------------------------------------------------------------------
+
+
+def _summary_queries(rng, entities):
+    src = tuple(rng.sample(entities, k=min(2, len(entities))))
+    return [PgSegQuery(src=src, dst=(dst,))
+            for dst in rng.sample(entities, k=min(2, len(entities)))]
+
+
+def _wire_answers(cluster, specs, queries):
+    """One pass of the stream, every answer in its wire encoding: the
+    batch, then the summary four times (the rotation lands it twice on
+    each of two replicas, so the repeats are view hits)."""
+    encode = {"lineage": lineage_to_wire, "impacted": lineage_to_wire,
+              "blame": blame_to_wire, "segment": segment_to_wire,
+              "cypher": rows_to_wire}
+    answers = [encode[method](result) for (method, _), result
+               in zip(specs, cluster.query_many(specs), strict=True)]
+    answers += [psg_to_wire(cluster.summarize(queries)) for _ in range(4)]
+    return answers
+
+
+def test_spawn_modes_answer_identically():
+    """One seeded mutate/query stream — all five query families plus
+    ``summarize``, each pass asked twice — served by in-process workers
+    and by worker processes: the wire-encoded answers are identical, and
+    the in-process workers answered repeats from their result cache and
+    their summary views."""
+    rng = random.Random(2727)
+    graph = build_paper_example().graph
+    clusters = {mode: ProvCluster(graph, replicas=2, out_of_process=mode)
+                for mode in (False, True)}
+    counter = [0]
+    try:
+        for _ in range(6):
+            for _ in range(rng.randint(1, 3)):
+                _mutate(rng, graph, counter)
+            entities = list(graph.entities())
+            specs = _batch_specs(rng, entities)
+            queries = _summary_queries(rng, entities)
+            for _repeat in range(2):
+                in_process, processes = (
+                    _wire_answers(clusters[mode], specs, queries)
+                    for mode in (False, True))
+                assert in_process == processes
+        workers = [replica.transport.worker
+                   for replica in clusters[False].replicas]
+        assert sum(worker.cache_hits for worker in workers) > 0
+        assert sum(worker.views_served for worker in workers) > 0
+        for cluster in clusters.values():
+            assert all(r.restarts == 0 for r in cluster.replicas)
+    finally:
+        for cluster in clusters.values():
+            cluster.close()
+
+
+def test_in_process_answers_never_alias_the_worker_cache():
+    """Decoders copy: mutating a returned ``Lineage``, blame report or
+    ``Segment`` and asking again returns the original answer — served
+    from the worker's cache, which the caller's edits never reached."""
+    example = build_paper_example()
+    graph = example.graph
+    target = example["weight-v2"]
+    roots = tuple(v for v in graph.entities()
+                  if not graph.generating_activities(v))
+    query = PgSegQuery(src=roots, dst=(target,))
+    with ProvCluster(graph, replicas=1) as cluster:
+        walk = cluster.lineage(target)
+        walk.vertices.clear()
+        walk.levels[0].entities.append(-1)
+        report = cluster.blame(target)
+        for owned in report.values():
+            owned.add(-1)
+        report[-1] = {-1}
+        segment = cluster.segment(query)
+        segment.vertices.clear()
+        segment.edge_ids.clear()
+        for tags in segment.categories.values():
+            tags.add("edited")
+        hits = cluster.replicas[0].transport.worker.cache_hits
+        assert _lineage_key(cluster.lineage(target)) \
+            == _lineage_key(lineage(graph, target))
+        assert cluster.blame(target) == blame(graph, target)
+        assert _segment_key(cluster.segment(query)) \
+            == _segment_key(PgSegOperator(graph).evaluate(query))
+        assert cluster.replicas[0].transport.worker.cache_hits == hits + 3

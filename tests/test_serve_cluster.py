@@ -2,16 +2,19 @@
 
 import pytest
 
+from repro.errors import ReplicaUnavailable, TransportClosed
 from repro.model.types import EdgeType, VertexType
 from repro.query.ops import blame, lineage
 from repro.segment.pgseg import PgSegQuery
 from repro.serve.cluster import ProvCluster, QueryRouter
-from repro.serve.replication import Replica, ReplicationLog
+from repro.serve.pool import WorkerPool
+from repro.serve.wire import batch_to_wire
 from repro.session import LifecycleSession
 from repro.store.checkpoint import CheckpointManager
 from repro.store.delta import Delta, DeltaBatch, DeltaOp
 from repro.store.store import PropertyGraphStore
 from repro.workloads.lifecycle import build_paper_example
+from faults import poison_transport
 from test_store_persistence import stores_identical
 
 
@@ -25,62 +28,80 @@ def grow(graph, tag):
     return out
 
 
+def worker_of(client):
+    """The in-process ``ReplicaWorker`` behind a pool client's link."""
+    return client.transport.worker
+
+
 class TestReplica:
+    """The follower contract, pinned on in-process pool clients: every
+    replica is a ``ReplicaWorker`` behind a ``WorkerClient``."""
+
     def test_bootstrap_is_id_and_epoch_exact(self, paper):
-        replica = Replica(ReplicationLog(paper.graph))
-        assert stores_identical(paper.graph.store, replica.store)
-        assert replica.epoch == paper.graph.store.epoch
-        assert replica.lag == 0
+        with WorkerPool(paper.graph, count=1) as pool:
+            [client] = pool.clients
+            assert stores_identical(paper.graph.store,
+                                    worker_of(client).store)
+            assert client.epoch == worker_of(client).epoch \
+                == paper.graph.store.epoch
+            assert client.lag == 0
 
     def test_catch_up_applies_shipped_batches(self, paper):
         graph = paper.graph
-        replica = Replica(ReplicationLog(graph))
-        for tag in range(5):
-            grow(graph, tag)
-        assert replica.lag > 0
-        applied = replica.catch_up()
-        assert applied == replica.batches_applied > 0
-        assert replica.lag == 0
-        assert stores_identical(graph.store, replica.store)
-        assert replica.resyncs == 0
+        with WorkerPool(graph, count=1) as pool:
+            [client] = pool.clients
+            for tag in range(5):
+                grow(graph, tag)
+            assert client.lag > 0
+            applied = client.catch_up()
+            assert applied == client.batches_shipped \
+                == worker_of(client).batches_applied > 0
+            assert client.lag == 0
+            assert stores_identical(graph.store, worker_of(client).store)
+            assert client.resyncs == 0
 
     def test_catch_up_is_noop_when_fresh(self, paper):
-        replica = Replica(ReplicationLog(paper.graph))
-        assert replica.catch_up() == 0
+        with WorkerPool(paper.graph, count=1) as pool:
+            assert pool.clients[0].catch_up() == 0
 
     def test_truncation_forces_full_resync(self):
         graph = build_paper_example().graph
         # Shrink the leader's log so a mutation burst overflows it.
         graph.store.delta_log.capacity = 8
-        replica = Replica(ReplicationLog(graph))
-        for tag in range(12):
-            grow(graph, tag)
-        assert graph.store.delta_log.truncated
-        replica.catch_up()
-        assert replica.resyncs == 1
-        assert stores_identical(graph.store, replica.store)
-        assert replica.epoch == graph.store.epoch
+        with WorkerPool(graph, count=1) as pool:
+            [client] = pool.clients
+            for tag in range(12):
+                grow(graph, tag)
+            assert graph.store.delta_log.truncated
+            client.catch_up()
+            assert client.resyncs == 1 and client.restarts == 0
+            assert stores_identical(graph.store, worker_of(client).store)
+            assert client.epoch == worker_of(client).epoch \
+                == graph.store.epoch
 
     def test_replica_queries_match_leader(self, paper):
         graph = paper.graph
-        replica = Replica(ReplicationLog(graph))
-        for tag in range(3):
-            target = grow(graph, tag)
-        replica.catch_up()
-        assert replica.lineage(target).vertices == \
-            lineage(graph, target).vertices
-        assert replica.blame(target) == blame(graph, target)
+        with WorkerPool(graph, count=1) as pool:
+            [client] = pool.clients
+            for tag in range(3):
+                target = grow(graph, tag)
+            client.catch_up()
+            assert client.lineage(target).vertices == \
+                lineage(graph, target).vertices
+            assert client.blame(target) == blame(graph, target)
 
     def test_replica_local_delta_log_mirrors_leader(self, paper):
         graph = paper.graph
         start = graph.store.epoch
-        replica = Replica(ReplicationLog(graph))
-        for tag in range(3):
-            grow(graph, tag)
-        replica.catch_up()
-        leader_span = graph.store.delta_log.batches_since(start)
-        replica_span = replica.store.delta_log.batches_since(start)
-        assert replica_span == leader_span
+        with WorkerPool(graph, count=1) as pool:
+            [client] = pool.clients
+            for tag in range(3):
+                grow(graph, tag)
+            client.catch_up()
+            leader_span = graph.store.delta_log.batches_since(start)
+            replica_span = \
+                worker_of(client).store.delta_log.batches_since(start)
+            assert replica_span == leader_span
 
     def test_loose_signature_leader_is_servable(self):
         """A check_signatures=False leader must replicate in its own mode."""
@@ -88,29 +109,48 @@ class TestReplica:
         a = store.add_vertex(VertexType.ENTITY, {"name": "a"})
         b = store.add_vertex(VertexType.ENTITY, {"name": "b"})
         store.add_edge(EdgeType.USED, a, b)     # violates the PROV signature
-        cluster = ProvCluster(store, replicas=1)
-        replica = cluster.replicas[0]
-        assert not replica.store.check_signatures
-        assert stores_identical(store, replica.store)
-        # Loose edges must also replicate through the batch stream.
-        store.add_edge(EdgeType.USED, b, a)
-        replica.catch_up()
-        assert stores_identical(store, replica.store)
+        with ProvCluster(store, replicas=1) as cluster:
+            replica = cluster.replicas[0]
+            assert not worker_of(replica).store.check_signatures
+            assert stores_identical(store, worker_of(replica).store)
+            # Loose edges must also replicate through the batch stream.
+            store.add_edge(EdgeType.USED, b, a)
+            replica.catch_up()
+            assert stores_identical(store, worker_of(replica).store)
 
     def test_divergence_recovers_via_resync(self, paper):
-        """A corrupted follower must rebootstrap, not wedge forever."""
+        """A corrupted follower must be replaced, not wedge forever: the
+        worker exits on the batch it cannot apply, and catch-up takes the
+        crash path (restart, then checkpoint + tail)."""
         graph = paper.graph
-        replica = Replica(ReplicationLog(graph))
-        replica.store.add_vertex(VertexType.ENTITY)   # local divergence
-        grow(graph, 0)
-        replica.catch_up()
-        assert replica.resyncs == 1
-        assert stores_identical(graph.store, replica.store)
-        assert replica.lineage(
-            paper["weight-v2"]).vertices    # serves again after recovery
+        with WorkerPool(graph, count=1) as pool:
+            [client] = pool.clients
+            worker_of(client).store.add_vertex(VertexType.ENTITY)
+            target = grow(graph, 0)
+            with pytest.raises(ReplicaUnavailable):
+                client.catch_up()
+            assert client.restarts == client.resyncs == 1
+            assert stores_identical(graph.store, worker_of(client).store)
+            # Serves the leader's answers again after recovery.
+            assert client.lineage(target).vertices \
+                == lineage(graph, target).vertices
+
+    def test_poisoned_link_takes_the_crash_path(self, paper):
+        """A poisoned in-memory link is refused like a torn socket: the
+        ask fails over to a restarted worker, which answers again."""
+        graph = paper.graph
+        target = paper["weight-v2"]
+        with WorkerPool(graph, count=1) as pool:
+            [client] = pool.clients
+            poison_transport(client)
+            with pytest.raises(ReplicaUnavailable):
+                client.lineage(target)
+            assert client.restarts == 1 and client.alive()
+            assert client.lineage(target).vertices \
+                == lineage(graph, target).vertices
 
     def test_replicas_bootstrap_from_one_capture(self, paper, monkeypatch):
-        """N in-process replicas load one checkpoint file: the store is
+        """N in-process workers load one checkpoint file: the store is
         encoded once, not once per replica."""
         captured = []
         capture = CheckpointManager.capture
@@ -123,23 +163,26 @@ class TestReplica:
         with ProvCluster(paper.graph, replicas=3) as cluster:
             assert captured == [paper.graph.store.epoch]
             for replica in cluster.replicas:
-                assert stores_identical(paper.graph.store, replica.store)
+                assert stores_identical(paper.graph.store,
+                                        worker_of(replica).store)
 
     def test_unlinked_checkpoint_is_recaptured_once(self, paper):
-        """A re-sync whose checkpoint file vanished captures a fresh one
+        """A restart whose checkpoint file vanished captures a fresh one
         (exactly one) and converges on the leader."""
         graph = paper.graph
         with ProvCluster(graph, replicas=1) as cluster:
             replica = cluster.replicas[0]
             stale = cluster.log.checkpoint()
             stale.path.unlink()
-            replica.store.add_vertex(VertexType.ENTITY)   # local divergence
+            worker_of(replica).store.add_vertex(VertexType.ENTITY)
             target = grow(graph, 0)
-            replica.catch_up()                  # apply fails: re-sync
+            with pytest.raises(ReplicaUnavailable):
+                replica.catch_up()              # apply fails: crash path
             assert replica.resyncs == 1
+            assert cluster.pool.stats()["bootstrap"]["full_syncs"] == 1
             assert cluster.log.checkpoint().generation \
                 == stale.generation + 1
-            assert stores_identical(graph.store, replica.store)
+            assert stores_identical(graph.store, worker_of(replica).store)
             assert cluster.lineage(target).vertices \
                 == lineage(graph, target).vertices
 
@@ -152,68 +195,82 @@ class TestReplica:
         cluster.close()                         # idempotent
 
     def test_payload_count_mismatch_rejected(self, paper):
-        replica = Replica(ReplicationLog(paper.graph))
-        batch = DeltaBatch(epoch=replica.epoch + 1, deltas=(
-            Delta(DeltaOp.ADD_VERTEX, replica.store.vertex_capacity,
-                  vertex_type=VertexType.ENTITY, order=0),
-        ))
-        with pytest.raises(ValueError):
-            replica.store.apply_replicated_batch(batch, [])   # short list
+        with WorkerPool(paper.graph, count=1) as pool:
+            store = worker_of(pool.clients[0]).store
+            batch = DeltaBatch(epoch=store.epoch + 1, deltas=(
+                Delta(DeltaOp.ADD_VERTEX, store.vertex_capacity,
+                      vertex_type=VertexType.ENTITY, order=0),
+            ))
+            with pytest.raises(ValueError):
+                store.apply_replicated_batch(batch, [])   # short list
 
     def test_divergence_is_detected(self, paper):
-        replica = Replica(ReplicationLog(paper.graph))
-        # A batch from the future (epoch gap) must be rejected.
-        bad = DeltaBatch(epoch=replica.epoch + 2, deltas=())
-        with pytest.raises(ValueError, match="does not follow"):
-            replica.store.apply_replicated_batch(bad)
-        # An id mismatch (follower diverged) must be rejected too.
-        bad_id = DeltaBatch(epoch=replica.epoch + 1, deltas=(
-            Delta(DeltaOp.ADD_VERTEX,
-                  replica.store.vertex_capacity + 5,
-                  vertex_type=VertexType.ENTITY, order=0),
-        ))
-        with pytest.raises(ValueError, match="diverged"):
-            replica.store.apply_replicated_batch(bad_id, [{}])
+        graph = paper.graph
+        with WorkerPool(graph, count=1) as pool:
+            [client] = pool.clients
+            store = worker_of(client).store
+            # A batch from the future (epoch gap) must be rejected.
+            bad = DeltaBatch(epoch=store.epoch + 2, deltas=())
+            with pytest.raises(ValueError, match="does not follow"):
+                store.apply_replicated_batch(bad)
+            # An id mismatch (follower diverged) must be rejected too.
+            bad_id = DeltaBatch(epoch=store.epoch + 1, deltas=(
+                Delta(DeltaOp.ADD_VERTEX, store.vertex_capacity + 5,
+                      vertex_type=VertexType.ENTITY, order=0),
+            ))
+            with pytest.raises(ValueError, match="diverged"):
+                store.apply_replicated_batch(bad_id, [{}])
+            # Shipped, it makes the worker exit — its link closes like a
+            # dead process's socket — and the next catch-up takes the
+            # crash path.
+            with pytest.raises(TransportClosed):
+                client.transport.send(batch_to_wire(bad_id))
+            assert not client.alive()
+            target = grow(graph, 0)
+            with pytest.raises(ReplicaUnavailable):
+                client.catch_up()
+            assert client.restarts == client.resyncs == 1
+            assert client.alive() and client.lag == 0
+            assert client.lineage(target).vertices \
+                == lineage(graph, target).vertices
 
 
 class TestRouter:
     def test_round_robin_across_fresh_replicas(self, paper):
-        log = ReplicationLog(paper.graph)
-        replicas = [Replica(log, i) for i in range(3)]
-        router = QueryRouter(replicas)
-        picks = [router.route(min_epoch=0).replica_id for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
+        with WorkerPool(paper.graph, count=3) as pool:
+            router = QueryRouter(pool.clients)
+            picks = [router.route(min_epoch=0).replica_id for _ in range(6)]
+            assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_stale_rotation_target_caught_up_in_place(self, paper):
         graph = paper.graph
-        log = ReplicationLog(graph)
-        replicas = [Replica(log, i) for i in range(2)]
-        grow(graph, 0)
-        router = QueryRouter(replicas)
-        pick = router.route(min_epoch=graph.store.epoch)
-        assert pick.replica_id == 0 and pick.lag == 0
-        assert replicas[1].lag > 0       # not its turn: untouched
+        with WorkerPool(graph, count=2) as pool:
+            replicas = pool.clients
+            grow(graph, 0)
+            router = QueryRouter(replicas)
+            pick = router.route(min_epoch=graph.store.epoch)
+            assert pick.replica_id == 0 and pick.lag == 0
+            assert replicas[1].lag > 0       # not its turn: untouched
 
     def test_stale_tolerant_stamp_never_forces_catch_up(self, paper):
         graph = paper.graph
-        log = ReplicationLog(graph)
-        replicas = [Replica(log, i) for i in range(2)]
-        grow(graph, 0)
-        router = QueryRouter(replicas)
-        pick = router.route(min_epoch=0)
-        assert pick.lag > 0              # serves its own (stale) epoch
+        with WorkerPool(graph, count=2) as pool:
+            grow(graph, 0)
+            router = QueryRouter(pool.clients)
+            pick = router.route(min_epoch=0)
+            assert pick.lag > 0              # serves its own (stale) epoch
 
     def test_strict_reads_fan_out_after_a_write(self, paper):
         """A write must not funnel the whole read stream onto one replica."""
         graph = paper.graph
-        log = ReplicationLog(graph)
-        replicas = [Replica(log, i) for i in range(4)]
-        router = QueryRouter(replicas)
-        grow(graph, 0)
-        picks = [router.route(min_epoch=graph.store.epoch).replica_id
-                 for _ in range(8)]
-        assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
-        assert all(replica.lag == 0 for replica in replicas)
+        with WorkerPool(graph, count=4) as pool:
+            replicas = pool.clients
+            router = QueryRouter(replicas)
+            grow(graph, 0)
+            picks = [router.route(min_epoch=graph.store.epoch).replica_id
+                     for _ in range(8)]
+            assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
+            assert all(replica.lag == 0 for replica in replicas)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
@@ -221,10 +278,10 @@ class TestRouter:
 
     def test_unsatisfiable_stamp_raises(self, paper):
         """A strong read must never silently degrade to stale data."""
-        log = ReplicationLog(paper.graph)
-        router = QueryRouter([Replica(log, 0)])
-        with pytest.raises(ValueError, match="ahead of the leader"):
-            router.route(min_epoch=log.epoch + 1)
+        with WorkerPool(paper.graph, count=1) as pool:
+            router = QueryRouter(pool.clients[:1])
+            with pytest.raises(ValueError, match="ahead of the leader"):
+                router.route(min_epoch=pool.log.epoch + 1)
 
 
 class TestProvCluster:

@@ -699,17 +699,28 @@ class TestRawQueryMany:
             cluster.close()
 
     def test_raw_is_best_effort_in_process(self):
-        """In-process replicas never encode, so raw consumers must
-        accept domain objects too (the documented contract)."""
+        """In-process workers answer in wire form too, but a leader-local
+        fallback never crossed the wire, so raw consumers must accept
+        domain objects as well (the documented contract)."""
+        from repro.segment.boundary import BoundaryCriteria
+
         example = build_paper_example()
-        cluster = ProvCluster(example.graph, replicas=1)
+        graph = example.graph
+        target = example["weight-v2"]
+        bounded = PgSegQuery(
+            src=(example["dataset-v1"],), dst=(target,),
+            boundaries=BoundaryCriteria().exclude_vertices(lambda v: False))
+        cluster = ProvCluster(graph, replicas=1)
         try:
-            target = example["weight-v2"]
-            [result] = cluster.query_many(
-                [("lineage", {"entity": target})], raw=True)
-            assert not isinstance(result, RawResult)
-            assert result.vertices \
-                == lineage(example.graph, target).vertices
+            walk, segment = cluster.query_many(
+                [("lineage", {"entity": target}),
+                 ("segment", {"query": bounded})], raw=True)
+            assert isinstance(walk, RawResult)
+            assert wire.lineage_from_wire(walk.payload).vertices \
+                == lineage(graph, target).vertices
+            assert not isinstance(segment, RawResult)
+            assert segment.vertices \
+                == PgSegOperator(graph).evaluate(bounded).vertices
         finally:
             cluster.close()
 

@@ -25,11 +25,17 @@ from repro.errors import (
 from repro.query.ops import blame, lineage
 from repro.segment.boundary import BoundaryCriteria
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
+from repro.serve.api import ServeConfig
 from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import LineTransport
 from repro.workloads.lifecycle import build_paper_example
-from faults import bootstrap_worker, break_checkpoint, open_fds, truncate_log
+from faults import break_checkpoint, open_fds, truncate_log
+
+#: A pool of worker *processes*: what the timeout, fd and process
+#: lifecycle tests below need (an in-memory worker answers synchronously
+#: and holds no fd).
+PROCESSES = ServeConfig(replicas=1, out_of_process=True)
 
 
 def socketpair_transports():
@@ -323,7 +329,7 @@ class TestWorkerPoolServing:
 @pytest.fixture(scope="class")
 def single_worker_pool():
     example = build_paper_example()
-    pool = WorkerPool(example.graph, count=1)
+    pool = WorkerPool(example.graph, config=PROCESSES)
     try:
         yield example, pool
     finally:
@@ -472,30 +478,25 @@ class TestWorkerResultCache:
     def test_budgeted_cypher_with_timeout_never_cached(self):
         """Wall-clock budgets truncate nondeterministically; replaying
         such a result from cache could serve a different row set."""
-        import socket as socket_mod
-
         from repro.query.cypherlite import Budget
         from repro.serve.wire import budget_to_wire
-        from repro.serve.worker import ReplicaWorker
 
         example = build_paper_example()
-        left, right = socket_mod.socketpair()
-        with LineTransport.over_socket(left), \
-                LineTransport.over_socket(right) as worker_side:
-            worker = ReplicaWorker(worker_side, 0)
-            bootstrap_worker(worker, example.graph.store)
+        with WorkerPool(example.graph, count=1) as pool:
+            client = pool.clients[0]
+            worker = client.transport.worker       # in-process: observable
             params = {
                 "text": "MATCH (e:E) RETURN id(e)",
                 "budget": budget_to_wire(Budget(timeout_seconds=30.0)),
             }
-            worker._serve_cached("cypher", params)
-            worker._serve_cached("cypher", params)
+            client._request("cypher", params)
+            client._request("cypher", params)
             assert worker.cache_hits == 0
             assert worker.cache_misses == 0           # never entered
             # The same query without a wall clock budget caches fine.
             free = {"text": "MATCH (e:E) RETURN id(e)", "budget": None}
-            worker._serve_cached("cypher", free)
-            worker._serve_cached("cypher", free)
+            client._request("cypher", free)
+            client._request("cypher", free)
             assert worker.cache_hits == 1
             assert worker.cache_misses == 1
 
@@ -517,7 +518,7 @@ class TestTransportFds:
         example = build_paper_example()
         graph = example.graph
         target = example["weight-v2"]
-        with WorkerPool(graph, count=1) as pool:
+        with WorkerPool(graph, config=PROCESSES) as pool:
             client = pool.clients[0]
             assert client.lineage(target).root == target
             gc.collect()
@@ -606,7 +607,7 @@ class TestShipCursor:
 class TestWorkerPoolLifecycle:
     def test_clean_close_is_idempotent(self):
         graph = build_paper_example().graph
-        with WorkerPool(graph, count=1) as pool:
+        with WorkerPool(graph, config=PROCESSES) as pool:
             client = pool.clients[0]
             entities = list(graph.entities())
             assert client.lineage(entities[0]).root == entities[0]
@@ -616,7 +617,7 @@ class TestWorkerPoolLifecycle:
 
     def test_workers_exit_when_pool_closes_sockets(self):
         graph = build_paper_example().graph
-        pool = WorkerPool(graph, count=2)
+        pool = WorkerPool(graph, config=PROCESSES.with_(replicas=2))
         procs = [client.proc for client in pool.clients]
         pool.close()
         for proc in procs:

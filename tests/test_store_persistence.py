@@ -209,10 +209,11 @@ class TestWalDeltaUnification:
     def test_wal_replay_equals_shipped_delta_stream(self, tmp_path):
         """Replaying a WAL and applying the equivalent shipped DeltaBatch
         stream must yield stores with identical vertices/edges/epochs."""
-        from repro.serve.replication import Replica, ReplicationLog
+        from repro.serve.pool import WorkerPool
 
         leader = PropertyGraphStore()
-        replica = Replica(ReplicationLog(leader))   # follows from epoch 0
+        pool = WorkerPool(leader, count=1)      # follows from epoch 0
+        [client] = pool.clients
         log_path = tmp_path / "wal.jsonl"
         with WriteAheadLog(leader, log_path) as wal:
             data = wal.add_vertex(VertexType.ENTITY, {"name": "data"})
@@ -225,7 +226,9 @@ class TestWalDeltaUnification:
             wal.remove_vertex(doomed)
 
         replayed = replay(log_path)
-        replica.catch_up()
-        assert stores_identical(replayed, leader)
-        assert stores_identical(replica.store, leader)
-        assert replayed.epoch == replica.store.epoch == leader.epoch
+        with pool:
+            client.catch_up()
+            follower = client.transport.worker.store   # in-process worker
+            assert stores_identical(replayed, leader)
+            assert stores_identical(follower, leader)
+            assert replayed.epoch == follower.epoch == leader.epoch

@@ -8,12 +8,14 @@ recomputed past a crossover). Both optimizations must be *invisible*:
 every served result — hit, retained hit, patched view, or fresh compute
 — must be bit-identical to a leader-live recompute at the same epoch.
 
-This suite drives a :class:`~repro.serve.worker.ReplicaWorker` directly
-(no process boundary, so hundreds of interleavings run in seconds) with
-seed-controlled random schedules of leader mutations, delta shipping,
-and repeat queries across every wire method including ``summarize``.
-Dedicated scenarios force the truncation→full-re-sync path and the
-kill→restart path (the latter out-of-process, where restart is real).
+This suite drives an in-process :class:`~repro.serve.worker.ReplicaWorker`
+through its :class:`~repro.serve.pool.WorkerPool` client — the real ship,
+checkpoint and bootstrap path with no process boundary, so hundreds of
+interleavings run in seconds — with seed-controlled random schedules of
+leader mutations, delta shipping, and repeat queries across every wire
+method including ``summarize``. Dedicated scenarios force the
+truncation→full-re-sync path and the kill→restart path (the latter
+with worker processes).
 
 A Hypothesis property test pins the retention predicate itself: no
 surviving entry's footprint may intersect the span's write set, with
@@ -26,7 +28,6 @@ for the bench/nightly job.
 
 import os
 import random
-import socket as socket_mod
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -37,9 +38,8 @@ from repro.query.cypherlite import run_query
 from repro.query.ops import blame, impacted, lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve.cluster import ProvCluster
-from repro.serve.transport import LineTransport
+from repro.serve.pool import WorkerPool
 from repro.serve.wire import (
-    batch_to_wire,
     blame_to_wire,
     budget_from_wire,
     lineage_to_wire,
@@ -51,7 +51,6 @@ from repro.serve.wire import (
     rows_to_wire,
     segment_to_wire,
 )
-from repro.serve.worker import ReplicaWorker
 from repro.store.snapshot import default_crossover
 from repro.store.delta import (
     Delta,
@@ -63,7 +62,7 @@ from repro.store.delta import (
 )
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 from repro.workloads.lifecycle import build_paper_example
-from faults import bootstrap_worker, kill_worker, truncate_log
+from faults import kill_worker, truncate_log
 from test_snapshot_differential import _mutate
 
 FULL = os.environ.get("RETENTION_FULL", "") not in ("", "0")
@@ -75,38 +74,35 @@ ROUNDS = 25
 
 
 # ---------------------------------------------------------------------------
-# Direct-drive harness
+# Harness: one in-process worker behind its pool client
 # ---------------------------------------------------------------------------
 
 
 class _Harness:
-    """One ReplicaWorker driven in-process over a real transport."""
+    """One in-process worker, fed and asked through its pool client."""
 
     def __init__(self, graph):
         self.graph = graph
-        left, right = socket_mod.socketpair()
-        self._pool_side = LineTransport.over_socket(left)
-        self._worker_side = LineTransport.over_socket(right)
-        self.worker = ReplicaWorker(self._worker_side, 0)
-        bootstrap_worker(self.worker, graph.store)
+        self.pool = WorkerPool(graph, count=1)
+        self.client = self.pool.clients[0]
+
+    @property
+    def worker(self):
+        """The worker behind the client's in-memory link."""
+        return self.client.transport.worker
 
     def ship(self):
         """Ship the span the worker is missing; truncation → a fresh
-        bootstrap (never partial replay), exactly like the pool."""
-        batches = self.graph.store.delta_log.batches_since(self.worker.epoch)
-        if batches is None:
-            bootstrap_worker(self.worker, self.graph.store)
-            return
-        for batch in batches:
-            assert self.worker._apply(
-                batch_to_wire(batch, self.graph.store))
+        checkpoint + tail (never partial replay)."""
+        self.client.catch_up()
+        assert self.client.restarts == 0
 
     def serve(self, method, params):
-        return self.worker._serve_cached(method, params)
+        """One request; returns the wire payload the worker answered."""
+        return self.client._request(method, params)
 
     def close(self):
-        self._pool_side.close()
-        self._worker_side.close()
+        self.pool.close()
 
 
 def _expected(graph, method, params):
