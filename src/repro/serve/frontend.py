@@ -90,8 +90,9 @@ _CLOSE = object()
 
 
 def _encode_frame(frame: dict[str, Any]) -> bytes:
-    # Byte-compatible with LineTransport.send's framing.
-    return json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
+    # Byte-compatible with LineTransport.send's framing; answers that
+    # arrived as text are spliced in, never parsed.
+    return wire.frame_text(frame).encode("utf-8") + b"\n"
 
 
 class _Entry:
@@ -749,7 +750,8 @@ class AsyncFrontend:
                 "sessions": len(self._sessions),
             }
             frame = wire.response_to_wire(
-                request_id, self.cluster.leader_epoch, result=payload)
+                request_id, self.cluster.leader_epoch,
+                result=wire.WireValue(payload))
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
@@ -792,21 +794,19 @@ def _decode_request(method: str, params: dict[str, Any],
         f"method {method!r} is not servable on a client session")
 
 
-def _encode_result(method: str, result: Any) -> Any:
+def _encode_result(method: str, result: Any) -> wire.WireValue:
     if isinstance(result, RawResult):
-        # Already wire form, straight off the worker bundle
-        # (``query_many(..., raw=True)``): splice it into the response
-        # frame untouched. For a full-ancestry blame report the skipped
-        # decode/re-encode round trip costs more than the worker's
-        # cached answer did.
+        # Straight off the worker bundle (``query_many(..., raw=True)``):
+        # its text is spliced into the client frame, never parsed here.
         return result.payload
+    # A leader-local fallback or a re-routed share came back decoded.
     if method in ("lineage", "impacted"):
-        return wire.lineage_to_wire(result)
+        return wire.WireValue(wire.lineage_to_wire(result))
     if method == "blame":
-        return wire.blame_to_wire(result)
+        return wire.WireValue(wire.blame_to_wire(result))
     if method == "segment":
-        return wire.segment_to_wire(result)
-    return wire.rows_to_wire(result)
+        return wire.WireValue(wire.segment_to_wire(result))
+    return wire.WireValue(wire.rows_to_wire(result))
 
 
 # ---------------------------------------------------------------------------
@@ -931,21 +931,30 @@ class FrontendClient:
         exception *instances* (mirrors ``ProvCluster.query_many``)."""
         from repro.serve.api import normalize_specs
 
+        # One slot per spec: a request id, or the exception that kept a
+        # spec off the wire (it never gets an id, so nothing leaks).
+        slots: list[int | Exception] = []
         calls = []
         for spec in normalize_specs(specs):
             method, params = spec.as_tuple()
+            try:
+                call = _encode_client_call(method, params)
+            except Exception as exc:   # noqa: BLE001 - per-spec isolation
+                slots.append(exc)
+                continue
             self._next_id += 1
             self._methods[self._next_id] = method
-            calls.append((self._next_id,
-                          *_encode_client_call(method, params)))
-        if not calls:
-            return []
-        self.transport.send(wire.requests_bundle_to_wire(
-            [(rid, method, params) for rid, method, params in calls]))
+            calls.append((self._next_id, *call))
+            slots.append(self._next_id)
+        if calls:
+            self.transport.send(wire.requests_bundle_to_wire(calls))
         results = []
-        for request_id, _method, _params in calls:
+        for slot in slots:
+            if isinstance(slot, Exception):
+                results.append(slot)
+                continue
             try:
-                results.append(self.collect(request_id))
+                results.append(self.collect(slot))
             except Exception as exc:   # noqa: BLE001 - per-spec isolation
                 results.append(exc)
         return results

@@ -452,11 +452,13 @@ class WorkerClient:
 
     @leased
     def _request(self, method: str, params: dict[str, Any]) -> Any:
+        """One request's ok answer as JSON values: a text that crossed a
+        socket is parsed here, for the caller's domain decoder."""
         [request_id] = self._send_calls([(method, params)])
         ok, payload = self._await(request_id)
         if not ok:
             raise error_from_wire(payload)
-        return payload
+        return payload.value
 
     # ------------------------------------------------------------------
     # Batched serving (spec form shared with the cluster)
@@ -542,7 +544,7 @@ class WorkerClient:
                 elif raw:
                     results.append(RawResult(method, payload))
                 else:
-                    results.append(self._decode_spec(method, payload))
+                    results.append(self._decode_spec(method, payload.value))
         except ReplicaUnavailable:
             self.abandon(handle.ids)
             raise
@@ -811,15 +813,16 @@ class _BundleHandle:
 class RawResult:
     """A worker's ok answer left in wire form (``raw=True`` collects).
 
-    Carries the undecoded JSON payload exactly as the worker encoded it.
-    Read it, never mutate it: from an in-memory worker it *is* the
-    worker's cached answer (decoded results are copies; this is not).
-    A consumer that re-serves the same wire format — the async front-end
-    — splices ``payload`` straight into its response frame; decoding to
-    a domain object just to re-encode it would be pure overhead (for a
-    full-ancestry blame report that round trip costs more than the
-    worker's cached answer did). ``wire.lineage_from_wire`` and friends
-    decode ``payload`` on demand for consumers that do want domain form.
+    ``payload`` is the answer's :class:`~repro.serve.wire.WireValue`
+    exactly as it arrived: off a socket it holds only the canonical JSON
+    text the worker packed, which nothing on the leader parses; from an
+    in-memory worker it *is* the worker's cached answer (value, and text
+    once something encoded it). Read it, never mutate it — decoded
+    results are copies, this is not. A consumer that re-serves the same
+    wire format — the async front-end — splices ``payload.text``
+    straight into its client frame, so the client's parse is the first
+    one. ``wire.lineage_from_wire(payload.value)`` and friends decode on
+    demand for consumers that do want domain form.
     """
 
     __slots__ = ("method", "payload")

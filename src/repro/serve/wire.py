@@ -35,7 +35,10 @@ Four message families cross the leader -> replica boundary:
   answered by one ``responses`` bundle executed against a single armed
   snapshot with per-request error isolation — the dashboard fan-in path
   that makes batching/pipelining an additive protocol extension (no
-  version bump).
+  version bump). Workers send every ok answer as a :class:`WireValue`,
+  whose canonical JSON text is encoded once and then copied verbatim —
+  into packed binary frames and, by the async front-end
+  (:func:`frame_text`), into client lines.
 
 - **Control frames** (``hello`` / ``welcome`` / ``checkpoint`` /
   ``ping`` / ``pong`` / ``event`` / ``shutdown`` / ``bye``): worker
@@ -166,7 +169,10 @@ def delta_from_wire(record: dict[str, Any]) -> tuple[Delta, Any]:
     except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(f"malformed wire delta: {record!r}") from exc
     if op in (DeltaOp.ADD_VERTEX, DeltaOp.ADD_EDGE):
-        return delta, dict(record.get("props", {}))
+        props = record.get("props", {})
+        if not isinstance(props, dict):
+            raise SerializationError(f"malformed wire delta: {record!r}")
+        return delta, dict(props)
     if op in _PROPERTY_OPS and record.get("has_value"):
         return delta, PropertyPayload(record["value"])
     return delta, None
@@ -462,6 +468,99 @@ def shard_map_from_wire(record: dict[str, Any]):
 
 
 # ---------------------------------------------------------------------------
+# Answers: one value, one canonical text
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per
+#: call: default separators, ASCII-only output.
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
+
+class WireValue:
+    """One answer as its value, its canonical JSON text, or both.
+
+    The canonical text is ``json.dumps(value, sort_keys=True)``: ASCII
+    only, and free of raw newlines (JSON escapes them inside strings and
+    the default separators add none), so it can be copied verbatim into a
+    packed binary section or a client's JSON line. Whichever side is
+    missing is derived on first read and kept: a worker encodes a cached
+    answer once however many frames carry it, and a text that crossed a
+    socket is parsed only by whoever reads :attr:`value` — never by a
+    leader that only splices it on. Deriving the text releases the value
+    (a worker's cache then holds compact text, not the lists it
+    encodes); reading :attr:`value` afterwards parses the text again.
+
+    Treat :attr:`value` as read-only: it may be a worker's cached answer.
+    The fills are written without a lock, and at every instant one of
+    the two sides is set (the text is stored before the value is
+    released), so racing readers at worst derive an identical result
+    twice.
+    """
+
+    __slots__ = ("_value", "_text")
+
+    def __init__(self, value: Any = _MISSING, *, text: str | None = None):
+        if (value is _MISSING) == (text is None):
+            raise TypeError("WireValue takes exactly one of a value and "
+                            "a text")
+        self._value = value
+        self._text = text
+
+    @property
+    def value(self) -> Any:
+        """The answer as JSON values, parsed from the text if needed.
+
+        Raises:
+            SerializationError: the text is not JSON.
+        """
+        value = self._value
+        if value is _MISSING:
+            try:
+                value = json.loads(self._text)
+            except ValueError as exc:
+                raise SerializationError(
+                    f"invalid JSON answer text: {exc}") from exc
+            self._value = value
+        return value
+
+    @property
+    def text(self) -> str:
+        """The canonical JSON text, encoded from the value on first read."""
+        text = self._text
+        if text is None:
+            value = self._value
+            if value is _MISSING:     # another thread encoded and released
+                return self._text
+            text = self._text = _CANONICAL.encode(value)
+            self._value = _MISSING
+        return text
+
+    def __repr__(self) -> str:        # pragma: no cover - debugging aid
+        return f"WireValue({'value' if self._text is None else 'text'})"
+
+
+def frame_text(frame: Any) -> str:
+    """A frame's JSON text with every :class:`WireValue` spliced verbatim.
+
+    Byte-identical to ``json.dumps(frame, sort_keys=True)`` of the same
+    frame with each ``WireValue`` replaced by its value: the envelope is
+    encoded here, each answer's text is copied. Frame keys are strings,
+    as in every frame this module builds.
+    """
+    if isinstance(frame, WireValue):
+        return frame.text
+    if isinstance(frame, dict):
+        return "{" + ", ".join(
+            f"{_CANONICAL.encode(key)}: {frame_text(frame[key])}"
+            for key in sorted(frame)) + "}"
+    if isinstance(frame, list):
+        return "[" + ", ".join(frame_text(item) for item in frame) + "]"
+    return _CANONICAL.encode(frame)
+
+
+# ---------------------------------------------------------------------------
 # Request / response query frames
 # ---------------------------------------------------------------------------
 
@@ -529,7 +628,8 @@ def response_to_wire(request_id: int, epoch: int, *,
                      ) -> dict[str, Any]:
     """One query answer as a frame.
 
-    Exactly one of ``result`` (the method-specific result object) and
+    Exactly one of ``result`` (the method-specific result object — or a
+    :class:`WireValue` holding it, as workers send every answer) and
     ``error`` (an :func:`error_to_wire` record) is carried; ``epoch`` is
     the worker's replayed epoch at answer time, so the client can verify
     its consistency stamp was honored. ``trace`` optionally returns the
@@ -553,8 +653,9 @@ def response_from_wire(record: dict[str, Any],
                        ) -> tuple[int, int, bool, Any]:
     """Decode a response frame into ``(request_id, epoch, ok, payload)``.
 
-    ``payload`` is the result object when ``ok`` and the error record
-    otherwise (rebuild it with :func:`error_from_wire`).
+    ``payload`` is the result object when ``ok`` — a :class:`WireValue`
+    for an answer a worker sent — and the error record otherwise
+    (rebuild it with :func:`error_from_wire`).
     """
     _expect_kind(record, "response")
     try:
@@ -710,21 +811,25 @@ def responses_bundle_from_wire(record: dict[str, Any],
 # Binary frame codecs (the repro-wire-v2 hot path)
 # ---------------------------------------------------------------------------
 #
-# The two highest-volume frame families — shipped delta batches
-# (leader -> worker, one per committed epoch per worker) and response
-# bundles (worker -> leader, one per pipelined query burst) — get
-# length-prefixed binary codecs. A binary payload is tagged by its first
-# byte and decodes to *exactly* the frame dict its JSON twin would have
-# produced, so everything above the transport's recv() is codec-agnostic;
-# the packers take the frame dict, keeping the JSON codec the single
-# source of field semantics. Property maps and result values stay JSON
-# (they are schemaless by design); the fixed-shape envelope — ids, type
-# codes, topology, epochs — is packed as little-endian struct fields.
+# The highest-volume frame families — shipped delta batches (leader ->
+# worker, one per committed epoch per worker) and answers (worker ->
+# leader: response bundles, and the single responses of strict reads,
+# ``summarize`` and ``metrics``) — get length-prefixed binary codecs. A
+# binary payload is tagged by its first byte and decodes to the frame
+# dict its JSON twin would have produced, except that an ok response's
+# ``result`` is a text-backed :class:`WireValue`, parsed only when read;
+# so everything above the transport's recv() is codec-agnostic, and the
+# packers take the frame dict, keeping the JSON codec the single source
+# of field semantics. Property maps and answers stay JSON (they are
+# schemaless by design); the fixed-shape envelope — ids, type codes,
+# topology, epochs, flags — is packed as little-endian struct fields.
 
 #: First payload byte of a binary-coded shipped batch frame.
 BATCH_FRAME_TAG = 0x01
 #: First payload byte of a binary-coded responses-bundle frame.
 RESPONSES_FRAME_TAG = 0x02
+#: First payload byte of a binary-coded single response frame.
+RESPONSE_FRAME_TAG = 0x03
 
 _I64 = struct.Struct("<q")
 _U32 = struct.Struct("<I")
@@ -739,12 +844,14 @@ _F_ORDER = 8     # "order" present
 _F_KEY = 16      # "key" present
 _F_PROPS = 32    # "props" present (enrichment; may be empty)
 _F_VALUE = 64    # "value" + "has_value" present (enrichment)
+_F_KNOWN = 127
+
+_R_OK = 1        # the body is the result text (else the error record)
+_R_TRACE = 2     # a trace section follows the body
 
 
 def _pack_json(out: bytearray, obj: Any) -> None:
-    payload = json.dumps(obj, sort_keys=True).encode("utf-8")
-    out += _U32.pack(len(payload))
-    out += payload
+    _pack_text(out, _CANONICAL.encode(obj))
 
 
 def _pack_text(out: bytearray, text: str) -> None:
@@ -784,10 +891,34 @@ class _BinaryCursor:
         self._offset = offset + length
         return self._payload[offset:offset + length]
 
-    def json(self) -> Any:
+    def string(self) -> str:
+        """A UTF-8 string section."""
         try:
-            return json.loads(self.blob().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(
+                f"invalid UTF-8 section in binary frame: {exc}") from exc
+
+    def text(self) -> str:
+        """A canonical JSON text section, left unparsed.
+
+        Its bytes are spliced verbatim into other frames — a client's
+        JSON line among them — so what canonical text never holds (a
+        non-ASCII byte, a raw newline) is refused here, before it could
+        reach one.
+        """
+        blob = self.blob()
+        if b"\n" in blob or not blob.isascii():
+            raise SerializationError(
+                "JSON text section is not canonical (non-ASCII or a raw "
+                "newline)")
+        return blob.decode("ascii")
+
+    def json(self) -> Any:
+        text = self.string()
+        try:
+            return json.loads(text)
+        except ValueError as exc:
             raise SerializationError(
                 f"invalid JSON section in binary frame: {exc}") from exc
 
@@ -852,6 +983,8 @@ def unpack_batch_frame(payload: bytes) -> dict[str, Any]:
         record: dict[str, Any] = {"op": _OP_BY_CODE[code].name,
                                   "id": cursor.unpack(_I64)}
         flags = cursor.u8()
+        if flags & ~_F_KNOWN:
+            raise SerializationError(f"unknown delta flags 0x{flags:02x}")
         if flags & _F_VT:
             record["vt"] = chr(cursor.u8())
         if flags & _F_ET:
@@ -862,7 +995,7 @@ def unpack_batch_frame(payload: bytes) -> dict[str, Any]:
         if flags & _F_ORDER:
             record["order"] = cursor.unpack(_I64)
         if flags & _F_KEY:
-            record["key"] = cursor.blob().decode("utf-8")
+            record["key"] = cursor.string()
         if flags & _F_PROPS:
             record["props"] = cursor.json()
         if flags & _F_VALUE:
@@ -882,14 +1015,61 @@ def encode_batch_binary(batch: DeltaBatch,
     return pack_batch_frame(batch_to_wire(batch, store))
 
 
-def pack_responses_frame(frame: dict[str, Any]) -> bytes:
-    """Pack a :func:`responses_bundle_to_wire` frame as a binary payload.
+def _pack_response(out: bytearray, response: dict[str, Any]) -> None:
+    """One response as ``id i64, epoch i64, flags u8, body blob,
+    [trace blob]``.
 
-    The envelope (tag, epoch, count) is struct-packed; each inner
-    response rides as one length-prefixed JSON section, because results
-    are schemaless values. The win over the JSON twin is skipping the
-    re-serialization of the whole envelope around potentially large,
-    already-materialized inner frames.
+    An ok body is the answer's canonical JSON text — a
+    :class:`WireValue`'s memoized text copied verbatim, or a plain value
+    encoded here — and an error body is the error record.
+    """
+    ok = bool(response["ok"])
+    trace = response.get("trace")
+    out += _I64.pack(int(response["id"]))
+    out += _I64.pack(int(response["epoch"]))
+    out.append((_R_OK if ok else 0) | (_R_TRACE if trace is not None else 0))
+    body = response["result"] if ok else response["error"]
+    _pack_text(out, body.text if isinstance(body, WireValue)
+               else _CANONICAL.encode(body))
+    if trace is not None:
+        _pack_json(out, trace)
+
+
+def _unpack_response(cursor: _BinaryCursor) -> dict[str, Any]:
+    """Inverse of :func:`_pack_response`; the result stays text."""
+    request_id = cursor.unpack(_I64)
+    epoch = cursor.unpack(_I64)
+    flags = cursor.u8()
+    if flags & ~(_R_OK | _R_TRACE):
+        raise SerializationError(f"unknown response flags 0x{flags:02x}")
+    frame: dict[str, Any] = {"kind": "response", "format": WIRE_FORMAT,
+                             "id": request_id, "epoch": epoch,
+                             "ok": bool(flags & _R_OK)}
+    if flags & _R_OK:
+        frame["result"] = WireValue(text=cursor.text())
+    else:
+        error = cursor.json()
+        if not isinstance(error, dict):
+            raise SerializationError(f"malformed error record: {error!r}")
+        frame["error"] = error
+    if flags & _R_TRACE:
+        trace = cursor.json()
+        if not isinstance(trace, list) \
+                or any(not isinstance(entry, dict) for entry in trace):
+            raise SerializationError(f"malformed trace: {trace!r}")
+        frame["trace"] = trace
+    return frame
+
+
+def pack_responses_frame(frame: dict[str, Any]) -> bytes:
+    """Pack a :func:`responses_bundle_to_wire` frame as a binary payload:
+    ``0x02, epoch i64, count u32``, then each response (see
+    :func:`_pack_response`).
+
+    An ok response's result section is its canonical JSON text, copied
+    verbatim from a :class:`WireValue` — so a worker's cached answer is
+    encoded once however often it is served; a plain JSON value is
+    accepted too and encoded here.
     """
     if frame.get("kind") != "responses" \
             or frame.get("format") != WIRE_FORMAT:
@@ -901,7 +1081,7 @@ def pack_responses_frame(frame: dict[str, Any]) -> bytes:
         responses = frame["responses"]
         out += _U32.pack(len(responses))
         for response in responses:
-            _pack_json(out, response)
+            _pack_response(out, response)
     except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(
             f"malformed responses bundle: {frame!r}") from exc
@@ -909,24 +1089,55 @@ def pack_responses_frame(frame: dict[str, Any]) -> bytes:
 
 
 def unpack_responses_frame(payload: bytes) -> dict[str, Any]:
-    """Inverse of :func:`pack_responses_frame`: the identical frame dict."""
+    """Inverse of :func:`pack_responses_frame`: the JSON twin's frame
+    dict, except that each ok ``result`` is a :class:`WireValue` holding
+    the section's text, unparsed."""
     cursor = _BinaryCursor(payload)
     if cursor.u8() != RESPONSES_FRAME_TAG:
         raise SerializationError("not a binary responses payload")
     epoch = cursor.unpack(_I64)
-    responses = [cursor.json() for _ in range(cursor.unpack(_U32))]
+    responses = [_unpack_response(cursor)
+                 for _ in range(cursor.unpack(_U32))]
     if not cursor.done():
         raise SerializationError("trailing bytes in binary responses frame")
     return {"kind": "responses", "format": WIRE_FORMAT, "epoch": epoch,
             "responses": responses}
 
 
+def pack_response_frame(frame: dict[str, Any]) -> bytes:
+    """Pack a single :func:`response_to_wire` frame as a binary payload:
+    ``0x03``, then the response laid out as inside a bundle."""
+    if frame.get("kind") != "response" or frame.get("format") != WIRE_FORMAT:
+        raise SerializationError(
+            f"not a {WIRE_FORMAT} response record: {frame.get('kind')!r}")
+    out = bytearray((RESPONSE_FRAME_TAG,))
+    try:
+        _pack_response(out, frame)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise SerializationError(
+            f"malformed response frame: {frame!r}") from exc
+    return bytes(out)
+
+
+def unpack_response_frame(payload: bytes) -> dict[str, Any]:
+    """Inverse of :func:`pack_response_frame` (the result stays text)."""
+    cursor = _BinaryCursor(payload)
+    if cursor.u8() != RESPONSE_FRAME_TAG:
+        raise SerializationError("not a binary response payload")
+    frame = _unpack_response(cursor)
+    if not cursor.done():
+        raise SerializationError("trailing bytes in binary response frame")
+    return frame
+
+
 # Any process that imports the wire codecs speaks v2 binary payloads:
 # the transport packs by frame kind and decodes by the first byte.
 register_frame_decoder(BATCH_FRAME_TAG, unpack_batch_frame)
 register_frame_decoder(RESPONSES_FRAME_TAG, unpack_responses_frame)
+register_frame_decoder(RESPONSE_FRAME_TAG, unpack_response_frame)
 register_frame_packer("batch", pack_batch_frame)
 register_frame_packer("responses", pack_responses_frame)
+register_frame_packer("response", pack_response_frame)
 
 
 #: Builtin exception names the error codec is allowed to rebuild.

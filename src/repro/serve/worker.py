@@ -20,7 +20,11 @@ catch-up; it only reports.
 
 **Result caching (footprint retention).** Dashboard workloads re-ask the
 same questions at a fixed graph version, so the worker keeps a bounded
-LRU of wire-ready results keyed by ``(method, canonical-params)``. Each
+LRU of answers keyed by ``(method, canonical-params)``, each a
+:class:`~repro.serve.wire.WireValue`: the value the handler produced
+plus, once a socket transport packed it, its canonical JSON text — a
+hit over a socket copies that text, over the in-memory link it hands
+the value on, and neither encodes anything. Each
 entry records its **dependency footprint** — the vertex ids the answer
 was derived from, classified exactly the way the session result cache
 classifies its entries (``closure`` for lineage/impact/blame, ``paths``
@@ -97,6 +101,7 @@ from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.transport import BinaryTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
+    WireValue,
     batch_from_wire,
     blame_to_wire,
     budget_from_wire,
@@ -147,7 +152,7 @@ class _SummaryView:
     from scratch past the crossover.
     """
 
-    result: dict[str, Any]
+    result: WireValue
     queries: list[PgSegQuery]
     pgsum: PgSumQuery
     segments: list[Segment]
@@ -158,6 +163,11 @@ class _SummaryView:
 
 class ReplicaWorker:
     """One read replica: its store, caches, views and frame dispatch.
+
+    Every ok answer leaves as a :class:`~repro.serve.wire.WireValue`
+    (cache entries and summary views keep theirs), so an answer is
+    encoded at most once — by a socket transport's packer, the first
+    time it ships — and never over the in-memory link.
 
     Args:
         transport: the duplex framed channel to the pool (a socket
@@ -209,12 +219,13 @@ class ReplicaWorker:
         self.graph: ProvenanceGraph | None = None
         self._snapshot: GraphSnapshot | None = None
         self._operator: PgSegOperator | None = None
-        #: Wire-ready results keyed (method, canonical params); each entry
-        #: is ``(result, kind, footprint)`` so applied batches can retain
+        #: Answers keyed (method, canonical params); each entry is
+        #: ``(answer, kind, footprint)`` so applied batches can retain
         #: provably-unchanged answers (see _apply). Valid only at
         #: ``self._cache_epoch``.
         self._cache: OrderedDict[
-            tuple[str, str], tuple[Any, str, frozenset[int]]] = OrderedDict()
+            tuple[str, str],
+            tuple[WireValue, str, frozenset[int]]] = OrderedDict()
         self._cache_size = cache_size
         self._cache_epoch = -2          # never equal to a real epoch yet
         #: Materialized summary views keyed by canonical summarize params.
@@ -392,7 +403,8 @@ class ReplicaWorker:
         """
         effects = span_effects([batch])
         survivors: OrderedDict[
-            tuple[str, str], tuple[Any, str, frozenset[int]]] = OrderedDict()
+            tuple[str, str],
+            tuple[WireValue, str, frozenset[int]]] = OrderedDict()
         for key, entry in self._cache.items():
             if entry_survives(entry[1], entry[2], effects):
                 survivors[key] = entry
@@ -460,8 +472,8 @@ class ReplicaWorker:
                      for request_id, method, params in calls]
         self.bundles_served += 1
         # The read path's highest-volume frame: a socket transport packs
-        # it with the binary responses codec (decoded back to this dict
-        # on the pool side); the in-memory link hands the dict over.
+        # it with the binary responses codec, copying each answer's text;
+        # the in-memory link hands the dict, values and all, over.
         self._transport.send(responses_bundle_to_wire(self.epoch, responses))
 
     def metrics(self) -> dict[str, Any]:
@@ -488,7 +500,7 @@ class ReplicaWorker:
             # Pre-bootstrap snapshots are legal: health tooling must be
             # able to inspect a worker that never finished syncing.
             return response_to_wire(request_id, self.epoch,
-                                    result=self.metrics())
+                                    result=WireValue(self.metrics()))
         hits0, views0 = self.cache_hits, self.views_served
         patched0 = self.views_patched
         started = perf_counter()
@@ -547,8 +559,14 @@ class ReplicaWorker:
                 return False
         return True
 
-    def _serve_cached(self, method: str, params: dict[str, Any]) -> Any:
-        """Serve one request through the footprint-retaining result cache."""
+    def _serve_cached(self, method: str,
+                      params: dict[str, Any]) -> WireValue:
+        """Serve one request through the footprint-retaining result cache.
+
+        A hit returns the cached :class:`~repro.serve.wire.WireValue`
+        itself, so its text is encoded at most once, by whichever packer
+        needs it first.
+        """
         if self._cache_epoch != self.epoch:
             # Defense in depth: every epoch-moving path already
             # retained/cleared explicitly (_apply/_bootstrap_checkpoint), so an
@@ -559,7 +577,7 @@ class ReplicaWorker:
         if method == "summarize":
             return self._serve_summarize(params)
         if self._cache_size <= 0 or not self._cacheable(method, params):
-            return getattr(self, f"_serve_{method}")(params)[0]
+            return WireValue(getattr(self, f"_serve_{method}")(params)[0])
         key = (method, json.dumps(params, sort_keys=True))
         entry = self._cache.get(key)
         if entry is not None:
@@ -567,13 +585,14 @@ class ReplicaWorker:
             self._cache.move_to_end(key)
             return entry[0]
         result, kind, footprint = getattr(self, f"_serve_{method}")(params)
+        answer = WireValue(result)
         self.cache_misses += 1
-        self._cache[key] = (result, kind, footprint)
+        self._cache[key] = (answer, kind, footprint)
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
-        return result
+        return answer
 
-    def _serve_summarize(self, params: dict[str, Any]) -> dict[str, Any]:
+    def _serve_summarize(self, params: dict[str, Any]) -> WireValue:
         """Serve one summary through the materialized-view layer.
 
         View states (see :meth:`_revalidate_views` for how batches move
@@ -603,7 +622,7 @@ class ReplicaWorker:
                 # Patch: segments are structurally exact; only merged
                 # labels drifted. Re-merge against live properties.
                 psg = PgSumOperator(view.segments).evaluate(view.pgsum)
-                view.result = psg_to_wire(psg)
+                view.result = WireValue(psg_to_wire(psg))
                 view.epoch = self.epoch
                 view.stale_records = 0
                 self.views_patched += 1
@@ -626,7 +645,7 @@ class ReplicaWorker:
         return result
 
     def _compute_summary(self, params: dict[str, Any],
-                         ) -> tuple[dict[str, Any], list[PgSegQuery],
+                         ) -> tuple[WireValue, list[PgSegQuery],
                                     PgSumQuery, list[Segment]]:
         """Evaluate one summarize request from scratch."""
         queries = [pgseg_query_from_wire(record)
@@ -635,7 +654,7 @@ class ReplicaWorker:
         self._armed_snapshot()          # arm the operator fast path
         segments = [self._operator.evaluate(query) for query in queries]
         psg = PgSumOperator(segments).evaluate(pgsum)
-        return psg_to_wire(psg), queries, pgsum, segments
+        return WireValue(psg_to_wire(psg)), queries, pgsum, segments
 
     # ------------------------------------------------------------------
     # Method handlers — each returns (wire result, kind, footprint), the

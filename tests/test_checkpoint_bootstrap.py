@@ -9,9 +9,12 @@ Four layers, pinned bottom-up:
   batches), and every malformed file — hand-built cases plus a
   Hypothesis byte-level sweep — raises ``SerializationError`` or loads a
   self-consistent store, never anything else;
-- the binary frame codecs: pack/unpack of the two hot frame families
+- the binary frame codecs: pack/unpack of the packed frame families
   reproduces the JSON twin dict exactly, for every delta op and
-  enrichment combination;
+  enrichment combination (an ok answer crosses as its canonical text),
+  and a Hypothesis byte-level sweep over packed batch, responses and
+  response payloads raises ``SerializationError`` or yields a
+  self-consistent frame, never anything else;
 - the BinaryTransport framing contract: JSON and binary payloads on one
   stream, EOF, clean-vs-mid-frame timeout poisoning, and the adopt()
   upgrade that swaps framing on live fds;
@@ -46,18 +49,22 @@ from repro.errors import (
 from repro.query.ops import blame, lineage
 from repro.serve.api import ServeConfig
 from repro.serve.pool import WorkerPool
+from repro.serve import wire
 from repro.serve.transport import BinaryTransport, LineTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
+    WireValue,
     batch_from_wire,
     batch_to_wire,
     hello_frame,
     hello_wire_formats,
     pack_batch_frame,
+    pack_response_frame,
     pack_responses_frame,
     response_to_wire,
     responses_bundle_to_wire,
     unpack_batch_frame,
+    unpack_response_frame,
     unpack_responses_frame,
     welcome_frame,
     welcome_wire_format,
@@ -398,7 +405,15 @@ class TestBinaryCodecs:
                                           "message": "no vertex 99"}),
         ]
         record = responses_bundle_to_wire(5, responses)
-        assert unpack_responses_frame(pack_responses_frame(record)) == record
+        unpacked = unpack_responses_frame(pack_responses_frame(record))
+        # The result crosses as text; everything else decodes as the JSON
+        # twin's dict.
+        answer = unpacked["responses"][0].pop("result")
+        assert answer.value == record["responses"][0]["result"]
+        assert answer.text == json.dumps(answer.value, sort_keys=True)
+        expected = json.loads(json.dumps(record))
+        del expected["responses"][0]["result"]
+        assert unpacked == expected
 
     def test_truncated_payload_raises(self):
         store = varied_store()
@@ -408,6 +423,156 @@ class TestBinaryCodecs:
             unpack_batch_frame(payload[:-1])
         with pytest.raises(SerializationError):
             unpack_batch_frame(payload + b"\x00")
+
+
+# ---------------------------------------------------------------------------
+# Packed-codec fuzz: the binary payloads a worker stream hands the decoders
+# ---------------------------------------------------------------------------
+
+
+def _u32_offsets(unpack, payload):
+    """Offsets of every u32 field (counts, section lengths) ``unpack``
+    reads from ``payload`` — the targets of the length edits below."""
+    offsets = []
+    read = wire._BinaryCursor.unpack
+
+    def spy(cursor, spec):
+        if spec is wire._U32:
+            offsets.append(cursor._offset)
+        return read(cursor, spec)
+
+    wire._BinaryCursor.unpack = spy
+    try:
+        unpack(payload)
+    finally:
+        wire._BinaryCursor.unpack = read
+    return offsets
+
+
+def _valid_batch_payload():
+    """One packed batch frame carrying every delta op and enrichment."""
+    store = varied_store()
+    batches = store.delta_log.batches_since(0)
+    frame = batch_to_wire(batches[-1], store)
+    frame["deltas"] = [delta for batch in batches
+                       for delta in batch_to_wire(batch, store)["deltas"]]
+    return pack_batch_frame(frame)
+
+
+def _valid_responses_frame():
+    return responses_bundle_to_wire(5, [
+        response_to_wire(1, 5, result=WireValue(
+            {"root": 2, "vertices": [0, 1, 2], "levels": []})),
+        response_to_wire(2, 5, error={"type": "VertexNotFound",
+                                      "message": "no vertex 99"}),
+        response_to_wire(3, 5, result=[{"n.name": "é✓"}], trace=[
+            {"hop": "worker", "name": "compute", "dur_s": 0.5}]),
+    ])
+
+
+#: codec -> (unpack, pack, one valid payload).
+_CODECS = {
+    "batch": (unpack_batch_frame, pack_batch_frame, _valid_batch_payload()),
+    "responses": (unpack_responses_frame, pack_responses_frame,
+                  pack_responses_frame(_valid_responses_frame())),
+    "response": (unpack_response_frame, pack_response_frame,
+                 pack_response_frame(
+                     _valid_responses_frame()["responses"][2])),
+}
+
+
+@st.composite
+def _codec_edits(draw):
+    """A codec plus 1-3 edits of its valid payload: truncations, XOR
+    flips, overwritten count / length fields."""
+    name = draw(st.sampled_from(sorted(_CODECS)))
+    unpack, _pack, payload = _CODECS[name]
+    edit = st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(payload) - 1)),
+        st.tuples(st.just("flip"), st.integers(0, len(payload) - 1),
+                  st.integers(1, 255)),
+        st.tuples(st.just("length"),
+                  st.sampled_from(_u32_offsets(unpack, payload)),
+                  st.one_of(st.integers(0, 64),
+                            st.integers(0, 2 ** 32 - 1))),
+    )
+    return name, draw(st.lists(edit, min_size=1, max_size=3))
+
+
+def _edit_payload(data, edit):
+    kind = edit[0]
+    if kind == "truncate":
+        return data[:edit[1]]
+    if kind == "flip":
+        _, index, mask = edit
+        return data[:index] + bytes([data[index] ^ mask]) + data[index + 1:]
+    _, offset, length = edit
+    return data[:offset] + struct.pack("<I", length) + data[offset + 4:]
+
+
+def _assert_responses_consistent(responses):
+    """Every accepted section is typed, and reading a result parses it or
+    raises SerializationError — never a JSON or Unicode error."""
+    for response in responses:
+        assert isinstance(response["id"], int)
+        assert isinstance(response["epoch"], int)
+        if response["ok"]:
+            assert "\n" not in response["result"].text
+            try:
+                response["result"].value
+            except SerializationError:
+                pass
+        else:
+            assert isinstance(response["error"], dict)
+        trace = response.get("trace")
+        assert trace is None or all(isinstance(span, dict)
+                                    for span in trace)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_codec_edits())
+def test_packed_frame_edits_are_rejected_or_self_consistent(case):
+    name, edits = case
+    unpack, pack, data = _CODECS[name]
+    # Flips and length edits address the intact layout: truncate last.
+    for edit in sorted(edits, key=lambda edit: edit[0] == "truncate"):
+        data = _edit_payload(data, edit)
+    try:
+        frame = unpack(data)
+    except SerializationError:
+        return
+    # Self-consistent: re-packing what was accepted is a fixed point.
+    repacked = pack(frame)
+    assert pack(unpack(repacked)) == repacked
+    if name == "batch":
+        try:
+            batch_from_wire(frame)
+        except SerializationError:
+            pass
+    else:
+        _assert_responses_consistent(
+            frame["responses"] if name == "responses" else [frame])
+
+
+def test_corrupted_result_section_raises_serialization_error():
+    frame = _valid_responses_frame()["responses"][0]
+    packed = bytearray(pack_response_frame(frame))
+    packed[-1] = ord("!")              # the result text's closing brace
+    answer = unpack_response_frame(bytes(packed))["result"]
+    with pytest.raises(SerializationError):
+        answer.value
+
+
+@pytest.mark.parametrize("section", [b"[1,\n2]", '"é"'.encode("utf-8")])
+def test_result_section_must_be_spliceable_text(section):
+    """A result section is copied into a client line verbatim, so a raw
+    newline or a non-ASCII byte is refused when the frame is unpacked."""
+    payload = bytes([wire.RESPONSE_FRAME_TAG]) \
+        + struct.pack("<qqB", 1, 5, 1) \
+        + struct.pack("<I", len(section)) + section
+    with pytest.raises(SerializationError):
+        unpack_response_frame(payload)
 
 
 def binary_socketpair():

@@ -222,6 +222,24 @@ class TestFrontendRoundTrip:
         assert isinstance(results[0], VertexNotFound)
         assert results[1].vertices == lineage(graph, target).vertices
 
+    def test_unsendable_spec_fails_alone(self, fe_cluster):
+        """A spec that cannot cross the wire gets its exception at its own
+        index; its siblings still ride the bundle and nothing leaks."""
+        example, cluster = fe_cluster
+        graph = example.graph
+        target = example["weight-v2"]
+        keyed = PgSegQuery(src=(example["dataset-v1"],), dst=(target,),
+                           activity_key=lambda activity: activity)
+        with FrontendClient(cluster.frontend.address, graph=graph) as client:
+            results = client.query_many([QuerySpec.lineage(target),
+                                         QuerySpec.segment(keyed),
+                                         QuerySpec.blame(target)])
+            assert client._methods == {}
+        assert results[0].vertices == lineage(graph, target).vertices
+        assert isinstance(results[1], Exception)
+        assert "wire" in str(results[1])
+        assert results[2] == blame(graph, target)
+
     def test_single_request_error_raises_typed(self, fe_cluster):
         example, cluster = fe_cluster
         with FrontendClient(cluster.frontend.address) as client:
@@ -689,9 +707,9 @@ class TestRawQueryMany:
             ], raw=True)
             assert isinstance(raw[0], RawResult)
             assert raw[0].method == "lineage"
-            assert wire.lineage_from_wire(raw[0].payload).vertices \
+            assert wire.lineage_from_wire(raw[0].payload.value).vertices \
                 == lineage(example.graph, target).vertices
-            assert wire.blame_from_wire(raw[1].payload) \
+            assert wire.blame_from_wire(raw[1].payload.value) \
                 == blame(example.graph, target)
             # Per-request error isolation is unchanged by raw mode.
             assert isinstance(raw[2], VertexNotFound)
@@ -716,7 +734,7 @@ class TestRawQueryMany:
                 [("lineage", {"entity": target}),
                  ("segment", {"query": bounded})], raw=True)
             assert isinstance(walk, RawResult)
-            assert wire.lineage_from_wire(walk.payload).vertices \
+            assert wire.lineage_from_wire(walk.payload.value).vertices \
                 == lineage(graph, target).vertices
             assert not isinstance(segment, RawResult)
             assert segment.vertices \

@@ -352,10 +352,10 @@ class TestPipelinedClient:
         ok, payload = client._await(second)
         assert ok
         from repro.serve.wire import blame_from_wire, lineage_from_wire
-        assert blame_from_wire(payload) == blame(example.graph, target)
+        assert blame_from_wire(payload.value) == blame(example.graph, target)
         ok, payload = client._await(first)
         assert ok
-        assert lineage_from_wire(payload).vertices \
+        assert lineage_from_wire(payload.value).vertices \
             == lineage(example.graph, target).vertices
 
     def test_bundle_isolates_bad_requests(self, single_worker_pool):

@@ -15,6 +15,9 @@ Checks, over ``README.md``, ``ROADMAP.md``, and ``docs/*.md``:
 - every ` ```json ` fence parses as JSON — the wire-protocol spec's
   frames must at minimum *be* JSON before ``tests/test_docs_examples.py``
   round-trips them through the codecs;
+- every packed-frame tag (a ``*_FRAME_TAG`` constant in
+  ``src/repro/serve/wire.py``) is an alternative of the ``payload :=``
+  grammar in ``docs/wire-protocol.md``;
 - every wire-frame example (a JSON fence whose object carries a
   ``"kind"``) names a frame kind that actually exists in
   ``src/repro/serve/wire.py`` — a doc example for a codec nobody wrote
@@ -134,6 +137,45 @@ def check_frame_kinds(path: Path, block: dict, open_line: int,
                                       known)
 
 
+#: ``NAME_FRAME_TAG = 0x01`` constants in serve/wire.py.
+_WIRE_FRAME_TAG = re.compile(r"^(\w+_FRAME_TAG)\s*=\s*(0x[0-9A-Fa-f]+)\b",
+                             re.MULTILINE)
+#: One ``0x..`` alternative of the spec's ``payload :=`` grammar.
+_GRAMMAR_TAG = re.compile(r"^\s*(?:payload\s*:=|\|)\s*(0x[0-9A-Fa-f]+)\b")
+
+
+def payload_grammar_tags(spec: Path) -> set[int]:
+    """Tag bytes the ``payload :=`` grammar of ``spec`` lists: its first
+    line and the ``|`` alternatives right below it."""
+    tags: set[int] = set()
+    inside = False
+    for line in spec.read_text(encoding="utf-8").splitlines():
+        stripped = line.strip()
+        if stripped.startswith("payload :="):
+            inside = True
+        elif not (inside and stripped.startswith("|")):
+            inside = False
+        match = _GRAMMAR_TAG.match(line) if inside else None
+        if match:
+            tags.add(int(match.group(1), 16))
+    return tags
+
+
+def check_frame_tags(problems: list[str]) -> None:
+    """Every packed frame tag in wire.py is documented in the grammar, so
+    a new binary codec cannot ship without its spec line."""
+    spec = ROOT / "docs" / "wire-protocol.md"
+    documented = payload_grammar_tags(spec)
+    source = (ROOT / "src" / "repro" / "serve" / "wire.py").read_text(
+        encoding="utf-8")
+    for name, tag in _WIRE_FRAME_TAG.findall(source):
+        if int(tag, 16) not in documented:
+            problems.append(
+                f"{spec.relative_to(ROOT)}: serve/wire.py {name} = {tag} "
+                f"has no alternative in the `payload :=` grammar"
+            )
+
+
 def check_fences(path: Path, problems: list[str],
                  known_kinds: set[str]) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -181,6 +223,7 @@ def main() -> int:
     for path in files:
         check_links(path, problems)
         check_fences(path, problems, known_kinds)
+    check_frame_tags(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"checked {len(files)} files: "
