@@ -80,7 +80,6 @@ from repro.store.delta import (
     DeltaBatch,
     DeltaOp,
     PropertyPayload,
-    span_effects,
 )
 from repro.store.store import PropertyGraphStore
 
@@ -183,29 +182,6 @@ def delta_from_wire(record: dict[str, Any]) -> tuple[Delta, Any]:
 # ---------------------------------------------------------------------------
 
 
-def batch_writes_to_wire(batch: DeltaBatch) -> dict[str, Any]:
-    """The batch's classified write set as a JSON-able object.
-
-    A deterministic function of the typed delta records alone (no leader
-    store needed, unlike the per-delta payload enrichment), so any party
-    holding the batch reproduces it exactly. Fields mirror
-    :class:`repro.store.delta.SpanEffects`: ``touched`` / ``props`` are
-    sorted vertex-id lists, ``structural`` / ``scan`` the two span flags.
-    Followers drive footprint retention from the same
-    :func:`~repro.store.delta.span_effects` computation on the decoded
-    deltas; the wire field exists so non-Python followers (and humans
-    reading a captured stream) see the write set without reimplementing
-    the classification.
-    """
-    effects = span_effects([batch])
-    return {
-        "touched": sorted(effects.touched),
-        "props": sorted(effects.prop_subjects),
-        "structural": effects.structural,
-        "scan": effects.scan_dirty,
-    }
-
-
 def batch_to_wire(batch: DeltaBatch,
                   store: PropertyGraphStore | None = None) -> dict[str, Any]:
     """One batch as a JSON-able object (see :func:`delta_to_wire`)."""
@@ -214,7 +190,6 @@ def batch_to_wire(batch: DeltaBatch,
         "format": WIRE_FORMAT,
         "epoch": batch.epoch,
         "deltas": [delta_to_wire(delta, store) for delta in batch.deltas],
-        "writes": batch_writes_to_wire(batch),
     }
 
 
@@ -962,7 +937,6 @@ def pack_batch_frame(frame: dict[str, Any]) -> bytes:
                 _pack_json(out, record["props"])
             if flags & _F_VALUE:
                 _pack_json(out, record["value"])
-        _pack_json(out, frame["writes"])
     except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(
             f"malformed wire batch record: {frame!r}") from exc
@@ -1002,11 +976,10 @@ def unpack_batch_frame(payload: bytes) -> dict[str, Any]:
             record["value"] = cursor.json()
             record["has_value"] = True
         deltas.append(record)
-    writes = cursor.json()
     if not cursor.done():
         raise SerializationError("trailing bytes in binary batch frame")
     return {"kind": "batch", "format": WIRE_FORMAT, "epoch": epoch,
-            "deltas": deltas, "writes": writes}
+            "deltas": deltas}
 
 
 def encode_batch_binary(batch: DeltaBatch,

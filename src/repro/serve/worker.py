@@ -27,10 +27,14 @@ hit over a socket copies that text, over the in-memory link it hands
 the value on, and neither encodes anything. Each
 entry records its **dependency footprint** — the vertex ids the answer
 was derived from, classified exactly the way the session result cache
-classifies its entries (``closure`` for lineage/impact/blame, ``paths``
-for segments, ``global`` for CypherLite rows) — and on every applied
-batch the worker keeps each entry whose footprint the batch's write set
-provably cannot have changed, evicting only the overlap
+classifies its entries (``ancestry`` for lineage/blame, ``closure`` for
+impact, ``segment`` for PgSeg answers, ``global`` for CypherLite rows)
+— and a ``segment`` entry also records its *horizon*, the store's
+vertex capacity when it was computed. Applying a batch never touches
+the cache: :meth:`ReplicaWorker._apply` folds the batch into one
+pending write set, O(batch), and the next request revalidates every
+entry and view once against the whole pending span, keeping each one
+the span provably cannot have changed and evicting only the rest
 (:func:`repro.store.delta.entry_survives`, the predicate shared with
 :meth:`repro.session.LifecycleSession._revalidate`). A (re-)bootstrap
 clears everything: it crosses an unknown span, so nothing is
@@ -41,13 +45,15 @@ never cached (their truncation point is nondeterministic).
 **Materialized summary views.** A ``summarize`` request (wire-safe PgSeg
 queries + one PgSum query) is answered from a per-request materialized
 view: the worker keeps the merged summary *and* its input segments.
-Because wire-safe segment membership is structure-only, a property-only
-batch leaves the cached segments valid — the view is **patched** by
-re-merging the summary from them (properties re-read through the live
-store) instead of re-deriving the segments; past a crossover of pending
-span records (mirroring :meth:`GraphSnapshot.advance`'s
-full-rebuild fallback) or on any structural batch the view is recomputed
-from scratch. Served/patched/recomputed counters ride every ``pong``.
+Wire-safe segment membership is structure-only, and appends that leave
+every pre-existing vertex's out-row alone cannot move it (the
+``segment`` rule), so such a span leaves the cached segments valid —
+the view is **patched** by re-merging the summary from them
+(properties re-read through the live store) instead of re-deriving the
+segments; past a crossover of pending span records (mirroring
+:meth:`GraphSnapshot.advance`'s full-rebuild fallback) or after a span
+that could move membership the view is recomputed from scratch.
+Served/patched/recomputed counters ride every ``pong``.
 
 Pong frames also carry a monotonic ``generation``: the pool passes its
 restart count on the worker command line, so cumulative-since-spawn
@@ -125,7 +131,11 @@ from repro.serve.wire import (
     welcome_wire_format,
 )
 from repro.store.checkpoint import read_checkpoint
-from repro.store.delta import SpanEffects, entry_survives, span_effects
+from repro.store.delta import (
+    SpanEffects,
+    entry_survives,
+    segment_members_survive,
+)
 from repro.store.snapshot import GraphSnapshot, default_crossover
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 
@@ -144,12 +154,14 @@ TRACE_RING = 32
 class _SummaryView:
     """One materialized summary: the merged Psg plus its ingredients.
 
-    ``result`` is valid exactly at ``epoch``. A property-only batch that
-    touches the footprint leaves the *segments* valid (wire-safe segment
-    membership is structure-only) but stales the merged labels; the view
-    then waits, accumulating ``stale_records``, until the next request
-    patches it by re-merging from the cached segments — or recomputes
-    from scratch past the crossover.
+    ``result`` is valid exactly at ``epoch``; ``horizon`` is the store's
+    vertex capacity when the segments were derived. A span that leaves
+    the segments' membership alone (:func:`~repro.store.delta.
+    segment_members_survive`) but writes a footprint property stales
+    only the merged labels; the view then waits, accumulating
+    ``stale_records``, until the next request patches it by re-merging
+    from the cached segments — or recomputes from scratch past the
+    crossover.
     """
 
     result: WireValue
@@ -157,6 +169,7 @@ class _SummaryView:
     pgsum: PgSumQuery
     segments: list[Segment]
     footprint: frozenset[int]
+    horizon: int
     epoch: int
     stale_records: int = 0
 
@@ -168,6 +181,12 @@ class ReplicaWorker:
     (cache entries and summary views keep theirs), so an answer is
     encoded at most once — by a socket transport's packer, the first
     time it ships — and never over the in-memory link.
+
+    Shipped batches cost O(batch) here whatever the cache holds: they
+    are folded into one pending write set, and the cache and views are
+    revalidated against it once, by the first request after them
+    (:meth:`_revalidate`). ``cache_retained`` / ``cache_evicted`` count
+    entries per revalidation, not per batch.
 
     Args:
         transport: the duplex framed channel to the pool (a socket
@@ -220,14 +239,18 @@ class ReplicaWorker:
         self._snapshot: GraphSnapshot | None = None
         self._operator: PgSegOperator | None = None
         #: Answers keyed (method, canonical params); each entry is
-        #: ``(answer, kind, footprint)`` so applied batches can retain
-        #: provably-unchanged answers (see _apply). Valid only at
-        #: ``self._cache_epoch``.
+        #: ``(answer, kind, footprint, horizon)`` so a revalidation can
+        #: retain provably-unchanged answers (see _revalidate). Valid at
+        #: ``self._cache_epoch`` plus the pending span.
         self._cache: OrderedDict[
             tuple[str, str],
-            tuple[WireValue, str, frozenset[int]]] = OrderedDict()
+            tuple[WireValue, str, frozenset[int], int]] = OrderedDict()
         self._cache_size = cache_size
         self._cache_epoch = -2          # never equal to a real epoch yet
+        #: Write set of the batches applied since ``_cache_epoch``
+        #: (None: nothing pending) and its record count; see _apply.
+        self._pending: SpanEffects | None = None
+        self._pending_records = 0
         #: Materialized summary views keyed by canonical summarize params.
         self._views: OrderedDict[str, _SummaryView] = OrderedDict()
         self._view_limit = view_limit
@@ -368,11 +391,13 @@ class ReplicaWorker:
         self._cache.clear()
         self._views.clear()
         self._cache_epoch = store.epoch
+        self._pending, self._pending_records = None, 0
         self.checkpoints += 1
         self._transport.send(pong_frame(self.epoch))
 
     def _apply(self, frame: dict[str, Any]) -> bool:
-        """Apply one shipped batch; False means diverged (worker exits)."""
+        """Apply one shipped batch and fold its write set into the
+        pending span, O(batch); False means diverged (worker exits)."""
         if self.store is None:
             self._transport.send(event_frame(
                 "diverged", "batch before bootstrap"))
@@ -386,55 +411,75 @@ class ReplicaWorker:
             self._transport.send(event_frame("diverged", str(exc)))
             return False
         self.batches_applied += 1
-        self._retain(batch)
-        self._cache_epoch = self.store.epoch
+        if not (self._cache or self._views):
+            # Nothing cached: there is nothing to revalidate later.
+            self._cache_epoch = self.store.epoch
+            return True
+        # The batch applied *atomically*, so its write set is exact; the
+        # cache itself is left for the next request to revalidate.
+        if self._pending is None:
+            self._pending = SpanEffects()
+        self._pending.add(batch)
+        self._pending_records += len(batch.deltas)
         return True
 
-    def _retain(self, batch) -> None:
-        """Keep cache entries/views the batch's write set provably missed.
+    def _revalidate(self) -> None:
+        """Bring the cache and views to the replayed epoch, once per read.
 
-        The batch applied *atomically* before this runs, so the write set
-        is exact (not an over-approximation of a partial state), and the
-        retention predicate is the same one the session cache proves
-        sound (:func:`repro.store.delta.entry_survives`). The same write
-        set ships on the wire as the batch's ``writes`` field — followers
-        recompute it locally from the typed deltas, which is equivalent
-        by determinism.
+        Keeps every entry and view the pending write set provably missed
+        (:func:`repro.store.delta.entry_survives`, the predicate the
+        session cache proves sound) and evicts the rest. Retention rules
+        are unions over the span's batches, so one check against the
+        folded span decides exactly what per-batch checks would.
         """
-        effects = span_effects([batch])
+        epoch = self.store.epoch
+        if self._cache_epoch == epoch:
+            return
+        effects, records = self._pending, self._pending_records
+        self._pending, self._pending_records = None, 0
+        self._cache_epoch = epoch
+        if effects is None:
+            # Defense in depth: every epoch-moving path folds its span
+            # (_apply) or clears (_bootstrap_checkpoint), so an epoch
+            # move without a pending span is unclassified — clear.
+            self._cache.clear()
+            self._views.clear()
+            return
         survivors: OrderedDict[
             tuple[str, str],
-            tuple[WireValue, str, frozenset[int]]] = OrderedDict()
+            tuple[WireValue, str, frozenset[int], int]] = OrderedDict()
         for key, entry in self._cache.items():
-            if entry_survives(entry[1], entry[2], effects):
+            if entry_survives(entry[1], entry[2], effects, entry[3]):
                 survivors[key] = entry
                 self.cache_retained += 1
             else:
                 self.cache_evicted += 1
         self._cache = survivors
-        self._revalidate_views(effects, len(batch.deltas))
+        self._revalidate_views(effects, records)
 
     def _revalidate_views(self, effects: SpanEffects,
                           record_count: int) -> None:
-        """Advance/stale/drop each materialized view for one batch.
+        """Advance/stale/drop each materialized view for one span.
 
-        - structural batch: the cached segments may be rerouted by edges
-          wholly outside them (the ``paths`` argument), so the view is
-          dropped — the next request recomputes from scratch;
-        - property-only, footprint-disjoint: nothing the summary reads
-          changed; the view stays current at the new epoch for free;
-        - property-only, footprint-intersecting: segment *membership* is
-          still exact (wire-safe queries read no properties) but merged
-          labels are stale; the view keeps its segments and waits for the
-          next request to re-merge (lazy patching — no write-path work
-          for views nobody re-asks for).
+        - membership may have moved (an old vertex's out-row changed, or
+          a footprint activity adopted an entity — the ``segment``
+          rule): the view is dropped and the next request recomputes it
+          from scratch;
+        - otherwise, footprint-disjoint from the property writes: nothing
+          the summary reads changed; the view stays current at the new
+          epoch for free;
+        - otherwise: segment *membership* is still exact (wire-safe
+          queries read no properties) but merged labels are stale; the
+          view keeps its segments and waits for the next request to
+          re-merge (lazy patching — no work for views nobody re-asks
+          for).
         """
-        if effects.structural:
-            self._views.clear()
-            return
         epoch = self.store.epoch
-        for view in self._views.values():
-            if view.stale_records == 0 \
+        for key, view in list(self._views.items()):
+            if not segment_members_survive(view.footprint, effects,
+                                           view.horizon):
+                del self._views[key]
+            elif view.stale_records == 0 \
                     and view.footprint.isdisjoint(effects.prop_subjects):
                 view.epoch = epoch
             else:
@@ -567,13 +612,7 @@ class ReplicaWorker:
         itself, so its text is encoded at most once, by whichever packer
         needs it first.
         """
-        if self._cache_epoch != self.epoch:
-            # Defense in depth: every epoch-moving path already
-            # retained/cleared explicitly (_apply/_bootstrap_checkpoint), so an
-            # unexpected epoch here means an unclassified span — clear.
-            self._cache.clear()
-            self._views.clear()
-            self._cache_epoch = self.epoch
+        self._revalidate()
         if method == "summarize":
             return self._serve_summarize(params)
         if self._cache_size <= 0 or not self._cacheable(method, params):
@@ -584,10 +623,11 @@ class ReplicaWorker:
             self.cache_hits += 1
             self._cache.move_to_end(key)
             return entry[0]
+        horizon = self.store.vertex_capacity
         result, kind, footprint = getattr(self, f"_serve_{method}")(params)
         answer = WireValue(result)
         self.cache_misses += 1
-        self._cache[key] = (answer, kind, footprint)
+        self._cache[key] = (answer, kind, footprint, horizon)
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
         return answer
@@ -595,19 +635,19 @@ class ReplicaWorker:
     def _serve_summarize(self, params: dict[str, Any]) -> WireValue:
         """Serve one summary through the materialized-view layer.
 
-        View states (see :meth:`_revalidate_views` for how batches move
+        View states (see :meth:`_revalidate_views` for how spans move
         views between them):
 
         - **current** (``epoch`` matches): served as-is;
-        - **stale** (property-only drift on the footprint): patched by
+        - **stale** (property drift on the footprint): patched by
           re-merging the summary from the cached segments — membership is
           still exact, and the merge re-reads properties through the live
           store — unless the pending span outgrew the crossover
           (:func:`repro.store.snapshot.default_crossover`, the same
           economics as :meth:`GraphSnapshot.advance`), in which case the
           segments are re-derived too;
-        - **absent** (first ask, or dropped by a structural batch /
-          re-sync): full recompute.
+        - **absent** (first ask, or dropped by a span that could move its
+          membership / re-sync): full recompute.
         """
         if self._cache_size <= 0 or self._view_limit <= 0:
             return self._compute_summary(params)[0]
@@ -628,6 +668,7 @@ class ReplicaWorker:
                 self.views_patched += 1
                 return view.result
             self._views.pop(key)        # past crossover: start over
+        horizon = self.store.vertex_capacity
         result, queries, pgsum, segments = self._compute_summary(params)
         self._views[key] = _SummaryView(
             result=result,
@@ -637,6 +678,7 @@ class ReplicaWorker:
             footprint=frozenset(
                 vertex for segment in segments
                 for vertex in segment.vertices),
+            horizon=horizon,
             epoch=self.epoch,
         )
         self.views_recomputed += 1
@@ -658,7 +700,7 @@ class ReplicaWorker:
 
     # ------------------------------------------------------------------
     # Method handlers — each returns (wire result, kind, footprint), the
-    # classification _apply's retention predicate needs (kind/footprint
+    # classification _revalidate's retention predicate needs (kind/footprint
     # are ignored on the uncached path). A walk's own vertex set becomes
     # the footprint: the walk result is dropped once encoded, so the
     # cache is that set's only owner and no copy is needed.
@@ -670,7 +712,7 @@ class ReplicaWorker:
             self.graph, int(params["entity"]),
             max_depth=params.get("max_depth"),
             snapshot=self._armed_snapshot())
-        return lineage_to_wire(result), "closure", result.vertices
+        return lineage_to_wire(result), "ancestry", result.vertices
 
     def _serve_impacted(self, params: dict[str, Any],
                         ) -> tuple[dict[str, Any], str, set[int]]:
@@ -693,14 +735,15 @@ class ReplicaWorker:
                         ancestry=ancestry)
         footprint = ancestry.vertices
         footprint.update(report)
-        return blame_to_wire(report), "closure", footprint
+        return blame_to_wire(report), "ancestry", footprint
 
     def _serve_segment(self, params: dict[str, Any],
                        ) -> tuple[dict[str, Any], str, frozenset[int]]:
         query = pgseg_query_from_wire(params["query"])
         self._armed_snapshot()          # arm the operator fast path
         segment = self._operator.evaluate(query)
-        return segment_to_wire(segment), "paths", frozenset(segment.vertices)
+        return (segment_to_wire(segment), "segment",
+                frozenset(segment.vertices))
 
     def _serve_cypher(self, params: dict[str, Any],
                       ) -> tuple[list[dict[str, Any]], str, frozenset[int]]:

@@ -77,10 +77,13 @@ class LifecycleSession:
     clearing the result cache wholesale per epoch, the session inspects
     the store's delta log for the span since the cache was filled and
     keeps every entry the span provably cannot have changed — ancestry
-    closures survive mutations whose touched vertex ids are disjoint from
-    the closure's footprint, and segment/summary entries survive
-    property-only spans that miss their members (see :meth:`_revalidate`
-    for the exact soundness argument per entry class).
+    walks (lineage, depth, blame) survive spans in which no vertex of
+    their closure gained or lost an out-edge, segments survive appends
+    that change no pre-existing vertex's out-row and adopt no sibling
+    into them, and summaries survive property-only spans that miss their
+    members (see :meth:`_revalidate` for the exact soundness argument
+    per entry class). Revalidation is lazy: a run of writes costs
+    nothing here until the next cached read checks the whole span once.
 
     :meth:`serve` attaches a :class:`repro.serve.cluster.ProvCluster`, after
     which the introspection/overview reads fan out across read replicas
@@ -95,8 +98,9 @@ class LifecycleSession:
         self.runs: list[RecordedRun] = []
         self._operator = PgSegOperator(self.builder.graph)
         self._snapshot: GraphSnapshot | None = None
-        # key -> (value, kind, footprint vertex ids); see _revalidate.
-        self._results: dict[Any, tuple[Any, str, frozenset[int]]] = {}
+        # key -> (value, kind, footprint vertex ids, horizon); see
+        # _revalidate.
+        self._results: dict[Any, tuple[Any, str, frozenset[int], int]] = {}
         self._results_epoch = -1
         self._cluster: "ProvCluster | None" = None
 
@@ -138,13 +142,15 @@ class LifecycleSession:
     def _revalidate(self) -> None:
         """Drop result-cache entries the delta span may have changed.
 
-        Entries are classified when cached (``"closure"`` for lineage and
-        blame, ``"scan"`` for roots, ``"paths"`` for segments and
-        summaries) and survival is decided per class by the shared
-        retention predicate :func:`repro.store.delta.entry_survives`,
-        which carries the full soundness argument — the same predicate
-        the out-of-process worker cache applies to shipped batches, so
-        both layers evict by one proven rule.
+        Entries are classified when cached (``"ancestry"`` for lineage
+        and blame, ``"segment"`` for :meth:`how_was_it_made`, ``"scan"``
+        for roots, ``"paths"`` for :meth:`typical_pipeline`, whose
+        version list is a scan) and record the store's vertex capacity
+        when computed (the ``segment`` horizon). Survival is decided per
+        class by the shared retention predicate
+        :func:`repro.store.delta.entry_survives`, which carries the full
+        soundness argument — the same predicate the worker cache applies
+        to shipped spans, so both layers evict by one proven rule.
 
         A span that fell out of the bounded delta log clears everything —
         the conservative fallback, same as the snapshot layer's.
@@ -163,7 +169,7 @@ class LifecycleSession:
         effects = span_effects(span)
         self._results = {
             key: entry for key, entry in self._results.items()
-            if entry_survives(entry[1], entry[2], effects)
+            if entry_survives(entry[1], entry[2], effects, entry[3])
         }
 
     def _cached(self, key: tuple, compute: Callable[[], Any],
@@ -177,10 +183,11 @@ class LifecycleSession:
         self._revalidate()
         entry = self._results.get(key)
         if entry is None:
+            horizon = self.builder.graph.store.vertex_capacity
             value = compute()
             footprint = frozenset(deps(value)) if deps is not None \
                 else frozenset()
-            entry = (value, kind, footprint)
+            entry = (value, kind, footprint, horizon)
             self._results[key] = entry
         return entry[0]
 
@@ -274,7 +281,7 @@ class LifecycleSession:
             return self._segment_of(query)
         return self._cached(
             ("segment", src, dst), lambda: self._segment_of(query),
-            kind="paths", deps=lambda segment: segment.vertices,
+            kind="segment", deps=lambda segment: segment.vertices,
         )
 
     def compare_versions(self, artifact: str, old: int, new: int,
@@ -285,14 +292,14 @@ class LifecycleSession:
         return diff_segments(left, right)
 
     def _lineage_cached(self, entity: int):
-        """The memoized ancestry walk for one entity (closure-class)."""
+        """The memoized ancestry walk for one entity (ancestry-class)."""
         def compute():
             if self._cluster is not None:
                 return self._cluster.lineage(entity)
             return _lineage(self.graph, entity, snapshot=self.snapshot())
 
         return self._cached(
-            ("lineage", entity), compute, kind="closure",
+            ("lineage", entity), compute, kind="ancestry",
             deps=lambda result: result.vertices,
         )
 
@@ -316,7 +323,7 @@ class LifecycleSession:
                           ancestry=ancestry)
 
         report = self._cached(
-            ("blame", entity), compute, kind="closure",
+            ("blame", entity), compute, kind="ancestry",
             deps=lambda rep: {entity, *ancestry.vertices, *rep},
         )
         # Build afresh per call, so callers may mutate their report without

@@ -106,11 +106,19 @@ class SpanEffects:
     and the worker-side footprint retention in
     :class:`repro.serve.worker.ReplicaWorker` share this shape — one
     definition, so the session's soundness argument transfers to the
-    worker verbatim).
+    worker verbatim). :meth:`add` folds one more batch in, so a follower
+    can accumulate a long span in O(records) and revalidate once.
 
     Attributes:
         touched: vertex ids structurally affected — subjects of vertex
             ops plus both endpoints of added/removed edges.
+        sources: vertex ids whose *out*-rows changed — the src of every
+            added edge, both endpoints of every removed edge, and every
+            removed vertex. Ancestry walks read only out-rows, so this
+            is their whole structural write set.
+        adopted: the dst of every added ``G`` edge — activities that
+            gained a generated entity (VC3 siblings, the one in-row read
+            of a segment that can reach past its ancestry cone).
         prop_subjects: vertex ids whose properties changed (edge property
             writes contribute both endpoints, conservatively).
         structural: True if any vertex/edge was added or removed.
@@ -120,44 +128,76 @@ class SpanEffects:
     """
 
     touched: set[int] = field(default_factory=set)
+    sources: set[int] = field(default_factory=set)
+    adopted: set[int] = field(default_factory=set)
     prop_subjects: set[int] = field(default_factory=set)
     structural: bool = False
     scan_dirty: bool = False
+
+    def add(self, batch: DeltaBatch) -> None:
+        """Fold one batch's write set into this one (O(batch))."""
+        for delta in batch.deltas:
+            op = delta.op
+            if op is DeltaOp.ADD_VERTEX or op is DeltaOp.REMOVE_VERTEX:
+                self.touched.add(delta.subject_id)
+                self.structural = True
+                if op is DeltaOp.REMOVE_VERTEX:
+                    self.sources.add(delta.subject_id)
+                if delta.vertex_type is VertexType.ENTITY:
+                    self.scan_dirty = True
+            elif op is DeltaOp.ADD_EDGE or op is DeltaOp.REMOVE_EDGE:
+                self.touched.add(delta.src)
+                self.touched.add(delta.dst)
+                self.sources.add(delta.src)
+                self.structural = True
+                if op is DeltaOp.REMOVE_EDGE:
+                    self.sources.add(delta.dst)
+                if delta.edge_type is EdgeType.WAS_GENERATED_BY:
+                    self.scan_dirty = True
+                    if op is DeltaOp.ADD_EDGE:
+                        self.adopted.add(delta.dst)
+            elif op is DeltaOp.SET_VERTEX_PROPERTY:
+                self.prop_subjects.add(delta.subject_id)
+            elif op is DeltaOp.SET_EDGE_PROPERTY:
+                self.prop_subjects.add(delta.src)
+                self.prop_subjects.add(delta.dst)
 
 
 def span_effects(batches: Iterable[DeltaBatch]) -> SpanEffects:
     """Aggregate the cache-relevant write set of a delta-log span."""
     effects = SpanEffects()
     for batch in batches:
-        for delta in batch.deltas:
-            op = delta.op
-            if op in (DeltaOp.ADD_VERTEX, DeltaOp.REMOVE_VERTEX):
-                effects.touched.add(delta.subject_id)
-                effects.structural = True
-                if delta.vertex_type is VertexType.ENTITY:
-                    effects.scan_dirty = True
-            elif op in (DeltaOp.ADD_EDGE, DeltaOp.REMOVE_EDGE):
-                effects.touched.add(delta.src)
-                effects.touched.add(delta.dst)
-                effects.structural = True
-                if delta.edge_type is EdgeType.WAS_GENERATED_BY:
-                    effects.scan_dirty = True
-            elif op is DeltaOp.SET_VERTEX_PROPERTY:
-                effects.prop_subjects.add(delta.subject_id)
-            elif op is DeltaOp.SET_EDGE_PROPERTY:
-                effects.prop_subjects.add(delta.src)
-                effects.prop_subjects.add(delta.dst)
+        effects.add(batch)
     return effects
 
 
 #: The entry classes a delta-driven result cache distinguishes; see
 #: :func:`entry_survives` for the survival rule (and its soundness
 #: argument) per class.
-ENTRY_KINDS = ("closure", "scan", "paths", "global")
+ENTRY_KINDS = ("ancestry", "closure", "segment", "scan", "paths", "global")
+
+
+def segment_members_survive(footprint: frozenset[int] | set[int],
+                            effects: SpanEffects, horizon: int) -> bool:
+    """Whether a structure-only segment's *membership* survives a span.
+
+    ``horizon`` is ``store.vertex_capacity`` when the segment was
+    computed: ids are handed out in creation order and never reused, so
+    a vertex with id ``>= horizon`` was minted afterwards. If no older
+    vertex gained or lost an out-edge, the ancestry cone of every older
+    vertex is unchanged — everything VC1 and VC2 read — and so are the
+    members' out-rows (VC4 and the induced edges). VC1's backward pass
+    and the solvers' collection passes read in-rows but keep only
+    vertices of that unchanged cone; the one in-row read that can reach
+    past it is an activity's generated entities (VC3 siblings), guarded
+    by ``adopted``. Properties are not read at all.
+    """
+    return (min(effects.sources, default=horizon) >= horizon
+            and footprint.isdisjoint(effects.adopted))
 
 
 def entry_survives(kind: str, footprint: frozenset[int] | set[int],
-                   effects: SpanEffects) -> bool:
+                   effects: SpanEffects, horizon: int | None = None) -> bool:
     """Whether a cached result provably survives a mutation span.
 
     The single retention predicate shared by the session result cache
@@ -165,33 +205,52 @@ def entry_survives(kind: str, footprint: frozenset[int] | set[int],
     result cache (:class:`repro.serve.worker.ReplicaWorker`), so both
     layers evict by the same proven rules:
 
-    - ``"closure"`` (lineage/impact/blame): the footprint is the full
-      reachability closure (plus agents). Any edge that extends or
-      shrinks the closure has an endpoint inside it, and a freshly added
-      vertex cannot be inside it, so a span whose touched ids are
-      disjoint from the footprint cannot change the answer. Property
-      writes on footprint members drop the entry too (blame reads agent
-      names).
+    - ``"ancestry"`` (lineage, depth-bounded lineage, blame): the
+      footprint is the walked closure (plus agents). The walk reads only
+      out-rows (``G``/``U`` steps, blame's ``S``/``A`` agents), so the
+      answer can change only if a footprint vertex gained or lost an
+      out-edge — i.e. is in ``sources``. Appends that merely *use* or
+      derive from footprint entities leave it alone. Property writes on
+      footprint members drop the entry too.
+    - ``"closure"`` (impacted): the footprint is the full reachability
+      closure. The downstream walk reads in-rows, so any edge that
+      extends or shrinks it has an endpoint inside it, and a freshly
+      added vertex cannot be inside it: a span whose touched ids are
+      disjoint from the footprint cannot change the answer.
+    - ``"segment"`` (structure-only PgSeg answers and summary views):
+      needs ``horizon``, ``store.vertex_capacity`` when the entry was
+      computed. Survives iff every source is ``>= horizon`` and the
+      footprint misses ``adopted`` and ``prop_subjects`` (see
+      :func:`segment_members_survive` for why).
     - ``"scan"`` (roots): depends on a global entity scan, where a new
       vertex is relevant precisely because it is *not* in any footprint —
       kept only while the span minted/retired no entity and moved no
       generation edge.
-    - ``"paths"`` (segments, summaries): path membership between fixed
-      endpoints can be rerouted by edges whose endpoints all lie outside
-      the old segment, so structural disjointness proves nothing —
-      dropped on any structural span, kept across property-only spans
-      that miss the member footprint (summaries aggregate member
-      properties).
+    - ``"paths"`` (summaries over a scanned version list): path
+      membership between fixed endpoints can be rerouted by edges whose
+      endpoints all lie outside the old segment, and the scan can grow,
+      so structural disjointness proves nothing — dropped on any
+      structural span, kept across property-only spans that miss the
+      member footprint (summaries aggregate member properties).
     - ``"global"`` (CypherLite rows): may scan any slice of structure
       *and* properties, so no footprint bounds it — dropped on any
       non-empty span.
 
     Raises:
-        ValueError: on an unknown ``kind`` (a silent default would be an
-            unsound "keep" or a mystery eviction; fail loudly instead).
+        ValueError: on an unknown ``kind``, or a ``"segment"`` entry
+            without a horizon (a silent default would be an unsound
+            "keep" or a mystery eviction; fail loudly instead).
     """
+    if kind == "ancestry":
+        return (footprint.isdisjoint(effects.sources)
+                and footprint.isdisjoint(effects.prop_subjects))
     if kind == "closure":
         return (footprint.isdisjoint(effects.touched)
+                and footprint.isdisjoint(effects.prop_subjects))
+    if kind == "segment":
+        if horizon is None:
+            raise ValueError("a segment entry needs its horizon")
+        return (segment_members_survive(footprint, effects, horizon)
                 and footprint.isdisjoint(effects.prop_subjects))
     if kind == "scan":
         return not effects.scan_dirty

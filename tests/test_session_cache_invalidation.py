@@ -6,12 +6,20 @@ entry the span provably cannot have changed (see
 ``LifecycleSession._revalidate`` for the per-class soundness rules). These
 tests pin both directions: entries *survive* provably-disjoint mutations,
 and entries *drop* (and recompute correctly) whenever the span could have
-changed them.
+changed them. A seeded differential re-asks one fixed set of reads
+after every round of appends and compares each with a fresh recompute.
 """
+
+import os
+import random
 
 import pytest
 
+from repro.query.ops import blame, lineage
+from repro.segment.pgseg import PgSegOperator, PgSegQuery
+from repro.serve.wire import segment_to_wire
 from repro.session import LifecycleSession
+from test_worker_cache_retention import _mutate_old_source
 
 
 @pytest.fixture()
@@ -27,9 +35,9 @@ def session() -> LifecycleSession:
 def _cache_value(session, kind, *key_tail):
     """The raw cached entry value, or None (reaches into the private dict
     deliberately: object survival is the property under test)."""
-    for key, (value, _, _) in session._results.items():
+    for key, entry in session._results.items():
         if key[0] == kind and key[1:len(key_tail) + 1] == key_tail:
-            return value
+            return entry[0]
     return None
 
 
@@ -50,14 +58,20 @@ class TestClosureRetention:
         report = session.who_touched("a_report")
         entity = session.builder.latest("a_report")
         before = _cache_value(session, "blame", entity)
-        # carol's run consumes a_model — inside the closure footprint.
+        # carol's run consumes a_model, inside the closure, but its new
+        # edges all leave new vertices: no closure vertex's out-row
+        # changed, so the report survives.
         session.record("carol", "tune-a", uses=["a_model"],
                        generates=["a_model"])
-        session.who_touched("a_report")
+        assert session.who_touched("a_report") == report
+        assert _cache_value(session, "blame", entity) is before
+        # A new attribution *leaving* a closure vertex touches it: the
+        # entry drops and the recomputed report names the new agent.
+        a_model_v1 = session.builder.version_of("a_model", 1)
+        session.graph.was_attributed_to(
+            a_model_v1, session.builder.agent("carol"))
+        assert session.who_touched("a_report") == {**report, "carol": 1}
         assert _cache_value(session, "blame", entity) is not before
-        assert session.who_touched("a_report") == report  # old version:
-        # a_report's own ancestry is unchanged — only the footprint
-        # intersection forced the (correct) recompute.
 
     def test_depth_survives_disjoint_mutation(self, session):
         depth = session.depth_of("a_report")
@@ -78,11 +92,39 @@ class TestClosureRetention:
 
 
 class TestPathsRetention:
-    def test_segment_drops_on_any_structural_mutation(self, session):
+    def test_segment_survives_appends_only(self, session):
+        """Appends whose new edges all leave new vertices keep the
+        segment; an adopted sibling, or a new out-edge on any vertex
+        older than the entry, drops it."""
         first = session.how_was_it_made("a_report")
+        # An unrelated append, and one that uses a segment member: every
+        # new edge leaves a new vertex, so the segment survives.
         session.record("bob", "eval-b", uses=["b_model"],
                        generates=["b_report"])
-        assert session.how_was_it_made("a_report") is not first
+        session.record("carol", "audit", uses=["a_model"],
+                       generates=["audit_log"])
+        assert session.how_was_it_made("a_report") is first
+        # A new entity generated by a segment activity: a VC3 sibling.
+        eval_a = session.runs[1].activity_id
+        sibling = session.graph.add_entity(name="a_log")
+        session.graph.was_generated_by(sibling, eval_a)
+        second = session.how_was_it_made("a_report")
+        assert second is not first and sibling in second.vertices
+        # A new out-edge on a vertex older than the entry, even one
+        # outside the segment: the horizon rule drops it.
+        offside = session.builder.latest("b_report")
+        assert offside not in second.vertices
+        session.graph.was_attributed_to(offside,
+                                        session.builder.agent("carol"))
+        third = session.how_was_it_made("a_report")
+        assert third is not second
+        assert third.vertices == second.vertices
+        # A new out-edge on a segment member changes the answer.
+        member = session.builder.latest("a_model")
+        carol = session.builder.agent("carol")
+        session.graph.was_attributed_to(member, carol)
+        fourth = session.how_was_it_made("a_report")
+        assert fourth is not third and carol in fourth.vertices
 
     def test_segment_survives_offside_property_write(self, session):
         first = session.how_was_it_made("a_report")
@@ -138,3 +180,82 @@ class TestTruncationFallback:
         assert session.graph.store.delta_log.truncated
         assert session.how_was_it_made("a_report") is not first
         assert session.who_touched("a_report") == blame
+
+
+# ---------------------------------------------------------------------------
+# Fixed-read differential: the same reads after every round of appends
+# ---------------------------------------------------------------------------
+
+FULL = os.environ.get("RETENTION_FULL", "") not in ("", "0")
+TILE_SEEDS = range(160 if FULL else 40)
+TILE_ROUNDS = 12
+_ARTIFACTS = ("data", "model", "report")
+_MEMBERS = ("alice", "bob", "carol")
+
+
+def _tile_session() -> LifecycleSession:
+    s = LifecycleSession(project="tiles")
+    s.record("alice", "prep", uses=["raw"], generates=["data"])
+    s.record("alice", "train", uses=["data", "config"],
+             generates=["model", "log"])
+    s.record("bob", "eval", uses=["model", "data"], generates=["report"])
+    return s
+
+
+def _record_run(rng, session, counter):
+    """A recorded run over existing artifacts: new versions of old names
+    or fresh names, every new edge leaving a vertex it minted."""
+    counter[0] += 1
+    names = session.builder.artifact_names()
+    outputs = rng.sample(names, k=1) if rng.random() < 0.6 else []
+    outputs.append(f"out{counter[0]}")
+    session.record(rng.choice(_MEMBERS), f"cmd{counter[0] % 4}",
+                   uses=rng.sample(names, k=min(len(names),
+                                                rng.randint(1, 2))),
+                   generates=outputs)
+
+
+def _fresh(session, call, artifact, version):
+    """What a cold recompute on the current graph answers."""
+    graph = session.graph
+    if version is None:
+        entity = session.builder.latest(artifact)
+    else:
+        entity = session.builder.version_of(artifact, version)
+    if call == "how_was_it_made":
+        roots = tuple(e for e in sorted(graph.entities())
+                      if not graph.generating_activities(e))
+        return segment_to_wire(PgSegOperator(graph).evaluate(
+            PgSegQuery(src=roots, dst=(entity,))))
+    if call == "who_touched":
+        return {graph.vertex(agent).get("name", str(agent)): len(owned)
+                for agent, owned in sorted(blame(graph, entity).items())}
+    return lineage(graph, entity).depth
+
+
+def _served(session, call, artifact, version):
+    answer = getattr(session, call)(artifact, version)
+    return segment_to_wire(answer) if call == "how_was_it_made" else answer
+
+
+@pytest.mark.parametrize("seed", TILE_SEEDS)
+def test_fixed_reads_match_recompute_after_every_round(seed):
+    """``how_was_it_made`` / ``who_touched`` / ``depth_of`` of fixed
+    artifact versions, re-asked after every round of recorded runs and
+    appends leaving pre-existing vertices, equal a cold recompute."""
+    rng = random.Random(9000 + seed)
+    session = _tile_session()
+    tiles = [(call, artifact, version)
+             for call in ("how_was_it_made", "who_touched", "depth_of")
+             for artifact in _ARTIFACTS for version in (None, 1)]
+    counter = [0]
+    for round_index in range(TILE_ROUNDS):
+        if round_index:
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    _record_run(rng, session, counter)
+                else:
+                    _mutate_old_source(rng, session.graph, counter)
+        for tile in tiles:
+            assert _served(session, *tile) == _fresh(session, *tile), \
+                f"{tile} diverged in round {round_index}"

@@ -17,13 +17,19 @@ method including ``summarize``. Dedicated scenarios force the
 truncation→full-re-sync path and the kill→restart path (the latter
 with worker processes).
 
+A second differential asks one **fixed tile set** after every
+mutation round, so retained entries and views are re-asked across
+writes, and mixes in appends whose new edges leave *pre-existing*
+vertices — the writes the ``ancestry`` / ``segment`` rules (sources,
+adopted siblings, horizon) exist to catch.
+
 A Hypothesis property test pins the retention predicate itself: no
-surviving entry's footprint may intersect the span's write set, with
-over-eviction (sound-but-wasteful) quantified separately.
+surviving entry may overlap its kind's write set, with over-eviction
+(sound-but-wasteful) quantified separately.
 
 Modes: the default quick run covers ``8 seeds x 25 rounds = 200``
-interleavings (the tier-1 floor); ``RETENTION_FULL=1`` widens the sweep
-for the bench/nightly job.
+interleavings plus 40 fixed-tile seeds (the tier-1 floor);
+``RETENTION_FULL=1`` widens both sweeps for the bench/nightly job.
 """
 
 import os
@@ -71,6 +77,10 @@ FULL = os.environ.get("RETENTION_FULL", "") not in ("", "0")
 #: (bench job) widens to 24 x 25 = 600.
 SEEDS = range(24 if FULL else 8)
 ROUNDS = 25
+
+#: Fixed-tile differential: 40 seeds in the quick mode, 160 in full.
+TILE_SEEDS = range(160 if FULL else 40)
+TILE_ROUNDS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +238,164 @@ def test_interleaving_budget():
     assert len(SEEDS) * ROUNDS >= 200
 
 
+def _mutate_old_source(rng, graph, counter):
+    """One append whose new edge leaves a *pre-existing* vertex.
+
+    ``_mutate`` only adds edges leaving vertices it just minted, which
+    the ``ancestry`` and ``segment`` rules keep entries across; these
+    are the writes those rules must evict for. Ancestry edges always
+    point from newer to older vertices (by creation order), so the graph
+    stays acyclic like a recorded lifecycle.
+    """
+    entities = list(graph.entities())
+    activities = list(graph.activities())
+    agents = list(graph.agents())
+    if not (entities and activities and agents):
+        _mutate(rng, graph, counter)
+        return
+    order = graph.store.order_of
+    counter[0] += 1
+    roll = rng.randrange(6)
+    if roll == 0:
+        # An old activity used something older than itself.
+        activity = rng.choice(activities)
+        older = [e for e in entities if order(e) < order(activity)]
+        if older:
+            graph.used(activity, rng.choice(older))
+    elif roll == 1:
+        # A new entity generated by one of the older half of the
+        # activities (the likelier to sit on a tile's path): a new VC3
+        # sibling.
+        entity = graph.add_entity(name=f"sibling{counter[0]}")
+        graph.was_generated_by(
+            entity, rng.choice(activities[:len(activities) // 2 + 1]))
+    elif roll == 2:
+        graph.was_attributed_to(rng.choice(entities), rng.choice(agents))
+    elif roll == 3:
+        graph.was_associated_with(rng.choice(activities), rng.choice(agents))
+    elif roll == 4:
+        # An old entity derived from an older one.
+        entity = rng.choice(entities)
+        older = [e for e in entities if order(e) < order(entity)]
+        if older:
+            graph.was_derived_from(entity, rng.choice(older))
+    else:
+        # An old entity re-generated by an older activity.
+        entity = rng.choice(entities)
+        older = [a for a in activities if order(a) < order(entity)]
+        if older:
+            graph.was_generated_by(entity, rng.choice(older))
+
+
+def _fixed_tiles(rng, graph):
+    """One dashboard's tiles, fixed for a whole run: full and depth-2
+    lineage, impact and blame of three derived entities, their segments
+    under both SimProv solvers, and one summary."""
+    entities = sorted(graph.entities())
+    roots = tuple(e for e in entities if not graph.generating_activities(e))
+    targets = rng.sample(
+        [e for e in entities if graph.generating_activities(e)], k=3)
+    tiles = []
+    for entity in targets:
+        tiles += [("lineage", {"entity": entity}),
+                  ("lineage", {"entity": entity, "max_depth": 2}),
+                  ("impacted", {"entity": entity}),
+                  ("blame", {"entity": entity})]
+    for algorithm in ("simprov-tst", "simprov-alg"):
+        for dst in targets[:2]:
+            tiles.append(("segment", {"query": pgseg_query_to_wire(
+                PgSegQuery(src=roots, dst=(dst,), algorithm=algorithm))}))
+    tiles.append(("summarize", {
+        "queries": [pgseg_query_to_wire(PgSegQuery(src=roots, dst=(dst,)))
+                    for dst in targets[1:]],
+        "pgsum": pgsum_query_to_wire(PgSumQuery()),
+    }))
+    return tiles
+
+
+def _outcome(call, *args):
+    """An answer, or ``"error"`` when the call raised (a tile whose
+    entity the schedule removed must fail on the worker too)."""
+    try:
+        return call(*args)
+    except ReplicaUnavailable:
+        raise
+    except Exception:   # noqa: BLE001 - either side's error type
+        return "error"
+
+
+@pytest.mark.parametrize("seed", TILE_SEEDS)
+def test_fixed_tiles_match_recompute_after_every_round(seed):
+    """Re-ask the same tiles after every round of mixed appends: every
+    answer — retained entry, current or patched view, or recompute —
+    must equal the leader's fresh recompute."""
+    rng = random.Random(7000 + seed)
+    graph = build_paper_example().graph
+    tiles = _fixed_tiles(rng, graph)
+    harness = _Harness(graph)
+    counter = [seed * 10_000]
+    try:
+        for round_index in range(TILE_ROUNDS):
+            if round_index:
+                for _ in range(rng.randint(1, 3)):
+                    mutate = _mutate_old_source if rng.random() < 0.5 \
+                        else _mutate
+                    mutate(rng, graph, counter)
+                harness.ship()
+            for method, params in tiles:
+                served = _outcome(harness.serve, method, params)
+                assert served == _outcome(_expected, graph, method, params), \
+                    f"{method} {params} diverged in round {round_index}"
+        # Every seed must both keep and drop entries and views: a run
+        # that only ever evicts, or only ever keeps, proves nothing.
+        worker = harness.worker
+        assert worker.cache_retained > 0 and worker.cache_evicted > 0
+        assert worker.views_served > 0 and worker.views_recomputed > 1
+    finally:
+        harness.close()
+
+
+def test_applied_batches_leave_the_cache_untouched(monkeypatch):
+    """A shipped batch costs O(batch), not O(cache): 100 batches applied
+    beside a full 256-entry cache call the retention predicate zero
+    times; the next request revalidates every entry exactly once."""
+    import repro.serve.worker as worker_module
+
+    calls = [0]
+    predicate = worker_module.entry_survives
+
+    def counting(*args):
+        calls[0] += 1
+        return predicate(*args)
+
+    monkeypatch.setattr(worker_module, "entry_survives", counting)
+    example = build_paper_example()
+    graph = example.graph
+    harness = _Harness(graph)
+    try:
+        entities = sorted(graph.entities())
+        specs = [("lineage", {"entity": entity, "max_depth": depth})
+                 for depth in range(1, 40) for entity in entities]
+        assert len(specs) >= 256
+        for method, params in specs[:256]:
+            harness.serve(method, params)
+        worker = harness.worker
+        assert len(worker._cache) == 256
+        applied = worker.batches_applied
+        for index in range(100):
+            graph.store.set_vertex_property(
+                entities[index % len(entities)], "note", f"n{index}")
+            harness.ship()
+        assert worker.batches_applied == applied + 100
+        assert calls[0] == 0
+        method, params = specs[0]
+        assert harness.serve(method, params) \
+            == _expected(graph, method, params)
+        assert calls[0] == 256
+    finally:
+        harness.close()
+
+
 # ---------------------------------------------------------------------------
 # Retention predicate soundness (satellite 2, Hypothesis)
 # ---------------------------------------------------------------------------
@@ -266,13 +434,19 @@ _SPAN = st.lists(
 
 _FOOTPRINT = st.frozensets(_VERTEX_IDS, max_size=8)
 
-#: Entries as the caches actually store them: ``closure``/``paths``
-#: carry vertex footprints; ``scan``/``global`` are footprint-free by
-#: contract (their validity is governed by the scan_dirty / empty-span
-#: rules, not by vertex intersection).
+#: Entries as the caches actually store them, ``(kind, footprint,
+#: horizon)``: ``ancestry``/``closure``/``paths`` carry vertex
+#: footprints; ``segment`` a footprint plus its horizon (the store's
+#: vertex capacity when computed); ``scan``/``global`` are footprint-free
+#: by contract (their validity is governed by the scan_dirty /
+#: empty-span rules, not by vertex intersection).
 _ENTRY = st.one_of(
-    st.tuples(st.sampled_from(["closure", "paths"]), _FOOTPRINT),
-    st.tuples(st.sampled_from(["scan", "global"]), st.just(frozenset())),
+    st.tuples(st.sampled_from(["ancestry", "closure", "paths"]),
+              _FOOTPRINT, st.none()),
+    st.tuples(st.just("segment"), _FOOTPRINT,
+              st.integers(min_value=0, max_value=40)),
+    st.tuples(st.sampled_from(["scan", "global"]), st.just(frozenset()),
+              st.none()),
 )
 
 _hyp_settings = settings(max_examples=300, deadline=None,
@@ -281,7 +455,8 @@ _hyp_settings = settings(max_examples=300, deadline=None,
 
 def test_entry_strategy_covers_every_kind():
     """If a new entry kind appears, the sweep must learn about it."""
-    assert set(ENTRY_KINDS) == {"closure", "scan", "paths", "global"}
+    assert set(ENTRY_KINDS) == {"ancestry", "closure", "segment", "scan",
+                                "paths", "global"}
 
 #: Aggregated across the Hypothesis sweep: (survivals that would have
 #: been unsound, conservative evictions, total trials). Unsound must
@@ -289,19 +464,37 @@ def test_entry_strategy_covers_every_kind():
 _PREDICATE_TALLY = {"unsound": 0, "over_evicted": 0, "trials": 0}
 
 
+def _write_set(kind, effects, horizon):
+    """The vertex ids a span wrote that an entry of ``kind`` reads:
+    out-rows for ``ancestry``; any structural endpoint for ``closure``
+    and ``paths``; for ``segment``, every source older than the horizon
+    (an old out-row anywhere can reroute a path) plus adopted
+    activities. Property subjects count for every kind."""
+    if kind == "ancestry":
+        written = effects.sources
+    elif kind == "segment":
+        written = {v for v in effects.sources if v < horizon} \
+            | effects.adopted
+    else:
+        written = effects.touched
+    return written | effects.prop_subjects
+
+
 @_hyp_settings
 @given(span=_SPAN, entry=_ENTRY)
 def test_retention_never_keeps_a_written_footprint(span, entry):
-    """Soundness: an entry whose footprint intersects the span's write
-    set (touched ∪ prop_subjects) must never survive; footprint-free
-    kinds must honor their own rules (``scan`` dies with a dirty scan,
-    ``global`` with any real write). Structural / scan-dirty spans may
-    evict disjoint entries too — that is over-eviction, sound by
-    construction and tallied below."""
-    kind, footprint = entry
+    """Soundness: an entry whose footprint intersects its kind's write
+    set (:func:`_write_set`) must never survive; a ``segment`` entry
+    must also die with any source older than its horizon, and
+    footprint-free kinds must honor their own rules (``scan`` dies with
+    a dirty scan, ``global`` with any real write). Structural /
+    scan-dirty spans, and old sources outside a segment, may evict
+    disjoint entries too — that is over-eviction, sound by construction
+    and tallied below."""
+    kind, footprint, horizon = entry
     effects = span_effects(span)
-    write_set = effects.touched | effects.prop_subjects
-    survives = entry_survives(kind, footprint, effects)
+    write_set = _write_set(kind, effects, horizon)
+    survives = entry_survives(kind, footprint, effects, horizon)
     _PREDICATE_TALLY["trials"] += 1
     if survives and not footprint.isdisjoint(write_set):
         _PREDICATE_TALLY["unsound"] += 1
@@ -312,13 +505,18 @@ def test_retention_never_keeps_a_written_footprint(span, entry):
             assert not effects.structural and not write_set
         if kind == "paths":
             assert not effects.structural
+        if kind == "segment":
+            assert all(v >= horizon for v in effects.sources)
     if not survives and footprint.isdisjoint(write_set):
         # Sound-but-wasteful eviction of a provably-untouched entry.
         # Only the deliberately conservative rules may cause it:
         # structural rerouting (paths), a root scan going dirty (scan),
-        # or the unbounded-footprint global kind.
+        # an old source anywhere (segment), or the unbounded-footprint
+        # global kind.
         _PREDICATE_TALLY["over_evicted"] += 1
-        assert effects.structural or effects.scan_dirty \
+        assert (kind == "paths" and effects.structural) \
+            or (kind == "scan" and effects.scan_dirty) \
+            or (kind == "segment" and write_set) \
             or kind == "global", (
             f"eviction without a conservative rule: kind={kind} "
             f"footprint={sorted(footprint)} effects={effects!r}"
@@ -349,13 +547,45 @@ def test_retention_over_eviction_quantified():
 def test_property_only_spans_keep_disjoint_closures(span, footprint):
     """Completeness (anti-over-eviction): on a property-only span, a
     closure entry disjoint from the prop subjects must be *kept* — the
-    optimization the whole PR exists to deliver."""
+    optimization footprint retention exists to deliver."""
     effects = span_effects(span)
     if effects.structural or effects.scan_dirty:
         return
     if footprint.isdisjoint(effects.prop_subjects):
+        assert entry_survives("ancestry", footprint, effects)
         assert entry_survives("closure", footprint, effects)
+        assert entry_survives("segment", footprint, effects, 0)
         assert entry_survives("paths", footprint, effects)
+
+
+_HORIZON = 20
+
+#: Appends as a lifecycle makes them: new vertices (ids at or past the
+#: horizon), and new edges that all leave a new vertex — into anything.
+_APPEND_SPAN = st.lists(st.one_of(
+    st.builds(lambda vid, vt: Delta(DeltaOp.ADD_VERTEX, vid, vertex_type=vt),
+              st.integers(_HORIZON, 39), st.sampled_from(list(VertexType))),
+    st.builds(lambda eid, et, src, dst: Delta(
+        DeltaOp.ADD_EDGE, eid, edge_type=et, src=src, dst=dst),
+        st.integers(0, 200),
+        st.sampled_from([et for et in EdgeType
+                         if et is not EdgeType.WAS_GENERATED_BY]),
+        st.integers(_HORIZON, 39), _VERTEX_IDS),
+), min_size=1, max_size=8)
+
+
+@_hyp_settings
+@given(deltas=_APPEND_SPAN,
+       footprint=st.frozensets(st.integers(0, _HORIZON - 1), max_size=8))
+def test_appends_from_new_vertices_keep_ancestry_and_segments(deltas,
+                                                              footprint):
+    """Completeness for appends: a span whose new edges all leave
+    vertices minted after the entry (and adopt no sibling) keeps every
+    ``ancestry`` and ``segment`` entry — even one whose footprint the
+    new edges point *into*, which the ``closure`` rule must evict."""
+    effects = span_effects([DeltaBatch(epoch=1, deltas=tuple(deltas))])
+    assert entry_survives("ancestry", footprint, effects)
+    assert entry_survives("segment", footprint, effects, _HORIZON)
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +717,47 @@ class TestViewLifecycle:
         finally:
             harness.close()
 
-    def test_structural_write_drops_views(self):
+    def test_view_survives_appends_only(self):
+        """An append whose edges all leave new vertices keeps the view
+        current; a sibling adopted by a footprint activity, or a new
+        out-edge on any vertex older than the view, drops it."""
         example = build_paper_example()
         graph = example.graph
         harness = _Harness(graph)
+        worker = harness.worker
+
+        def check(served, recomputed):
+            assert harness.serve("summarize", params) \
+                == _expected(graph, "summarize", params)
+            assert worker.views_served == served
+            assert worker.views_recomputed == recomputed
+            assert worker.views_patched == 0
+
         try:
             params = self._summarize_params(graph, example)
             harness.serve("summarize", params)
-            graph.add_entity(name="structural")
+            # An unrelated append: a new run deriving from view members.
+            run = graph.add_activity(command="evaluate")
+            graph.used(run, example["weight-v2"])
+            report = graph.add_entity(name="report")
+            graph.was_generated_by(report, run)
+            graph.was_derived_from(report, example["weight-v3"])
             harness.ship()
-            assert harness.serve("summarize", params) \
-                == _expected(graph, "summarize", params)
-            assert harness.worker.views_patched == 0
-            assert harness.worker.views_recomputed == 2
+            check(served=1, recomputed=1)
+            # A new entity generated by a view activity: a VC3 sibling.
+            sibling = graph.add_entity(name="extra-log")
+            graph.was_generated_by(sibling, example["train-v2"])
+            harness.ship()
+            check(served=1, recomputed=2)
+            # A new out-edge on an old vertex outside every segment: the
+            # horizon rule drops the view (conservatively).
+            graph.was_attributed_to(report, example["Bob"])
+            harness.ship()
+            check(served=1, recomputed=3)
+            # A new out-edge on a view member.
+            graph.was_attributed_to(example["weight-v2"], example["Bob"])
+            harness.ship()
+            check(served=1, recomputed=4)
         finally:
             harness.close()
 

@@ -22,13 +22,20 @@ Checks, over ``README.md``, ``ROADMAP.md``, and ``docs/*.md``:
   ``"kind"``) names a frame kind that actually exists in
   ``src/repro/serve/wire.py`` — a doc example for a codec nobody wrote
   (typo'd kind, stale rename) fails here even before the round-trip
-  suite runs.
+  suite runs;
+- every cited test exists: a ``tests/….py`` path names a real file, and
+  each test named after it — ``tests/x.py`` followed by a parenthesised
+  list of `` `test_y` `` / `` `TestZ` `` / `` `TestZ.test_y` `` names, or
+  ``tests/x.py::TestZ::test_y`` — names a real function, class or
+  method in that file, so renaming a test cannot leave a rule table
+  citing a guard that no longer runs.
 
 Exits non-zero listing every finding, so CI shows all failures at once.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import sys
@@ -176,6 +183,74 @@ def check_frame_tags(problems: list[str]) -> None:
             )
 
 
+#: A backticked test file path.
+_TEST_PATH = re.compile(r"`(tests/[\w/]+\.py)")
+#: ``tests/x.py`` followed by a parenthesised name list (may wrap lines).
+_TEST_CITATION = re.compile(r"`(tests/[\w/]+\.py)`\s*\(([^)]*)\)")
+#: ``tests/x.py::TestZ::test_y`` (may wrap after a ``::``).
+_TEST_NODE = re.compile(r"(tests/[\w/]+\.py)::\s*(\w+(?:::\w+)*)")
+#: One test name inside a citation list; prose there is ignored.
+_CITED_NAME = re.compile(r"`((?:Test\w*\.)?(?:test_\w+|Test\w+))`")
+
+
+def defined_names(source: Path) -> set[str]:
+    """``name`` for every top-level function and class of a test module,
+    ``Class.method`` for every method (inherited from a base class in
+    the same module included), and bare ``method`` names too."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def methods(node: ast.ClassDef) -> set[str]:
+        found = {item.name for item in node.body
+                 if isinstance(item, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))}
+        for base in node.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                found |= methods(classes[base.id])
+        return found
+
+    names = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for name, node in classes.items():
+        names.add(name)
+        for method in methods(node):
+            names.update((method, f"{name}.{method}"))
+    return names
+
+
+def check_test_citations(path: Path, problems: list[str]) -> None:
+    """Every cited test file exists and every cited test is in it."""
+    text = path.read_text(encoding="utf-8")
+    cache: dict[str, set[str] | None] = {}
+
+    def report(offset: int, message: str) -> None:
+        line = text.count("\n", 0, offset) + 1
+        problems.append(f"{path.relative_to(ROOT)}:{line}: {message}")
+
+    def names_in(rel: str) -> set[str] | None:
+        if rel not in cache:
+            source = ROOT / rel
+            cache[rel] = defined_names(source) if source.exists() else None
+        return cache[rel]
+
+    for match in _TEST_PATH.finditer(text):
+        if names_in(match.group(1)) is None:
+            report(match.start(), f"cites missing test file "
+                                  f"{match.group(1)!r}")
+    cited = [(match.start(), match.group(1), name.group(1))
+             for match in _TEST_CITATION.finditer(text)
+             for name in _CITED_NAME.finditer(match.group(2))]
+    cited += [(match.start(), match.group(1),
+               match.group(2).replace("::", "."))
+              for match in _TEST_NODE.finditer(text)]
+    for offset, rel, name in cited:
+        known = names_in(rel)
+        if known is not None and name not in known:
+            report(offset, f"cites {rel} ({name}), which does not "
+                           f"define it")
+
+
 def check_fences(path: Path, problems: list[str],
                  known_kinds: set[str]) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -223,6 +298,7 @@ def main() -> int:
     for path in files:
         check_links(path, problems)
         check_fences(path, problems, known_kinds)
+        check_test_citations(path, problems)
     check_frame_tags(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
