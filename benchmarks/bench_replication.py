@@ -234,7 +234,7 @@ class LiveServer(SequentialRounds):
 
     def segment(self, query):
         # Fresh operator per evaluation: the live path rebuilds the solver
-        # adjacency per query (the operator itself memoizes since PR 1).
+        # adjacency per query.
         return PgSegOperator(self.graph).evaluate(query)
 
 

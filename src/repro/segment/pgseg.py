@@ -10,10 +10,11 @@ entities were generated from the source entities:
 - plus the boundary criteria's expansions, minus its exclusions.
 
 Evaluation is two-step (Sec. III.B.1): *induce* computes the segment;
-*adjust* applies boundary criteria interactively on the cached segment —
-exclusions as filters, expansions as backend traversals. Exclusion criteria
-may alternatively be pushed into the induction itself (``inline_boundaries``,
-Appendix C), which is how Q1/Q2 of the paper exclude edge types.
+*adjust* applies boundary criteria interactively to a segment the caller
+already holds — exclusions as filters, expansions as backend traversals.
+Exclusion criteria may alternatively be pushed into the induction itself
+(``inline_boundaries``, Appendix C), which is how Q1/Q2 of the paper
+exclude edge types.
 """
 
 from __future__ import annotations
@@ -253,18 +254,21 @@ class Segment:
 
 
 class PgSegOperator:
-    """Evaluates PgSeg queries over one provenance graph, with caching.
+    """Evaluates PgSeg queries over one provenance graph.
 
-    The induce step is cached per (src, dst, algorithm, rule toggles) so the
-    interactive adjust loop (Sec. III.B.3) re-filters instead of re-inducing.
+    The operator memoizes nothing: every :meth:`evaluate` induces afresh.
+    The interactive loop (Sec. III.B.3) re-filters instead of re-inducing
+    by calling :meth:`adjust` on a segment the caller holds; callers that
+    re-ask whole queries (the session, the replica workers) keep answers
+    in a :class:`repro.store.delta.ResultCache`.
 
     Args:
         graph: the provenance graph to segment.
         snapshot: optional :class:`GraphSnapshot` enabling the frozen-CSR
             fast path for every induction rule. Pass ``True`` to have the
             operator capture (and, on mutation, recapture) one itself. The
-            segment cache and the snapshot are both epoch-checked on every
-            :meth:`evaluate`, so results always reflect the current store.
+            snapshot is epoch-checked on every :meth:`evaluate`, so results
+            always reflect the current store.
     """
 
     def __init__(self, graph: ProvenanceGraph,
@@ -273,18 +277,13 @@ class PgSegOperator:
         if snapshot is True:
             snapshot = GraphSnapshot(graph)
         self.snapshot: GraphSnapshot | None = snapshot or None
-        self._cache: dict[Any, Segment] = {}
-        self._cache_epoch = graph.store.epoch
 
     # ------------------------------------------------------------------
 
     def _sync_with_store(self) -> None:
-        """Drop stale cached state after a store mutation."""
-        epoch = self.graph.store.epoch
-        if epoch != self._cache_epoch:
-            self._cache.clear()
-            self._cache_epoch = epoch
-        if self.snapshot is not None and self.snapshot.epoch != epoch:
+        """Advance the snapshot after a store mutation."""
+        if self.snapshot is not None \
+                and self.snapshot.epoch != self.graph.store.epoch:
             # Incremental recapture: patch the stale snapshot forward via
             # the store's delta log (full rebuild past the crossover).
             self.snapshot = self.snapshot.advance(self.graph)
@@ -297,22 +296,19 @@ class PgSegOperator:
             inline_boundaries: when True (default) the exclusion criteria are
                 pushed into the induction itself (excluded elements act as
                 ε-labels); when False, induction ignores exclusions and the
-                adjust step filters the cached segment afterwards — the
+                adjust step filters the induced segment afterwards — the
                 paper's interactive mode.
         """
         self._sync_with_store()
-        if query.boundaries is None:
-            # Boundary-free queries are memoized whole (epoch-checked by
-            # _sync_with_store): repeated introspection of an untouched
-            # store returns the cached segment object.
-            segment = self._cached_unbounded(query)
-        elif inline_boundaries or not query.boundaries.has_exclusions:
-            segment = self._induce(query, query.boundaries)
+        boundaries = query.boundaries
+        if boundaries is None or inline_boundaries \
+                or not boundaries.has_exclusions:
+            segment = self._induce(query, boundaries)
         else:
-            unbounded = self._cached_unbounded(query)
-            segment = self._filter(unbounded, query.boundaries)
-        if query.boundaries is not None and query.boundaries.expansions:
-            segment = self._expand(segment, query.boundaries)
+            bare = replace(query, boundaries=None)
+            segment = self._filter(self._induce(bare, None), boundaries)
+        if boundaries is not None and boundaries.expansions:
+            segment = self._expand(segment, boundaries)
         return segment
 
     def adjust(self, segment: Segment,
@@ -324,19 +320,6 @@ class PgSegOperator:
         return adjusted
 
     # ------------------------------------------------------------------
-
-    def _cached_unbounded(self, query: PgSegQuery) -> Segment:
-        key = (
-            query.src, query.dst, query.algorithm, query.set_impl,
-            query.prune, query.include_direct, query.include_similar,
-            query.include_siblings, query.include_agents,
-            query.direct_edge_types,
-            query.activity_key, query.entity_key,
-        )
-        if key not in self._cache:
-            bare = replace(query, boundaries=None)
-            self._cache[key] = self._induce(bare, None)
-        return self._cache[key]
 
     def _induce(self, query: PgSegQuery,
                 boundaries: BoundaryCriteria | None) -> Segment:

@@ -19,28 +19,23 @@ replayed the span the stamp requires. The worker never initiates
 catch-up; it only reports.
 
 **Result caching (footprint retention).** Dashboard workloads re-ask the
-same questions at a fixed graph version, so the worker keeps a bounded
-LRU of answers keyed by ``(method, canonical-params)``, each a
+same questions at a fixed graph version, so the worker keeps its
+answers in the same :class:`~repro.store.delta.ResultCache` the session
+uses, keyed by ``(method, canonical-params)``. Each answer is a
 :class:`~repro.serve.wire.WireValue`: the value the handler produced
 plus, once a socket transport packed it, its canonical JSON text — a
 hit over a socket copies that text, over the in-memory link it hands
-the value on, and neither encodes anything. Each
-entry records its **dependency footprint** — the vertex ids the answer
-was derived from, classified exactly the way the session result cache
-classifies its entries (``ancestry`` for lineage/blame, ``closure`` for
-impact, ``segment`` for PgSeg answers, ``global`` for CypherLite rows)
-— and a ``segment`` entry also records its *horizon*, the store's
-vertex capacity when it was computed. Applying a batch never touches
-the cache: :meth:`ReplicaWorker._apply` folds the batch into one
-pending write set, O(batch), and the next request revalidates every
-entry and view once against the whole pending span, keeping each one
-the span provably cannot have changed and evicting only the rest
-(:func:`repro.store.delta.entry_survives`, the predicate shared with
-:meth:`repro.session.LifecycleSession._revalidate`). A (re-)bootstrap
-clears everything: it crosses an unknown span, so nothing is
-provable (``docs/consistency.md`` §"Worker result cache (footprint
-retention)"). Budgeted CypherLite queries with a wall-clock timeout are
-never cached (their truncation point is nondeterministic).
+the value on, and neither encodes anything. Each entry's kind and
+footprint come from its handler (``ancestry`` for lineage/blame,
+``closure`` for impact, ``segment`` for PgSeg answers, ``global`` for
+CypherLite rows). Applying a batch never touches the cache: the batch
+lands in the store's delta log, which mirrors the leader's, and the
+next request revalidates the cache and every view once against the
+whole span since (:meth:`~repro.store.delta.ResultCache.revalidate`).
+A (re-)bootstrap clears everything: it crosses an unknown span, so
+nothing is provable (``docs/consistency.md`` §"Worker result cache
+(footprint retention)"). Budgeted CypherLite queries with a wall-clock
+timeout are never cached (their truncation point is nondeterministic).
 
 **Materialized summary views.** A ``summarize`` request (wire-safe PgSeg
 queries + one PgSum query) is answered from a per-request materialized
@@ -50,7 +45,7 @@ every pre-existing vertex's out-row alone cannot move it (the
 ``segment`` rule), so such a span leaves the cached segments valid —
 the view is **patched** by re-merging the summary from them
 (properties re-read through the live store) instead of re-deriving the
-segments; past a crossover of pending span records (mirroring
+segments; past a crossover of stale span records (mirroring
 :meth:`GraphSnapshot.advance`'s full-rebuild fallback) or after a span
 that could move membership the view is recomputed from scratch.
 Served/patched/recomputed counters ride every ``pong``.
@@ -132,19 +127,16 @@ from repro.serve.wire import (
 )
 from repro.store.checkpoint import read_checkpoint
 from repro.store.delta import (
+    ResultCache,
     SpanEffects,
-    entry_survives,
     segment_members_survive,
 )
 from repro.store.snapshot import GraphSnapshot, default_crossover
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 
-#: Default bound on the worker result cache (entries, LRU-evicted).
-DEFAULT_CACHE_SIZE = 256
-
-#: Default bound on materialized summary views (views are much heavier
-#: than plain cache entries: each holds its input segments).
-DEFAULT_VIEW_LIMIT = 32
+#: Bound on materialized summary views (views are much heavier than
+#: result cache entries: each holds its input segments).
+VIEW_LIMIT = 32
 
 #: Bound on the worker's ring of recent traced-request span lists.
 TRACE_RING = 32
@@ -182,19 +174,17 @@ class ReplicaWorker:
     encoded at most once — by a socket transport's packer, the first
     time it ships — and never over the in-memory link.
 
-    Shipped batches cost O(batch) here whatever the cache holds: they
-    are folded into one pending write set, and the cache and views are
-    revalidated against it once, by the first request after them
-    (:meth:`_revalidate`). ``cache_retained`` / ``cache_evicted`` count
-    entries per revalidation, not per batch.
+    Shipped batches cost O(batch) here whatever the cache holds: the
+    cache and views are revalidated against the store's delta log once,
+    by the first request after them (:meth:`_revalidate`).
+    ``cache_retained`` / ``cache_evicted`` count entries per
+    revalidation, not per batch.
 
     Args:
         transport: the duplex framed channel to the pool (a socket
             transport in a ``serve-worker`` process, the worker end of a
             :class:`~repro.serve.transport.MemoryTransport` in-process).
         worker_id: the pool-assigned identifier (stats/logging only).
-        cache_size: bound on the result cache; ``0`` disables result
-            caching *and* materialized views entirely.
         generation: monotonic spawn counter assigned by the pool (0 for
             the first spawn, bumped per restart); echoed in pong stats so
             clients can detect counter resets across crash-restarts.
@@ -212,6 +202,7 @@ class ReplicaWorker:
     bundles_served = MetricAttr("bundles_served")
     #: Bootstraps served from a binary checkpoint file.
     checkpoints = MetricAttr("checkpoints")
+    #: The result cache counts into the same four registry counters.
     cache_hits = MetricAttr("cache_hits")
     cache_misses = MetricAttr("cache_misses")
     cache_retained = MetricAttr("cache_retained")
@@ -221,9 +212,7 @@ class ReplicaWorker:
     views_recomputed = MetricAttr("views_recomputed")
     traces_recorded = MetricAttr("traces_recorded")
 
-    def __init__(self, transport, worker_id: int = 0,
-                 cache_size: int = DEFAULT_CACHE_SIZE, generation: int = 0,
-                 view_limit: int = DEFAULT_VIEW_LIMIT,
+    def __init__(self, transport, worker_id: int = 0, generation: int = 0,
                  registry=None, shard: int | None = None):
         self._obs_registry = registry if registry is not None \
             else MetricsRegistry()
@@ -238,22 +227,11 @@ class ReplicaWorker:
         self.graph: ProvenanceGraph | None = None
         self._snapshot: GraphSnapshot | None = None
         self._operator: PgSegOperator | None = None
-        #: Answers keyed (method, canonical params); each entry is
-        #: ``(answer, kind, footprint, horizon)`` so a revalidation can
-        #: retain provably-unchanged answers (see _revalidate). Valid at
-        #: ``self._cache_epoch`` plus the pending span.
-        self._cache: OrderedDict[
-            tuple[str, str],
-            tuple[WireValue, str, frozenset[int], int]] = OrderedDict()
-        self._cache_size = cache_size
-        self._cache_epoch = -2          # never equal to a real epoch yet
-        #: Write set of the batches applied since ``_cache_epoch``
-        #: (None: nothing pending) and its record count; see _apply.
-        self._pending: SpanEffects | None = None
-        self._pending_records = 0
-        #: Materialized summary views keyed by canonical summarize params.
+        #: Answers keyed (method, canonical params).
+        self.result_cache = ResultCache(self._obs_registry, self._obs_prefix)
+        #: Materialized summary views keyed by canonical summarize params;
+        #: valid at ``result_cache.epoch``.
         self._views: OrderedDict[str, _SummaryView] = OrderedDict()
-        self._view_limit = view_limit
         #: Span lists of recently traced requests. Only a frame carrying
         #: a ``trace_id`` ever touches this — untraced traffic leaves
         #: zero trace state behind.
@@ -336,7 +314,7 @@ class ReplicaWorker:
             "cache_misses": self.cache_misses,
             "cache_retained": self.cache_retained,
             "cache_evicted": self.cache_evicted,
-            "cache_size": len(self._cache),
+            "cache_size": len(self.result_cache),
             "views_served": self.views_served,
             "views_patched": self.views_patched,
             "views_recomputed": self.views_recomputed,
@@ -388,16 +366,15 @@ class ReplicaWorker:
         self.graph = ProvenanceGraph(store)
         self._snapshot = GraphSnapshot(self.graph)
         self._operator = PgSegOperator(self.graph, snapshot=self._snapshot)
-        self._cache.clear()
+        self.result_cache.clear(store.epoch)
         self._views.clear()
-        self._cache_epoch = store.epoch
-        self._pending, self._pending_records = None, 0
         self.checkpoints += 1
         self._transport.send(pong_frame(self.epoch))
 
     def _apply(self, frame: dict[str, Any]) -> bool:
-        """Apply one shipped batch and fold its write set into the
-        pending span, O(batch); False means diverged (worker exits)."""
+        """Apply one shipped batch, O(batch); False means diverged
+        (worker exits). The cache reads the batch back from the delta
+        log on the next request."""
         if self.store is None:
             self._transport.send(event_frame(
                 "diverged", "batch before bootstrap"))
@@ -411,51 +388,24 @@ class ReplicaWorker:
             self._transport.send(event_frame("diverged", str(exc)))
             return False
         self.batches_applied += 1
-        if not (self._cache or self._views):
-            # Nothing cached: there is nothing to revalidate later.
-            self._cache_epoch = self.store.epoch
-            return True
-        # The batch applied *atomically*, so its write set is exact; the
-        # cache itself is left for the next request to revalidate.
-        if self._pending is None:
-            self._pending = SpanEffects()
-        self._pending.add(batch)
-        self._pending_records += len(batch.deltas)
         return True
 
     def _revalidate(self) -> None:
         """Bring the cache and views to the replayed epoch, once per read.
 
-        Keeps every entry and view the pending write set provably missed
-        (:func:`repro.store.delta.entry_survives`, the predicate the
-        session cache proves sound) and evicts the rest. Retention rules
-        are unions over the span's batches, so one check against the
-        folded span decides exactly what per-batch checks would.
+        :meth:`~repro.store.delta.ResultCache.revalidate` keeps every
+        entry the span since the last read provably missed; the views
+        follow the span it folded, or are all dropped when the span
+        fell out of the delta log.
         """
-        epoch = self.store.epoch
-        if self._cache_epoch == epoch:
+        if self.result_cache.epoch == self.store.epoch:
             return
-        effects, records = self._pending, self._pending_records
-        self._pending, self._pending_records = None, 0
-        self._cache_epoch = epoch
-        if effects is None:
-            # Defense in depth: every epoch-moving path folds its span
-            # (_apply) or clears (_bootstrap_checkpoint), so an epoch
-            # move without a pending span is unclassified — clear.
-            self._cache.clear()
+        span = self.result_cache.revalidate(self.store,
+                                            fold=bool(self._views))
+        if span is None:
             self._views.clear()
-            return
-        survivors: OrderedDict[
-            tuple[str, str],
-            tuple[WireValue, str, frozenset[int], int]] = OrderedDict()
-        for key, entry in self._cache.items():
-            if entry_survives(entry[1], entry[2], effects, entry[3]):
-                survivors[key] = entry
-                self.cache_retained += 1
-            else:
-                self.cache_evicted += 1
-        self._cache = survivors
-        self._revalidate_views(effects, records)
+        elif self._views:
+            self._revalidate_views(*span)
 
     def _revalidate_views(self, effects: SpanEffects,
                           record_count: int) -> None:
@@ -531,7 +481,7 @@ class ReplicaWorker:
         """
         registry = self._obs_registry
         registry.gauge("worker.epoch").set(self.epoch)
-        registry.gauge("worker.cache_size").set(len(self._cache))
+        registry.gauge("worker.cache_size").set(len(self.result_cache))
         registry.gauge("worker.view_count").set(len(self._views))
         return {"metrics": registry.snapshot(),
                 "traces": list(self._trace_ring)}
@@ -615,21 +565,16 @@ class ReplicaWorker:
         self._revalidate()
         if method == "summarize":
             return self._serve_summarize(params)
-        if self._cache_size <= 0 or not self._cacheable(method, params):
+        if not self._cacheable(method, params):
             return WireValue(getattr(self, f"_serve_{method}")(params)[0])
         key = (method, json.dumps(params, sort_keys=True))
-        entry = self._cache.get(key)
-        if entry is not None:
-            self.cache_hits += 1
-            self._cache.move_to_end(key)
-            return entry[0]
-        horizon = self.store.vertex_capacity
-        result, kind, footprint = getattr(self, f"_serve_{method}")(params)
-        answer = WireValue(result)
-        self.cache_misses += 1
-        self._cache[key] = (answer, kind, footprint, horizon)
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
+        answer = self.result_cache.get(key)
+        if answer is None:
+            horizon = self.store.vertex_capacity
+            result, kind, footprint = getattr(
+                self, f"_serve_{method}")(params)
+            answer = WireValue(result)
+            self.result_cache.put(key, answer, kind, footprint, horizon)
         return answer
 
     def _serve_summarize(self, params: dict[str, Any]) -> WireValue:
@@ -649,8 +594,6 @@ class ReplicaWorker:
         - **absent** (first ask, or dropped by a span that could move its
           membership / re-sync): full recompute.
         """
-        if self._cache_size <= 0 or self._view_limit <= 0:
-            return self._compute_summary(params)[0]
         key = json.dumps(params, sort_keys=True)
         view = self._views.get(key)
         if view is not None:
@@ -682,7 +625,7 @@ class ReplicaWorker:
             epoch=self.epoch,
         )
         self.views_recomputed += 1
-        if len(self._views) > self._view_limit:
+        if len(self._views) > VIEW_LIMIT:
             self._views.popitem(last=False)
         return result
 
@@ -700,7 +643,7 @@ class ReplicaWorker:
 
     # ------------------------------------------------------------------
     # Method handlers — each returns (wire result, kind, footprint), the
-    # classification _revalidate's retention predicate needs (kind/footprint
+    # classification the result cache's retention needs (kind/footprint
     # are ignored on the uncached path). A walk's own vertex set becomes
     # the footprint: the walk result is dropped once encoded, so the
     # cache is that set's only owner and no copy is needed.

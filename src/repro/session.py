@@ -32,7 +32,7 @@ from repro.query.ops import lineage as _lineage
 from repro.segment.boundary import BoundaryCriteria
 from repro.segment.diff import SegmentDiff, diff_segments
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
-from repro.store.delta import entry_survives, span_effects
+from repro.store.delta import ResultCache
 from repro.store.snapshot import GraphSnapshot
 from repro.summarize.aggregation import PropertyAggregation
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
@@ -73,17 +73,13 @@ class LifecycleSession:
 
     Any mutation (``record``, ``add_artifact``, direct graph edits) bumps
     the store epoch; repeated calls on an untouched store return the
-    *same* cached objects. Invalidation is **delta-driven**: instead of
-    clearing the result cache wholesale per epoch, the session inspects
-    the store's delta log for the span since the cache was filled and
-    keeps every entry the span provably cannot have changed — ancestry
-    walks (lineage, depth, blame) survive spans in which no vertex of
-    their closure gained or lost an out-edge, segments survive appends
-    that change no pre-existing vertex's out-row and adopt no sibling
-    into them, and summaries survive property-only spans that miss their
-    members (see :meth:`_revalidate` for the exact soundness argument
-    per entry class). Revalidation is lazy: a run of writes costs
-    nothing here until the next cached read checks the whole span once.
+    *same* cached objects. They live in the bounded
+    :class:`~repro.store.delta.ResultCache` the replica workers use too:
+    the next cached read after a run of writes folds the delta-log span
+    once and keeps every entry it provably cannot have changed (ancestry
+    walks survive appends that leave their closure's out-rows alone,
+    segments appends that touch no older vertex's out-row; see
+    :func:`repro.store.delta.entry_survives`).
 
     :meth:`serve` attaches a :class:`repro.serve.cluster.ProvCluster`, after
     which the introspection/overview reads fan out across read replicas
@@ -98,10 +94,7 @@ class LifecycleSession:
         self.runs: list[RecordedRun] = []
         self._operator = PgSegOperator(self.builder.graph)
         self._snapshot: GraphSnapshot | None = None
-        # key -> (value, kind, footprint vertex ids, horizon); see
-        # _revalidate.
-        self._results: dict[Any, tuple[Any, str, frozenset[int], int]] = {}
-        self._results_epoch = -1
+        self.result_cache = ResultCache()
         self._cluster: "ProvCluster | None" = None
 
     # ------------------------------------------------------------------
@@ -139,57 +132,22 @@ class LifecycleSession:
             self._operator.snapshot = self._snapshot
         return self._snapshot
 
-    def _revalidate(self) -> None:
-        """Drop result-cache entries the delta span may have changed.
-
-        Entries are classified when cached (``"ancestry"`` for lineage
-        and blame, ``"segment"`` for :meth:`how_was_it_made`, ``"scan"``
-        for roots, ``"paths"`` for :meth:`typical_pipeline`, whose
-        version list is a scan) and record the store's vertex capacity
-        when computed (the ``segment`` horizon). Survival is decided per
-        class by the shared retention predicate
-        :func:`repro.store.delta.entry_survives`, which carries the full
-        soundness argument — the same predicate the worker cache applies
-        to shipped spans, so both layers evict by one proven rule.
-
-        A span that fell out of the bounded delta log clears everything —
-        the conservative fallback, same as the snapshot layer's.
-        """
-        epoch = self.epoch
-        if epoch == self._results_epoch:
-            return
-        span = None
-        if self._results and self._results_epoch >= 0:
-            span = self.builder.graph.store.delta_log.batches_since(
-                self._results_epoch)
-        self._results_epoch = epoch
-        if span is None:
-            self._results.clear()
-            return
-        effects = span_effects(span)
-        self._results = {
-            key: entry for key, entry in self._results.items()
-            if entry_survives(entry[1], entry[2], effects, entry[3])
-        }
-
     def _cached(self, key: tuple, compute: Callable[[], Any],
                 kind: str = "paths",
                 deps: Callable[[Any], Iterable[int]] | None = None) -> Any:
-        """Memoize ``compute()`` under ``key`` with delta-driven retention.
-
-        ``kind`` and ``deps`` (result -> footprint vertex ids) feed
-        :meth:`_revalidate`'s per-class survival rules.
-        """
-        self._revalidate()
-        entry = self._results.get(key)
-        if entry is None:
-            horizon = self.builder.graph.store.vertex_capacity
+        """Memoize ``compute()`` under ``key`` with delta-driven retention;
+        ``kind`` and ``deps`` (result -> footprint vertex ids) classify
+        the entry for :func:`repro.store.delta.entry_survives`."""
+        store = self.builder.graph.store
+        self.result_cache.revalidate(store)
+        value = self.result_cache.get(key)
+        if value is None:
+            horizon = store.vertex_capacity
             value = compute()
             footprint = frozenset(deps(value)) if deps is not None \
                 else frozenset()
-            entry = (value, kind, footprint, horizon)
-            self._results[key] = entry
-        return entry[0]
+            self.result_cache.put(key, value, kind, footprint, horizon)
+        return value
 
     def add_artifact(self, name: str, member: str | None = None,
                      **properties: Any) -> int:
@@ -275,12 +233,17 @@ class LifecycleSession:
             [self._snapshot_id(name) for name in from_artifacts]
             or self._roots()
         )
-        query = PgSegQuery(src=src, dst=(dst,), boundaries=boundaries)
         if boundaries is not None:
             # Boundary criteria hold arbitrary predicates; don't cache.
-            return self._segment_of(query)
+            return self._segment_of(PgSegQuery(
+                src=src, dst=(dst,), boundaries=boundaries))
+        return self._derivation(src, dst)
+
+    def _derivation(self, src: tuple[int, ...], dst: int) -> Segment:
+        """The memoized boundary-free segment from ``src`` to ``dst``."""
         return self._cached(
-            ("segment", src, dst), lambda: self._segment_of(query),
+            ("segment", src, dst),
+            lambda: self._segment_of(PgSegQuery(src=src, dst=(dst,))),
             kind="segment", deps=lambda segment: segment.vertices,
         )
 
@@ -350,8 +313,10 @@ class LifecycleSession:
                          k: int = 0) -> Psg:
         """Summarize the derivations of an artifact's versions into a Psg.
 
-        Memoized per epoch: the monitoring dashboards the paper motivates
-        re-render the same summary until new runs land.
+        Memoized: the monitoring dashboards the paper motivates re-render
+        the same summary until new runs land. Each version's segment is
+        read through the same cached entry :meth:`how_was_it_made` uses,
+        so re-summarizing after an append re-induces only new versions.
 
         Args:
             artifact: the artifact whose version history to summarize.
@@ -365,10 +330,8 @@ class LifecycleSession:
                 raise ModelError(f"unknown artifact {artifact!r}")
             scoped = versions if last is None else versions[-last:]
             src = tuple(self._roots())
-            segments = [
-                self._segment_of(PgSegQuery(src=src, dst=(snapshot,)))
-                for snapshot in scoped
-            ]
+            segments = [self._derivation(src, snapshot)
+                        for snapshot in scoped]
             footprint.update(
                 vertex for segment in segments for vertex in segment.vertices
             )

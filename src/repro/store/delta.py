@@ -28,12 +28,13 @@ Contract (enforced by ``tests/test_store_delta.py``):
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Any, Iterable
+from typing import Any, Hashable, Iterable
 
 from repro.model.types import EdgeType, VertexType
+from repro.obs.metrics import MetricAttr, MetricsRegistry
 
 
 class DeltaOp(Enum):
@@ -101,13 +102,9 @@ class DeltaBatch:
 class SpanEffects:
     """What a delta-log span touched, for selective cache invalidation.
 
-    The **write set** of a span, classified the way delta-driven result
-    caches need it (:meth:`repro.session.LifecycleSession._revalidate`
-    and the worker-side footprint retention in
-    :class:`repro.serve.worker.ReplicaWorker` share this shape — one
-    definition, so the session's soundness argument transfers to the
-    worker verbatim). :meth:`add` folds one more batch in, so a follower
-    can accumulate a long span in O(records) and revalidate once.
+    The **write set** of a span, classified the way
+    :meth:`ResultCache.revalidate` needs it. :meth:`add` folds one more
+    batch in, so a long span costs O(records) to fold, once.
 
     Attributes:
         touched: vertex ids structurally affected — subjects of vertex
@@ -200,10 +197,9 @@ def entry_survives(kind: str, footprint: frozenset[int] | set[int],
                    effects: SpanEffects, horizon: int | None = None) -> bool:
     """Whether a cached result provably survives a mutation span.
 
-    The single retention predicate shared by the session result cache
-    (:meth:`repro.session.LifecycleSession._revalidate`) and the worker
-    result cache (:class:`repro.serve.worker.ReplicaWorker`), so both
-    layers evict by the same proven rules:
+    The single retention predicate, applied only by
+    :meth:`ResultCache.revalidate` — so the session and every worker
+    evict by the same proven rules:
 
     - ``"ancestry"`` (lineage, depth-bounded lineage, blame): the
       footprint is the walked closure (plus agents). The walk reads only
@@ -261,6 +257,99 @@ def entry_survives(kind: str, footprint: frozenset[int] | set[int],
         return (not effects.structural and not effects.touched
                 and not effects.prop_subjects)
     raise ValueError(f"unknown cache entry kind {kind!r}")
+
+
+#: Bound on a :class:`ResultCache` (entries, least recently used first).
+CACHE_SIZE = 256
+
+
+class ResultCache:
+    """The one bounded result cache, revalidated from the delta log.
+
+    The session and every replica worker memoize answers here as
+    ``(value, kind, footprint, horizon)`` entries: the answer (never
+    None), its :data:`ENTRY_KINDS` class, the vertex ids it was derived
+    from and ``store.vertex_capacity`` when it was computed. At most
+    :data:`CACHE_SIZE` entries are kept, least recently used evicted
+    first. Every entry is valid at :attr:`epoch`; :meth:`revalidate` is
+    the only code that applies the retention policy.
+
+    The counters live in ``registry`` (a fresh one when None) as
+    ``<prefix>.cache_*``; ``retained`` / ``evicted`` count entries per
+    revalidation, and the LRU bound's evictions are not counted.
+    """
+
+    hits = MetricAttr("cache_hits")
+    misses = MetricAttr("cache_misses")
+    retained = MetricAttr("cache_retained")
+    evicted = MetricAttr("cache_evicted")
+
+    def __init__(self, registry=None, prefix: str = "session"):
+        self._obs_registry = registry if registry is not None \
+            else MetricsRegistry()
+        self._obs_prefix = prefix
+        self.epoch = -1
+        self._entries: OrderedDict[Hashable, tuple] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def values(self) -> list[Any]:
+        """The cached values, least recently used first."""
+        return [entry[0] for entry in self._entries.values()]
+
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key``, now the most recently used, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry[0]
+
+    def put(self, key: Hashable, value: Any, kind: str,
+            footprint: frozenset[int] | set[int], horizon: int) -> None:
+        """Cache the value a miss computed (the cache owns ``footprint``)."""
+        self.misses += 1
+        self._entries[key] = (value, kind, footprint, horizon)
+        if len(self._entries) > CACHE_SIZE:
+            self._entries.popitem(last=False)
+
+    def clear(self, epoch: int) -> None:
+        """Drop every entry; the empty cache is valid at ``epoch``."""
+        self._entries.clear()
+        self.epoch = epoch
+
+    def revalidate(self, store, fold: bool = False,
+                   ) -> tuple[SpanEffects, int] | None:
+        """Bring the cache to ``store.epoch``, reading the log at most once.
+
+        An empty cache just moves its epoch, unless ``fold`` (the caller
+        has dependents of its own that need the span). A span the bounded
+        log no longer holds clears everything and returns None. Otherwise
+        the span is folded once and each entry kept iff
+        :func:`entry_survives`: every rule is a disjointness test against
+        a union over the span's batches, so one check of the folded span
+        decides exactly what a check per batch would. Returns the folded
+        span and its record count (empty if the log was not read).
+        """
+        epoch = store.epoch
+        if epoch == self.epoch or not (self._entries or fold):
+            self.epoch = epoch
+            return SpanEffects(), 0
+        span = store.delta_log.batches_since(self.epoch)
+        if span is None:
+            self.clear(epoch)
+            return None
+        effects = span_effects(span)
+        self.epoch = epoch
+        kept = OrderedDict(
+            (key, entry) for key, entry in self._entries.items()
+            if entry_survives(entry[1], entry[2], effects, entry[3]))
+        self.retained += len(kept)
+        self.evicted += len(self._entries) - len(kept)
+        self._entries = kept
+        return effects, sum(len(batch.deltas) for batch in span)
 
 
 class DeltaLog:

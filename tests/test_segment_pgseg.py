@@ -131,16 +131,21 @@ class TestSegmentObject:
 
 class TestCaching:
     def test_unbounded_induction_cached(self, paper):
+        """The two-step evaluation (induce unbounded, then filter) is
+        ``adjust`` on a segment the caller holds: the interactive loop
+        re-filters a held segment instead of re-inducing."""
         operator = PgSegOperator(paper.graph)
+        boundaries = BoundaryCriteria().exclude_vertices(lambda r: True)
         query = PgSegQuery(
             src=(paper["dataset-v1"],), dst=(paper["weight-v2"],),
-            boundaries=BoundaryCriteria().exclude_vertices(lambda r: True),
+            boundaries=boundaries,
         )
-        first = operator.evaluate(query, inline_boundaries=False)
-        assert len(operator._cache) == 1
-        second = operator.evaluate(query, inline_boundaries=False)
-        assert len(operator._cache) == 1
-        assert first.vertices == second.vertices
+        held = operator.evaluate(PgSegQuery(src=query.src, dst=query.dst))
+        two_step = operator.evaluate(query, inline_boundaries=False)
+        adjusted = operator.adjust(held, boundaries)
+        assert two_step.vertices == adjusted.vertices
+        assert two_step.edge_ids == adjusted.edge_ids
+        assert two_step.categories == adjusted.categories
 
 
 class TestOnPdGraphs:

@@ -479,7 +479,7 @@ class TestSessionServing:
         plain_depth = session.depth_of("weights")
 
         cluster = session.serve(replicas=2)
-        session._results.clear()        # force recompute through replicas
+        session.result_cache.clear(session.epoch)        # force recompute through replicas
         assert session.how_was_it_made("weights").vertices \
             == plain_seg.vertices
         assert session.who_touched("weights") == plain_blame
@@ -504,7 +504,7 @@ class TestSessionServing:
         session.stop_serving()
         assert session.cluster is None
         assert not directory.exists()
-        session._results.clear()
+        session.result_cache.clear(session.epoch)
         session.how_was_it_made("weights")
         assert sum(r.queries_served for r in cluster.replicas) == 0
 
@@ -520,7 +520,7 @@ class TestSessionServing:
 
         cluster = session.serve(replicas=2, out_of_process=True)
         try:
-            session._results.clear()    # force recompute through workers
+            session.result_cache.clear(session.epoch)    # force recompute through workers
             assert session.how_was_it_made("weights").vertices \
                 == plain_seg.vertices
             assert session.who_touched("weights") == plain_blame

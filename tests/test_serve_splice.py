@@ -200,7 +200,7 @@ def test_worker_cache_hit_packs_the_memoized_text(monkeypatch):
         assert encodes == [2, 0]       # one encode per miss, none per hit
         assert worker.cache_hits == 2
         assert packed[0] == packed[1]
-        cached = [entry[0].text for entry in worker._cache.values()]
+        cached = [answer.text for answer in worker.result_cache.values()]
         hit = wire.unpack_responses_frame(packed[1])["responses"]
         assert [response["result"].text for response in hit] == cached
 

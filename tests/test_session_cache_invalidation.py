@@ -2,8 +2,8 @@
 
 PR 1 cleared the session's memoized results wholesale on every epoch bump;
 the cache layer now inspects ``delta_log.batches_since()`` and keeps every
-entry the span provably cannot have changed (see
-``LifecycleSession._revalidate`` for the per-class soundness rules). These
+entry the span provably cannot have changed (``ResultCache.revalidate``;
+see ``entry_survives`` for the per-class soundness rules). These
 tests pin both directions: entries *survive* provably-disjoint mutations,
 and entries *drop* (and recompute correctly) whenever the span could have
 changed them. A seeded differential re-asks one fixed set of reads
@@ -32,13 +32,10 @@ def session() -> LifecycleSession:
     return s
 
 
-def _cache_value(session, kind, *key_tail):
-    """The raw cached entry value, or None (reaches into the private dict
-    deliberately: object survival is the property under test)."""
-    for key, entry in session._results.items():
-        if key[0] == kind and key[1:len(key_tail) + 1] == key_tail:
-            return entry[0]
-    return None
+def _cache_value(session, *key):
+    """The value cached under ``key``, or None (object survival is the
+    property under test)."""
+    return session.result_cache.get(key)
 
 
 class TestClosureRetention:

@@ -203,7 +203,6 @@ class TestOperatorEpochSync:
         )
         query = PgSegQuery(src=roots, dst=(dst,))
         first = operator.evaluate(query)
-        assert operator.evaluate(query) is first
         snapshot_before = operator.snapshot
         session.record("erin", "train", uses=["dataset"],
                        generates=["weights2"])

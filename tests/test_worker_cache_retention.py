@@ -359,16 +359,16 @@ def test_applied_batches_leave_the_cache_untouched(monkeypatch):
     """A shipped batch costs O(batch), not O(cache): 100 batches applied
     beside a full 256-entry cache call the retention predicate zero
     times; the next request revalidates every entry exactly once."""
-    import repro.serve.worker as worker_module
+    import repro.store.delta as delta_module
 
     calls = [0]
-    predicate = worker_module.entry_survives
+    predicate = delta_module.entry_survives
 
     def counting(*args):
         calls[0] += 1
         return predicate(*args)
 
-    monkeypatch.setattr(worker_module, "entry_survives", counting)
+    monkeypatch.setattr(delta_module, "entry_survives", counting)
     example = build_paper_example()
     graph = example.graph
     harness = _Harness(graph)
@@ -380,7 +380,7 @@ def test_applied_batches_leave_the_cache_untouched(monkeypatch):
         for method, params in specs[:256]:
             harness.serve(method, params)
         worker = harness.worker
-        assert len(worker._cache) == 256
+        assert len(worker.result_cache) == 256
         applied = worker.batches_applied
         for index in range(100):
             graph.store.set_vertex_property(
