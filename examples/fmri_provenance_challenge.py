@@ -22,7 +22,6 @@ from repro.model.graph import ProvenanceGraph
 from repro.segment.pgseg import segment
 from repro.store.persistence import load_store, save_store
 from repro.summarize.aggregation import PropertyAggregation
-from repro.summarize.pgsum import pgsum
 from repro.summarize.render import psg_to_dot
 from repro.workloads.fmri import build_fmri_workflow
 

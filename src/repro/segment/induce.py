@@ -301,8 +301,11 @@ def expansion_vertices(graph: ProvenanceGraph, entities: Iterable[int],
     ancestors) for up to ``2k`` hops, collecting everything encountered.
     """
     view = _View(graph, snapshot)
-    frontier = {v for v in entities
-                if vertex_ok is None or vertex_ok(view.vertex(v))}
+    frontier = set()
+    for vertex_id in entities:
+        record = view.vertex(vertex_id)     # VertexNotFound on both paths
+        if vertex_ok is None or vertex_ok(record):
+            frontier.add(vertex_id)
     collected = set(frontier)
     for _hop in range(2 * k):
         next_frontier: set[int] = set()

@@ -40,6 +40,10 @@ from repro.store.records import EdgeRecord
 from repro.store.snapshot import GraphSnapshot
 
 
+#: A property-constrained similarity key: property names, or a callable.
+PropertyKey = tuple[str, ...] | Callable[[int], Hashable]
+
+
 @dataclass(frozen=True)
 class PgSegQuery:
     """A PgSeg query: ``(Vsrc, Vdst, B)`` plus evaluation options.
@@ -50,8 +54,11 @@ class PgSegQuery:
         algorithm: VC2 solver (``simprov-tst`` | ``simprov-alg`` | ``cflr``).
         set_impl: fact-set implementation for the solvers.
         prune: enable early stopping in the SimProv solvers.
-        activity_key / entity_key: property-constrained similarity (forces
-            ``simprov-alg``).
+        activity_key / entity_key: property-constrained similarity;
+            requires ``algorithm="simprov-alg"``. A tuple of property
+            names keys each vertex by its tuple of those values (the
+            declarative form, which crosses the wire); a callable
+            ``vertex id -> hashable`` is accepted in-process only.
         include_direct/similar/siblings/agents: toggle the four rule classes.
         direct_edge_types: edge types allowed on direct paths.
     """
@@ -62,8 +69,8 @@ class PgSegQuery:
     algorithm: str = "simprov-tst"
     set_impl: str = "set"
     prune: bool = True
-    activity_key: Callable[[int], Hashable] | None = None
-    entity_key: Callable[[int], Hashable] | None = None
+    activity_key: PropertyKey | None = None
+    entity_key: PropertyKey | None = None
     include_direct: bool = True
     include_similar: bool = True
     include_siblings: bool = True
@@ -78,6 +85,30 @@ class PgSegQuery:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {VC2_ALGORITHMS}"
             )
+        for name in ("activity_key", "entity_key"):
+            key = getattr(self, name)
+            if key is None:
+                continue
+            if not callable(key) and not (
+                    isinstance(key, tuple) and key
+                    and all(isinstance(prop, str) for prop in key)):
+                raise SegmentationError(
+                    f"{name} must be a callable or a non-empty tuple of "
+                    f"property names, got {key!r}")
+            if self.algorithm != "simprov-alg":
+                raise SegmentationError(
+                    f"{name} requires algorithm 'simprov-alg', "
+                    f"not {self.algorithm!r}")
+
+    @property
+    def is_bare(self) -> bool:
+        """No boundaries and no keys: membership reads structure only.
+
+        The one bareness test — serving decides by it which cache rule
+        an answer gets and whether a shard may answer it.
+        """
+        return (self.boundaries is None and self.activity_key is None
+                and self.entity_key is None)
 
 
 #: Category tags attached to segment vertices.
@@ -356,8 +387,8 @@ class PgSegOperator:
             solver_kwargs: dict[str, Any] = {"set_impl": query.set_impl}
             if query.algorithm != "cflr":
                 solver_kwargs["prune"] = query.prune
-                solver_kwargs["activity_key"] = query.activity_key
-                solver_kwargs["entity_key"] = query.entity_key
+                solver_kwargs["activity_key"] = self._key(query.activity_key)
+                solver_kwargs["entity_key"] = self._key(query.entity_key)
             result = similar_path_vertices(
                 graph, query.src, query.dst, query.algorithm,
                 vertex_ok, edge_ok, snapshot=snapshot, **solver_kwargs,
@@ -382,6 +413,17 @@ class PgSegOperator:
 
         edge_ids = self._induced_edges(members, edge_ok)
         return Segment(graph, members, edge_ids, categories, query)
+
+    def _key(self, key: PropertyKey | None,
+             ) -> Callable[[int], Hashable] | None:
+        """A query key as the solver's ``vertex id -> hashable`` function:
+        a tuple of property names reads this operator's own graph."""
+        if not isinstance(key, tuple):
+            return key
+        vertex = self.graph.vertex if self.snapshot is None \
+            else self.snapshot.vertex
+        return lambda vertex_id: tuple(
+            vertex(vertex_id).properties.get(name) for name in key)
 
     def _induced_edges(self, members: set[int],
                        edge_ok) -> list[int]:

@@ -31,11 +31,10 @@ from repro.model.graph import ProvenanceGraph
 from repro.obs import ObsContext
 from repro.query.cypherlite import Budget
 from repro.query.ops import Lineage
-from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
+from repro.segment.pgseg import PgSegQuery, Segment
 from repro.serve.api import ServeConfig, normalize_specs
 from repro.serve.pool import WorkerClient, WorkerPool
-from repro.serve.wire import pgseg_query_is_wire_safe
-from repro.summarize.pgsum import PgSumOperator, PgSumQuery
+from repro.summarize.pgsum import PgSumQuery
 from repro.summarize.psg import Psg
 
 if TYPE_CHECKING:   # pragma: no cover - types only
@@ -313,32 +312,13 @@ class ProvCluster:
         request, which also lets the worker serve repeat summaries from
         its incrementally maintained materialized views. A replica crash
         mid-summary restarts the *whole* summary on the next replica —
-        partial segment sets must never merge across replicas.
-
-        A non-wire-serializable query (boundary predicates, key
-        callables) would silently fall back to the live leader while its
-        siblings answer from a worker's replayed epoch — merging states
-        that never coexisted. So a summary containing any such query is
-        evaluated *wholly* leader-local: one graph, one epoch, same
-        coherence guarantee.
+        partial segment sets must never merge across replicas. Bounded
+        and keyed segment queries ride the same request; one the codec
+        refuses raises :class:`~repro.errors.SerializationError`.
         """
         stamp = self.leader_epoch if min_epoch is None else min_epoch
         queries = list(queries)
         pgsum = pgsum if pgsum is not None else PgSumQuery()
-        if not all(pgseg_query_is_wire_safe(q) for q in queries):
-            # Leader-local still honors the stamp contract: the leader
-            # serves at its own epoch, so only a stamp from the future is
-            # unsatisfiable — and it must raise exactly like the routed
-            # path, never silently serve.
-            if stamp > self.leader_epoch:
-                raise ValueError(
-                    f"consistency stamp {stamp} is ahead of the leader "
-                    f"(epoch {self.leader_epoch}); cannot serve a strong "
-                    f"read"
-                )
-            operator = PgSegOperator(self.graph)
-            segments = [operator.evaluate(query) for query in queries]
-            return PgSumOperator(segments).evaluate(pgsum)
         attempts = len(self.replicas) + 1
         for attempt in range(attempts):
             replica = self.router.route(stamp)
@@ -404,9 +384,8 @@ class ProvCluster:
         (:class:`~repro.serve.pool.RawResult`) instead of decoded ones —
         the async front-end re-serves the same wire format, so the
         decode/re-encode round trip is pure overhead there. Best-effort:
-        entries served by leader-local fallback, or re-routed after a
-        mid-bundle crash, may still be domain objects, so raw consumers
-        must handle both shapes.
+        entries re-routed after a mid-bundle crash come back as domain
+        objects, so raw consumers must handle both shapes.
 
         ``trace_ids`` (parallel to ``specs``; ``None`` entries untraced)
         threads sampled requests' trace ids down to the workers: the

@@ -65,7 +65,6 @@ from repro.errors import (
     Overloaded,
     ReplicaUnavailable,
     SerializationError,
-    TransportClosed,
 )
 from repro.obs import MetricAttr, ObsContext, new_trace_id
 from repro.serve import wire
@@ -533,7 +532,8 @@ class AsyncFrontend:
                params: dict[str, Any]) -> _Entry:
         """Decode one wire request into a domain spec (errors in place)."""
         try:
-            spec = _decode_request(method, params)
+            spec = wire.query_call_from_wire(method, params,
+                                             self.cluster.graph)
         except Exception as exc:   # noqa: BLE001 - per-request isolation
             return _Entry(request_id, method, None, exc)
         return _Entry(request_id, method, spec, None)
@@ -768,38 +768,12 @@ class AsyncFrontend:
 # ---------------------------------------------------------------------------
 
 
-def _decode_request(method: str, params: dict[str, Any],
-                    ) -> tuple[str, dict[str, Any]]:
-    """Wire request params -> the domain spec ``query_many`` serves.
-
-    The inverse of :meth:`WorkerClient._encode_spec`; a method outside
-    the batchable read families (``summarize`` stays single-replica
-    routed for epoch coherence) is refused per-request.
-    """
-    if method in ("lineage", "impacted"):
-        spec: dict[str, Any] = {"entity": int(params["entity"])}
-        if params.get("max_depth") is not None:
-            spec["max_depth"] = int(params["max_depth"])
-        return method, spec
-    if method == "blame":
-        return method, {"entity": int(params["entity"])}
-    if method == "segment":
-        return method, {"query": wire.pgseg_query_from_wire(params["query"])}
-    if method == "cypher":
-        spec = {"text": str(params["text"])}
-        if params.get("budget") is not None:
-            spec["budget"] = wire.budget_from_wire(params["budget"])
-        return method, spec
-    raise SerializationError(
-        f"method {method!r} is not servable on a client session")
-
-
 def _encode_result(method: str, result: Any) -> wire.WireValue:
     if isinstance(result, RawResult):
         # Straight off the worker bundle (``query_many(..., raw=True)``):
         # its text is spliced into the client frame, never parsed here.
         return result.payload
-    # A leader-local fallback or a re-routed share came back decoded.
+    # A share re-routed after a worker crash came back decoded.
     if method in ("lineage", "impacted"):
         return wire.WireValue(wire.lineage_to_wire(result))
     if method == "blame":
@@ -938,7 +912,7 @@ class FrontendClient:
         for spec in normalize_specs(specs):
             method, params = spec.as_tuple()
             try:
-                call = _encode_client_call(method, params)
+                call = wire.query_call_to_wire(method, params)
             except Exception as exc:   # noqa: BLE001 - per-spec isolation
                 slots.append(exc)
                 continue
@@ -986,23 +960,3 @@ class FrontendClient:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _encode_client_call(method: str, params: dict[str, Any],
-                        ) -> tuple[str, dict[str, Any]]:
-    """Domain spec -> client-session wire call (raises on non-wire-safe
-    segment queries: a remote client has no leader to fall back to)."""
-    if method in ("lineage", "impacted"):
-        return method, {"entity": int(params["entity"]),
-                        "max_depth": params.get("max_depth")}
-    if method == "blame":
-        return method, {"entity": int(params["entity"])}
-    if method == "segment":
-        query = params["query"]
-        if not wire.pgseg_query_is_wire_safe(query):
-            raise TransportClosed(
-                "segment query is not wire-serializable (predicate or "
-                "key callables); evaluate it leader-side instead")
-        return method, {"query": wire.pgseg_query_to_wire(query)}
-    return method, {"text": str(params["text"]),
-                    "budget": wire.budget_to_wire(params.get("budget"))}

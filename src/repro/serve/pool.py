@@ -49,9 +49,11 @@ Failure handling (the contract ``tests/test_serve_pool.py`` pins):
   and workers exit on EOF — no leaked processes or fds (transport close
   sweeps the socket's ``makefile`` wrappers too).
 
-PgSeg queries carrying boundary criteria or property-key callables cannot
-cross the wire (arbitrary Python functions); :meth:`WorkerClient.segment`
-serves those leader-local and counts the fallback.
+Every read crosses the wire, PgSeg queries with boundary criteria and
+property keys included (:func:`~repro.serve.wire.query_call_to_wire`);
+a query with no record — a predicate or key built as a bare callable —
+raises :class:`~repro.errors.SerializationError` and is never evaluated
+here.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from repro.model.graph import ProvenanceGraph
 from repro.obs import MetricAttr, NullRegistry, ObsContext
 from repro.query.cypherlite import Budget
 from repro.query.ops import Lineage
-from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
+from repro.segment.pgseg import PgSegQuery, Segment
 from repro.serve.api import ServeConfig
 from repro.serve.replication import ReplicationLog
 from repro.serve.transport import BinaryTransport, LineTransport, MemoryTransport
@@ -90,12 +92,12 @@ from repro.serve.wire import (
     hello_from_wire,
     hello_wire_formats,
     lineage_from_wire,
-    pgseg_query_is_wire_safe,
     pgseg_query_to_wire,
     pgsum_query_to_wire,
     ping_frame,
     pong_from_wire,
     psg_from_wire,
+    query_call_to_wire,
     request_to_wire,
     requests_bundle_to_wire,
     response_from_wire,
@@ -164,7 +166,6 @@ class WorkerClient:
     restarts = MetricAttr("restarts")
     batches_shipped = MetricAttr("batches_shipped")
     queries_served = MetricAttr("queries_served")
-    local_fallbacks = MetricAttr("local_fallbacks")
     #: Responses for requests nobody was waiting on anymore (dropped).
     late_responses = MetricAttr("late_responses")
     #: Requests abandoned by a deadline (worker kept unless poisoned).
@@ -473,12 +474,13 @@ class WorkerClient:
         ``specs`` are ``(method, params)`` pairs in *domain* form —
         ``("lineage", {"entity": 7})``, ``("segment", {"query":
         PgSegQuery(...)})``, ``("cypher", {"text": ..., "budget":
-        Budget | None})`` — encoded here per method. Non-wire-safe PgSeg
-        queries are evaluated leader-local immediately (counted as
-        fallbacks), exactly like :meth:`segment`. The bundle frame goes
-        on the wire before this method returns, so several workers'
-        bundles can be in flight at once; redeem the handle with
-        :meth:`collect_many`.
+        Budget | None})`` — encoded here per method
+        (:func:`~repro.serve.wire.query_call_to_wire`). A spec the codec
+        refuses never goes on the wire: its
+        :class:`~repro.errors.SerializationError` is its result. The
+        bundle frame goes on the wire before this method returns, so
+        several workers' bundles can be in flight at once; redeem the
+        handle with :meth:`collect_many`.
 
         Raises:
             ReplicaUnavailable: the worker died taking the bundle
@@ -487,30 +489,17 @@ class WorkerClient:
         """
         if trace_ids is None:
             trace_ids = [None] * len(specs)
-        entries: list[tuple[str, Any, Any]] = []
+        entries: list[tuple[str, int | SerializationError]] = []
         wire_calls: list[tuple[str, dict[str, Any]]] = []
         wire_traces: list[str | None] = []
         for (method, params), trace_id in zip(specs, trace_ids):
-            encoded = self._encode_spec(method, params)
-            if encoded is None:
-                # Leader-local fallback, evaluated eagerly with the same
-                # per-request error isolation as a wire answer.
-                started = time.perf_counter()
-                try:
-                    result: Any = PgSegOperator(self._pool.graph).evaluate(
-                        params["query"])
-                except Exception as exc:   # noqa: BLE001 - isolated
-                    result = exc
-                self.local_fallbacks += 1
-                if trace_id is not None:
-                    self._pool.obs.collector.add_span(
-                        trace_id, "worker", "local-fallback",
-                        time.perf_counter() - started, method=method)
-                entries.append(("local", result, method))
-            else:
-                entries.append(("wire", len(wire_calls), method))
-                wire_calls.append(encoded)
-                wire_traces.append(trace_id)
+            try:
+                wire_calls.append(query_call_to_wire(method, params))
+            except SerializationError as exc:
+                entries.append((method, exc))
+                continue
+            entries.append((method, len(wire_calls) - 1))
+            wire_traces.append(trace_id)
         ids = self._send_calls(wire_calls, wire_traces) if wire_calls else []
         return _BundleHandle(entries, ids)
 
@@ -529,16 +518,15 @@ class WorkerClient:
         With ``raw=True`` an ok wire answer comes back as a
         :class:`RawResult` (undecoded payload) instead of a domain
         object — for consumers that re-serve the wire format. Error
-        entries are still rebuilt exceptions, and leader-local fallback
-        entries are still domain objects (they never crossed the wire).
+        entries are still exception instances.
         """
         results: list[Any] = []
         try:
-            for kind, value, method in handle.entries:
-                if kind == "local":
-                    results.append(value)
+            for method, slot in handle.entries:
+                if isinstance(slot, SerializationError):
+                    results.append(slot)
                     continue
-                ok, payload = self._await(handle.ids[value])
+                ok, payload = self._await(handle.ids[slot])
                 if not ok:
                     results.append(error_from_wire(payload))
                 elif raw:
@@ -567,24 +555,6 @@ class WorkerClient:
             # The trace itself survives (a re-routed retry keeps adding
             # spans); only this request's transport mark is forgotten.
             self._trace_marks.pop(request_id, None)
-
-    def _encode_spec(self, method: str, params: dict[str, Any],
-                     ) -> "tuple[str, dict[str, Any]] | None":
-        """Domain spec -> wire call; None means leader-local fallback."""
-        if method in ("lineage", "impacted"):
-            return method, {"entity": int(params["entity"]),
-                            "max_depth": params.get("max_depth")}
-        if method == "blame":
-            return method, {"entity": int(params["entity"])}
-        if method == "segment":
-            query = params["query"]
-            if not pgseg_query_is_wire_safe(query):
-                return None
-            return method, {"query": pgseg_query_to_wire(query)}
-        if method == "cypher":
-            return method, {"text": str(params["text"]),
-                            "budget": budget_to_wire(params.get("budget"))}
-        raise ValueError(f"unknown query_many method {method!r}")
 
     def _decode_spec(self, method: str, payload: Any) -> Any:
         if method in ("lineage", "impacted"):
@@ -615,16 +585,12 @@ class WorkerClient:
         return blame_from_wire(self._request("blame", {"entity": entity}))
 
     def segment(self, query: PgSegQuery) -> Segment:
-        """PgSeg served by the worker (leader-local for non-wire queries).
+        """PgSeg served by the worker.
 
         The decoded segment is rebound to the leader graph, so downstream
         accessors (``describe()``, DOT export, PgSum merging) resolve
-        records exactly as on a leader-local segment.
+        records exactly as on a segment evaluated in-process.
         """
-        if not pgseg_query_is_wire_safe(query):
-            # Boundary predicates / key callables cannot cross the wire.
-            self.local_fallbacks += 1
-            return PgSegOperator(self._pool.graph).evaluate(query)
         params = {"query": pgseg_query_to_wire(query)}
         return segment_from_wire(
             self._pool.graph, self._request("segment", params))
@@ -635,10 +601,8 @@ class WorkerClient:
         The worker evaluates every segment *and* the merge against one
         replayed epoch, holding the result as a materialized view it
         patches across property-only batches — so repeat dashboard
-        summaries skip both the walks and the merge. All queries must be
-        wire-safe (the cluster routes non-wire summaries leader-local
-        before reaching a client); node members reference leader vertex
-        ids, exactly like decoded segments.
+        summaries skip both the walks and the merge. Node members
+        reference leader vertex ids, exactly like decoded segments.
         """
         params = {
             "queries": [pgseg_query_to_wire(query) for query in queries],
@@ -755,7 +719,6 @@ class WorkerClient:
             "restarts": self.restarts,
             "generation": self.restarts,
             "queries_served": self.queries_served,
-            "local_fallbacks": self.local_fallbacks,
             "late_responses": self.late_responses,
             "timeouts": self.timeouts,
             "poisoned": self.poisoned,
@@ -800,11 +763,12 @@ class WorkerClient:
 
 
 class _BundleHandle:
-    """An in-flight begin_many bundle: spec entries + wire request ids."""
+    """An in-flight begin_many bundle: one ``(method, slot)`` entry per
+    spec — an index into the wire request ids, or the encode error."""
 
     __slots__ = ("entries", "ids")
 
-    def __init__(self, entries: list[tuple[str, Any, Any]],
+    def __init__(self, entries: list[tuple[str, int | SerializationError]],
                  ids: list[int]):
         self.entries = entries
         self.ids = ids

@@ -18,12 +18,14 @@ stream — on property-heavy workloads (the common case: lifecycle
 ingestion is mostly annotation) the per-worker wire volume drops by
 ``~1/shards`` (`benchmarks/bench_replication.py --sharded` gates it).
 
-**Why cross-shard reads stay bit-identical.** Wire-safe PgSeg membership
-(`pgseg_query_is_wire_safe`) and the lineage/impact/blame walks are
-structure-only, and structure is fully replicated — *any* shard answers
-them identically to a single-store recompute. Queries that read
-properties (CypherLite, boundary/key-predicate segmentation) are always
-served coordinator-local against the leader graph, and scatter-gathered
+**Why cross-shard reads stay bit-identical.** Bare PgSeg membership
+(`PgSegQuery.is_bare`: no boundaries, no keys) and the lineage/impact/
+blame walks are structure-only, and structure is fully replicated —
+*any* shard answers them identically to a single-store recompute.
+Queries that may read properties (CypherLite, bounded or keyed
+segmentation) are always served coordinator-local against the leader
+graph — a data-placement rule: a shard holds only the properties it
+owns — and scatter-gathered
 segments are re-bound to the leader graph before PgSum merges them, so
 property reads are leader-exact by construction. A shard store's stale
 properties for non-owned vertices are therefore unobservable.
@@ -55,7 +57,6 @@ from repro.query.ops import Lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.api import ServeConfig, normalize_specs
 from repro.serve.cluster import ProvCluster
-from repro.serve.wire import pgseg_query_is_wire_safe
 from repro.store.checkpoint import CheckpointManager, read_checkpoint
 from repro.store.delta import DeltaBatch
 from repro.store.sharding import ShardMap, delta_payload, split_batch
@@ -322,16 +323,16 @@ class ShardedCluster:
 
     def segment(self, query: PgSegQuery,
                 min_epoch: int | None = None) -> Segment:
-        """PgSeg, shard-served when wire-safe, else coordinator-local.
+        """PgSeg, shard-served when bare, else coordinator-local.
 
-        Wire-safe queries (no boundary predicates, no key callables)
-        have structure-only membership: the source-anchor's owner shard
-        serves them and the result is re-bound to the leader graph.
-        Property-reading queries evaluate coordinator-local on the
-        leader — one graph, leader-exact properties.
+        Bare queries (no boundaries, no keys) have structure-only
+        membership: the source-anchor's owner shard serves them and the
+        result is re-bound to the leader graph. Queries that may read
+        properties evaluate coordinator-local on the leader — one graph,
+        leader-exact properties.
         """
         stamp = self._resolve(min_epoch)
-        if not pgseg_query_is_wire_safe(query):
+        if not query.is_bare:
             return PgSegOperator(self.graph).evaluate(query)
         segment = self.shards[self._segment_home(query)].segment(
             query, min_epoch=stamp)
@@ -351,7 +352,7 @@ class ShardedCluster:
         rule :meth:`ProvCluster.summarize` enforces: membership comes
         from the drained (= leader) state, labels from the leader.
 
-        A summary containing any non-wire-safe query, or served under a
+        A summary containing any non-bare query, or served under a
         relaxed ``min_epoch=0`` stamp (shards may sit at *different*
         epochs — merging them would mix states that never coexisted),
         is evaluated wholly coordinator-local instead.
@@ -360,11 +361,11 @@ class ShardedCluster:
         queries = list(queries)
         pgsum = pgsum if pgsum is not None else PgSumQuery()
         if stamp == 0 \
-                or not all(pgseg_query_is_wire_safe(q) for q in queries):
+                or not all(q.is_bare for q in queries):
             operator = PgSegOperator(self.graph)
             segments = [operator.evaluate(query) for query in queries]
             return PgSumOperator(segments).evaluate(pgsum)
-        # Scatter through query_many: every query is wire-safe here, so
+        # Scatter through query_many: every query is bare here, so
         # each routes to its owner shard, the per-shard bundles go down
         # concurrently (see _scatter), and the gathered segments come
         # back already re-bound to the leader graph.
@@ -395,7 +396,7 @@ class ShardedCluster:
         """Serve a batch across shards; results index-aligned with specs.
 
         Each spec routes like its single-query method: walks to the
-        entity's owner shard, wire-safe segments to the source anchor's
+        entity's owner shard, bare segments to the source anchor's
         owner, everything property-reading coordinator-local. Every
         shard's share goes down as one :meth:`ProvCluster.query_many`
         bundle (striding, pipelining, and mid-bundle crash re-routing
@@ -484,9 +485,7 @@ class ShardedCluster:
             return self._owner(params["entity"])
         if method == "segment":
             query = params["query"]
-            if pgseg_query_is_wire_safe(query):
-                return self._segment_home(query)
-            return None
+            return self._segment_home(query) if query.is_bare else None
         return None    # cypher: property reads stay on the leader
 
     def _serve_local(self, spec) -> Any:

@@ -63,7 +63,7 @@ import json
 import struct
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import SerializationError
+from repro.errors import SegmentationError, SerializationError
 from repro.model.types import parse_edge_type, parse_vertex_type
 from repro.query.paths import Path, Step
 from repro.serve.transport import register_frame_decoder, register_frame_packer
@@ -1156,37 +1156,24 @@ def error_from_wire(record: dict[str, Any]) -> BaseException:
 # ---------------------------------------------------------------------------
 
 
-def pgseg_query_is_wire_safe(query: "PgSegQuery") -> bool:
-    """True when the query is fully declarative and can cross the wire.
-
-    Boundary criteria and property-key callables hold arbitrary Python
-    functions; queries carrying them must be evaluated leader-local.
-    """
-    return (query.boundaries is None
-            and query.activity_key is None
-            and query.entity_key is None)
+#: The PgSeg key fields, sent as lists of property names. Like
+#: ``boundaries`` they are present only when set, so a plain query's
+#: record is the same bytes it always was.
+_PGSEG_KEYS = ("activity_key", "entity_key")
 
 
 def pgseg_query_to_wire(query: "PgSegQuery") -> dict[str, Any]:
     """One PgSeg query as a JSON-able object.
 
-    Only the declarative subset of :class:`~repro.segment.pgseg.PgSegQuery`
-    crosses the wire (:func:`pgseg_query_is_wire_safe`); anything else
-    raises :class:`~repro.errors.SerializationError` — the cluster serves
-    such queries leader-local instead (see
-    :meth:`repro.serve.pool.WorkerClient.segment`).
+    ``boundaries`` (:meth:`~repro.segment.boundary.BoundaryCriteria.
+    to_record`) and the property-name tuples of ``activity_key`` /
+    ``entity_key`` ride along only when set.
+
+    Raises:
+        SerializationError: a boundary predicate or key is a callable
+            with no record (built outside the declarative vocabulary).
     """
-    if query.boundaries is not None:
-        raise SerializationError(
-            "boundary criteria hold arbitrary predicates and cannot cross "
-            "the wire; evaluate boundary queries leader-local"
-        )
-    if query.activity_key is not None or query.entity_key is not None:
-        raise SerializationError(
-            "property-key callables cannot cross the wire; evaluate "
-            "key-constrained queries leader-local"
-        )
-    return {
+    record = {
         "src": list(query.src),
         "dst": list(query.dst),
         "algorithm": query.algorithm,
@@ -1200,16 +1187,45 @@ def pgseg_query_to_wire(query: "PgSegQuery") -> dict[str, Any]:
             edge_type.label for edge_type in query.direct_edge_types
         ),
     }
+    if query.boundaries is not None:
+        record["boundaries"] = query.boundaries.to_record()
+    for name in _PGSEG_KEYS:
+        key = getattr(query, name)
+        if callable(key):
+            raise SerializationError(
+                f"{name} {getattr(key, '__qualname__', key)!r} is a "
+                f"callable; only a tuple of property names can be sent")
+        if key is not None:
+            record[name] = list(key)
+    return record
 
 
-def pgseg_query_from_wire(record: dict[str, Any]) -> "PgSegQuery":
-    """Inverse of :func:`pgseg_query_to_wire`."""
+def pgseg_query_from_wire(record: dict[str, Any],
+                          graph: "ProvenanceGraph | None" = None,
+                          ) -> "PgSegQuery":
+    """Inverse of :func:`pgseg_query_to_wire`; ownership boundary
+    predicates bind ``graph`` (the decoding side's own graph).
+
+    Raises:
+        SerializationError: on any malformed record.
+    """
+    from repro.segment.boundary import BoundaryCriteria
     from repro.segment.pgseg import PgSegQuery
 
     try:
+        boundaries = record.get("boundaries")
+        keys = {}
+        for name in _PGSEG_KEYS:
+            names = record.get(name)
+            if names is not None:
+                if not isinstance(names, list):
+                    raise TypeError(f"{name} is not a list")
+                keys[name] = tuple(names)
         return PgSegQuery(
             src=tuple(int(v) for v in record["src"]),
             dst=tuple(int(v) for v in record["dst"]),
+            boundaries=None if boundaries is None
+            else BoundaryCriteria.from_record(boundaries, graph),
             algorithm=str(record["algorithm"]),
             set_impl=str(record["set_impl"]),
             prune=bool(record["prune"]),
@@ -1221,10 +1237,62 @@ def pgseg_query_from_wire(record: dict[str, Any]) -> "PgSegQuery":
                 parse_edge_type(label)
                 for label in record["direct_edge_types"]
             ),
+            **keys,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError,
+            SegmentationError) as exc:
         raise SerializationError(
             f"malformed wire PgSeg query: {record!r}") from exc
+
+
+def query_call_to_wire(method: str, params: dict[str, Any],
+                       ) -> tuple[str, dict[str, Any]]:
+    """One domain read spec — ``("segment", {"query": PgSegQuery(...)})``
+    and the like — as the wire call every serving path sends.
+
+    Raises:
+        SerializationError: the query has no record
+            (:func:`pgseg_query_to_wire`).
+        ValueError: an unknown method (caller bug).
+    """
+    if method in ("lineage", "impacted"):
+        return method, {"entity": int(params["entity"]),
+                        "max_depth": params.get("max_depth")}
+    if method == "blame":
+        return method, {"entity": int(params["entity"])}
+    if method == "segment":
+        return method, {"query": pgseg_query_to_wire(params["query"])}
+    if method == "cypher":
+        return method, {"text": str(params["text"]),
+                        "budget": budget_to_wire(params.get("budget"))}
+    raise ValueError(f"unknown query method {method!r}")
+
+
+def query_call_from_wire(method: str, params: dict[str, Any],
+                         graph: "ProvenanceGraph",
+                         ) -> tuple[str, dict[str, Any]]:
+    """Inverse of :func:`query_call_to_wire`, bound to ``graph``.
+
+    Only the batchable read families decode; ``summarize`` and anything
+    else raise :class:`~repro.errors.SerializationError`.
+    """
+    if method in ("lineage", "impacted"):
+        spec: dict[str, Any] = {"entity": int(params["entity"])}
+        if params.get("max_depth") is not None:
+            spec["max_depth"] = int(params["max_depth"])
+        return method, spec
+    if method == "blame":
+        return method, {"entity": int(params["entity"])}
+    if method == "segment":
+        return method, {"query": pgseg_query_from_wire(params["query"],
+                                                       graph)}
+    if method == "cypher":
+        spec = {"text": str(params["text"])}
+        if params.get("budget") is not None:
+            spec["budget"] = budget_from_wire(params["budget"])
+        return method, spec
+    raise SerializationError(
+        f"method {method!r} is not servable on a client session")
 
 
 def budget_to_wire(budget: "Budget | None") -> dict[str, Any] | None:
@@ -1355,8 +1423,7 @@ def pgsum_query_to_wire(query: "PgSumQuery") -> dict[str, Any]:
 
     Fully declarative by construction
     (:class:`~repro.summarize.aggregation.PropertyAggregation` is plain
-    key sets), so — unlike PgSeg queries — every PgSum query is
-    wire-safe; only its *segments* can keep a summary leader-local.
+    key sets).
     """
     aggregation = query.aggregation
     return {

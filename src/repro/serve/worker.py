@@ -27,28 +27,34 @@ plus, once a socket transport packed it, its canonical JSON text — a
 hit over a socket copies that text, over the in-memory link it hands
 the value on, and neither encodes anything. Each entry's kind and
 footprint come from its handler (``ancestry`` for lineage/blame,
-``closure`` for impact, ``segment`` for PgSeg answers, ``global`` for
-CypherLite rows). Applying a batch never touches the cache: the batch
-lands in the store's delta log, which mirrors the leader's, and the
-next request revalidates the cache and every view once against the
-whole span since (:meth:`~repro.store.delta.ResultCache.revalidate`).
-A (re-)bootstrap clears everything: it crosses an unknown span, so
-nothing is provable (``docs/consistency.md`` §"Worker result cache
-(footprint retention)"). Budgeted CypherLite queries with a wall-clock
-timeout are never cached (their truncation point is nondeterministic).
+``closure`` for impact, ``segment`` for bare PgSeg answers, ``global``
+for bounded or keyed PgSeg answers — a boundary or key may read
+properties — and for CypherLite rows). Applying a batch never touches
+the cache: the batch lands in the store's delta log, which mirrors the
+leader's, and the next request revalidates the cache and every view
+once against the whole span since
+(:meth:`~repro.store.delta.ResultCache.revalidate`). A (re-)bootstrap
+clears everything: it crosses an unknown span, so nothing is provable
+(``docs/consistency.md`` §"Worker result cache (footprint retention)").
+Budgeted CypherLite queries with a wall-clock timeout are never cached
+(their truncation point is nondeterministic).
 
-**Materialized summary views.** A ``summarize`` request (wire-safe PgSeg
-queries + one PgSum query) is answered from a per-request materialized
-view: the worker keeps the merged summary *and* its input segments.
-Wire-safe segment membership is structure-only, and appends that leave
-every pre-existing vertex's out-row alone cannot move it (the
-``segment`` rule), so such a span leaves the cached segments valid —
+**Materialized summary views.** A ``summarize`` request (PgSeg queries +
+one PgSum query) is answered from a per-request materialized view: the
+worker keeps the merged summary *and* its input segments. Bare segment
+membership (:attr:`~repro.segment.pgseg.PgSegQuery.is_bare`) is
+structure-only, and appends that leave every pre-existing vertex's
+out-row alone cannot move it (the ``segment`` rule), so such a span
+leaves the cached segments valid —
 the view is **patched** by re-merging the summary from them
 (properties re-read through the live store) instead of re-deriving the
 segments; past a crossover of stale span records (mirroring
 :meth:`GraphSnapshot.advance`'s full-rebuild fallback) or after a span
-that could move membership the view is recomputed from scratch.
-Served/patched/recomputed counters ride every ``pong``.
+that could move membership the view is recomputed from scratch. A view
+over any non-bare query follows the ``global`` rule instead: any
+non-empty span drops it, and it is never patched, since a property
+write can move its membership. Served/patched/recomputed counters ride
+every ``pong``.
 
 Pong frames also carry a monotonic ``generation``: the pool passes its
 restart count on the worker command line, so cumulative-since-spawn
@@ -129,6 +135,7 @@ from repro.store.checkpoint import read_checkpoint
 from repro.store.delta import (
     ResultCache,
     SpanEffects,
+    entry_survives,
     segment_members_survive,
 )
 from repro.store.snapshot import GraphSnapshot, default_crossover
@@ -148,7 +155,7 @@ class _SummaryView:
 
     ``result`` is valid exactly at ``epoch``; ``horizon`` is the store's
     vertex capacity when the segments were derived. A span that leaves
-    the segments' membership alone (:func:`~repro.store.delta.
+    a bare view's membership alone (:func:`~repro.store.delta.
     segment_members_survive`) but writes a footprint property stales
     only the merged labels; the view then waits, accumulating
     ``stale_records``, until the next request patches it by re-merging
@@ -413,12 +420,13 @@ class ReplicaWorker:
 
         - membership may have moved (an old vertex's out-row changed, or
           a footprint activity adopted an entity — the ``segment``
-          rule): the view is dropped and the next request recomputes it
-          from scratch;
+          rule; for a view over a non-bare query, any non-empty span —
+          the ``global`` rule): the view is dropped and the next request
+          recomputes it from scratch;
         - otherwise, footprint-disjoint from the property writes: nothing
           the summary reads changed; the view stays current at the new
           epoch for free;
-        - otherwise: segment *membership* is still exact (wire-safe
+        - otherwise: segment *membership* is still exact (bare
           queries read no properties) but merged labels are stale; the
           view keeps its segments and waits for the next request to
           re-merge (lazy patching — no work for views nobody re-asks
@@ -426,8 +434,10 @@ class ReplicaWorker:
         """
         epoch = self.store.epoch
         for key, view in list(self._views.items()):
-            if not segment_members_survive(view.footprint, effects,
-                                           view.horizon):
+            bare = all(query.is_bare for query in view.queries)
+            if not (segment_members_survive(view.footprint, effects,
+                                            view.horizon) if bare
+                    else entry_survives("global", view.footprint, effects)):
                 del self._views[key]
             elif view.stale_records == 0 \
                     and view.footprint.isdisjoint(effects.prop_subjects):
@@ -584,7 +594,7 @@ class ReplicaWorker:
         views between them):
 
         - **current** (``epoch`` matches): served as-is;
-        - **stale** (property drift on the footprint): patched by
+        - **stale** (property drift on a bare view's footprint): patched by
           re-merging the summary from the cached segments — membership is
           still exact, and the merge re-reads properties through the live
           store — unless the pending span outgrew the crossover
@@ -633,7 +643,7 @@ class ReplicaWorker:
                          ) -> tuple[WireValue, list[PgSegQuery],
                                     PgSumQuery, list[Segment]]:
         """Evaluate one summarize request from scratch."""
-        queries = [pgseg_query_from_wire(record)
+        queries = [pgseg_query_from_wire(record, self.graph)
                    for record in params["queries"]]
         pgsum = pgsum_query_from_wire(params["pgsum"])
         self._armed_snapshot()          # arm the operator fast path
@@ -682,10 +692,11 @@ class ReplicaWorker:
 
     def _serve_segment(self, params: dict[str, Any],
                        ) -> tuple[dict[str, Any], str, frozenset[int]]:
-        query = pgseg_query_from_wire(params["query"])
+        query = pgseg_query_from_wire(params["query"], self.graph)
         self._armed_snapshot()          # arm the operator fast path
         segment = self._operator.evaluate(query)
-        return (segment_to_wire(segment), "segment",
+        return (segment_to_wire(segment),
+                "segment" if query.is_bare else "global",
                 frozenset(segment.vertices))
 
     def _serve_cypher(self, params: dict[str, Any],

@@ -226,7 +226,10 @@ class LifecycleSession:
         Results are memoized (for the default, boundary-free form) under
         the *resolved* entity ids, so a freshly recorded version misses
         the cache by key: repeated calls on an untouched store return the
-        same :class:`Segment` object.
+        same :class:`Segment` object. While the session serves, a
+        replica evaluates the query, so ``boundaries`` must be built from
+        the :mod:`repro.segment.boundary` factories; a bare callable
+        raises :class:`~repro.errors.SerializationError`.
         """
         dst = self._snapshot_id(artifact, version)
         src = tuple(

@@ -25,7 +25,7 @@ cluster replicates by — structural deltas (vertex/edge add/remove) go to
 *every* shard so each shard store keeps the leader's dense id space and
 exact topology, while property writes ship only to the subject's owner
 shard. That rule is what makes per-shard serving sound with zero store
-changes: wire-safe segment/lineage/impact/blame answers are structure-only
+changes: bare segment and lineage/impact/blame answers are structure-only
 (see ``docs/consistency.md``), so any shard answers them bit-identically,
 and the owner shard alone pays each property write.
 """

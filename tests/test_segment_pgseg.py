@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SegmentationError
+from repro.errors import SegmentationError, VertexNotFound
 from repro.model.types import VertexType
 from repro.segment.boundary import BoundaryCriteria
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment, segment
@@ -23,6 +23,61 @@ class TestQueryValidation:
         query = PgSegQuery(src=(paper["Alice"],), dst=(paper["weight-v2"],))
         with pytest.raises(SegmentationError):
             PgSegOperator(paper.graph).evaluate(query)
+
+    @pytest.mark.parametrize("algorithm", ["cflr", "simprov-tst"])
+    def test_keys_require_simprov_alg(self, paper, algorithm):
+        """A key is never silently dropped (cflr) nor deferred to a
+        solver error at evaluation (simprov-tst): the query refuses it."""
+        for key in (("name",), lambda entity: entity):
+            with pytest.raises(SegmentationError, match="simprov-alg"):
+                PgSegQuery(src=(paper["dataset-v1"],),
+                           dst=(paper["weight-v2"],), algorithm=algorithm,
+                           entity_key=key)
+
+    @pytest.mark.parametrize("key", [(), ("name", 3), "name", ["name"]])
+    def test_malformed_key_rejected(self, paper, key):
+        with pytest.raises(SegmentationError):
+            PgSegQuery(src=(paper["dataset-v1"],), dst=(paper["weight-v2"],),
+                       algorithm="simprov-alg", entity_key=key)
+
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_property_name_key_matches_callable(self, paper, snapshot):
+        graph = paper.graph
+        src, dst = (paper["dataset-v1"],), (paper["weight-v2"],)
+        by_names = PgSegQuery(src=src, dst=dst, algorithm="simprov-alg",
+                              entity_key=("name",))
+        by_callable = PgSegQuery(
+            src=src, dst=dst, algorithm="simprov-alg",
+            entity_key=lambda entity: (graph.vertex(entity).get("name"),))
+        operator = PgSegOperator(graph, snapshot=snapshot)
+        assert operator.evaluate(by_names).vertices \
+            == operator.evaluate(by_callable).vertices
+        assert not by_names.is_bare
+        assert PgSegQuery(src=src, dst=dst).is_bare
+
+
+class TestExpansionIds:
+    @pytest.mark.parametrize("snapshot", [False, True])
+    @pytest.mark.parametrize("vertex_id", [-1, 10 ** 6])
+    def test_unknown_ids_raise_vertex_not_found(self, paper, snapshot,
+                                                vertex_id):
+        """Live graph and armed snapshot agree: no wrap-around, no bare
+        IndexError."""
+        operator = PgSegOperator(paper.graph, snapshot=snapshot)
+        held = operator.evaluate(PgSegQuery(src=(paper["dataset-v1"],),
+                                            dst=(paper["weight-v2"],)))
+        with pytest.raises(VertexNotFound):
+            operator.adjust(held, BoundaryCriteria().expand((vertex_id,)))
+        with pytest.raises(VertexNotFound):
+            operator.evaluate(PgSegQuery(
+                src=(paper["dataset-v1"],), dst=(paper["weight-v2"],),
+                boundaries=BoundaryCriteria().expand((vertex_id,))))
+
+    @pytest.mark.parametrize("entities, k", [
+        (("3",), 1), ((1.0,), 1), ((True,), 1), ((1,), -1), ((1,), 1.5)])
+    def test_malformed_expansion_rejected(self, entities, k):
+        with pytest.raises(SegmentationError):
+            BoundaryCriteria().expand(entities, k=k)
 
 
 class TestRuleToggles:

@@ -35,7 +35,7 @@ from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve import wire
 from repro.serve.api import ServeConfig
 from repro.serve.cluster import ProvCluster
-from repro.serve.frontend import FrontendClient, _encode_client_call
+from repro.serve.frontend import FrontendClient
 from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 from repro.workloads.pd_generator import generate_pd_sized
 from faults import join_or_dump, open_fds
@@ -142,7 +142,7 @@ def run_all(targets, stop):
 def pipelined_order(client, specs):
     """Send ``specs`` as separate frames back to back; return the request
     ids in *arrival* order alongside the ids in request order."""
-    ids = [client.begin(*_encode_client_call(*spec)) for spec in specs]
+    ids = [client.begin(*wire.query_call_to_wire(*spec)) for spec in specs]
     arrived = []
     while len(arrived) < len(ids):
         frame = client.transport.recv(timeout=client.timeout)
@@ -208,7 +208,7 @@ def test_writer_readers_and_leader_side_calls_ungated():
                                     for pick, request_id in zip(picks, ids))
                     else:                      # one single frame
                         mine.append((at, client.query(
-                            *_encode_client_call(*stream[at]))))
+                            *wire.query_call_to_wire(*stream[at]))))
                     if load.written:
                         newest = load.written[-1]
                         fresh[index].append(

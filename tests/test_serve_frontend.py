@@ -26,9 +26,15 @@ from repro.errors import (
     ConfigError,
     Overloaded,
     ReplicaUnavailable,
+    SerializationError,
     VertexNotFound,
 )
 from repro.query.ops import blame, lineage
+from repro.segment.boundary import (
+    BoundaryCriteria,
+    owned_by,
+    property_not_equals,
+)
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve import wire
 from repro.serve.api import QuerySpec, ServeConfig, normalize_specs
@@ -223,22 +229,47 @@ class TestFrontendRoundTrip:
         assert results[1].vertices == lineage(graph, target).vertices
 
     def test_unsendable_spec_fails_alone(self, fe_cluster):
-        """A spec that cannot cross the wire gets its exception at its own
-        index; its siblings still ride the bundle and nothing leaks."""
+        """A spec that cannot cross the wire gets its typed
+        SerializationError at its own index; its siblings still ride the
+        bundle and nothing leaks."""
         example, cluster = fe_cluster
         graph = example.graph
         target = example["weight-v2"]
         keyed = PgSegQuery(src=(example["dataset-v1"],), dst=(target,),
+                           algorithm="simprov-alg",
                            activity_key=lambda activity: activity)
         with FrontendClient(cluster.frontend.address, graph=graph) as client:
             results = client.query_many([QuerySpec.lineage(target),
                                          QuerySpec.segment(keyed),
                                          QuerySpec.blame(target)])
             assert client._methods == {}
+            with pytest.raises(SerializationError, match="activity_key"):
+                client.segment(keyed)
         assert results[0].vertices == lineage(graph, target).vertices
-        assert isinstance(results[1], Exception)
-        assert "wire" in str(results[1])
+        assert isinstance(results[1], SerializationError)
+        assert "activity_key" in str(results[1])
         assert results[2] == blame(graph, target)
+
+    def test_bounded_and_keyed_segments_served(self, fe_cluster):
+        """A remote client's bounded and keyed queries are answered by a
+        worker, equal to the in-process operator's."""
+        example, cluster = fe_cluster
+        graph = example.graph
+        src, dst = (example["dataset-v1"],), (example["weight-v2"],)
+        queries = [
+            PgSegQuery(src=src, dst=dst, boundaries=BoundaryCriteria()
+                       .exclude_vertices(owned_by(graph, example["Alice"]))
+                       .expand(dst, k=1)),
+            PgSegQuery(src=src, dst=dst, algorithm="simprov-alg",
+                       entity_key=("name",)),
+        ]
+        with FrontendClient(cluster.frontend.address, graph=graph) as client:
+            served = client.query_many(
+                [QuerySpec.segment(query) for query in queries])
+        for query, segment in zip(queries, served):
+            expected = PgSegOperator(graph).evaluate(query)
+            assert segment.vertices == expected.vertices
+            assert segment.edge_ids == expected.edge_ids
 
     def test_single_request_error_raises_typed(self, fe_cluster):
         example, cluster = fe_cluster
@@ -716,29 +747,33 @@ class TestRawQueryMany:
         finally:
             cluster.close()
 
-    def test_raw_is_best_effort_in_process(self):
-        """In-process workers answer in wire form too, but a leader-local
-        fallback never crossed the wire, so raw consumers must accept
-        domain objects as well (the documented contract)."""
-        from repro.segment.boundary import BoundaryCriteria
-
+    def test_raw_in_process_covers_bounded_queries(self):
+        """In-process workers answer in wire form too — bounded segments
+        included, since every query crosses the link; one the codec
+        refuses is its own SerializationError entry."""
         example = build_paper_example()
         graph = example.graph
         target = example["weight-v2"]
         bounded = PgSegQuery(
             src=(example["dataset-v1"],), dst=(target,),
+            boundaries=BoundaryCriteria().exclude_vertices(
+                property_not_equals("command", "update")))
+        opaque = PgSegQuery(
+            src=(example["dataset-v1"],), dst=(target,),
             boundaries=BoundaryCriteria().exclude_vertices(lambda v: False))
         cluster = ProvCluster(graph, replicas=1)
         try:
-            walk, segment = cluster.query_many(
+            walk, segment, refused = cluster.query_many(
                 [("lineage", {"entity": target}),
-                 ("segment", {"query": bounded})], raw=True)
+                 ("segment", {"query": bounded}),
+                 ("segment", {"query": opaque})], raw=True)
             assert isinstance(walk, RawResult)
             assert wire.lineage_from_wire(walk.payload.value).vertices \
                 == lineage(graph, target).vertices
-            assert not isinstance(segment, RawResult)
-            assert segment.vertices \
-                == PgSegOperator(graph).evaluate(bounded).vertices
+            assert isinstance(segment, RawResult)
+            assert segment.payload.value == wire.segment_to_wire(
+                PgSegOperator(graph).evaluate(bounded))
+            assert isinstance(refused, SerializationError)
         finally:
             cluster.close()
 

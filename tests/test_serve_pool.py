@@ -23,12 +23,25 @@ from repro.errors import (
     VertexNotFound,
 )
 from repro.query.ops import blame, lineage
-from repro.segment.boundary import BoundaryCriteria
+from repro.model.types import EdgeType, VertexType
+from repro.segment.boundary import (
+    BoundaryCriteria,
+    exclude_edge_types,
+    exclude_vertex_types,
+    property_not_equals,
+)
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve.api import ServeConfig
 from repro.serve.cluster import ProvCluster, QueryRouter
 from repro.serve.pool import WorkerPool
 from repro.serve.transport import LineTransport
+from repro.serve.wire import (
+    pgseg_query_from_wire,
+    pgseg_query_to_wire,
+    psg_to_wire,
+    segment_to_wire,
+)
+from repro.summarize.pgsum import PgSumOperator, PgSumQuery
 from repro.workloads.lifecycle import build_paper_example
 from faults import break_checkpoint, open_fds, truncate_log
 
@@ -202,24 +215,32 @@ class TestWorkerPoolServing:
         assert cluster.lineage(out).vertices \
             == lineage(graph, out).vertices
 
-    def test_boundary_query_served_leader_local(self, oop_cluster):
+    def test_boundary_query_served_by_worker(self, oop_cluster):
         example, cluster = oop_cluster
         graph = example.graph
         roots = tuple(v for v in graph.entities()
                       if not graph.generating_activities(v))
         query = PgSegQuery(
             src=roots, dst=(example["weight-v2"],),
+            boundaries=BoundaryCriteria().exclude_vertices(
+                exclude_vertex_types(VertexType.AGENT)),
+        )
+        served_before = sum(r.queries_served for r in cluster.replicas)
+        routed = cluster.segment(query)
+        assert routed.vertices == PgSegOperator(graph).evaluate(query).vertices
+        assert sum(r.queries_served for r in cluster.replicas) \
+            == served_before + 1
+        # A predicate with no record is refused, never evaluated here.
+        opaque = PgSegQuery(
+            src=roots, dst=(example["weight-v2"],),
             boundaries=BoundaryCriteria().exclude_vertices(lambda v: True),
         )
-        routed = cluster.segment(query)
-        local = PgSegOperator(graph).evaluate(query)
-        assert routed.vertices == local.vertices
-        assert sum(r.local_fallbacks for r in cluster.replicas) >= 1
+        with pytest.raises(SerializationError, match="lambda"):
+            cluster.segment(opaque)
 
-    def test_mixed_summary_served_wholly_leader_local(self, oop_cluster):
-        """A summary with one non-wire query must not merge worker-epoch
-        segments with leader-epoch segments (states that never coexisted);
-        the whole summary is evaluated leader-local instead."""
+    def test_mixed_summary_served_by_one_worker(self, oop_cluster):
+        """A summary mixing plain and bounded queries is one ``summarize``
+        request to one worker: every segment from one replayed epoch."""
         example, cluster = oop_cluster
         graph = example.graph
         roots = tuple(v for v in graph.entities()
@@ -227,13 +248,18 @@ class TestWorkerPoolServing:
         plain = PgSegQuery(src=roots, dst=(example["weight-v2"],))
         bounded = PgSegQuery(
             src=roots, dst=(example["weight-v3"],),
-            boundaries=BoundaryCriteria().exclude_vertices(lambda v: True),
+            boundaries=BoundaryCriteria().exclude_vertices(
+                property_not_equals("command", "update")),
         )
         served_before = [r.queries_served for r in cluster.replicas]
         psg = cluster.summarize([plain, bounded])
-        assert psg.segment_count == 2
-        # No segment of the mixed summary was routed to a worker.
-        assert [r.queries_served for r in cluster.replicas] == served_before
+        operator = PgSegOperator(graph)
+        assert psg_to_wire(psg) == psg_to_wire(PgSumOperator(
+            [operator.evaluate(plain), operator.evaluate(bounded)]).evaluate(
+                PgSumQuery()))
+        grown = [after - before for after, before in zip(
+            [r.queries_served for r in cluster.replicas], served_before)]
+        assert sorted(grown) == [0, 2]
 
     def test_kill_mid_run_loses_no_queries(self, oop_cluster):
         """The acceptance criterion: kill -> routed retry -> re-sync."""
@@ -293,15 +319,16 @@ class TestWorkerPoolServing:
         assert all(r.alive() for r in cluster.replicas)
 
     def test_mixed_summary_honors_unsatisfiable_stamp(self, oop_cluster):
-        """The leader-local summary fallback must not bypass stamp
-        validation: a stamp from the future raises like the routed path."""
+        """A bounded summary is routed like any other: a stamp from the
+        future raises, never silently serves."""
         example, cluster = oop_cluster
         graph = example.graph
         roots = tuple(v for v in graph.entities()
                       if not graph.generating_activities(v))
         bounded = PgSegQuery(
             src=roots, dst=(example["weight-v2"],),
-            boundaries=BoundaryCriteria().exclude_vertices(lambda v: True),
+            boundaries=BoundaryCriteria().exclude_edges(
+                exclude_edge_types(EdgeType.WAS_DERIVED_FROM)),
         )
         with pytest.raises(ValueError, match="ahead of the leader"):
             cluster.summarize([bounded],
@@ -375,6 +402,26 @@ class TestPipelinedClient:
         assert isinstance(results[1], VertexNotFound)
         assert results[2] == [{"col0": target}]
         assert client.bundles_sent >= 1
+
+    def test_bundle_isolates_malformed_query(self, single_worker_pool):
+        """A bounded query whose record does not decode gets one
+        SerializationError record; its bundle sibling is still served."""
+        example, pool = single_worker_pool
+        client = pool.clients[0]
+        target = example["weight-v2"]
+        good = pgseg_query_to_wire(PgSegQuery(
+            src=(example["dataset-v1"],), dst=(target,),
+            boundaries=BoundaryCriteria().expand((target,), k=1)))
+        bad = dict(good, boundaries={
+            "vertex_filters": [{"predicate": "no_such_predicate"}],
+            "edge_filters": [], "expansions": []})
+        bad_id, good_id = client._send_calls(
+            [("segment", {"query": bad}), ("segment", {"query": good})])
+        ok, error = client._await(bad_id)
+        assert not ok and error["type"] == "SerializationError"
+        ok, payload = client._await(good_id)
+        assert ok and payload.value == segment_to_wire(
+            PgSegOperator(example.graph).evaluate(pgseg_query_from_wire(good)))
 
     def test_late_response_dropped_not_fatal(self, single_worker_pool):
         """Satellite regression: a response arriving after its request

@@ -1,5 +1,7 @@
 """Round-trip guarantees of the replication wire format."""
 
+import json
+
 import pytest
 
 from repro.errors import (
@@ -11,6 +13,11 @@ from repro.model.types import EdgeType, VertexType
 from repro.query.cypherlite import Budget
 from repro.query.ops import blame, lineage
 from repro.query.paths import Path, Step
+from repro.segment.boundary import (
+    BoundaryCriteria,
+    exclude_edge_types,
+    owned_by,
+)
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve.wire import (
     blame_from_wire,
@@ -270,18 +277,47 @@ class TestQueryCodecs:
         assert pgseg_query_from_wire(pgseg_query_to_wire(query)) == query
 
     def test_boundary_and_key_queries_refused(self):
-        from repro.segment.boundary import BoundaryCriteria
-
+        """Only callables with no record are refused, by name."""
         bounded = PgSegQuery(
             src=(0,), dst=(1,),
             boundaries=BoundaryCriteria().exclude_vertices(lambda v: v != 2),
         )
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError, match="lambda"):
             pgseg_query_to_wire(bounded)
         keyed = PgSegQuery(src=(0,), dst=(1,), algorithm="simprov-alg",
                            activity_key=lambda a: a)
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError, match="activity_key"):
             pgseg_query_to_wire(keyed)
+
+    def test_plain_query_record_has_no_optional_fields(self):
+        """Plain queries encode exactly as before the optional fields."""
+        record = pgseg_query_to_wire(PgSegQuery(src=(0,), dst=(2,)))
+        assert json.dumps(record, sort_keys=True) == (
+            '{"algorithm": "simprov-tst", "direct_edge_types": ["D", "G", '
+            '"U"], "dst": [2], "include_agents": true, "include_direct": '
+            'true, "include_siblings": true, "include_similar": true, '
+            '"prune": true, "set_impl": "set", "src": [0]}')
+
+    def test_bounded_and_keyed_queries_round_trip(self, paper):
+        graph = paper.graph
+        query = PgSegQuery(
+            src=(paper["dataset-v1"],), dst=(paper["weight-v2"],),
+            algorithm="simprov-alg", activity_key=("command",),
+            entity_key=("name", "version"),
+            boundaries=BoundaryCriteria()
+            .exclude_edges(exclude_edge_types(EdgeType.WAS_ATTRIBUTED_TO))
+            .exclude_vertices(owned_by(graph, paper["Alice"]))
+            .expand((paper["weight-v2"],), k=2))
+        record = json.loads(json.dumps(pgseg_query_to_wire(query)))
+        assert record["entity_key"] == ["name", "version"]
+        decoded = pgseg_query_from_wire(record, graph)
+        assert decoded == query
+        assert PgSegOperator(graph).evaluate(decoded).vertices \
+            == PgSegOperator(graph).evaluate(query).vertices
+        # Ownership binds the decoding side's graph; without one the
+        # record is refused, typed.
+        with pytest.raises(SerializationError, match="owned_by needs a graph"):
+            pgseg_query_from_wire(record)
 
     def test_budget_round_trips(self):
         budget = Budget(timeout_seconds=None, max_expansions=10, max_rows=5)

@@ -42,6 +42,12 @@ from repro.errors import ReplicaUnavailable
 from repro.model.types import EdgeType, VertexType
 from repro.query.cypherlite import run_query
 from repro.query.ops import blame, impacted, lineage
+from repro.segment.boundary import (
+    BoundaryCriteria,
+    exclude_edge_types,
+    property_equals,
+    property_not_equals,
+)
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve.cluster import ProvCluster
 from repro.serve.pool import WorkerPool
@@ -126,13 +132,13 @@ def _expected(graph, method, params):
         return blame_to_wire(blame(graph, int(params["entity"])))
     if method == "segment":
         return segment_to_wire(PgSegOperator(graph).evaluate(
-            pgseg_query_from_wire(params["query"])))
+            pgseg_query_from_wire(params["query"], graph)))
     if method == "cypher":
         return rows_to_wire(run_query(
             graph, str(params["text"]),
             budget_from_wire(params.get("budget"))))
     assert method == "summarize"
-    queries = [pgseg_query_from_wire(record)
+    queries = [pgseg_query_from_wire(record, graph)
                for record in params["queries"]]
     pgsum = pgsum_query_from_wire(params["pgsum"])
     segments = [PgSegOperator(graph).evaluate(query) for query in queries]
@@ -290,7 +296,10 @@ def _mutate_old_source(rng, graph, counter):
 def _fixed_tiles(rng, graph):
     """One dashboard's tiles, fixed for a whole run: full and depth-2
     lineage, impact and blame of three derived entities, their segments
-    under both SimProv solvers, and one summary."""
+    under both SimProv solvers, a Q1-shaped bounded segment (no ``A`` /
+    ``D`` edges, two activities expanded), a property-filtered and a
+    keyed segment (both read properties the schedule writes), and one
+    summary."""
     entities = sorted(graph.entities())
     roots = tuple(e for e in entities if not graph.generating_activities(e))
     targets = rng.sample(
@@ -305,6 +314,19 @@ def _fixed_tiles(rng, graph):
         for dst in targets[:2]:
             tiles.append(("segment", {"query": pgseg_query_to_wire(
                 PgSegQuery(src=roots, dst=(dst,), algorithm=algorithm))}))
+    first, second = targets[:2]
+    for query in (
+            PgSegQuery(src=roots, dst=(first,), boundaries=BoundaryCriteria()
+                       .exclude_edges(exclude_edge_types(
+                           EdgeType.WAS_ATTRIBUTED_TO,
+                           EdgeType.WAS_DERIVED_FROM))
+                       .expand((first,), k=2)),
+            PgSegQuery(src=roots, dst=(second,), boundaries=BoundaryCriteria()
+                       .exclude_vertices(property_not_equals("command", "update"))
+                       .exclude_vertices(property_equals("note", None))),
+            PgSegQuery(src=roots, dst=(second,), algorithm="simprov-alg",
+                       activity_key=("command",), entity_key=("note",))):
+        tiles.append(("segment", {"query": pgseg_query_to_wire(query)}))
     tiles.append(("summarize", {
         "queries": [pgseg_query_to_wire(PgSegQuery(src=roots, dst=(dst,)))
                     for dst in targets[1:]],
@@ -758,6 +780,41 @@ class TestViewLifecycle:
             graph.was_attributed_to(example["weight-v2"], example["Bob"])
             harness.ship()
             check(served=1, recomputed=4)
+        finally:
+            harness.close()
+
+    def test_property_write_outside_footprint_moves_bounded_members(self):
+        """A bounded query's membership reads properties: a write on a
+        vertex outside every segment can pull it across a
+        ``property_not_equals`` filter. Its view is dropped on any
+        non-empty span (never patched, never carried forward), and its
+        cached segment too, so both answers still equal a recompute."""
+        example = build_paper_example()
+        graph = example.graph
+        harness = _Harness(graph)
+        worker = harness.worker
+        try:
+            roots = tuple(v for v in graph.entities()
+                          if not graph.generating_activities(v))
+            bounded = pgseg_query_to_wire(PgSegQuery(
+                src=roots, dst=(example["weight-v2"],),
+                boundaries=BoundaryCriteria().exclude_vertices(
+                    property_not_equals("command", "update"))))
+            params = self._summarize_params(graph, example)
+            params["queries"].append(bounded)
+            harness.serve("summarize", params)
+            before = harness.serve("segment", {"query": bounded})
+            assert example["update-v2"] not in before["vertices"]
+            graph.store.set_vertex_property(
+                example["update-v2"], "command", "refine")
+            harness.ship()
+            after = harness.serve("segment", {"query": bounded})
+            assert example["update-v2"] in after["vertices"]
+            assert after == _expected(graph, "segment", {"query": bounded})
+            assert harness.serve("summarize", params) \
+                == _expected(graph, "summarize", params)
+            assert worker.views_recomputed == 2
+            assert worker.views_patched == 0 and worker.views_served == 0
         finally:
             harness.close()
 
