@@ -22,7 +22,7 @@ destinations, relabelled to dense local ids.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable
 
@@ -59,6 +59,7 @@ class ProvAdjacency:
     activity_ids: list[int]
     edge_total_g: int
     edge_total_u: int
+    _monotone: bool | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, graph: ProvenanceGraph,
@@ -128,12 +129,22 @@ class ProvAdjacency:
         """True when the id survived the filters."""
         return 0 <= vertex_id < self.n and self.orders[vertex_id] >= 0
 
+    @property
+    def monotone(self) -> bool:
+        """:attr:`AncestryArrays.monotone` of these lists (computed once)."""
+        if self._monotone is None:
+            self._monotone = self.arrays().monotone
+        return self._monotone
+
     def arrays(self) -> "AncestryArrays":
         """The forward relations converted to CSR rows (O(V+E))."""
-        return AncestryArrays(
-            self.n, np.asarray(self.orders, dtype=np.int64),
-            _rows_to_csr(self.gen_acts), _rows_to_csr(self.used_ents),
-        )
+        orders = np.asarray(self.orders, dtype=np.int64)
+        gen = _rows_to_csr(self.gen_acts)
+        used = _rows_to_csr(self.used_ents)
+        monotone = self._monotone
+        if monotone is None:
+            monotone = self._monotone = order_monotone(orders, gen, used)
+        return AncestryArrays(self.n, orders, gen, used, monotone)
 
 
 def _rows_to_csr(rows: list[list[int]]) -> CsrAdjacency:
@@ -144,6 +155,22 @@ def _rows_to_csr(rows: list[list[int]]) -> CsrAdjacency:
     indices = np.fromiter(chain.from_iterable(rows), np.int64,
                           int(indptr[-1]))
     return CsrAdjacency(indptr, indices)
+
+
+def order_monotone(orders: np.ndarray, gen: CsrAdjacency,
+                   used: CsrAdjacency) -> bool:
+    """True when every G and U edge points to a strictly older vertex.
+
+    One comparison over each relation's edge list. On such ancestry every
+    descent from a vertex only meets older vertices: there are no cycles,
+    and nothing older than a vertex can lead back to it.
+    """
+    for rows in (gen, used):
+        sources = np.repeat(np.arange(len(rows.indptr) - 1),
+                            np.diff(rows.indptr))
+        if not np.all(orders[rows.indices] < orders[sources]):
+            return False
+    return True
 
 
 def edges_to_csr(src: np.ndarray, dst: np.ndarray, n: int) -> CsrAdjacency:
@@ -185,12 +212,17 @@ class AncestryArrays:
         orders: creation ordinal per vertex id (-1 for excluded/dead ids).
         gen: rows following G (entity -> generating activities).
         used: rows following U (activity -> used entities).
+        monotone: every G / U edge points to a strictly older vertex
+            (:func:`order_monotone`). The SimProv early-stop rule is only
+            sound on such arrays, and SimProvTst's depth-set kernel needs
+            them.
     """
 
     n: int
     orders: np.ndarray
     gen: CsrAdjacency
     used: CsrAdjacency
+    monotone: bool
 
     def is_live(self, vertex_id: int) -> bool:
         """True when the id survived the filters."""
@@ -223,19 +255,30 @@ class AncestryCone:
 
     Discovered one breadth-first level per :meth:`grow` over ``(vertex,
     depth parity)`` states — even depths expand through G, odd depths
-    through U, exactly the steps SimProvTst's layers take — so level ``t``
-    is in place before the solver's ``t``-th half-layer needs it, and a
-    query that stops early never pays for the ancestry it did not reach.
-    Local ids are handed out in discovery order: a vertex at BFS distance
-    ``t`` has a local id below the cone size after ``t`` levels. SimProvTst
-    grows one cone per destination; SimProvAlg grows one from all of Vdst
-    (:meth:`grow_all`), because its pair tables are shared across them.
+    through U, exactly the steps SimProvTst's layers take — so a query
+    that stops early never pays for ancestry it did not reach. Local ids
+    are handed out in discovery order. SimProvTst grows one cone per
+    destination; SimProvAlg grows one from all of Vdst (:meth:`grow_all`),
+    because its pair tables are shared across them.
+
+    **Bounded growth.** On monotone arrays
+    (:attr:`AncestryArrays.monotone`) nothing older than a vertex leads
+    back to it, so the vertices at or above the oldest Vsrc entity's order
+    — the only ones that can match — are all discovered once no frontier
+    vertex is that young (:meth:`grow_all` with ``min_order``), and the
+    early-stop depth ``S`` can be read off that part alone. SimProvTst
+    then grows on to ``2S - 1`` levels — the cone its layers up to ``S``
+    can reach — and no farther. The first step never overshoots the
+    second: a vertex at or above the oldest source's order sits at a depth
+    below ``S``, hence within ``2S - 2`` levels. On the Pd graphs the bound
+    keeps a late-Vsrc query's cone a small fraction of the full one.
 
     Each level costs a handful of numpy calls (a ragged CSR gather plus
     appends) sized by the level; one ``n``-sized id map and two ``n``-byte
     masks are allocated per cone.
 
     Attributes:
+        size: number of vertices discovered so far.
         ids: global vertex id per local id.
         orders: creation ordinal per local id.
         g_src / g_dst: local endpoints of every G edge gathered so far.
@@ -248,53 +291,76 @@ class AncestryCone:
                       np.zeros(arrays.n, dtype=bool))
         self._frontier = np.atleast_1d(np.asarray(roots, dtype=np.int64))
         self._seen[0][self._frontier] = True
-        self._local_of = np.empty(arrays.n, dtype=np.int64)
+        self._local_of = np.full(arrays.n, -1, dtype=np.int64)
         self._local_of[self._frontier] = np.arange(len(self._frontier))
-        self._parity = 0
-        self.ids = self._frontier
-        self.orders = arrays.orders[self.ids]
-        empty = np.empty(0, dtype=np.int64)
-        self.g_src = self.g_dst = self.u_src = self.u_dst = empty
+        self._stamp = np.empty(arrays.n, dtype=np.int64)
+        self._level = 0
+        self.size = len(self._frontier)
+        # Grown a level at a time, joined when read.
+        self._parts: dict[str, list[np.ndarray]] = {
+            "ids": [self._frontier],
+            "orders": [arrays.orders[self._frontier]],
+            "g_src": [], "g_dst": [], "u_src": [], "u_dst": [],
+        }
 
-    @property
-    def size(self) -> int:
-        """Number of vertices discovered so far."""
-        return len(self.ids)
+    def _joined(self, name: str) -> np.ndarray:
+        parts = self._parts[name]
+        if len(parts) != 1:
+            parts[:] = [np.concatenate(parts) if parts
+                        else np.empty(0, dtype=np.int64)]
+        return parts[0]
+
+    ids = property(lambda self: self._joined("ids"))
+    orders = property(lambda self: self._joined("orders"))
+    g_src = property(lambda self: self._joined("g_src"))
+    g_dst = property(lambda self: self._joined("g_dst"))
+    u_src = property(lambda self: self._joined("u_src"))
+    u_dst = property(lambda self: self._joined("u_dst"))
 
     def grow(self) -> bool:
-        """Discover the next level; True when the cone gained a vertex."""
-        frontier = self._frontier
-        if not frontier.size:
-            return False
-        parity = self._parity
-        targets, counts = gather_rows(
-            self._arrays.used if parity else self._arrays.gen, frontier)
+        """Expand the next level; True while there is more to grow."""
+        if self._frontier.size:
+            self._frontier = self._expand(self._frontier, self._level & 1)
+            self._level += 1
+        return bool(self._frontier.size)
 
-        seen_here, seen_next = self._seen[parity], self._seen[parity ^ 1]
-        self._frontier = np.unique(targets[~seen_next[targets]])
-        seen_next[self._frontier] = True
-        new = self._frontier[~seen_here[self._frontier]]
-        self._local_of[new] = np.arange(self.size, self.size + len(new))
-        self.ids = np.concatenate([self.ids, new])
-        self.orders = np.concatenate([self.orders, self._arrays.orders[new]])
-
-        src = np.repeat(self._local_of[frontier], counts)
-        dst = self._local_of[targets]
-        if parity:
-            self.u_src = np.concatenate([self.u_src, src])
-            self.u_dst = np.concatenate([self.u_dst, dst])
-        else:
-            self.g_src = np.concatenate([self.g_src, src])
-            self.g_dst = np.concatenate([self.g_dst, dst])
-        self._parity = parity ^ 1
-        return bool(len(new))
-
-    def grow_all(self) -> None:
-        """Discover every remaining level."""
-        while self._frontier.size:
+    def grow_all(self, levels: int | None = None,
+                 min_order: int | None = None) -> None:
+        """Grow until the frontier is empty or ``levels`` levels are done
+        — or, given ``min_order``, holds no vertex that young."""
+        arrays = self._arrays
+        while self._frontier.size and (levels is None
+                                       or self._level < levels):
+            if min_order is not None \
+                    and arrays.orders[self._frontier].max() < min_order:
+                return
             self.grow()
+
+    def _expand(self, frontier: np.ndarray, parity: int) -> np.ndarray:
+        """Gather the rows of ``frontier``'s states; the next frontier."""
+        arrays = self._arrays
+        targets, counts = gather_rows(arrays.used if parity else arrays.gen,
+                                      frontier)
+        seen_next = self._seen[parity ^ 1]
+        candidates = targets[~seen_next[targets]]
+        # Drop repeats without sorting: the last write of each id wins.
+        rank = np.arange(len(candidates))
+        self._stamp[candidates] = rank
+        next_frontier = candidates[self._stamp[candidates] == rank]
+        seen_next[next_frontier] = True
+        new = next_frontier[self._local_of[next_frontier] < 0]
+        self._local_of[new] = np.arange(self.size, self.size + len(new))
+        self.size += len(new)
+        parts = self._parts
+        parts["ids"].append(new)
+        parts["orders"].append(arrays.orders[new])
+        side = "u" if parity else "g"
+        parts[side + "_src"].append(np.repeat(self._local_of[frontier],
+                                              counts))
+        parts[side + "_dst"].append(self._local_of[targets])
+        return next_frontier
 
     def locate(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Local ids of those ``vertex_ids`` discovered so far."""
-        known = self._seen[0][vertex_ids] | self._seen[1][vertex_ids]
-        return self._local_of[vertex_ids[known]]
+        local = self._local_of[vertex_ids]
+        return local[local >= 0]

@@ -15,7 +15,11 @@ which SimProvAlg exploits three ways (Sec. III.B.2):
 - **Early stopping** — the provenance graph is temporal: expanding a fact
   only reaches vertices *older* than the fact's components, so a pair whose
   components are both older than every Vsrc entity can never contribute to
-  an answer and is pruned (the Fig. 5(d) experiment).
+  an answer and is pruned (the Fig. 5(d) experiment). That premise holds
+  only on monotone ancestry (:attr:`AncestryArrays.monotone`: every G / U
+  edge points to a strictly older vertex); on any other graph — a cycle,
+  an ill-typed edge, an old activity using a newer entity — ``prune`` is
+  a no-op, in both kernels alike.
 
 The optional ``activity_key``/``entity_key`` functions implement the paper's
 property-constrained generalization (e.g. "matched activities on both sides
@@ -279,7 +283,8 @@ class SimProvAlg:
         set_impl: ``"set"`` (default, the array kernel), or ``"bitset"`` /
             ``"roaring"`` (the Cbm variant: the per-element worklist over
             compressed pair tables).
-        prune: enable the early-stopping rule.
+        prune: enable the early-stopping rule (a no-op unless the
+            traversed ancestry is monotone).
         activity_key / entity_key: property-constrained similarity keys;
             the array kernel calls each once per cone vertex.
         adjacency: pre-built :class:`ProvAdjacency` to reuse across queries.
@@ -320,7 +325,7 @@ class SimProvAlg:
         self._set_impl = set_impl
         self._adj = solver_adjacency(graph, snapshot, adjacency, vertex_ok,
                                      edge_ok, as_arrays=set_impl == "set")
-        self._prune = prune
+        self._prune = prune and self._adj.monotone
         self._activity_key = activity_key
         self._entity_key = entity_key
         self._max_steps = max_steps

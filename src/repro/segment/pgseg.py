@@ -53,7 +53,10 @@ class PgSegQuery:
         boundaries: boundary criteria; None means unbounded.
         algorithm: VC2 solver (``simprov-tst`` | ``simprov-alg`` | ``cflr``).
         set_impl: fact-set implementation for the solvers.
-        prune: enable early stopping in the SimProv solvers.
+        prune: enable early stopping in the SimProv solvers. A no-op
+            when the graph's ancestry is not order-monotone (a cycle, an
+            ill-typed edge, an old activity using a newer entity), where
+            early stop could drop answers.
         activity_key / entity_key: property-constrained similarity;
             requires ``algorithm="simprov-alg"``. A tuple of property
             names keys each vertex by its tuple of those values (the

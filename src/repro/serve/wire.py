@@ -418,30 +418,6 @@ def welcome_wire_format(record: dict[str, Any]) -> str | None:
     return None if wire is None else str(wire)
 
 
-def shard_map_to_wire(shard_map) -> dict[str, Any]:
-    """A :class:`~repro.store.sharding.ShardMap` as a frame.
-
-    New frame kind under ``repro-wire-v1`` (additive: peers answer
-    unknown kinds with an event frame). The versioned map record rides
-    under ``"map"`` so the frame's ``format`` tag and the map's own
-    persistence format tag stay distinct.
-    """
-    return {"kind": "shard_map", "format": WIRE_FORMAT,
-            "map": shard_map.to_record()}
-
-
-def shard_map_from_wire(record: dict[str, Any]):
-    """Decode a shard-map frame back into a ``ShardMap`` (round-trip exact)."""
-    from repro.store.sharding import ShardMap
-
-    _expect_kind(record, "shard_map")
-    try:
-        return ShardMap.from_record(dict(record["map"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SerializationError(
-            f"malformed shard_map frame: {record!r}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Answers: one value, one canonical text
 # ---------------------------------------------------------------------------

@@ -237,6 +237,7 @@ class GraphSnapshot(_CsrSnapshot):
         self._out_edge_lists: dict[EdgeType, list[list[int]]] = {}
         self._in_edge_lists: dict[EdgeType, list[list[int]]] = {}
         self._prov_adjacency: "ProvAdjacency | None" = None
+        self._ancestry_monotone: bool | None = None
 
     # ------------------------------------------------------------------
     # Freshness
@@ -438,6 +439,8 @@ class GraphSnapshot(_CsrSnapshot):
                                       add_dst, add_src, add_eid, removed)
         new.forward = forward
         new.backward = backward
+        # Derived from the patched CSR on first use, not here.
+        new._ancestry_monotone = None
 
         # -- cached list views (patched only where materialized) ------
         new._out_lists = {}
@@ -905,17 +908,22 @@ class GraphSnapshot(_CsrSnapshot):
 
         Unfiltered, this is an O(1) *borrow* of the forward CSR the
         snapshot already owns (and :meth:`advance` already patches) —
-        read-only, never cached, never built inside ``advance``. With
-        boundary predicates the same rows are masked: one predicate call
-        per live vertex and per ancestry edge between allowed endpoints,
-        then a numpy compress.
+        read-only, never built inside ``advance``. Its ``monotone`` flag
+        (one comparison over the ancestry edges) is computed on the first
+        borrow and cached on the snapshot. With boundary predicates the
+        same rows are masked: one predicate call per live vertex and per
+        ancestry edge between allowed endpoints, then a numpy compress.
         """
-        from repro.cfl.adjacency import AncestryArrays
+        from repro.cfl.adjacency import AncestryArrays, order_monotone
 
         gen = self.forward[EdgeType.WAS_GENERATED_BY]
         used = self.forward[EdgeType.USED]
         if vertex_ok is None and edge_ok is None:
-            return AncestryArrays(self.n, self.orders, gen, used)
+            if self._ancestry_monotone is None:
+                self._ancestry_monotone = order_monotone(self.orders, gen,
+                                                         used)
+            return AncestryArrays(self.n, self.orders, gen, used,
+                                  self._ancestry_monotone)
 
         allowed = self.vertex_codes >= 0
         if vertex_ok is not None:
@@ -938,8 +946,10 @@ class GraphSnapshot(_CsrSnapshot):
                       out=indptr[1:])
             return CsrAdjacency(indptr, csr.indices[keep])
 
-        return AncestryArrays(self.n, np.where(allowed, self.orders, -1),
-                              masked(gen), masked(used))
+        orders = np.where(allowed, self.orders, -1)
+        gen, used = masked(gen), masked(used)
+        return AncestryArrays(self.n, orders, gen, used,
+                              order_monotone(orders, gen, used))
 
     # ------------------------------------------------------------------
 

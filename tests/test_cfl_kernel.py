@@ -1,13 +1,15 @@
 """The SimProv array kernels vs the per-element loops and the naive oracle.
 
-``set_impl="set"`` runs SimProvTst's frontiers as numpy scatter/gathers and
-SimProvAlg's worklist as level-synchronous pair arrays, both over the
-destinations' ancestry cone; ``"bitset"`` keeps the per-element loops the
-kernels replaced. On random small PROV graphs — creation order unrelated
-to ancestry, ancestry cycles, dead ids, boundary filters — the two must
+``set_impl="set"`` runs SimProvTst as per-vertex depth sets on monotone
+ancestry and as numpy layer scatter/gathers elsewhere, and SimProvAlg's
+worklist as level-synchronous pair arrays, all over the destinations'
+ancestry cone; ``"bitset"`` keeps the per-element loops the kernels
+replaced. On random small PROV graphs — creation order unrelated to
+ancestry, ancestry cycles, dead ids, boundary filters — the two must
 return the same sets *and* the same work counters, whichever way the kernel
 is fed: from the live graph, from a fresh :class:`GraphSnapshot`, or from a
 snapshot patched forward by ``advance`` across append and removal spans.
+Early stop must never change an answer, whatever the graph's shape.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cfl import simprov_tst
 from repro.cfl.adjacency import AncestryCone
 from repro.cfl.grammar import simprov_normal_form
 from repro.cfl.reference import naive_cflr
@@ -24,6 +27,7 @@ from repro.cfl.simprov_tst import SimProvTst
 from repro.errors import CycleError, QueryTimeout
 from repro.model.graph import ProvenanceGraph
 from repro.model.types import EdgeType, VertexType
+from repro.segment.pgseg import CATEGORY_SIMILAR, PgSegOperator, PgSegQuery
 from repro.store.snapshot import GraphSnapshot
 from repro.store.store import PropertyGraphStore
 from repro.workloads.pd_generator import generate_pd_sized
@@ -302,22 +306,30 @@ class TestKernelEdgeCases:
                 assert outcome(result) == (set(), set(), set(), set(),
                                            (0, 0, 0, 0))
 
-    def test_cone_stops_growing_where_the_solver_stops(self):
-        """Early stop must not pay for ancestry it never reached."""
+    def test_cone_stops_growing_where_the_solver_stops(self, monkeypatch):
+        """Early stop must not pay for ancestry it never reached: the cone
+        the solver itself grows for a late Vsrc stays a fraction of the
+        destination's whole cone."""
         instance = generate_pd_sized(600, seed=11)
         src, dst = instance.query_at_percentile(99)
         snapshot = GraphSnapshot(instance.graph)
         arrays = snapshot.ancestry_arrays()
+        assert arrays.monotone
         full = AncestryCone(arrays, dst[0])
-        while full.grow():
-            pass
+        full.grow_all()
+        grown: list[AncestryCone] = []
+
+        class RecordedCone(AncestryCone):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grown.append(self)
+
+        monkeypatch.setattr(simprov_tst, "AncestryCone", RecordedCone)
         stats = SimProvTst(instance.graph, src, dst[:1],
                            snapshot=snapshot).solve().stats
         assert stats.pruned == 1
-        lazy = AncestryCone(arrays, dst[0])
-        for _ in range(2 * stats.worklist_pops):
-            lazy.grow()
-        assert lazy.size < full.size // 4
+        [cone] = grown
+        assert cone.size < full.size // 4
 
     def test_unfiltered_arrays_borrow_the_snapshot_csr(self, pd_small):
         snapshot = GraphSnapshot(pd_small.graph)
@@ -337,6 +349,161 @@ class TestKernelEdgeCases:
             with pytest.raises(QueryTimeout):
                 solver(pd_small.graph, src, dst, timeout_seconds=0.0,
                        snapshot=GraphSnapshot(pd_small.graph)).solve()
+
+
+def non_monotone_graph():
+    """``a_old`` predates ``s`` yet descends to it: a_old used e_new,
+    generated by a_new, which used s. ``dst`` was generated by a_old."""
+    g = ProvenanceGraph()
+    a_old = g.add_activity()
+    s = g.add_entity()
+    a_new = g.add_activity()
+    g.used(a_new, s)
+    e_new = g.add_entity()
+    g.was_generated_by(e_new, a_new)
+    g.used(a_old, e_new)
+    dst = g.add_entity()
+    g.was_generated_by(dst, a_old)
+    return g, s, dst
+
+
+class TestEarlyStopSoundness:
+    def test_old_activity_using_a_newer_entity_keeps_its_answers(self):
+        """Bugfix: the first activity layer {a_old} predates Vsrc, and
+        early stop used to end the descent there — both solvers, both
+        kernels returned nothing, and PgSeg lost every C2 tag."""
+        g, s, dst = non_monotone_graph()
+        snapshot = GraphSnapshot(g)
+        assert not snapshot.ancestry_arrays().monotone
+        expected = {record.vertex_id for record in g.store.vertices()}
+        for solver in (SimProvTst, SimProvAlg):
+            for impl in ("set", "bitset"):
+                for feed in (None, snapshot):
+                    answers = [outcome(solver(g, [s], [dst], set_impl=impl,
+                                              prune=prune,
+                                              snapshot=feed).solve())[:4]
+                               for prune in (True, False)]
+                    assert answers[0] == answers[1]
+                    assert answers[0][0] == expected
+                    assert answers[0][2] == {s}
+        for snapshot_mode in (None, True):
+            segment = PgSegOperator(g, snapshot=snapshot_mode).evaluate(
+                PgSegQuery(src=(s,), dst=(dst,)))
+            assert segment.vertices_in_category(CATEGORY_SIMILAR)
+
+    def test_monotone_flag_follows_the_snapshot_not_advance(self):
+        """The flag is computed on the first borrow and cached; ``advance``
+        leaves it unknown, so a span that breaks monotonicity is seen."""
+        g, s, dst = non_monotone_graph()
+        store = g.store
+        late = g.add_entity()
+        snapshot = GraphSnapshot(g)
+        assert snapshot._ancestry_monotone is None
+        # Drop the edge that breaks monotonicity: a_old used e_new.
+        store.remove_edge(next(r.edge_id for r in store.edges()
+                               if r.edge_type is EdgeType.USED
+                               and r.dst != s))
+        snapshot = snapshot.advance(g)
+        assert snapshot.ancestry_arrays().monotone
+        assert snapshot._ancestry_monotone is True
+        old_activity = next(r.vertex_id for r in store.vertices()
+                            if r.vertex_type is VertexType.ACTIVITY)
+        g.used(old_activity, late)
+        advanced = snapshot.advance(g)
+        assert advanced._ancestry_monotone is None
+        assert not advanced.ancestry_arrays().monotone
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=scenarios().filter(
+        lambda scenario: scenario["shape"] != "acyclic"))
+    def test_prune_never_changes_an_answer(self, scenario):
+        """On cyclic and ill-typed shapes (monotone or not) early stop may
+        only save work: every answer equals the unpruned one."""
+        check_after_every_phase(scenario, self.check)
+
+    @staticmethod
+    def check(graph, advanced, scenario):
+        src, dst, boundaries, _ = query_of(graph, scenario)
+        for boundary in boundaries:
+            for solver, options in (
+                    (SimProvTst, {"collect_pairs": True,
+                                  "max_layers": scenario["max_layers"]}),
+                    (SimProvAlg, {})):
+                for impl in ("set", "bitset"):
+                    answers = [outcome(solver(
+                        graph, src, dst, set_impl=impl, prune=prune,
+                        snapshot=advanced, **boundary, **options).solve())
+                        [:4] for prune in (True, False)]
+                    assert answers[0] == answers[1], (solver, impl)
+
+
+class TestDepthSetSweep:
+    """The monotone-array kernel against the per-element loop on a real Pd
+    graph: every field and counter, across the 5-50 % destination band,
+    through both of its paths (depth sets, and layers for shallow stops)."""
+
+    @pytest.fixture(scope="class")
+    def pd2k(self):
+        instance = generate_pd_sized(2000)
+        snapshot = GraphSnapshot(instance.graph)
+        assert snapshot.ancestry_arrays().monotone
+        return instance, snapshot
+
+    @staticmethod
+    def compare(instance, snapshot, src, dst, **options):
+        expected = outcome(SimProvTst(instance.graph, src, dst,
+                                      set_impl="bitset", **options).solve())
+        got = outcome(SimProvTst(instance.graph, src, dst,
+                                 snapshot=snapshot, **options).solve())
+        assert got == expected, (src, dst, options)
+        return got
+
+    def test_destination_band_sweep(self, pd2k, monkeypatch):
+        instance, snapshot = pd2k
+        entities = instance.entities
+        paths = {"_solve_layers": 0, "_read_depth_sets": 0}
+        for name in paths:
+            def counted(self, *args, _name=name,
+                        _method=getattr(SimProvTst, name)):
+                paths[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(SimProvTst, name, counted)
+        pruned = answered = 0
+        for mark in range(1, 11):
+            cut = len(entities) * mark // 20
+            dst = entities[cut - 1:cut + 1]
+            # Vsrc at a rank of the destination's own ancestry.
+            for rank in (0, 50, 95):
+                start = cut * rank // 100
+                src = entities[start:start + 2]
+                for prune in (True, False):
+                    for max_layers in (None, 12):
+                        got = self.compare(instance, snapshot, src, dst,
+                                           prune=prune,
+                                           max_layers=max_layers)
+                        pruned += got[4][3]
+                        answered += bool(got[2])
+        assert pruned and answered
+        assert paths["_solve_layers"] and paths["_read_depth_sets"]
+
+    def test_destination_without_a_generating_activity(self, pd2k):
+        """The layer loop still pays one pop to find [a]_1 empty."""
+        instance, snapshot = pd2k
+        gen = snapshot.forward[EdgeType.WAS_GENERATED_BY]
+        entities = instance.entities
+        origin = next(e for e in reversed(entities)
+                      if not gen.neighbors(e).size)
+        for rank in (0, 50, 95):
+            start = len(entities) * rank // 100
+            src = entities[start:start + 2]
+            for prune in (True, False):
+                got = self.compare(instance, snapshot, src, [origin],
+                                   prune=prune)
+                assert got[4][2] == 1
+                self.compare(instance, snapshot, src,
+                             [origin, entities[len(entities) // 4]],
+                             prune=prune, max_layers=12)
 
 
 def test_layer_storage_stays_packed():

@@ -113,9 +113,6 @@ def test_examples_round_trip_through_codecs():
         elif kind == "checkpoint":
             path, epoch, generation = wire.checkpoint_from_wire(block)
             assert wire.checkpoint_frame(path, epoch, generation) == block
-        elif kind == "shard_map":
-            shard_map = wire.shard_map_from_wire(block)
-            assert wire.shard_map_to_wire(shard_map) == block
         elif kind == "ping":
             assert wire.ping_frame() == block
         elif kind == "pong":
@@ -166,8 +163,7 @@ def test_examples_round_trip_through_codecs():
     assert seen_kinds >= {"batch", "hello", "ping", "pong",
                           "event", "shutdown", "bye", "request",
                           "response", "requests", "responses",
-                          "client_hello", "welcome", "shard_map",
-                          "checkpoint"}
+                          "client_hello", "welcome", "checkpoint"}
     # ... and per request method (lineage shares its codec with impacted).
     assert set(methods_by_id.values()) >= {"lineage", "blame", "segment",
                                            "summarize", "cypher", "metrics"}

@@ -23,7 +23,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serve.wire import shard_map_from_wire, shard_map_to_wire
 from repro.store.sharding import SHARD_MAP_FORMAT, ShardMap, _mix64
 
 _VERTEX_IDS = st.integers(min_value=0, max_value=2**48)
@@ -99,12 +98,6 @@ def test_record_round_trip_assigns_identically(shard_map, vertex_id, order):
     kwargs = {} if shard_map.mode == "hash" else {"order": order}
     assert revived.shard_of(vertex_id, **kwargs) \
         == shard_map.shard_of(vertex_id, **kwargs)
-
-
-@given(shard_map=st.one_of(_SHARDS.map(ShardMap), _RANGE_MAPS))
-def test_wire_round_trip(shard_map):
-    frame = json.loads(json.dumps(shard_map_to_wire(shard_map)))
-    assert shard_map_from_wire(frame) == shard_map
 
 
 # ---------------------------------------------------------------------------
