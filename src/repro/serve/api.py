@@ -22,6 +22,7 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.errors import ConfigError
+from repro.serve.methods import BATCHABLE
 
 __all__ = [
     "QUERY_METHODS",
@@ -31,10 +32,9 @@ __all__ = [
     "normalize_specs",
 ]
 
-#: Methods a :class:`QuerySpec` may name — the batchable read families.
-#: ``summarize`` stays single-replica-routed (epoch-coherent views) and
-#: so is deliberately absent, exactly as in ``ProvCluster.query_many``.
-QUERY_METHODS = ("lineage", "impacted", "blame", "segment", "cypher")
+#: Methods a :class:`QuerySpec` may name: the batchable rows of the
+#: method table (``summarize`` is routed to one replica whole).
+QUERY_METHODS = BATCHABLE
 
 
 @dataclass(frozen=True)

@@ -251,8 +251,9 @@ class ProvCluster:
         return self.pool.refresh()
 
     def _serve(self, min_epoch: int | None,
-               request: Callable[[WorkerClient], T]) -> T:
-        """Route one read, retrying on worker crashes.
+               request: Callable[[WorkerClient], T], queries: int = 1) -> T:
+        """Route one request (counting ``queries`` reads), retrying on
+        worker crashes.
 
         A replica that dies *while serving* has already been restarted
         and re-synced by the pool when
@@ -266,7 +267,7 @@ class ProvCluster:
             replica = self.router.route(stamp)
             try:
                 with replica.lease:     # the counter is the holder's too
-                    replica.queries_served += 1
+                    replica.queries_served += queries
                     return request(replica)
             except ReplicaUnavailable:
                 if attempt == attempts - 1:
@@ -277,27 +278,29 @@ class ProvCluster:
     # Routed read families (ids are leader ids: replication is id-exact)
     # ------------------------------------------------------------------
 
+    def call(self, method: str, params: dict[str, Any],
+             min_epoch: int | None = None) -> Any:
+        """One read on a caught-up replica; ``params`` and the answer in
+        domain form (:meth:`WorkerClient.call`)."""
+        return self._serve(min_epoch, lambda r: r.call(method, params))
+
     def lineage(self, entity: int, max_depth: int | None = None,
                 min_epoch: int | None = None) -> Lineage:
-        """Ancestry walk on a caught-up replica."""
-        return self._serve(
-            min_epoch, lambda r: r.lineage(entity, max_depth=max_depth))
+        return self.call("lineage", {"entity": entity,
+                                     "max_depth": max_depth}, min_epoch)
 
     def impacted(self, entity: int, max_depth: int | None = None,
                  min_epoch: int | None = None) -> Lineage:
-        """Impact walk on a caught-up replica."""
-        return self._serve(
-            min_epoch, lambda r: r.impacted(entity, max_depth=max_depth))
+        return self.call("impacted", {"entity": entity,
+                                      "max_depth": max_depth}, min_epoch)
 
     def blame(self, entity: int,
               min_epoch: int | None = None) -> dict[int, set[int]]:
-        """Blame report on a caught-up replica."""
-        return self._serve(min_epoch, lambda r: r.blame(entity))
+        return self.call("blame", {"entity": entity}, min_epoch)
 
     def segment(self, query: PgSegQuery,
                 min_epoch: int | None = None) -> Segment:
-        """PgSeg on a caught-up replica (per-replica segment caches)."""
-        return self._serve(min_epoch, lambda r: r.segment(query))
+        return self.call("segment", {"query": query}, min_epoch)
 
     def summarize(self, queries: Iterable[PgSegQuery],
                   pgsum: PgSumQuery | None = None,
@@ -316,27 +319,16 @@ class ProvCluster:
         and keyed segment queries ride the same request; one the codec
         refuses raises :class:`~repro.errors.SerializationError`.
         """
-        stamp = self.leader_epoch if min_epoch is None else min_epoch
         queries = list(queries)
         pgsum = pgsum if pgsum is not None else PgSumQuery()
-        attempts = len(self.replicas) + 1
-        for attempt in range(attempts):
-            replica = self.router.route(stamp)
-            try:
-                with replica.lease:
-                    psg = replica.summarize(queries, pgsum)
-                    replica.queries_served += len(queries)
-            except ReplicaUnavailable:
-                if attempt == attempts - 1:
-                    raise
-                continue
-            return psg
-        raise AssertionError("unreachable")   # pragma: no cover
+        return self._serve(min_epoch,
+                           lambda r: r.summarize(queries, pgsum),
+                           len(queries))
 
     def cypher(self, text: str, budget: Budget | None = None,
                min_epoch: int | None = None) -> list:
-        """CypherLite rows from a caught-up replica."""
-        return self._serve(min_epoch, lambda r: r.cypher(text, budget))
+        return self.call("cypher", {"text": text, "budget": budget},
+                         min_epoch)
 
     # ------------------------------------------------------------------
     # Batched fan-out
@@ -430,7 +422,9 @@ class ProvCluster:
         # Leases released: a re-route may wait on a replica another batch
         # holds, and must not do so while holding one that batch may want.
         for chunk in failed:
-            values = self._serve_chunk([spec for _, spec in chunk], stamp)
+            share = [spec for _, spec in chunk]
+            values = self._serve(stamp, lambda r: r.query_many(share),
+                                 len(share))
             for (index, _), value in zip(chunk, values):
                 results[index] = value
         return results
@@ -462,22 +456,6 @@ class ProvCluster:
             for (index, _), value in zip(chunk, values):
                 results[index] = value
         return failed
-
-    def _serve_chunk(self, chunk_specs: list, stamp: int) -> list[Any]:
-        """Re-route one batch share after its replica died mid-serve."""
-        attempts = len(self.replicas) + 1
-        for attempt in range(attempts):
-            replica = self.router.route(stamp)
-            try:
-                with replica.lease:
-                    values = replica.query_many(chunk_specs)
-                    replica.queries_served += len(chunk_specs)
-            except ReplicaUnavailable:
-                if attempt == attempts - 1:
-                    raise
-                continue
-            return values
-        raise AssertionError("unreachable")   # pragma: no cover
 
     # ------------------------------------------------------------------
 

@@ -69,7 +69,7 @@ from repro.errors import (
 from repro.obs import MetricAttr, ObsContext, new_trace_id
 from repro.serve import wire
 from repro.serve.api import ServeConfig
-from repro.serve.pool import RawResult
+from repro.serve.methods import METHODS, encode_result
 from repro.serve.transport import LineTransport
 
 if TYPE_CHECKING:   # pragma: no cover - types only
@@ -713,7 +713,7 @@ class AsyncFrontend:
             else:
                 responses.append(wire.response_to_wire(
                     entry.request_id, stamp,
-                    result=_encode_result(entry.method, entry.result)))
+                    result=encode_result(entry.method, entry.result)))
         frame = wire.responses_bundle_to_wire(stamp, responses) \
             if item.bundle else responses[0]
         count = len(item.entries)
@@ -761,26 +761,6 @@ class AsyncFrontend:
         if not session.closed:
             session.outbound.put_nowait(frame)
             self._wake(session)
-
-
-# ---------------------------------------------------------------------------
-# Wire <-> domain translation for client-session requests
-# ---------------------------------------------------------------------------
-
-
-def _encode_result(method: str, result: Any) -> wire.WireValue:
-    if isinstance(result, RawResult):
-        # Straight off the worker bundle (``query_many(..., raw=True)``):
-        # its text is spliced into the client frame, never parsed here.
-        return result.payload
-    # A share re-routed after a worker crash came back decoded.
-    if method in ("lineage", "impacted"):
-        return wire.WireValue(wire.lineage_to_wire(result))
-    if method == "blame":
-        return wire.WireValue(wire.blame_to_wire(result))
-    if method == "segment":
-        return wire.WireValue(wire.segment_to_wire(result))
-    return wire.WireValue(wire.rows_to_wire(result))
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +819,9 @@ class FrontendClient:
         ok, payload, method = self._arrived.pop(request_id)
         if not ok:
             raise wire.error_from_wire(payload)
-        return self._decode(method, payload) if decode else payload
+        row = METHODS.get(method)       # ``metrics`` has none: plain JSON
+        return payload if row is None or not decode \
+            else row.result_from_wire(payload, self.graph)
 
     def _absorb(self, frame: dict[str, Any]) -> None:
         kind = frame.get("kind")
@@ -856,45 +838,37 @@ class FrontendClient:
         # its pong through the same absorb path below.
 
     def _file(self, request_id: int, ok: bool, payload: Any) -> None:
-        method = self._methods.pop(request_id, "cypher")
-        self._arrived[request_id] = (ok, payload, method)
-
-    def _decode(self, method: str, payload: Any) -> Any:
-        if method == "metrics":
-            return payload       # already a plain JSON document
-        if method in ("lineage", "impacted"):
-            return wire.lineage_from_wire(payload)
-        if method == "blame":
-            return wire.blame_from_wire(payload)
-        if self.graph is None:
-            return payload
-        if method == "segment":
-            return wire.segment_from_wire(self.graph, payload)
-        return wire.rows_from_wire(self.graph, payload)
+        # A response to an id this client never sent (or already
+        # collected) is dropped: filing it would keep it forever.
+        method = self._methods.pop(request_id, None)
+        if method is not None:
+            self._arrived[request_id] = (ok, payload, method)
 
     # -- lockstep surface ----------------------------------------------
 
     def query(self, method: str, params: dict[str, Any]) -> Any:
+        """One request with ``params`` already in wire form."""
         return self.collect(self.begin(method, params))
 
+    def call(self, method: str, params: dict[str, Any]) -> Any:
+        """One request with ``params`` in domain form (its row encodes)."""
+        return self.query(method, METHODS[method].params_to_wire(params))
+
     def lineage(self, entity: int, max_depth: int | None = None) -> Any:
-        return self.query("lineage", {"entity": int(entity),
-                                      "max_depth": max_depth})
+        return self.call("lineage", {"entity": entity, "max_depth": max_depth})
 
     def impacted(self, entity: int, max_depth: int | None = None) -> Any:
-        return self.query("impacted", {"entity": int(entity),
-                                       "max_depth": max_depth})
+        return self.call("impacted",
+                         {"entity": entity, "max_depth": max_depth})
 
     def blame(self, entity: int) -> Any:
-        return self.query("blame", {"entity": int(entity)})
+        return self.call("blame", {"entity": entity})
 
     def segment(self, query: Any) -> Any:
-        return self.query("segment", {"query": wire.pgseg_query_to_wire(
-            query)})
+        return self.call("segment", {"query": query})
 
     def cypher(self, text: str, budget: Any = None) -> Any:
-        return self.query("cypher", {"text": str(text),
-                                     "budget": wire.budget_to_wire(budget)})
+        return self.call("cypher", {"text": text, "budget": budget})
 
     def metrics(self) -> dict[str, Any]:
         """The cluster-wide metrics document (see ProvCluster.metrics)."""

@@ -81,30 +81,23 @@ from repro.query.cypherlite import Budget
 from repro.query.ops import Lineage
 from repro.segment.pgseg import PgSegQuery, Segment
 from repro.serve.api import ServeConfig
+from repro.serve.methods import METHODS, RawResult
 from repro.serve.replication import ReplicationLog
 from repro.serve.transport import BinaryTransport, LineTransport, MemoryTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
-    blame_from_wire,
-    budget_to_wire,
     checkpoint_frame,
     error_from_wire,
     hello_from_wire,
     hello_wire_formats,
-    lineage_from_wire,
-    pgseg_query_to_wire,
-    pgsum_query_to_wire,
     ping_frame,
     pong_from_wire,
-    psg_from_wire,
     query_call_to_wire,
     request_to_wire,
     requests_bundle_to_wire,
     response_from_wire,
     response_trace_from_wire,
     responses_bundle_from_wire,
-    rows_from_wire,
-    segment_from_wire,
     shutdown_frame,
     welcome_frame,
 )
@@ -471,10 +464,8 @@ class WorkerClient:
                    ) -> "_BundleHandle":
         """Pipeline a batch of query specs as one ``requests`` bundle.
 
-        ``specs`` are ``(method, params)`` pairs in *domain* form —
-        ``("lineage", {"entity": 7})``, ``("segment", {"query":
-        PgSegQuery(...)})``, ``("cypher", {"text": ..., "budget":
-        Budget | None})`` — encoded here per method
+        ``specs`` are ``(method, params)`` pairs in *domain* form,
+        encoded here by the method's row
         (:func:`~repro.serve.wire.query_call_to_wire`). A spec the codec
         refuses never goes on the wire: its
         :class:`~repro.errors.SerializationError` is its result. The
@@ -532,7 +523,8 @@ class WorkerClient:
                 elif raw:
                     results.append(RawResult(method, payload))
                 else:
-                    results.append(self._decode_spec(method, payload.value))
+                    results.append(METHODS[method].result_from_wire(
+                        payload.value, self._pool.graph))
         except ReplicaUnavailable:
             self.abandon(handle.ids)
             raise
@@ -556,64 +548,41 @@ class WorkerClient:
             # spans); only this request's transport mark is forgotten.
             self._trace_marks.pop(request_id, None)
 
-    def _decode_spec(self, method: str, payload: Any) -> Any:
-        if method in ("lineage", "impacted"):
-            return lineage_from_wire(payload)
-        if method == "blame":
-            return blame_from_wire(payload)
-        if method == "segment":
-            return segment_from_wire(self._pool.graph, payload)
-        return rows_from_wire(self._pool.graph, payload)
-
     # ------------------------------------------------------------------
     # Read serving (ids are leader ids: replication is id-exact)
     # ------------------------------------------------------------------
 
+    def call(self, method: str, params: dict[str, Any]) -> Any:
+        """One read served by the worker, ``params`` and the answer in
+        domain form (the method's row codes both). Segments and rows
+        are rebound to the leader graph, so their accessors resolve
+        records exactly as on an answer evaluated in-process."""
+        row = METHODS[method]
+        return row.result_from_wire(
+            self._request(method, row.params_to_wire(params)),
+            self._pool.graph)
+
     def lineage(self, entity: int, max_depth: int | None = None) -> Lineage:
-        """Ancestry walk served by the worker."""
-        return lineage_from_wire(self._request(
-            "lineage", {"entity": entity, "max_depth": max_depth}))
+        return self.call("lineage", {"entity": entity, "max_depth": max_depth})
 
     def impacted(self, entity: int,
                  max_depth: int | None = None) -> Lineage:
-        """Impact walk served by the worker."""
-        return lineage_from_wire(self._request(
-            "impacted", {"entity": entity, "max_depth": max_depth}))
+        return self.call("impacted",
+                         {"entity": entity, "max_depth": max_depth})
 
     def blame(self, entity: int) -> dict[int, set[int]]:
-        """Blame report served by the worker."""
-        return blame_from_wire(self._request("blame", {"entity": entity}))
+        return self.call("blame", {"entity": entity})
 
     def segment(self, query: PgSegQuery) -> Segment:
-        """PgSeg served by the worker.
-
-        The decoded segment is rebound to the leader graph, so downstream
-        accessors (``describe()``, DOT export, PgSum merging) resolve
-        records exactly as on a segment evaluated in-process.
-        """
-        params = {"query": pgseg_query_to_wire(query)}
-        return segment_from_wire(
-            self._pool.graph, self._request("segment", params))
+        return self.call("segment", {"query": query})
 
     def summarize(self, queries: "list[PgSegQuery]", pgsum) -> Any:
-        """A merged PgSum summary served by the worker.
-
-        The worker evaluates every segment *and* the merge against one
-        replayed epoch, holding the result as a materialized view it
-        patches across property-only batches — so repeat dashboard
-        summaries skip both the walks and the merge. Node members
-        reference leader vertex ids, exactly like decoded segments.
-        """
-        params = {
-            "queries": [pgseg_query_to_wire(query) for query in queries],
-            "pgsum": pgsum_query_to_wire(pgsum),
-        }
-        return psg_from_wire(self._request("summarize", params))
+        """A merged PgSum summary: every segment *and* the merge at one
+        replayed epoch, answered from the worker's materialized view."""
+        return self.call("summarize", {"queries": queries, "pgsum": pgsum})
 
     def cypher(self, text: str, budget: Budget | None = None) -> list:
-        """CypherLite rows served by the worker."""
-        return rows_from_wire(self._pool.graph, self._request(
-            "cypher", {"text": text, "budget": budget_to_wire(budget)}))
+        return self.call("cypher", {"text": text, "budget": budget})
 
     # ------------------------------------------------------------------
 
@@ -772,31 +741,6 @@ class _BundleHandle:
                  ids: list[int]):
         self.entries = entries
         self.ids = ids
-
-
-class RawResult:
-    """A worker's ok answer left in wire form (``raw=True`` collects).
-
-    ``payload`` is the answer's :class:`~repro.serve.wire.WireValue`
-    exactly as it arrived: off a socket it holds only the canonical JSON
-    text the worker packed, which nothing on the leader parses; from an
-    in-memory worker it *is* the worker's cached answer (value, and text
-    once something encoded it). Read it, never mutate it — decoded
-    results are copies, this is not. A consumer that re-serves the same
-    wire format — the async front-end — splices ``payload.text``
-    straight into its client frame, so the client's parse is the first
-    one. ``wire.lineage_from_wire(payload.value)`` and friends decode on
-    demand for consumers that do want domain form.
-    """
-
-    __slots__ = ("method", "payload")
-
-    def __init__(self, method: str, payload: Any):
-        self.method = method
-        self.payload = payload
-
-    def __repr__(self) -> str:        # pragma: no cover - debugging aid
-        return f"RawResult(method={self.method!r})"
 
 
 class WorkerPool:

@@ -52,11 +52,12 @@ from typing import Any, Iterable
 from repro.errors import ConfigError
 from repro.model.graph import ProvenanceGraph
 from repro.obs import ObsContext
-from repro.query.cypherlite import Budget, run_query
+from repro.query.cypherlite import Budget
 from repro.query.ops import Lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.api import ServeConfig, normalize_specs
 from repro.serve.cluster import ProvCluster
+from repro.serve.methods import METHODS
 from repro.store.checkpoint import CheckpointManager, read_checkpoint
 from repro.store.delta import DeltaBatch
 from repro.store.sharding import ShardMap, delta_payload, split_batch
@@ -300,43 +301,42 @@ class ShardedCluster:
     # Query surface (ProvCluster-compatible)
     # ------------------------------------------------------------------
 
+    def call(self, method: str, params: dict[str, Any],
+             min_epoch: int | None = None) -> Any:
+        """One read, routed like its :meth:`query_many` spec.
+
+        Walks go to the entity's owner shard. Bare PgSeg queries (no
+        boundaries, no keys) have structure-only membership: the
+        source-anchor's owner shard serves them and the result is
+        re-bound to the leader graph. Queries that may read properties
+        (bounded or keyed PgSeg, CypherLite) evaluate coordinator-local
+        on the leader — one graph, leader-exact properties.
+        """
+        stamp = self._resolve(min_epoch)
+        home = self._spec_home(method, params)
+        if home is None:
+            return self._serve_local(method, params)
+        result = self.shards[home].call(method, params, min_epoch=stamp)
+        return self._rebind(result) if isinstance(result, Segment) \
+            else result
+
     def lineage(self, entity: int, max_depth: int | None = None,
                 min_epoch: int | None = None) -> Lineage:
-        """Ancestry walk, served by the entity's owner shard."""
-        stamp = self._resolve(min_epoch)
-        return self.shards[self._owner(entity)].lineage(
-            entity, max_depth=max_depth, min_epoch=stamp)
+        return self.call("lineage", {"entity": entity,
+                                     "max_depth": max_depth}, min_epoch)
 
     def impacted(self, entity: int, max_depth: int | None = None,
                  min_epoch: int | None = None) -> Lineage:
-        """Impact walk, served by the entity's owner shard."""
-        stamp = self._resolve(min_epoch)
-        return self.shards[self._owner(entity)].impacted(
-            entity, max_depth=max_depth, min_epoch=stamp)
+        return self.call("impacted", {"entity": entity,
+                                      "max_depth": max_depth}, min_epoch)
 
     def blame(self, entity: int,
               min_epoch: int | None = None) -> dict[int, set[int]]:
-        """Blame report, served by the entity's owner shard."""
-        stamp = self._resolve(min_epoch)
-        return self.shards[self._owner(entity)].blame(
-            entity, min_epoch=stamp)
+        return self.call("blame", {"entity": entity}, min_epoch)
 
     def segment(self, query: PgSegQuery,
                 min_epoch: int | None = None) -> Segment:
-        """PgSeg, shard-served when bare, else coordinator-local.
-
-        Bare queries (no boundaries, no keys) have structure-only
-        membership: the source-anchor's owner shard serves them and the
-        result is re-bound to the leader graph. Queries that may read
-        properties evaluate coordinator-local on the leader — one graph,
-        leader-exact properties.
-        """
-        stamp = self._resolve(min_epoch)
-        if not query.is_bare:
-            return PgSegOperator(self.graph).evaluate(query)
-        segment = self.shards[self._segment_home(query)].segment(
-            query, min_epoch=stamp)
-        return self._rebind(segment)
+        return self.call("segment", {"query": query}, min_epoch)
 
     def summarize(self, queries: Iterable[PgSegQuery],
                   pgsum: PgSumQuery | None = None,
@@ -362,9 +362,8 @@ class ShardedCluster:
         pgsum = pgsum if pgsum is not None else PgSumQuery()
         if stamp == 0 \
                 or not all(q.is_bare for q in queries):
-            operator = PgSegOperator(self.graph)
-            segments = [operator.evaluate(query) for query in queries]
-            return PgSumOperator(segments).evaluate(pgsum)
+            return self._serve_local(
+                "summarize", {"queries": queries, "pgsum": pgsum})
         # Scatter through query_many: every query is bare here, so
         # each routes to its owner shard, the per-shard bundles go down
         # concurrently (see _scatter), and the gathered segments come
@@ -381,9 +380,8 @@ class ShardedCluster:
 
     def cypher(self, text: str, budget: Budget | None = None,
                min_epoch: int | None = None) -> list:
-        """CypherLite, always coordinator-local (property reads)."""
-        self._resolve(min_epoch)
-        return run_query(self.graph, text, budget)
+        return self.call("cypher", {"text": text, "budget": budget},
+                         min_epoch)
 
     # ------------------------------------------------------------------
     # Batched fan-out
@@ -419,7 +417,7 @@ class ShardedCluster:
         groups: dict[int, list[int]] = {}
         local: list[int] = []
         for index, spec in enumerate(normalized):
-            home = self._spec_home(spec)
+            home = self._spec_home(spec.method, spec.params)
             if home is None:
                 local.append(index)
             else:
@@ -433,8 +431,9 @@ class ShardedCluster:
                     value = self._rebind(value)
                 results[index] = value
         for index in local:
+            spec = normalized[index]
             try:
-                results[index] = self._serve_local(normalized[index])
+                results[index] = self._serve_local(spec.method, spec.params)
             except Exception as exc:   # noqa: BLE001 - per-spec isolation
                 results[index] = exc
         return results
@@ -478,9 +477,8 @@ class ShardedCluster:
             thread.join()
         return [(shard, gathered[shard]) for shard, _ in items]
 
-    def _spec_home(self, spec) -> int | None:
-        """The shard serving one spec, or ``None`` for coordinator-local."""
-        method, params = spec.as_tuple()
+    def _spec_home(self, method: str, params) -> int | None:
+        """The shard serving one read, or ``None`` for coordinator-local."""
         if method in ("lineage", "impacted", "blame"):
             return self._owner(params["entity"])
         if method == "segment":
@@ -488,15 +486,11 @@ class ShardedCluster:
             return self._segment_home(query) if query.is_bare else None
         return None    # cypher: property reads stay on the leader
 
-    def _serve_local(self, spec) -> Any:
-        method, params = spec.as_tuple()
-        if method == "segment":
-            return PgSegOperator(self.graph).evaluate(params["query"])
-        if method == "cypher":
-            return run_query(self.graph, params["text"],
-                             params.get("budget"))
-        raise ValueError(
-            f"method {method!r} has no coordinator-local path")
+    def _serve_local(self, method: str, params: dict[str, Any]) -> Any:
+        """One read evaluated coordinator-local, on the leader graph."""
+        result, _kind, _footprint = METHODS[method].evaluate(
+            self.graph, None, PgSegOperator(self.graph), params)
+        return result
 
     # ------------------------------------------------------------------
     # Operations

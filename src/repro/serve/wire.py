@@ -515,10 +515,6 @@ def frame_text(frame: Any) -> str:
 # Request / response query frames
 # ---------------------------------------------------------------------------
 
-#: Methods a replica worker serves (see :mod:`repro.serve.worker`).
-REQUEST_METHODS = ("lineage", "impacted", "blame", "segment", "summarize",
-                   "cypher", "metrics")
-
 
 def request_to_wire(request_id: int, method: str,
                     params: dict[str, Any],
@@ -531,7 +527,7 @@ def request_to_wire(request_id: int, method: str,
     under ``repro-wire-v1``: an absent field means *untraced*, and
     decoders that predate tracing ignore it.
     """
-    if method not in REQUEST_METHODS:
+    if method not in _methods.REQUEST_METHODS:
         raise SerializationError(f"unknown request method {method!r}")
     frame: dict[str, Any] = {"kind": "request", "format": WIRE_FORMAT,
                              "id": int(request_id), "method": method,
@@ -552,7 +548,7 @@ def request_from_wire(record: dict[str, Any],
     except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(
             f"malformed request frame: {record!r}") from exc
-    if method not in REQUEST_METHODS:
+    if method not in _methods.REQUEST_METHODS:
         raise SerializationError(f"unknown request method {method!r}")
     return request_id, method, params
 
@@ -1224,24 +1220,17 @@ def pgseg_query_from_wire(record: dict[str, Any],
 def query_call_to_wire(method: str, params: dict[str, Any],
                        ) -> tuple[str, dict[str, Any]]:
     """One domain read spec — ``("segment", {"query": PgSegQuery(...)})``
-    and the like — as the wire call every serving path sends.
+    and the like — as the wire call every serving path sends, by the
+    method's row in :data:`repro.serve.methods.METHODS`.
 
     Raises:
         SerializationError: the query has no record
             (:func:`pgseg_query_to_wire`).
-        ValueError: an unknown method (caller bug).
+        ValueError: an unknown or unbatchable method (caller bug).
     """
-    if method in ("lineage", "impacted"):
-        return method, {"entity": int(params["entity"]),
-                        "max_depth": params.get("max_depth")}
-    if method == "blame":
-        return method, {"entity": int(params["entity"])}
-    if method == "segment":
-        return method, {"query": pgseg_query_to_wire(params["query"])}
-    if method == "cypher":
-        return method, {"text": str(params["text"]),
-                        "budget": budget_to_wire(params.get("budget"))}
-    raise ValueError(f"unknown query method {method!r}")
+    if method not in _methods.BATCHABLE:
+        raise ValueError(f"unknown query method {method!r}")
+    return method, _methods.METHODS[method].params_to_wire(params)
 
 
 def query_call_from_wire(method: str, params: dict[str, Any],
@@ -1252,23 +1241,11 @@ def query_call_from_wire(method: str, params: dict[str, Any],
     Only the batchable read families decode; ``summarize`` and anything
     else raise :class:`~repro.errors.SerializationError`.
     """
-    if method in ("lineage", "impacted"):
-        spec: dict[str, Any] = {"entity": int(params["entity"])}
-        if params.get("max_depth") is not None:
-            spec["max_depth"] = int(params["max_depth"])
-        return method, spec
-    if method == "blame":
-        return method, {"entity": int(params["entity"])}
-    if method == "segment":
-        return method, {"query": pgseg_query_from_wire(params["query"],
-                                                       graph)}
-    if method == "cypher":
-        spec = {"text": str(params["text"])}
-        if params.get("budget") is not None:
-            spec["budget"] = budget_from_wire(params["budget"])
-        return method, spec
-    raise SerializationError(
-        f"method {method!r} is not servable on a client session")
+    if method not in _methods.BATCHABLE:
+        raise SerializationError(
+            f"method {method!r} is not servable on a client session")
+    return method, _methods.METHODS[method].params_from_wire(params,
+                                                               graph)
 
 
 def budget_to_wire(budget: "Budget | None") -> dict[str, Any] | None:
@@ -1589,3 +1566,10 @@ def rows_from_wire(graph: "ProvenanceGraph",
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise SerializationError(
             f"malformed wire rows: {records!r}") from exc
+
+
+# The method table is the normative method list. It imports this module
+# for its codecs, so it is bound here, after every codec is defined: in
+# either import order the table finds them, and the functions above read
+# it only when called.
+from repro.serve import methods as _methods  # noqa: E402

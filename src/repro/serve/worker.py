@@ -22,11 +22,12 @@ catch-up; it only reports.
 same questions at a fixed graph version, so the worker keeps its
 answers in the same :class:`~repro.store.delta.ResultCache` the session
 uses, keyed by ``(method, canonical-params)``. Each answer is a
-:class:`~repro.serve.wire.WireValue`: the value the handler produced
+:class:`~repro.serve.wire.WireValue`: the value its row produced
 plus, once a socket transport packed it, its canonical JSON text — a
 hit over a socket copies that text, over the in-memory link it hands
 the value on, and neither encodes anything. Each entry's kind and
-footprint come from its handler (``ancestry`` for lineage/blame,
+footprint come from its method's row in
+:data:`repro.serve.methods.METHODS` (``ancestry`` for lineage/blame,
 ``closure`` for impact, ``segment`` for bare PgSeg answers, ``global``
 for bounded or keyed PgSeg answers — a boundary or key may read
 properties — and for CypherLite rows). Applying a batch never touches
@@ -36,8 +37,9 @@ once against the whole span since
 (:meth:`~repro.store.delta.ResultCache.revalidate`). A (re-)bootstrap
 clears everything: it crosses an unknown span, so nothing is provable
 (``docs/consistency.md`` §"Worker result cache (footprint retention)").
-Budgeted CypherLite queries with a wall-clock timeout are never cached
-(their truncation point is nondeterministic).
+An answer its row calls uncacheable (budgeted CypherLite with a
+wall-clock timeout: its truncation point is nondeterministic) is never
+cached.
 
 **Materialized summary views.** A ``summarize`` request (PgSeg queries +
 one PgSum query) is answered from a per-request materialized view: the
@@ -100,34 +102,24 @@ from repro.errors import (
 )
 from repro.model.graph import ProvenanceGraph
 from repro.obs import MetricAttr, MetricsRegistry, span
-from repro.query.cypherlite import run_query
-from repro.query.ops import blame as _blame
-from repro.query.ops import impacted as _impacted
-from repro.query.ops import lineage as _lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
+from repro.serve.methods import METHODS, Method
 from repro.serve.transport import BinaryTransport
 from repro.serve.wire import (
     WIRE_FORMAT_V2,
     WireValue,
     batch_from_wire,
-    blame_to_wire,
-    budget_from_wire,
     bundle_trace_ids,
     bye_frame,
     checkpoint_from_wire,
     error_to_wire,
     event_frame,
-    lineage_to_wire,
-    pgseg_query_from_wire,
-    pgsum_query_from_wire,
     pong_frame,
     psg_to_wire,
     request_from_wire,
     requests_bundle_from_wire,
     response_to_wire,
     responses_bundle_to_wire,
-    rows_to_wire,
-    segment_to_wire,
     trace_id_from_wire,
     welcome_wire_format,
 )
@@ -432,7 +424,7 @@ class ReplicaWorker:
           re-merge (lazy patching — no work for views nobody re-asks
           for).
         """
-        epoch = self.store.epoch
+        epoch = self.result_cache.epoch
         for key, view in list(self._views.items()):
             bare = all(query.is_bare for query in view.queries)
             if not (segment_members_survive(view.footprint, effects,
@@ -507,7 +499,7 @@ class ReplicaWorker:
             return response_to_wire(request_id, self.epoch,
                                     result=WireValue(self.metrics()))
         hits0, views0 = self.cache_hits, self.views_served
-        patched0 = self.views_patched
+        patched0, recomputed0 = self.views_patched, self.views_recomputed
         started = perf_counter()
         try:
             if self.store is None:
@@ -523,12 +515,10 @@ class ReplicaWorker:
                 trace=trace)
         elapsed = perf_counter() - started
         self._compute_hist.observe(elapsed)
-        if method == "summarize":
-            outcome = ("view-hit" if self.views_served > views0 else
-                       "view-patch" if self.views_patched > patched0 else
-                       "view-recompute")
-        else:
-            outcome = "hit" if self.cache_hits > hits0 else "miss"
+        outcome = ("view-hit" if self.views_served > views0 else
+                   "view-patch" if self.views_patched > patched0 else
+                   "view-recompute" if self.views_recomputed > recomputed0
+                   else "hit" if self.cache_hits > hits0 else "miss")
         trace = self._trace(trace_id, method, elapsed, outcome)
         return response_to_wire(request_id, self.epoch, result=result,
                                 trace=trace)
@@ -549,43 +539,38 @@ class ReplicaWorker:
     # Result cache
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _cacheable(method: str, params: dict[str, Any]) -> bool:
-        """Whether a request's result is a pure function of the epoch.
-
-        A budgeted CypherLite query with a wall-clock timeout can be
-        truncated at a nondeterministic row, so its result must not be
-        replayed from cache.
-        """
-        if method == "cypher":
-            budget = params.get("budget")
-            if isinstance(budget, dict) \
-                    and budget.get("timeout_seconds") is not None:
-                return False
-        return True
-
     def _serve_cached(self, method: str,
                       params: dict[str, Any]) -> WireValue:
         """Serve one request through the footprint-retaining result cache.
 
         A hit returns the cached :class:`~repro.serve.wire.WireValue`
         itself, so its text is encoded at most once, by whichever packer
-        needs it first.
+        needs it first. The method's row says whether its answer may be
+        cached and classifies what it computes.
         """
         self._revalidate()
         if method == "summarize":
             return self._serve_summarize(params)
-        if not self._cacheable(method, params):
-            return WireValue(getattr(self, f"_serve_{method}")(params)[0])
+        row = METHODS[method]
+        if not row.cacheable(params):
+            return WireValue(self._evaluate(row, params)[0])
         key = (method, json.dumps(params, sort_keys=True))
         answer = self.result_cache.get(key)
         if answer is None:
             horizon = self.store.vertex_capacity
-            result, kind, footprint = getattr(
-                self, f"_serve_{method}")(params)
+            result, kind, footprint = self._evaluate(row, params)
             answer = WireValue(result)
             self.result_cache.put(key, answer, kind, footprint, horizon)
         return answer
+
+    def _evaluate(self, row: Method, params: dict[str, Any],
+                  ) -> tuple[Any, str, Any]:
+        """One request by its row on the armed snapshot: the wire result,
+        its cache kind and its footprint."""
+        spec = row.params_from_wire(params, self.graph)
+        result, kind, footprint = row.evaluate(
+            self.graph, self._armed_snapshot(), self._operator, spec)
+        return row.result_to_wire(result), kind, footprint
 
     def _serve_summarize(self, params: dict[str, Any]) -> WireValue:
         """Serve one summary through the materialized-view layer.
@@ -643,67 +628,9 @@ class ReplicaWorker:
                          ) -> tuple[WireValue, list[PgSegQuery],
                                     PgSumQuery, list[Segment]]:
         """Evaluate one summarize request from scratch."""
-        queries = [pgseg_query_from_wire(record, self.graph)
-                   for record in params["queries"]]
-        pgsum = pgsum_query_from_wire(params["pgsum"])
+        spec = METHODS["summarize"].params_from_wire(params, self.graph)
+        queries, pgsum = spec["queries"], spec["pgsum"]
         self._armed_snapshot()          # arm the operator fast path
         segments = [self._operator.evaluate(query) for query in queries]
         psg = PgSumOperator(segments).evaluate(pgsum)
         return WireValue(psg_to_wire(psg)), queries, pgsum, segments
-
-    # ------------------------------------------------------------------
-    # Method handlers — each returns (wire result, kind, footprint), the
-    # classification the result cache's retention needs (kind/footprint
-    # are ignored on the uncached path). A walk's own vertex set becomes
-    # the footprint: the walk result is dropped once encoded, so the
-    # cache is that set's only owner and no copy is needed.
-    # ------------------------------------------------------------------
-
-    def _serve_lineage(self, params: dict[str, Any],
-                       ) -> tuple[dict[str, Any], str, set[int]]:
-        result = _lineage(
-            self.graph, int(params["entity"]),
-            max_depth=params.get("max_depth"),
-            snapshot=self._armed_snapshot())
-        return lineage_to_wire(result), "ancestry", result.vertices
-
-    def _serve_impacted(self, params: dict[str, Any],
-                        ) -> tuple[dict[str, Any], str, set[int]]:
-        result = _impacted(
-            self.graph, int(params["entity"]),
-            max_depth=params.get("max_depth"),
-            snapshot=self._armed_snapshot())
-        return lineage_to_wire(result), "closure", result.vertices
-
-    def _serve_blame(self, params: dict[str, Any],
-                     ) -> tuple[dict[str, Any], str, set[int]]:
-        # Walk the ancestry once, hand it to blame, and footprint the
-        # *whole* closure (the entity included) plus the owning agents —
-        # a new attribution to any ancestor changes the report (same deps
-        # the session uses).
-        entity = int(params["entity"])
-        snapshot = self._armed_snapshot()
-        ancestry = _lineage(self.graph, entity, snapshot=snapshot)
-        report = _blame(self.graph, entity, snapshot=snapshot,
-                        ancestry=ancestry)
-        footprint = ancestry.vertices
-        footprint.update(report)
-        return blame_to_wire(report), "ancestry", footprint
-
-    def _serve_segment(self, params: dict[str, Any],
-                       ) -> tuple[dict[str, Any], str, frozenset[int]]:
-        query = pgseg_query_from_wire(params["query"], self.graph)
-        self._armed_snapshot()          # arm the operator fast path
-        segment = self._operator.evaluate(query)
-        return (segment_to_wire(segment),
-                "segment" if query.is_bare else "global",
-                frozenset(segment.vertices))
-
-    def _serve_cypher(self, params: dict[str, Any],
-                      ) -> tuple[list[dict[str, Any]], str, frozenset[int]]:
-        budget = budget_from_wire(params.get("budget"))
-        rows = run_query(self.graph, str(params["text"]), budget,
-                         snapshot=self._armed_snapshot())
-        # CypherLite may scan any slice of the graph: no footprint bounds
-        # it, so the "global" kind evicts on any non-empty span.
-        return rows_to_wire(rows), "global", frozenset()

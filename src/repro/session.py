@@ -452,35 +452,16 @@ class LifecycleSession:
             return self._cluster.query_many(specs)
         if not specs:
             return []
-        from repro.query.cypherlite import run_query
-        from repro.query.ops import impacted as _impacted
         from repro.serve.api import normalize_specs
+        from repro.serve.methods import METHODS
 
-        specs = [spec.as_tuple() for spec in normalize_specs(specs)]
-        snapshot = self.snapshot()
+        specs = normalize_specs(specs)
+        snapshot = self.snapshot()           # arms the operator too
         results: list[Any] = []
-        for method, params in specs:
+        for spec in specs:
             try:
-                if method == "lineage":
-                    results.append(_lineage(
-                        self.graph, int(params["entity"]),
-                        max_depth=params.get("max_depth"),
-                        snapshot=snapshot))
-                elif method == "impacted":
-                    results.append(_impacted(
-                        self.graph, int(params["entity"]),
-                        max_depth=params.get("max_depth"),
-                        snapshot=snapshot))
-                elif method == "blame":
-                    results.append(_blame(
-                        self.graph, int(params["entity"]),
-                        snapshot=snapshot))
-                elif method == "segment":
-                    results.append(self._operator.evaluate(params["query"]))
-                else:
-                    results.append(run_query(
-                        self.graph, str(params["text"]),
-                        params.get("budget"), snapshot=snapshot))
+                results.append(METHODS[spec.method].evaluate(
+                    self.graph, snapshot, self._operator, spec.params)[0])
             except Exception as exc:       # noqa: BLE001 - per-spec
                 results.append(exc)        # isolation, like the cluster
         return results

@@ -322,7 +322,7 @@ class ResultCache:
 
     def revalidate(self, store, fold: bool = False,
                    ) -> tuple[SpanEffects, int] | None:
-        """Bring the cache to ``store.epoch``, reading the log at most once.
+        """Bring the cache to the log's newest epoch, reading it at most once.
 
         An empty cache just moves its epoch, unless ``fold`` (the caller
         has dependents of its own that need the span). A span the bounded
@@ -342,7 +342,9 @@ class ResultCache:
             self.clear(epoch)
             return None
         effects = span_effects(span)
-        self.epoch = epoch
+        # The last batch folded, not ``epoch``: one appended since is
+        # in ``span`` already and must not be folded again next time.
+        self.epoch = span[-1].epoch if span else epoch
         kept = OrderedDict(
             (key, entry) for key, entry in self._entries.items()
             if entry_survives(entry[1], entry[2], effects, entry[3]))
@@ -371,6 +373,10 @@ class DeltaLog:
         self._batches: deque[DeltaBatch] = deque()
         self._record_count = 0
         self._base_epoch = 0
+        #: Epoch of the newest retained batch (``base_epoch`` when
+        #: empty). Set after the batch is in the log, so a reader that
+        #: sees an epoch finds its batch.
+        self.last_epoch = 0
         self._truncated = False
 
     # ------------------------------------------------------------------
@@ -379,13 +385,6 @@ class DeltaLog:
     def base_epoch(self) -> int:
         """Replay starting point: batches cover ``(base_epoch, last_epoch]``."""
         return self._base_epoch
-
-    @property
-    def last_epoch(self) -> int:
-        """Epoch of the newest retained batch (``base_epoch`` when empty)."""
-        if not self._batches:
-            return self._base_epoch
-        return self._batches[-1].epoch
 
     @property
     def truncated(self) -> bool:
@@ -415,6 +414,7 @@ class DeltaLog:
                 f"(expected {self.last_epoch + 1})"
             )
         self._batches.append(batch)
+        self.last_epoch = batch.epoch
         self._record_count += len(batch.deltas)
         while self._record_count > self.capacity and len(self._batches) > 1:
             evicted = self._batches.popleft()
@@ -437,6 +437,7 @@ class DeltaLog:
         self._batches.clear()
         self._record_count = 0
         self._base_epoch = epoch
+        self.last_epoch = epoch
         self._truncated = False
 
     def batches_since(self, epoch: int) -> list[DeltaBatch] | None:

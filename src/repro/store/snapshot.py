@@ -285,7 +285,7 @@ class GraphSnapshot(_CsrSnapshot):
         if store.epoch == self.epoch:
             return self
         batches = store.delta_log.batches_since(self.epoch)
-        if batches is None:                     # span truncated out of the log
+        if not batches:             # span not in the log (truncated, rebased)
             return GraphSnapshot(store, wanted)
         # Only structural deltas cost patch work; SET_* records read
         # through shared store records and must not trigger the fallback.
@@ -340,11 +340,11 @@ class GraphSnapshot(_CsrSnapshot):
             # O(1) instead of O(V+E) shallow copies. A span whose net
             # effect is empty but contained ghosts (add+remove) must NOT
             # share: the id space widened and dead rows need materializing.
-            return self._shared_at(store)
+            return self._shared_at(batches[-1].epoch)
 
         new = type(self).__new__(type(self))
         new.store = store
-        new.epoch = store.epoch
+        new.epoch = batches[-1].epoch
         new.advanced_from = self.epoch
         new.n = new_n
 
@@ -514,8 +514,8 @@ class GraphSnapshot(_CsrSnapshot):
         )
         return new
 
-    def _shared_at(self, store: PropertyGraphStore) -> "GraphSnapshot":
-        """A snapshot at the current epoch sharing all frozen structure.
+    def _shared_at(self, epoch: int) -> "GraphSnapshot":
+        """A snapshot at ``epoch`` sharing all frozen structure.
 
         Valid only when the delta span contained no structural change.
         Frozen arrays and list views are immutable after construction, and
@@ -526,7 +526,7 @@ class GraphSnapshot(_CsrSnapshot):
         new = type(self).__new__(type(self))
         for key, value in self.__dict__.items():
             new.__dict__[key] = value
-        new.epoch = store.epoch
+        new.epoch = epoch
         new.advanced_from = self.epoch
         return new
 

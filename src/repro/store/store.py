@@ -69,7 +69,6 @@ class PropertyGraphStore:
         self._next_order = 0
         self._live_vertex_count = 0
         self._live_edge_count = 0
-        self._epoch = 0
         self._delta_log = DeltaLog(delta_log_capacity)
 
     # ------------------------------------------------------------------
@@ -87,8 +86,12 @@ class PropertyGraphStore:
 
         Building a property index is not a mutation (it changes no query
         answer), so :meth:`create_property_index` does not bump the epoch.
+
+        It is the delta log's newest epoch: appending a batch is the one
+        act that publishes it, so a reader on another thread never sees
+        an epoch whose batch is not yet in :attr:`delta_log`.
         """
-        return self._epoch
+        return self._delta_log.last_epoch
 
     @property
     def delta_log(self) -> DeltaLog:
@@ -96,9 +99,8 @@ class PropertyGraphStore:
         return self._delta_log
 
     def _commit(self, *deltas: Delta) -> None:
-        """Bump the epoch once and log the deltas as one atomic batch."""
-        self._epoch += 1
-        self._delta_log.append(DeltaBatch(self._epoch, deltas))
+        """Log the deltas as one atomic batch, which bumps the epoch."""
+        self._delta_log.append(DeltaBatch(self.epoch + 1, deltas))
 
     def restore_epoch(self, epoch: int) -> None:
         """Adopt an externally persisted epoch and rebase the delta log.
@@ -109,7 +111,6 @@ class PropertyGraphStore:
         After restoring, future mutations continue from ``epoch + 1`` and
         the delta log covers the empty span ``(epoch, epoch]``.
         """
-        self._epoch = epoch
         self._delta_log.rebase(epoch)
 
     @property
@@ -322,10 +323,10 @@ class PropertyGraphStore:
             ValueError: on an epoch gap or an id mismatch — both mean the
                 follower diverged and must re-sync from a full snapshot.
         """
-        if batch.epoch != self._epoch + 1:
+        if batch.epoch != self.epoch + 1:
             raise ValueError(
                 f"replicated batch epoch {batch.epoch} does not follow "
-                f"store epoch {self._epoch}"
+                f"store epoch {self.epoch}"
             )
         if payloads is None:
             payloads = [None] * len(batch.deltas)
@@ -364,7 +365,6 @@ class PropertyGraphStore:
                         payload.value
             else:                        # pragma: no cover - defensive
                 raise ValueError(f"unknown delta op {op!r}")
-        self._epoch = batch.epoch
         self._delta_log.append(batch)
 
     # ------------------------------------------------------------------

@@ -32,14 +32,12 @@ from repro.model.types import EdgeType, VertexType
 from repro.query.cypherlite import run_query
 from repro.query.ops import blame, impacted, lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
+from repro.serve.api import ServeConfig
 from repro.serve.cluster import ProvCluster
-from repro.serve.wire import (
-    blame_to_wire,
-    lineage_to_wire,
-    psg_to_wire,
-    rows_to_wire,
-    segment_to_wire,
-)
+from repro.serve.frontend import FrontendClient
+from repro.serve.methods import BATCHABLE, METHODS
+from repro.serve.wire import psg_to_wire
+from repro.session import LifecycleSession
 from repro.store.snapshot import GraphSnapshot
 from repro.workloads.lifecycle import build_paper_example
 from faults import kill_worker, truncate_log
@@ -474,41 +472,68 @@ def _summary_queries(rng, entities):
             for dst in rng.sample(entities, k=min(2, len(entities)))]
 
 
-def _wire_answers(cluster, specs, queries):
-    """One pass of the stream, every answer in its wire encoding: the
-    batch, then the summary four times (the rotation lands it twice on
-    each of two replicas, so the repeats are view hits)."""
-    encode = {"lineage": lineage_to_wire, "impacted": lineage_to_wire,
-              "blame": blame_to_wire, "segment": segment_to_wire,
-              "cypher": rows_to_wire}
-    answers = [encode[method](result) for (method, _), result
-               in zip(specs, cluster.query_many(specs), strict=True)]
-    answers += [psg_to_wire(cluster.summarize(queries)) for _ in range(4)]
-    return answers
+#: One sample spec per batchable row of the method table, built from
+#: ``(rng, entities)``: a row added without a sample here, or answering
+#: differently on any serving path, fails the parity test below.
+SAMPLES = {
+    "lineage": lambda rng, entities: {"entity": rng.choice(entities),
+                                      "max_depth": rng.choice([None, 1])},
+    "impacted": lambda rng, entities: {"entity": rng.choice(entities)},
+    "blame": lambda rng, entities: {"entity": rng.choice(entities)},
+    "segment": lambda rng, entities: {"query": PgSegQuery(
+        src=tuple(rng.sample(entities, k=min(2, len(entities)))),
+        dst=(rng.choice(entities),))},
+    "cypher": lambda rng, entities: {"text":
+        f"MATCH (e:E)-[:G]->(a:A) WHERE id(e) = {rng.choice(entities)} "
+        f"RETURN id(a)"},
+}
+
+
+def _wire_answers(query_many, specs):
+    """One path's answers to ``specs``, each in its row's wire encoding."""
+    return [METHODS[method].result_to_wire(result)
+            for (method, _), result in zip(specs, query_many(specs),
+                                           strict=True)]
 
 
 def test_spawn_modes_answer_identically():
-    """One seeded mutate/query stream — all five query families plus
-    ``summarize``, each pass asked twice — served by in-process workers
-    and by worker processes: the wire-encoded answers are identical, and
-    the in-process workers answered repeats from their result cache and
-    their summary views."""
+    """One seeded mutate/query stream — every batchable method, one
+    sample per row of the method table, plus ``summarize``, each pass
+    asked twice — answered identically, in wire encoding, by four paths:
+    a session with no cluster, in-process workers, worker processes and
+    a front-end client of those processes. The summary (asked four
+    times: the rotation lands it twice on each of two replicas) is
+    compared across the two spawn modes; the in-process workers answered
+    repeats from their result cache and their summary views."""
+    assert tuple(SAMPLES) == BATCHABLE
     rng = random.Random(2727)
     graph = build_paper_example().graph
-    clusters = {mode: ProvCluster(graph, replicas=2, out_of_process=mode)
-                for mode in (False, True)}
+    clusters = {mode: ProvCluster(graph, config=ServeConfig(
+        replicas=2, out_of_process=mode, frontend=mode))
+        for mode in (False, True)}
+    client = FrontendClient(clusters[True].frontend.address, graph=graph)
+    paths = {"session": LifecycleSession(graph=graph).query_many,
+             "in-process": clusters[False].query_many,
+             "processes": clusters[True].query_many,
+             "front-end": client.query_many}
     counter = [0]
     try:
         for _ in range(6):
             for _ in range(rng.randint(1, 3)):
                 _mutate(rng, graph, counter)
             entities = list(graph.entities())
-            specs = _batch_specs(rng, entities)
+            specs = _batch_specs(rng, entities) + [
+                (method, sample(rng, entities))
+                for method, sample in SAMPLES.items()]
             queries = _summary_queries(rng, entities)
             for _repeat in range(2):
+                answers = {name: _wire_answers(query_many, specs)
+                           for name, query_many in paths.items()}
+                for name, answer in answers.items():
+                    assert answer == answers["session"], name
                 in_process, processes = (
-                    _wire_answers(clusters[mode], specs, queries)
-                    for mode in (False, True))
+                    [psg_to_wire(clusters[mode].summarize(queries))
+                     for _ in range(4)] for mode in (False, True))
                 assert in_process == processes
         workers = [replica.transport.worker
                    for replica in clusters[False].replicas]
@@ -517,6 +542,7 @@ def test_spawn_modes_answer_identically():
         for cluster in clusters.values():
             assert all(r.restarts == 0 for r in cluster.replicas)
     finally:
+        client.close()
         for cluster in clusters.values():
             cluster.close()
 

@@ -270,6 +270,36 @@ def test_writer_readers_and_leader_side_calls_ungated():
                 replica["timeouts"], replica["poisoned"]) == (0, 0, 0, 0)
 
 
+def test_strict_read_inside_a_commit_stamps_the_published_epoch():
+    """A strict read routed while the writer is inside a commit — its
+    mutation applied, its batch not yet in the delta log — stamps the
+    epoch the log has published, which a replica can reach; stamping the
+    next one failed with "consistency stamp ... is ahead of the leader"
+    (the race the stress test above used to hit about 1 run in 6)."""
+    load = Workload()
+    graph = load.graph
+    entity = load.stream[0][1]["entity"]
+    log = graph.store.delta_log
+    append = log.append
+    served = []
+    with ProvCluster(graph, config=ServeConfig(replicas=1)) as cluster:
+
+        def racing(batch):
+            served.append((graph.store.epoch, batch.epoch,
+                           cluster.lineage(entity)))
+            append(batch)
+
+        log.append = racing
+        try:
+            load.append_run(0)
+        finally:
+            del log.append
+    assert len(served) >= 4
+    for stamped, committing, answer in served:
+        assert stamped == committing - 1
+        assert answer == lineage(graph, entity)
+
+
 def test_kill_mid_batch_reserves_the_share_and_spares_the_other_batch():
     """Worker 0 is frozen with reader A's batch inside it; reader B's
     batch runs on worker 1 meanwhile and is answered as if nothing had

@@ -296,6 +296,24 @@ class TestFrontendRoundTrip:
         assert epoch == cluster.leader_epoch
         assert stats["served"] == 1
 
+    def test_responses_to_unknown_ids_are_dropped(self, fe_cluster):
+        """A peer's response frames for ids this client never sent are
+        not filed: nothing would ever collect them, so keeping them would
+        grow the client without bound on untrusted input."""
+        example, cluster = fe_cluster
+        target = example["weight-v2"]
+        with FrontendClient(cluster.frontend.address) as client:
+            answer = wire.WireValue(wire.blame_to_wire({}))
+            client._absorb(wire.response_to_wire(41, 0, result=answer))
+            client._absorb(wire.responses_bundle_to_wire(0, [
+                wire.response_to_wire(42, 0, result=answer),
+                wire.response_to_wire(43, 0, error=wire.error_to_wire(
+                    ValueError("stray")))]))
+            assert client._arrived == {}
+            # Ids it did send are still filed and answered.
+            assert client.blame(target) == blame(example.graph, target)
+            assert client._arrived == {}
+
     def test_unknown_kind_answered_not_fatal(self, fe_cluster):
         example, cluster = fe_cluster
         sock = socket.create_connection(cluster.frontend.address)

@@ -24,7 +24,8 @@ from repro.query.ops import blame, lineage
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve import wire
 from repro.serve.cluster import ProvCluster
-from repro.serve.frontend import _encode_frame, _encode_result
+from repro.serve.frontend import _encode_frame
+from repro.serve.methods import encode_result as _encode_result
 from repro.serve.pool import RawResult
 from repro.workloads.lifecycle import build_paper_example
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.model.types import EdgeType, VertexType
 from repro.session import LifecycleSession
+from repro.store.delta import ResultCache
 from repro.store.snapshot import GraphSnapshot
 from repro.store.store import PropertyGraphStore
 
@@ -116,6 +117,72 @@ class TestSnapshotFreshness:
         snapshot = GraphSnapshot(store)
         store.set_vertex_property(e, "name", "new")
         assert not snapshot.is_fresh
+
+
+class TestEpochPublication:
+    """The delta-log append is the one act that publishes an epoch, and a
+    reader that folds the log adopts the epoch of the last batch it
+    folded — so a reader racing a writer thread never stamps an epoch
+    whose batch is missing, nor folds one batch twice."""
+
+    def test_epoch_moves_only_with_the_log_append(self, store):
+        log = store.delta_log
+        append = log.append
+        seen = []
+
+        def observed(batch):
+            seen.append((store.epoch, batch.epoch))
+            append(batch)
+
+        log.append = observed
+        store.add_vertex(VertexType.ENTITY)
+        store.add_vertex(VertexType.ENTITY)
+        assert seen == [(0, 1), (1, 2)]
+        assert store.epoch == log.last_epoch == 2
+
+    def test_snapshot_adopts_the_last_folded_epoch(self, store):
+        first = store.add_vertex(VertexType.ENTITY)
+        snapshot = GraphSnapshot(store)
+        second = store.add_vertex(VertexType.ENTITY)
+        log = store.delta_log
+        batches_since = log.batches_since
+        late = []
+
+        def racing(epoch):
+            span = batches_since(epoch)
+            if not late:             # a writer commits right after the read
+                late.append(store.add_vertex(VertexType.ENTITY))
+            return span
+
+        log.batches_since = racing
+        advanced = snapshot.advance()
+        del log.batches_since
+        assert advanced.epoch == store.epoch - 1
+        assert advanced.is_entity(second)
+        caught_up = advanced.advance()
+        assert caught_up.epoch == store.epoch
+        assert all(caught_up.is_entity(v) for v in (first, second, *late))
+
+    def test_cache_adopts_the_last_folded_epoch(self, store):
+        entity = store.add_vertex(VertexType.ENTITY)
+        cache = ResultCache()
+        cache.revalidate(store)
+        cache.put("walk", "answer", "ancestry", frozenset({entity}),
+                  store.vertex_capacity)
+        store.add_vertex(VertexType.ENTITY)
+        log = store.delta_log
+        batches_since = log.batches_since
+
+        def racing(epoch):           # a writer commits before the read
+            store.add_vertex(VertexType.ENTITY)
+            return batches_since(epoch)
+
+        log.batches_since = racing
+        cache.revalidate(store)
+        del log.batches_since
+        assert cache.epoch == store.epoch
+        assert cache.get("walk") == "answer"
+        assert cache.retained == 1
 
 
 @pytest.fixture()

@@ -23,6 +23,11 @@ Checks, over ``README.md``, ``ROADMAP.md``, and ``docs/*.md``:
   ``src/repro/serve/wire.py`` — a doc example for a codec nobody wrote
   (typo'd kind, stale rename) fails here even before the round-trip
   suite runs;
+- every wire method has its section: each row of the method table
+  (``src/repro/serve/methods.py``) and each other ``REQUEST_METHODS``
+  name has a ``### Method: `name` `` heading in
+  ``docs/wire-protocol.md`` (one heading may name several), and every
+  such heading names only methods the table serves;
 - every cited test exists: a ``tests/….py`` path names a real file, and
   each test named after it — ``tests/x.py`` followed by a parenthesised
   list of `` `test_y` `` / `` `TestZ` `` / `` `TestZ.test_y` `` names, or
@@ -183,6 +188,49 @@ def check_frame_tags(problems: list[str]) -> None:
             )
 
 
+def served_methods() -> set[str]:
+    """Every method ``serve/methods.py`` serves: the names of its
+    ``Method(...)`` rows plus the extra ``REQUEST_METHODS`` literals."""
+    tree = ast.parse((ROOT / "src" / "repro" / "serve" / "methods.py")
+                     .read_text(encoding="utf-8"))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "Method" and node.args \
+                and isinstance(node.args[0], ast.Constant):
+            names.add(node.args[0].value)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name)
+                and target.id == "REQUEST_METHODS"
+                for target in node.targets):
+            names.update(item.value for item in ast.walk(node.value)
+                         if isinstance(item, ast.Constant))
+    return names
+
+
+def check_method_sections(problems: list[str]) -> None:
+    """The spec has one ``### Method:`` section per served method and
+    none for a method nobody serves."""
+    spec = ROOT / "docs" / "wire-protocol.md"
+    served = served_methods()
+    documented: set[str] = set()
+    for number, line in enumerate(
+            spec.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.startswith("### Method:"):
+            continue
+        for name in re.findall(r"`(\w+)`", line):
+            documented.add(name)
+            if name not in served:
+                problems.append(
+                    f"{spec.relative_to(ROOT)}:{number}: heading names "
+                    f"method {name!r}, which serve/methods.py does not "
+                    f"serve")
+    for name in sorted(served - documented):
+        problems.append(
+            f"{spec.relative_to(ROOT)}: serve/methods.py serves {name!r} "
+            f"but no `### Method:` heading names it")
+
+
 #: A backticked test file path.
 _TEST_PATH = re.compile(r"`(tests/[\w/]+\.py)")
 #: ``tests/x.py`` followed by a parenthesised name list (may wrap lines).
@@ -300,6 +348,7 @@ def main() -> int:
         check_fences(path, problems, known_kinds)
         check_test_citations(path, problems)
     check_frame_tags(problems)
+    check_method_sections(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"checked {len(files)} files: "
