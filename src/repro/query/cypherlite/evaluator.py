@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import CypherEvaluationError, QueryTimeout
 from repro.model.graph import ProvenanceGraph
@@ -155,9 +155,11 @@ class Evaluator:
 
     def _apply_match(self, rows: list[_Row], clause: MatchClause) -> list[_Row]:
         seeds = _id_constraints(clause.where)
+        filters = _property_constraints(clause.where)
         output: list[_Row] = []
         for row in rows:
-            for binding in self._match_pattern(clause.pattern, row, seeds):
+            for binding in self._match_pattern(clause.pattern, row, seeds,
+                                               filters):
                 merged = {**row, **binding}
                 if clause.where is None or _truthy(self._eval(clause.where, merged)):
                     output.append(merged)
@@ -181,23 +183,30 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _node_candidates(self, node: NodePattern, row: _Row,
-                         seeds: dict[str, set[int]]) -> Iterator[int]:
+                         seeds: dict[str, set[int]],
+                         filters: dict[str, list[tuple[str, Any]]],
+                         ) -> Iterable[int]:
         source = self._snapshot if self._snapshot is not None \
             else self._graph.store
         if node.var in row:
-            yield row[node.var]
-            return
+            return (row[node.var],)
         if node.var in seeds:
-            for vertex_id in sorted(seeds[node.var]):
-                if vertex_id in source:
-                    if self._node_matches(node, vertex_id):
-                        yield vertex_id
-            return
-        if node.label is not None:
-            vertex_type = parse_vertex_type(node.label)
-            yield from source.vertex_ids(vertex_type)
-            return
-        yield from source.vertex_ids()
+            candidates: Iterable[int] = [
+                vertex_id for vertex_id in sorted(seeds[node.var])
+                if vertex_id in source and self._node_matches(node, vertex_id)
+            ]
+        elif node.label is not None:
+            candidates = source.vertex_ids(parse_vertex_type(node.label))
+        else:
+            candidates = source.vertex_ids()
+        # ``var.key = literal`` conjuncts drop a candidate before its row
+        # is built; the value is read as ``_eval_property`` reads it, and
+        # WHERE still runs on every row that survives.
+        vertex = self._graph.vertex
+        for key, value in filters.get(node.var, ()):
+            candidates = [vertex_id for vertex_id in candidates
+                          if vertex(vertex_id).get(key) == value]
+        return candidates
 
     def _node_matches(self, node: NodePattern, vertex_id: int) -> bool:
         if node.label is None:
@@ -239,7 +248,9 @@ class Evaluator:
                            flipped)
 
     def _match_pattern(self, pattern: PathPattern, row: _Row,
-                       seeds: dict[str, set[int]]) -> Iterator[_Row]:
+                       seeds: dict[str, set[int]],
+                       filters: dict[str, list[tuple[str, Any]]],
+                       ) -> Iterator[_Row]:
         # Anchor at whichever end is better constrained; a right anchor
         # evaluates the reversed pattern and inverts the bound path so the
         # user-visible node order is unchanged.
@@ -251,7 +262,7 @@ class Evaluator:
                 pattern = self._reverse_pattern(pattern)
                 reverse = True
         first = pattern.nodes[0]
-        for start in self._node_candidates(first, row, seeds):
+        for start in self._node_candidates(first, row, seeds, filters):
             self._budget.tick()
             path = Path(self._graph, start, snapshot=self._snapshot)
             yield from self._extend(pattern, row, seeds, 0, path,
@@ -432,6 +443,18 @@ def _truthy(value: Any) -> bool:
     return bool(value)
 
 
+def _conjuncts(where: Expr | None) -> Iterator[Expr]:
+    """The top-level ``AND`` conjuncts of a WHERE expression."""
+    stack = [] if where is None else [where]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.append(node.left)
+            stack.append(node.right)
+        else:
+            yield node
+
+
 def _id_constraints(where: Expr | None) -> dict[str, set[int]]:
     """Extract ``id(var) IN [...]`` / ``id(var) = n`` seeds from WHERE.
 
@@ -439,15 +462,7 @@ def _id_constraints(where: Expr | None) -> dict[str, set[int]]:
     Neo4j applies for Query 1: "we always use id to seek the nodes").
     """
     seeds: dict[str, set[int]] = {}
-    if where is None:
-        return seeds
-    stack = [where]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-            continue
+    for node in _conjuncts(where):
         if not isinstance(node, Cmp):
             continue
         if not (isinstance(node.left, FuncCall) and node.left.name == "id"
@@ -468,6 +483,26 @@ def _id_constraints(where: Expr | None) -> dict[str, set[int]]:
                 and isinstance(node.right.value, int):
             seeds.setdefault(var, set()).add(node.right.value)
     return seeds
+
+
+def _property_constraints(where: Expr | None,
+                          ) -> dict[str, list[tuple[str, Any]]]:
+    """Extract ``var.key = literal`` / ``literal = var.key`` conjuncts.
+
+    Top-level conjuncts only, like :func:`_id_constraints`: every row that
+    fails one of them fails WHERE, so the candidate scan may drop it.
+    """
+    filters: dict[str, list[tuple[str, Any]]] = {}
+    for node in _conjuncts(where):
+        if not (isinstance(node, Cmp) and node.op == "="):
+            continue
+        for prop, literal in ((node.left, node.right),
+                              (node.right, node.left)):
+            if isinstance(prop, Property) and isinstance(prop.base, Var) \
+                    and isinstance(literal, Literal):
+                filters.setdefault(prop.base.name, []).append(
+                    (prop.key, literal.value))
+    return filters
 
 
 def run_query(graph: ProvenanceGraph, text: str,

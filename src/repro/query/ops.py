@@ -11,9 +11,10 @@ helpers so downstream users don't reach for the raw traversals:
 - :func:`common_ancestors` — join point of two entities' histories.
 
 Every helper accepts an optional ``snapshot=`` — a
-:class:`repro.store.snapshot.GraphSnapshot` — and then walks the frozen CSR
-list views instead of the live store, which is both faster on repeated
-queries and immune to concurrent appends. Results are identical to the
+:class:`repro.store.snapshot.GraphSnapshot` — and then reads the frozen CSR
+instead of the live store (the walks its list views, :func:`blame` its
+rows, gathered with numpy), which is both faster on repeated queries and
+immune to concurrent appends. Results are identical to the
 live-store path for the graph state the snapshot captured (the differential
 suite asserts this).
 """
@@ -22,9 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.cfl.adjacency import gather_rows
 from repro.model.graph import ProvenanceGraph
 from repro.model.types import EdgeType, VertexType
+from repro.store.csr import VERTEX_TYPE_CODES
 from repro.store.snapshot import GraphSnapshot
+
+_ENTITY = VERTEX_TYPE_CODES[VertexType.ENTITY]
+_ACTIVITY = VERTEX_TYPE_CODES[VertexType.ACTIVITY]
 
 
 @dataclass(slots=True)
@@ -137,12 +145,33 @@ def blame(graph: ProvenanceGraph, entity: int,
     """
     if ancestry is None:
         ancestry = lineage(graph, entity, max_depth, snapshot=snapshot)
+    if snapshot is not None:
+        return _blame_rows(snapshot, ancestry.vertices)
     report: dict[int, set[int]] = {}
-    agents_of = graph.agents_of if snapshot is None else snapshot.agents_of
     for vertex_id in ancestry.vertices:
-        for agent in agents_of(vertex_id):
+        for agent in graph.agents_of(vertex_id):
             report.setdefault(agent, set()).add(vertex_id)
     return report
+
+
+def _blame_rows(snapshot: GraphSnapshot,
+                vertices: set[int]) -> dict[int, set[int]]:
+    """:func:`blame`'s report from the snapshot's CSR rows: the S rows of
+    the activities and the A rows of the entities, grouped by agent."""
+    ids = np.fromiter(vertices, np.int64, len(vertices))
+    codes = snapshot.vertex_codes[ids]
+    agents, owners = [], []
+    for code, edge_type in ((_ACTIVITY, EdgeType.WAS_ASSOCIATED_WITH),
+                            (_ENTITY, EdgeType.WAS_ATTRIBUTED_TO)):
+        keys = ids[codes == code]
+        targets, counts = gather_rows(snapshot.forward[edge_type], keys)
+        agents.append(targets)
+        owners.append(np.repeat(keys, counts))
+    agents, owners = np.concatenate(agents), np.concatenate(owners)
+    order = np.argsort(agents, kind="stable")
+    keys, starts = np.unique(agents[order], return_index=True)
+    return {agent: set(group.tolist()) for agent, group
+            in zip(keys.tolist(), np.split(owners[order], starts[1:]))}
 
 
 def derivation_chain(graph: ProvenanceGraph, entity: int,

@@ -6,10 +6,13 @@
 - :func:`involved_agents`         — VC4, responsible agents.
 
 All rule classes accept ``snapshot=`` — a
-:class:`repro.store.snapshot.GraphSnapshot` — and then traverse the frozen
-CSR list views (including the captured records for boundary predicates)
-instead of the live store adjacency. The ``cflr`` baseline algorithm is the
-one exception: it exists to be the slow reference and always reads the live
+:class:`repro.store.snapshot.GraphSnapshot` — and then gather the frozen
+``forward`` / ``backward`` CSR rows with numpy instead of walking the live
+store one vertex at a time: VC1 and the Bx expansion are level-synchronous
+closures, VC3 and VC4 one gather each. Boundary predicates are applied to
+the gathered (edge, far endpoint) pairs only, by the same rule as the
+live walk (:func:`_admit`). The ``cflr`` baseline algorithm is the one
+exception: it exists to be the slow reference and always reads the live
 store.
 """
 
@@ -17,7 +20,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.cfl.adjacency import ProvAdjacency
+import numpy as np
+
+from repro.cfl.adjacency import ProvAdjacency, distinct, row_positions
 from repro.cfl.cflr_base import CflrSolver
 from repro.cfl.grammar import simprov_normal_form
 from repro.cfl.results import SimProvResult, SimProvStats
@@ -26,8 +31,10 @@ from repro.cfl.simprov_tst import SimProvTst
 from repro.errors import SegmentationError
 from repro.model.graph import ProvenanceGraph
 from repro.model.types import EdgeType, PATHABLE_EDGE_TYPES, VertexType
+from repro.store.csr import VERTEX_TYPE_CODES, CsrAdjacency
 from repro.store.records import EdgeRecord, VertexRecord
 from repro.store.snapshot import GraphSnapshot
+from repro.store.store import PropertyGraphStore
 
 VertexPredicate = Callable[[VertexRecord], bool]
 EdgePredicate = Callable[[EdgeRecord], bool]
@@ -35,64 +42,96 @@ EdgePredicate = Callable[[EdgeRecord], bool]
 #: Algorithms selectable for the VC2 induction.
 VC2_ALGORITHMS = ("simprov-tst", "simprov-alg", "cflr")
 
-
-class _View:
-    """Uniform read accessors over a live graph or a frozen snapshot."""
-
-    __slots__ = ("out_edge_ids", "in_edge_ids", "out_neighbors",
-                 "in_neighbors", "edge", "vertex", "vertex_type")
-
-    def __init__(self, graph: ProvenanceGraph,
-                 snapshot: GraphSnapshot | None):
-        if snapshot is None:
-            store = graph.store
-            self.out_edge_ids = store.out_edge_ids
-            self.in_edge_ids = store.in_edge_ids
-            self.out_neighbors = store.out_neighbors
-            self.in_neighbors = store.in_neighbors
-            self.edge = store.edge
-            self.vertex = store.vertex
-            self.vertex_type = store.vertex_type
-        else:
-            self.out_edge_ids = (
-                lambda v, et: snapshot.out_edge_lists(et)[v]
-            )
-            self.in_edge_ids = (
-                lambda v, et: snapshot.in_edge_lists(et)[v]
-            )
-            self.out_neighbors = (
-                lambda v, et: snapshot.out_lists(et)[v]
-            )
-            self.in_neighbors = (
-                lambda v, et: snapshot.in_lists(et)[v]
-            )
-            self.edge = snapshot.edge
-            self.vertex = snapshot.vertex
-            self.vertex_type = snapshot.vertex_type
+_ENTITY = VERTEX_TYPE_CODES[VertexType.ENTITY]
+_ACTIVITY = VERTEX_TYPE_CODES[VertexType.ACTIVITY]
 
 
-def _filtered_step(view: _View, vertex_id: int,
+def _filtered_step(store: PropertyGraphStore, vertex_id: int,
                    edge_types: Iterable[EdgeType], forward: bool,
                    vertex_ok: VertexPredicate | None,
                    edge_ok: EdgePredicate | None):
+    """The live store's neighbors of one vertex that pass the predicates."""
     if vertex_ok is None and edge_ok is None:
         # No boundary predicates: step over neighbor ids directly, skipping
         # the per-edge record fetch.
         for edge_type in edge_types:
-            yield from (view.out_neighbors(vertex_id, edge_type) if forward
-                        else view.in_neighbors(vertex_id, edge_type))
+            yield from (store.out_neighbors(vertex_id, edge_type) if forward
+                        else store.in_neighbors(vertex_id, edge_type))
         return
     for edge_type in edge_types:
-        edge_ids = (view.out_edge_ids(vertex_id, edge_type) if forward
-                    else view.in_edge_ids(vertex_id, edge_type))
+        edge_ids = (store.out_edge_ids(vertex_id, edge_type) if forward
+                    else store.in_edge_ids(vertex_id, edge_type))
         for edge_id in edge_ids:
-            record = view.edge(edge_id)
+            record = store.edge(edge_id)
             if edge_ok is not None and not edge_ok(record):
                 continue
             other = record.dst if forward else record.src
-            if vertex_ok is not None and not vertex_ok(view.vertex(other)):
+            if vertex_ok is not None and not vertex_ok(store.vertex(other)):
                 continue
             yield other
+
+
+def _gather(rows: Iterable[tuple[CsrAdjacency, np.ndarray]],
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids and far endpoints of the given rows of each CSR."""
+    edge_ids, far = [], []
+    for csr, keys in rows:
+        positions, _ = row_positions(csr, keys)
+        edge_ids.append(csr.edge_ids[positions])
+        far.append(csr.indices[positions])
+    return np.concatenate(edge_ids), np.concatenate(far)
+
+
+def _admit(snapshot: GraphSnapshot, edge_ids: np.ndarray, far: np.ndarray,
+           vertex_ok: VertexPredicate | None,
+           edge_ok: EdgePredicate | None) -> np.ndarray:
+    """The ``far`` endpoints whose gathered pair passes the predicates.
+
+    :func:`_filtered_step`'s rule: keep a pair when ``edge_ok(edge)`` and
+    ``vertex_ok(far endpoint)`` hold. It is called only on pairs a rule
+    touches, never on the whole graph, and the row's own vertex is not
+    tested.
+    """
+    if (vertex_ok is None and edge_ok is None) or not far.size:
+        return far
+    edge, vertex = snapshot.edge, snapshot.vertex
+    keep = np.fromiter(
+        ((edge_ok is None or edge_ok(edge(edge_id)))
+         and (vertex_ok is None or vertex_ok(vertex(other)))
+         for edge_id, other in zip(edge_ids.tolist(), far.tolist())),
+        dtype=bool, count=len(far))
+    return far[keep]
+
+
+def _reach(snapshot: GraphSnapshot, roots: np.ndarray,
+           rows: Iterable[CsrAdjacency],
+           vertex_ok: VertexPredicate | None, edge_ok: EdgePredicate | None,
+           within: np.ndarray | None = None,
+           levels: int | None = None) -> np.ndarray:
+    """Mask of ``roots`` and everything reached from them along ``rows``.
+
+    Level-synchronous: each level gathers the frontier's rows, keeps the
+    far endpoints not yet seen (and inside the ``within`` mask, when
+    given) that :func:`_admit` lets through, and dedupes them into the
+    next frontier. ``levels`` caps the number of levels. A deep chain pays
+    numpy's fixed call cost once per level.
+    """
+    rows = tuple(rows)
+    seen = np.zeros(snapshot.n, dtype=bool)
+    seen[roots] = True
+    stamp = np.empty(snapshot.n, dtype=np.int64)
+    frontier, level = roots, 0
+    while frontier.size and (levels is None or level < levels):
+        edge_ids, far = _gather((csr, frontier) for csr in rows)
+        fresh = ~seen[far]
+        if within is not None:
+            fresh &= within[far]
+        far = _admit(snapshot, edge_ids[fresh], far[fresh], vertex_ok,
+                     edge_ok)
+        frontier = distinct(far, stamp)
+        seen[frontier] = True
+        level += 1
+    return seen
 
 
 def direct_path_vertices(graph: ProvenanceGraph,
@@ -108,19 +147,30 @@ def direct_path_vertices(graph: ProvenanceGraph,
     intersection: forward-reachable from Vdst ∩ backward-reachable to Vsrc,
     with the backward walk confined to the forward set. O(ancestry cone).
     """
-    view = _View(graph, snapshot)
+    vertex = graph.store.vertex if snapshot is None else snapshot.vertex
     src_list = [v for v in dict.fromkeys(src_ids)
-                if vertex_ok is None or vertex_ok(view.vertex(v))]
+                if vertex_ok is None or vertex_ok(vertex(v))]
     dst_list = [v for v in dict.fromkeys(dst_ids)
-                if vertex_ok is None or vertex_ok(view.vertex(v))]
+                if vertex_ok is None or vertex_ok(vertex(v))]
     if not src_list or not dst_list:
         return set()
 
+    if snapshot is not None:
+        forward = _reach(snapshot, np.array(dst_list, dtype=np.int64),
+                         (snapshot.forward[et] for et in edge_types),
+                         vertex_ok, edge_ok)
+        sources = np.array(src_list, dtype=np.int64)
+        on_path = _reach(snapshot, sources[forward[sources]],
+                         (snapshot.backward[et] for et in edge_types),
+                         vertex_ok, edge_ok, within=forward)
+        return set(np.flatnonzero(on_path).tolist())
+
+    store = graph.store
     forward = set(dst_list)
     stack = list(dst_list)
     while stack:
         current = stack.pop()
-        for nxt in _filtered_step(view, current, edge_types, True,
+        for nxt in _filtered_step(store, current, edge_types, True,
                                   vertex_ok, edge_ok):
             if nxt not in forward:
                 forward.add(nxt)
@@ -133,7 +183,7 @@ def direct_path_vertices(graph: ProvenanceGraph,
     stack = list(on_path)
     while stack:
         current = stack.pop()
-        for nxt in _filtered_step(view, current, edge_types, False,
+        for nxt in _filtered_step(store, current, edge_types, False,
                                   vertex_ok, edge_ok):
             if nxt in forward and nxt not in on_path:
                 on_path.add(nxt)
@@ -236,28 +286,25 @@ def sibling_entities(graph: ProvenanceGraph, core_vertices: Iterable[int],
     from directed paths" — e.g. the log file written by the same train run.
     """
     core = set(core_vertices)
-    view = _View(graph, snapshot)
-    unfiltered = vertex_ok is None and edge_ok is None
+    if snapshot is not None:
+        core_ids = np.fromiter(core, np.int64, len(core))
+        in_core = np.zeros(snapshot.n, dtype=bool)
+        in_core[core_ids] = True
+        activities = core_ids[snapshot.vertex_codes[core_ids] == _ACTIVITY]
+        edge_ids, entities = _gather(
+            [(snapshot.backward[EdgeType.WAS_GENERATED_BY], activities)])
+        outside = ~in_core[entities]
+        return set(_admit(snapshot, edge_ids[outside], entities[outside],
+                          vertex_ok, edge_ok).tolist())
+    store = graph.store
     siblings: set[int] = set()
     for vertex_id in core:
-        if view.vertex_type(vertex_id) is not VertexType.ACTIVITY:
-            continue
-        if unfiltered:
-            for entity in view.in_neighbors(vertex_id,
-                                            EdgeType.WAS_GENERATED_BY):
-                if entity not in core:
-                    siblings.add(entity)
-            continue
-        for edge_id in view.in_edge_ids(vertex_id, EdgeType.WAS_GENERATED_BY):
-            record = view.edge(edge_id)
-            if edge_ok is not None and not edge_ok(record):
-                continue
-            entity = record.src
-            if entity in core:
-                continue
-            if vertex_ok is not None and not vertex_ok(view.vertex(entity)):
-                continue
-            siblings.add(entity)
+        if store.vertex_type(vertex_id) is VertexType.ACTIVITY:
+            siblings.update(
+                entity for entity in _filtered_step(
+                    store, vertex_id, (EdgeType.WAS_GENERATED_BY,), False,
+                    vertex_ok, edge_ok)
+                if entity not in core)
     return siblings
 
 
@@ -266,27 +313,29 @@ def involved_agents(graph: ProvenanceGraph, vertices: Iterable[int],
                     edge_ok: EdgePredicate | None = None,
                     snapshot: GraphSnapshot | None = None) -> set[int]:
     """VC4: agents responsible for any included vertex (via S or A edges)."""
-    view = _View(graph, snapshot)
-    unfiltered = vertex_ok is None and edge_ok is None
+    if snapshot is not None:
+        ids = np.fromiter(vertices, np.int64)
+        codes = snapshot.vertex_codes[ids]
+        edge_ids, agents = _gather([
+            (snapshot.forward[EdgeType.WAS_ASSOCIATED_WITH],
+             ids[codes == _ACTIVITY]),
+            (snapshot.forward[EdgeType.WAS_ATTRIBUTED_TO],
+             ids[codes == _ENTITY]),
+        ])
+        return set(_admit(snapshot, edge_ids, agents, vertex_ok,
+                          edge_ok).tolist())
+    store = graph.store
     agents: set[int] = set()
     for vertex_id in vertices:
-        vertex_type = view.vertex_type(vertex_id)
+        vertex_type = store.vertex_type(vertex_id)
         if vertex_type is VertexType.ACTIVITY:
             edge_type = EdgeType.WAS_ASSOCIATED_WITH
         elif vertex_type is VertexType.ENTITY:
             edge_type = EdgeType.WAS_ATTRIBUTED_TO
         else:
             continue
-        if unfiltered:
-            agents.update(view.out_neighbors(vertex_id, edge_type))
-            continue
-        for edge_id in view.out_edge_ids(vertex_id, edge_type):
-            record = view.edge(edge_id)
-            if edge_ok is not None and not edge_ok(record):
-                continue
-            if vertex_ok is not None and not vertex_ok(view.vertex(record.dst)):
-                continue
-            agents.add(record.dst)
+        agents.update(_filtered_step(store, vertex_id, (edge_type,), True,
+                                     vertex_ok, edge_ok))
     return agents
 
 
@@ -300,21 +349,26 @@ def expansion_vertices(graph: ProvenanceGraph, entities: Iterable[int],
     Implements the Bx expansion of Sec. III.B.3: walk G then U edges (toward
     ancestors) for up to ``2k`` hops, collecting everything encountered.
     """
-    view = _View(graph, snapshot)
+    vertex = graph.store.vertex if snapshot is None else snapshot.vertex
     frontier = set()
     for vertex_id in entities:
-        record = view.vertex(vertex_id)     # VertexNotFound on both paths
+        record = vertex(vertex_id)          # VertexNotFound on both paths
         if vertex_ok is None or vertex_ok(record):
             frontier.add(vertex_id)
+    steps = (EdgeType.WAS_GENERATED_BY, EdgeType.USED)
+    if snapshot is not None:
+        reached = _reach(snapshot,
+                         np.fromiter(frontier, np.int64, len(frontier)),
+                         (snapshot.forward[et] for et in steps),
+                         vertex_ok, edge_ok, levels=2 * k)
+        return set(np.flatnonzero(reached).tolist())
+    store = graph.store
     collected = set(frontier)
     for _hop in range(2 * k):
         next_frontier: set[int] = set()
         for vertex_id in frontier:
-            for nxt in _filtered_step(
-                view, vertex_id,
-                (EdgeType.WAS_GENERATED_BY, EdgeType.USED),
-                True, vertex_ok, edge_ok,
-            ):
+            for nxt in _filtered_step(store, vertex_id, steps, True,
+                                      vertex_ok, edge_ok):
                 if nxt not in collected:
                     collected.add(nxt)
                     next_frontier.add(nxt)

@@ -430,19 +430,12 @@ class PgSegOperator:
 
     def _induced_edges(self, members: set[int],
                        edge_ok) -> list[int]:
-        if self.snapshot is not None:
-            candidates = self.snapshot.induced_edge_ids(members)
-            get_edge = self.snapshot.edge
-        else:
-            candidates = self.graph.induced_edge_ids(members)
-            get_edge = self.graph.edge
-        edge_ids = []
-        for edge_id in candidates:
-            record = get_edge(edge_id)
-            if edge_ok is not None and not edge_ok(record):
-                continue
-            edge_ids.append(edge_id)
-        return edge_ids
+        source = self.graph if self.snapshot is None else self.snapshot
+        candidates = source.induced_edge_ids(members)
+        if edge_ok is None:
+            return candidates
+        return [edge_id for edge_id in candidates
+                if edge_ok(source.edge(edge_id))]
 
     def _filter(self, segment: Segment,
                 boundaries: BoundaryCriteria) -> Segment:

@@ -73,7 +73,7 @@ class ReplicationLog:
         (:func:`repro.serve.wire.encode_batch_binary`).
         """
         batches = self.store.delta_log.batches_since(epoch)
-        if batches is None:
+        if batches is None or (batches and batches[0].epoch != epoch + 1):
             return None
         return [encode_batch_binary(batch, self.store) for batch in batches]
 

@@ -212,7 +212,7 @@ class ShardedCluster:
         if epoch == self._drained:
             return
         span = self.store.delta_log.batches_since(self._drained)
-        if span is None:
+        if span is None or (span and span[0].epoch != self._drained + 1):
             self.resyncs += 1
             self._teardown_shards()
             self._bootstrap_shards()

@@ -28,9 +28,11 @@ Contract (enforced by ``tests/test_store_delta.py``):
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum, auto
+from itertools import islice
 from typing import Any, Hashable, Iterable
 
 from repro.model.types import EdgeType, VertexType
@@ -338,7 +340,7 @@ class ResultCache:
             self.epoch = epoch
             return SpanEffects(), 0
         span = store.delta_log.batches_since(self.epoch)
-        if span is None:
+        if span is None or (span and span[0].epoch != self.epoch + 1):
             self.clear(epoch)
             return None
         effects = span_effects(span)
@@ -361,6 +363,12 @@ class DeltaLog:
     so the retained window always covers the contiguous span
     ``(base_epoch, last_epoch]``.
 
+    One uncontended lock orders :meth:`append` (and :meth:`rebase`)
+    against :meth:`batches_since`: an eviction moves the window's head
+    and its base epoch together, so a reader on another thread never
+    slices a window whose head has gone but whose base has not moved —
+    the span with a batch missing.
+
     Args:
         capacity: maximum number of *records* (not batches) retained. The
             newest batch is always kept, even if it alone exceeds capacity.
@@ -370,6 +378,7 @@ class DeltaLog:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
+        self._lock = threading.Lock()
         self._batches: deque[DeltaBatch] = deque()
         self._record_count = 0
         self._base_epoch = 0
@@ -413,14 +422,16 @@ class DeltaLog:
                 f"batch epoch {batch.epoch} breaks contiguity "
                 f"(expected {self.last_epoch + 1})"
             )
-        self._batches.append(batch)
-        self.last_epoch = batch.epoch
-        self._record_count += len(batch.deltas)
-        while self._record_count > self.capacity and len(self._batches) > 1:
-            evicted = self._batches.popleft()
-            self._record_count -= len(evicted.deltas)
-            self._base_epoch = evicted.epoch
-            self._truncated = True
+        with self._lock:
+            self._batches.append(batch)
+            self.last_epoch = batch.epoch
+            self._record_count += len(batch.deltas)
+            while self._record_count > self.capacity \
+                    and len(self._batches) > 1:
+                evicted = self._batches.popleft()
+                self._record_count -= len(evicted.deltas)
+                self._base_epoch = evicted.epoch
+                self._truncated = True
 
     def rebase(self, epoch: int) -> None:
         """Forget all batches and restart the window at ``epoch``.
@@ -434,11 +445,12 @@ class DeltaLog:
         """
         if epoch < 0:
             raise ValueError("epoch must be non-negative")
-        self._batches.clear()
-        self._record_count = 0
-        self._base_epoch = epoch
-        self.last_epoch = epoch
-        self._truncated = False
+        with self._lock:
+            self._batches.clear()
+            self._record_count = 0
+            self._base_epoch = epoch
+            self.last_epoch = epoch
+            self._truncated = False
 
     def batches_since(self, epoch: int) -> list[DeltaBatch] | None:
         """Batches replaying state at ``epoch`` up to ``last_epoch``.
@@ -448,11 +460,16 @@ class DeltaLog:
         must fall back to a full recapture. An up-to-date ``epoch`` returns
         the empty list.
         """
-        if epoch < self._base_epoch or epoch > self.last_epoch:
-            return None
-        # Epochs are contiguous, so the span is a plain slice.
-        start = epoch - self._base_epoch
-        return [self._batches[i] for i in range(start, len(self._batches))]
+        with self._lock:
+            if epoch < self._base_epoch or epoch > self.last_epoch:
+                return None
+            # Epochs are contiguous, so the span is the newest
+            # ``last_epoch - epoch`` batches: taken from the right end,
+            # it costs the span, not the window.
+            span = list(islice(reversed(self._batches),
+                               self.last_epoch - epoch))
+        span.reverse()
+        return span
 
     def record_count_since(self, epoch: int) -> int | None:
         """Number of records in the span ``(epoch, last_epoch]``.

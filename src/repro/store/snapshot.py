@@ -285,7 +285,9 @@ class GraphSnapshot(_CsrSnapshot):
         if store.epoch == self.epoch:
             return self
         batches = store.delta_log.batches_since(self.epoch)
-        if not batches:             # span not in the log (truncated, rebased)
+        # Span not in the log (truncated, rebased), or not starting at
+        # the batch after this epoch.
+        if not batches or batches[0].epoch != self.epoch + 1:
             return GraphSnapshot(store, wanted)
         # Only structural deltas cost patch work; SET_* records read
         # through shared store records and must not trigger the fallback.
@@ -778,9 +780,11 @@ class GraphSnapshot(_CsrSnapshot):
         """Responsible agents of a vertex (via S or A edges)."""
         code = self.vertex_codes[vertex_id]
         if code == VERTEX_TYPE_CODES[VertexType.ACTIVITY]:
-            return self.out_lists(EdgeType.WAS_ASSOCIATED_WITH)[vertex_id]
+            return self.forward[EdgeType.WAS_ASSOCIATED_WITH].neighbors(
+                vertex_id).tolist()
         if code == VERTEX_TYPE_CODES[VertexType.ENTITY]:
-            return self.out_lists(EdgeType.WAS_ATTRIBUTED_TO)[vertex_id]
+            return self.forward[EdgeType.WAS_ATTRIBUTED_TO].neighbors(
+                vertex_id).tolist()
         return []
 
     # ------------------------------------------------------------------

@@ -1,9 +1,17 @@
 """Unit tests for the four PgSeg induction rule classes."""
 
+import random
+
 import pytest
 
 from repro.errors import SegmentationError
-from repro.model.types import EdgeType
+from repro.model.types import EdgeType, VertexType
+from repro.query.ops import blame, lineage
+from repro.segment.boundary import (
+    BoundaryCriteria,
+    exclude_edge_types,
+    property_not_equals,
+)
 from repro.segment.induce import (
     direct_path_vertices,
     expansion_vertices,
@@ -12,6 +20,9 @@ from repro.segment.induce import (
     sibling_entities,
 )
 from repro.segment.naive import naive_direct_paths
+from repro.segment.pgseg import PgSegOperator, PgSegQuery
+from repro.store.snapshot import GraphSnapshot
+from repro.workloads.pd_generator import generate_pd_sized
 
 
 class TestDirectPaths:
@@ -149,3 +160,72 @@ class TestExpansion:
     def test_k_zero_is_identity(self, paper):
         grown = expansion_vertices(paper.graph, [paper["weight-v2"]], k=0)
         assert grown == {paper["weight-v2"]}
+
+
+class TestCsrRules:
+    """With a snapshot the rules gather CSR rows; the live walk is the
+    reference, predicates included."""
+
+    PREDICATES = [
+        (None, None),
+        (lambda record: record.vertex_type is not VertexType.AGENT, None),
+        (lambda record: record.vertex_id % 3 != 0, None),
+        (None, lambda record: record.edge_id % 4 != 0),
+        (lambda record: record.vertex_id % 5 != 0,
+         lambda record: record.edge_id % 3 != 0),
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rules_match_the_live_walk(self, seed):
+        rng = random.Random(seed)
+        pd = generate_pd_sized(200, seed=seed)
+        graph = pd.graph
+        snapshot = GraphSnapshot(graph)
+        for vertex_ok, edge_ok in self.PREDICATES:
+            src = rng.sample(pd.entities[:60], 3)
+            dst = rng.sample(pd.entities[-60:], 2)
+            core = direct_path_vertices(graph, src, dst) | {*src, *dst}
+            rules = {
+                "VC1": lambda snap: direct_path_vertices(
+                    graph, src, dst, vertex_ok=vertex_ok, edge_ok=edge_ok,
+                    snapshot=snap),
+                "VC3": lambda snap: sibling_entities(
+                    graph, core, vertex_ok, edge_ok, snapshot=snap),
+                "VC4": lambda snap: involved_agents(
+                    graph, core, vertex_ok, edge_ok, snapshot=snap),
+                "Bx": lambda snap: expansion_vertices(
+                    graph, dst, 2, vertex_ok, edge_ok, snapshot=snap),
+            }
+            for name, rule in rules.items():
+                assert rule(snapshot) == rule(None), name
+
+    def test_agents_of_an_excluded_vertex(self, paper):
+        """Only the agent end of an S / A edge is tested."""
+        target = paper["train-v2"]
+        snapshot = GraphSnapshot(paper.graph)
+        for snap in (None, snapshot):
+            assert involved_agents(
+                paper.graph, {target},
+                vertex_ok=lambda record: record.vertex_id != target,
+                snapshot=snap) == set(paper.graph.agents_of(target))
+
+    def test_snapshot_reads_borrow_the_csr(self, pd_small):
+        """A bare segment, a bounded one and a blame build none of the
+        snapshot's list-of-lists views."""
+        graph = pd_small.graph
+        snapshot = GraphSnapshot(graph)
+        src, dst = pd_small.default_query()
+        operator = PgSegOperator(graph, snapshot=snapshot)
+        operator.evaluate(PgSegQuery(src=tuple(src), dst=tuple(dst)))
+        bounded = BoundaryCriteria().exclude_vertices(
+            property_not_equals("name", graph.vertex(src[0]).get("name")),
+        ).exclude_edges(exclude_edge_types(EdgeType.WAS_DERIVED_FROM),
+                        ).expand(dst, k=1)
+        operator.evaluate(PgSegQuery(src=tuple(src), dst=tuple(dst),
+                                     boundaries=bounded))
+        # The lineage walk still reads the list views; blame is given
+        # its closure from the live store.
+        blame(graph, dst[0], snapshot=snapshot,
+              ancestry=lineage(graph, dst[0]))
+        assert not snapshot._out_lists and not snapshot._in_lists
+        assert not snapshot._out_edge_lists and not snapshot._in_edge_lists

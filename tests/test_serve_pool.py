@@ -11,6 +11,7 @@ The crash contract (the PR's acceptance criterion) is pinned here:
   rotation (regression test with a genuinely killed worker).
 """
 
+import signal
 import socket
 
 import pytest
@@ -431,28 +432,24 @@ class TestPipelinedClient:
         client = pool.clients[0]
         target = example["weight-v2"]
         restarts_before = client.restarts
-        # Make the worker genuinely slow for the probed request: pile an
-        # unawaited bundle of distinct (uncacheable-by-repeat) queries in
-        # front of it — in-order processing guarantees the probe's
-        # answer cannot arrive before the pile is served.
-        pile = [("cypher", {"text": f"MATCH (e:E) WHERE id(e) = {i} "
-                                    f"RETURN id(e)"})
-                for i in range(40)]
-        client.begin_many(pile)
+        # Stall the worker until the probe has timed out: a stopped
+        # process reads nothing and answers nothing, however long the
+        # deadline, and its socket keeps the request for it.
+        client.proc.send_signal(signal.SIGSTOP)
         old_timeout = pool.request_timeout
-        pool.request_timeout = 0.0002     # expires before any answer
+        pool.request_timeout = 0.05
         try:
             with pytest.raises(ReplicaUnavailable, match="abandoned"):
                 client.blame(target)
         finally:
             pool.request_timeout = old_timeout
+            client.proc.send_signal(signal.SIGCONT)
         assert client.timeouts >= 1
         assert client.restarts == restarts_before     # worker kept
         late_before = client.late_responses
-        # The abandoned request's answer arrives ahead of the next one:
-        # dropped + counted (the pile's answers are still pending, so
-        # they are stashed, not counted), and the fresh request is
-        # served normally.
+        # The abandoned request's answer arrives ahead of the next one
+        # (in-order processing): dropped + counted, and the fresh request
+        # is served normally.
         assert client.lineage(target).vertices \
             == lineage(example.graph, target).vertices
         assert client.late_responses == late_before + 1

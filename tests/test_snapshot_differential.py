@@ -21,6 +21,12 @@ full-rebuild fallback (``crossover=0``).
 
 8 seeds x 25 mutation/query rounds = 200 randomized interleavings, each
 checking every query family (the acceptance floor for this suite).
+
+The CSR read paths get their own cases on random Pd graphs: PgSeg
+induction under every kind of boundary (the gathers must apply the live
+walk's predicate rule), blame, both on fresh and ``advance``d snapshots,
+and CypherLite's ``var.key = literal`` scan filter against the same
+predicate written so it cannot be pushed.
 """
 
 import random
@@ -38,10 +44,20 @@ from repro.query.ops import (
     impacted,
     lineage,
 )
-from repro.model.types import EdgeType, VertexType
+from repro.model.types import PATHABLE_EDGE_TYPES, EdgeType, VertexType
+from repro.query.cypherlite.evaluator import _property_constraints, run_query
+from repro.query.cypherlite.parser import parse
+from repro.segment.boundary import (
+    BoundaryCriteria,
+    exclude_edge_types,
+    exclude_vertex_types,
+    property_not_equals,
+    within_order_window,
+)
 from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.store.snapshot import GraphSnapshot
 from repro.workloads.lifecycle import build_paper_example
+from repro.workloads.pd_generator import generate_pd_sized
 
 SEEDS = range(8)
 ROUNDS = 25
@@ -316,3 +332,170 @@ def test_snapshot_answers_are_frozen_in_time():
 def test_total_interleaving_budget():
     """The suite exercises at least 200 randomized interleavings."""
     assert len(SEEDS) * ROUNDS >= 200
+
+
+# ---------------------------------------------------------------------------
+# CSR read paths on random Pd graphs
+# ---------------------------------------------------------------------------
+
+PD_SEEDS = range(4)
+
+
+def _pd_query(rng, pd):
+    """Early sources, one to three late destinations."""
+    third = len(pd.entities) // 3
+    return (tuple(rng.sample(pd.entities[:third], 2)),
+            tuple(rng.sample(pd.entities[-third:], rng.randint(1, 3))))
+
+
+def _boundary_cases(pd, src, dst):
+    graph = pd.graph
+    src_name = graph.vertex(src[0]).get("name")
+    middle = graph.vertex(pd.entities[len(pd.entities) // 2]).order
+    return {
+        "none": None,
+        # Both exclude Vsrc; VC4 still reads its agents.
+        "no-entities": BoundaryCriteria().exclude_vertices(
+            exclude_vertex_types(VertexType.ENTITY)),
+        "not-src-name": BoundaryCriteria().exclude_vertices(
+            property_not_equals("name", src_name)),
+        "window": BoundaryCriteria().exclude_vertices(
+            within_order_window(lo=middle)),
+        # Drops the G edges VC3 gathers, all or half of them.
+        "no-G": BoundaryCriteria().exclude_edges(
+            exclude_edge_types(EdgeType.WAS_GENERATED_BY)),
+        "half-G": BoundaryCriteria().exclude_edges(
+            lambda record: record.edge_type is not EdgeType.WAS_GENERATED_BY
+            or record.edge_id % 2 == 0),
+        "expand": BoundaryCriteria().expand(dst, k=1),
+        "expand-bounded": BoundaryCriteria().exclude_vertices(
+            property_not_equals("name", src_name)).expand(
+                (*src, dst[0]), k=2),
+    }
+
+
+@pytest.mark.parametrize("seed", PD_SEEDS)
+def test_csr_induce_matches_live_walk(seed):
+    rng = random.Random(seed)
+    pd = generate_pd_sized(240, seed=seed)
+    graph = pd.graph
+    live_op = PgSegOperator(graph)
+    snap_op = PgSegOperator(graph, snapshot=GraphSnapshot(graph))
+    for _ in range(2):
+        src, dst = _pd_query(rng, pd)
+        for name, boundaries in _boundary_cases(pd, src, dst).items():
+            for direct in (PATHABLE_EDGE_TYPES,
+                           frozenset({EdgeType.WAS_DERIVED_FROM}),
+                           frozenset({EdgeType.USED,
+                                      EdgeType.WAS_GENERATED_BY})):
+                query = PgSegQuery(src=src, dst=dst, boundaries=boundaries,
+                                   direct_edge_types=direct)
+                live = live_op.evaluate(query)
+                assert _segment_key(snap_op.evaluate(query)) \
+                    == _segment_key(live), (name, direct)
+            if boundaries is not None and boundaries.has_exclusions:
+                query = PgSegQuery(src=src, dst=dst, boundaries=boundaries)
+                assert _segment_key(snap_op.evaluate(
+                    query, inline_boundaries=False)) == _segment_key(
+                        live_op.evaluate(query, inline_boundaries=False))
+        # An excluded Vsrc still brings its agents (VC4 tests only the
+        # agent end of an S / A edge).
+        excluded = PgSegQuery(src=src, dst=dst, boundaries=_boundary_cases(
+            pd, src, dst)["not-src-name"])
+        agents = set(graph.agents_of(src[0]))
+        assert agents and agents <= snap_op.evaluate(excluded).vertices
+
+
+def _attribute_and_append(rng, pd):
+    """New attributions on old rows and a new run on old inputs."""
+    graph = pd.graph
+    newcomer = graph.add_agent(name="newcomer")
+    for entity in rng.sample(pd.entities, 5):
+        graph.was_attributed_to(entity, newcomer)
+    for activity in rng.sample(pd.activities, 3):
+        graph.was_associated_with(activity, newcomer)
+    run = graph.add_activity(command="train", step=99)
+    graph.was_associated_with(run, rng.choice(pd.agents))
+    for entity in rng.sample(pd.entities, 3):
+        graph.used(run, entity)
+    out = graph.add_entity(name="late", version=1)
+    graph.was_generated_by(out, run)
+    graph.was_attributed_to(out, newcomer)
+    return out
+
+
+@pytest.mark.parametrize("seed", PD_SEEDS)
+def test_csr_reads_after_advance(seed):
+    rng = random.Random(seed)
+    pd = generate_pd_sized(240, seed=seed)
+    graph = pd.graph
+    snapshot = GraphSnapshot(graph)
+    snap_op = PgSegOperator(graph, snapshot=snapshot)
+    for entity in pd.entities[-3:]:
+        assert blame(graph, entity) == blame(graph, entity,
+                                             snapshot=snapshot)
+    out = _attribute_and_append(rng, pd)
+    advanced = snapshot.advance(graph)
+    assert advanced.advanced_from == snapshot.epoch
+    for entity in (out, *pd.entities[-3:], *rng.sample(pd.entities, 5)):
+        assert blame(graph, entity) == blame(graph, entity,
+                                             snapshot=advanced)
+    live_op = PgSegOperator(graph)
+    src, _ = _pd_query(rng, pd)
+    for dst in ((out,), (out, pd.entities[-1])):
+        for name, boundaries in _boundary_cases(pd, src, dst).items():
+            query = PgSegQuery(src=src, dst=dst, boundaries=boundaries)
+            assert _segment_key(snap_op.evaluate(query)) \
+                == _segment_key(live_op.evaluate(query)), name
+    assert snap_op.snapshot.advanced_from == snapshot.epoch
+
+
+#: (filtered scan, the same predicate in a form no conjunct extracts).
+CYPHER_PAIRS = [
+    ("MATCH (e:E) WHERE e.name = '{name}' RETURN id(e), e.version",
+     "MATCH (e:E) WHERE NOT (e.name <> '{name}') RETURN id(e), e.version"),
+    ("MATCH (e:E) WHERE '{name}' = e.name RETURN id(e)",
+     "MATCH (e:E) WHERE NOT ('{name}' <> e.name) RETURN id(e)"),
+    # A property entities do not have.
+    ("MATCH (e:E) WHERE e.command = 'train' RETURN id(e)",
+     "MATCH (e:E) WHERE NOT (e.command <> 'train') RETURN id(e)"),
+    ("MATCH (e:E) WHERE e.version = 1 RETURN id(e)",
+     "MATCH (e:E) WHERE NOT (e.version <> 1) RETURN id(e)"),
+    ("MATCH (e:E) WHERE e.version = '1' RETURN id(e)",
+     "MATCH (e:E) WHERE NOT (e.version <> '1') RETURN id(e)"),
+    ("MATCH (e:E) WHERE id(e) IN [{ids}] AND e.version = 2 RETURN id(e)",
+     "MATCH (e:E) WHERE id(e) IN [{ids}] AND NOT (e.version <> 2) "
+     "RETURN id(e)"),
+    ("MATCH (a:A)-[:U]->(e:E) WHERE a.command = 'train' "
+     "AND e.name = '{name}' RETURN id(a), id(e)",
+     "MATCH (a:A)-[:U]->(e:E) WHERE NOT (a.command <> 'train') "
+     "AND NOT (e.name <> '{name}') RETURN id(a), id(e)"),
+    ("MATCH (e:E) WHERE e.version = 1 MATCH (a:A)-[:U]->(e) "
+     "WHERE a.command = 'train' RETURN id(a), id(e)",
+     "MATCH (e:E) WHERE NOT (e.version <> 1) MATCH (a:A)-[:U]->(e) "
+     "WHERE NOT (a.command <> 'train') RETURN id(a), id(e)"),
+    ("MATCH (v) WHERE v.name = '{agent}' RETURN id(v)",
+     "MATCH (v) WHERE NOT (v.name <> '{agent}') RETURN id(v)"),
+    ("MATCH (e:E) WHERE e.name = '{name}' RETURN id(e) LIMIT 2",
+     "MATCH (e:E) WHERE NOT (e.name <> '{name}') RETURN id(e) LIMIT 2"),
+]
+
+
+@pytest.mark.parametrize("seed", PD_SEEDS)
+def test_cypher_property_filter_keeps_rows_and_order(seed):
+    rng = random.Random(seed)
+    pd = generate_pd_sized(240, seed=seed)
+    graph = pd.graph
+    snapshot = GraphSnapshot(graph)
+    values = {
+        "name": graph.vertex(rng.choice(pd.entities)).get("name"),
+        "agent": graph.vertex(rng.choice(pd.agents)).get("name"),
+        "ids": ", ".join(map(str, rng.sample(pd.entities, 40))),
+    }
+    for pushed, unpushed in CYPHER_PAIRS:
+        pushed, unpushed = pushed.format(**values), unpushed.format(**values)
+        assert _property_constraints(parse(pushed).clauses[0].where)
+        assert not _property_constraints(parse(unpushed).clauses[0].where)
+        expected = run_query(graph, unpushed)
+        assert run_query(graph, pushed) == expected, pushed
+        assert run_query(graph, pushed, snapshot=snapshot) == expected

@@ -10,6 +10,9 @@ Covers the guarantees ``GraphSnapshot.advance`` relies on:
   CSR slices, and falls back to a full rebuild on crossover or truncation.
 """
 
+import threading
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,31 @@ class TestBoundedRetention:
         _basic_graph(store)
         assert store.delta_log.record_count_since(0) == 5
         assert store.delta_log.record_count_since(store.epoch) == 0
+
+    def test_reader_never_sees_an_eviction_half_done(self):
+        """A reader on another thread that runs between an eviction's
+        ``popleft`` and its base-epoch update must not get a span with
+        a batch missing: it gets the whole span or none."""
+        log = DeltaLog(capacity=2)
+        for epoch in (1, 2):
+            log.append(DeltaBatch(epoch, (Delta(DeltaOp.ADD_VERTEX, epoch),)))
+        spans = []
+        reader = threading.Thread(
+            target=lambda: spans.append(log.batches_since(1)))
+
+        class HookedDeque(deque):
+            def popleft(self):
+                evicted = super().popleft()
+                reader.start()
+                reader.join(timeout=0.2)    # blocked by the fix, not done
+                return evicted
+
+        log._batches = HookedDeque(log._batches)
+        log.append(DeltaBatch(3, (Delta(DeltaOp.ADD_VERTEX, 3),)))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        (span,) = spans
+        assert span is None or [batch.epoch for batch in span] == [2, 3]
 
 
 class TestAdvance:
