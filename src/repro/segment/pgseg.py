@@ -20,6 +20,7 @@ exclude edge types.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 import networkx as nx
@@ -42,6 +43,21 @@ from repro.store.snapshot import GraphSnapshot
 
 #: A property-constrained similarity key: property names, or a callable.
 PropertyKey = tuple[str, ...] | Callable[[int], Hashable]
+
+
+def _add_tag(categories: dict[int, set[str]], ids: Iterable[int],
+             category: str) -> None:
+    """Tag ``ids`` with ``category``, creating entries as needed.
+
+    Get-then-add rather than ``setdefault(v, set())``, which builds a
+    throwaway set for every vertex that already has one.
+    """
+    for vertex_id in ids:
+        tags = categories.get(vertex_id)
+        if tags is None:
+            categories[vertex_id] = {category}
+        else:
+            tags.add(category)
 
 
 @dataclass(frozen=True)
@@ -181,8 +197,7 @@ class Segment:
 
     def tag(self, vertices: Iterable[int], category: str) -> None:
         """Attach a category tag to vertices (creating entries as needed)."""
-        for vertex_id in vertices:
-            self.categories.setdefault(vertex_id, set()).add(category)
+        _add_tag(self.categories, vertices, category)
 
     # ------------------------------------------------------------------
 
@@ -369,10 +384,7 @@ class PgSegOperator:
         edge_ok = boundaries.edge_ok if boundaries is not None else None
 
         categories: dict[int, set[str]] = {}
-
-        def tag(ids: Iterable[int], category: str) -> None:
-            for vertex_id in ids:
-                categories.setdefault(vertex_id, set()).add(category)
+        tag = partial(_add_tag, categories)
 
         tag(query.src, CATEGORY_SRC)
         tag(query.dst, CATEGORY_DST)
@@ -471,8 +483,7 @@ class PgSegOperator:
                 graph, expansion.entities, expansion.k, vertex_ok, edge_ok,
                 snapshot=self.snapshot,
             )
-            for vertex_id in grown - vertices:
-                categories.setdefault(vertex_id, set()).add(CATEGORY_EXPANDED)
+            _add_tag(categories, grown - vertices, CATEGORY_EXPANDED)
             vertices |= grown
         edge_ids = self._induced_edges(vertices, edge_ok)
         return Segment(graph, vertices, edge_ids, categories, segment.query)

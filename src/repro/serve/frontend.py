@@ -55,9 +55,10 @@ import asyncio
 import json
 import socket
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import chain
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -87,6 +88,10 @@ _HELLO_TIMEOUT = 30.0
 #: Outbound sentinel: flush everything queued before it, then close.
 _CLOSE = object()
 
+#: Answers a :class:`FrontendClient` holds for conditional re-asks, LRU
+#: (the bound of the workers' ``ResultCache``).
+HELD_ANSWERS = 256
+
 
 def _encode_frame(frame: dict[str, Any]) -> bytes:
     # Byte-compatible with LineTransport.send's framing; answers that
@@ -94,18 +99,45 @@ def _encode_frame(frame: dict[str, Any]) -> bytes:
     return wire.frame_text(frame).encode("utf-8") + b"\n"
 
 
+_CONTAINERS = frozenset((dict, list))
+
+
+def _fresh(value: Any) -> Any:
+    """A deep copy of a JSON value: every dict and list new, scalars
+    (immutable) shared."""
+    if type(value) is list:
+        items = value
+    elif type(value) is dict:
+        items = value.values()
+    else:
+        return value
+    kinds = set(map(type, items))
+    if kinds.isdisjoint(_CONTAINERS):
+        return value.copy()
+    # Lists of scalars one level down (a wire segment's ``categories``)
+    # are copied without a recursive call each.
+    flat = kinds == {list} and _CONTAINERS.isdisjoint(
+        map(type, chain.from_iterable(items)))
+    copy = list.copy if flat else _fresh
+    if type(value) is list:
+        return [copy(item) for item in value]
+    return {key: copy(item) for key, item in value.items()}
+
+
 class _Entry:
     """One client request inside a work item."""
 
-    __slots__ = ("request_id", "method", "spec", "error", "result",
+    __slots__ = ("request_id", "method", "spec", "error", "have", "result",
                  "trace_id", "t_read")
 
     def __init__(self, request_id: int, method: str,
-                 spec: "tuple[str, dict] | None", error: BaseException | None):
+                 spec: "tuple[str, dict] | None", error: BaseException | None,
+                 have: str | None = None):
         self.request_id = request_id
         self.method = method
         self.spec = spec          # domain-decoded (method, params), or None
         self.error = error        # decode-time failure, answered in place
+        self.have = have          # the client's held answer tag, or None
         self.result = None
         self.trace_id: str | None = None   # set when the frame is sampled
         self.t_read = 0.0                  # admission timestamp (perf clock)
@@ -194,6 +226,9 @@ class AsyncFrontend:
     max_concurrent_batches = MetricAttr("max_concurrent_batches")
     #: Requests admitted-but-unanswered right now (shared budget gauge).
     admitted = MetricAttr("admitted")
+    #: Conditional requests answered ``same`` (the client's held answer
+    #: is byte-identical, so no result was shipped).
+    unchanged_answers = MetricAttr("unchanged_answers")
 
     def __init__(self, cluster: "ProvCluster",
                  config: ServeConfig | None = None):
@@ -311,6 +346,7 @@ class AsyncFrontend:
             "batches_dispatched": self.batches_dispatched,
             "max_batch": self.max_batch,
             "max_concurrent_batches": self.max_concurrent_batches,
+            "unchanged_answers": self.unchanged_answers,
             "sessions": [session.stats()
                          for session in list(self._sessions.values())],
         }
@@ -478,11 +514,13 @@ class AsyncFrontend:
                             asyncio.ensure_future(
                                 self._serve_metrics(session, request_id))
                             continue
-                        entries = [self._entry(request_id, method, params)]
+                        entries = [self._entry(request_id, method, params,
+                                               frame)]
                         bundle = False
                     else:
                         calls = wire.requests_bundle_from_wire(frame)
-                        entries = [self._entry(*call) for call in calls]
+                        entries = [self._entry(*call, record) for call, record
+                                   in zip(calls, frame["requests"])]
                         bundle = True
                 except SerializationError as exc:
                     # A malformed frame gets an event answer, not a dead
@@ -528,15 +566,16 @@ class AsyncFrontend:
             session.inbound.append(_WorkItem(session, bundle, entries))
             self._dispatch()
 
-    def _entry(self, request_id: int, method: str,
-               params: dict[str, Any]) -> _Entry:
+    def _entry(self, request_id: int, method: str, params: dict[str, Any],
+               record: dict[str, Any]) -> _Entry:
         """Decode one wire request into a domain spec (errors in place)."""
         try:
+            have = wire.have_from_wire(record)
             spec = wire.query_call_from_wire(method, params,
                                              self.cluster.graph)
         except Exception as exc:   # noqa: BLE001 - per-request isolation
             return _Entry(request_id, method, None, exc)
-        return _Entry(request_id, method, spec, None)
+        return _Entry(request_id, method, spec, None, have)
 
     def _reject(self, session: _ClientSession, bundle: bool,
                 entries: list[_Entry], detail: str) -> None:
@@ -694,6 +733,7 @@ class AsyncFrontend:
         collector = self.obs.collector
         now = perf_counter()
         responses = []
+        unchanged = 0
         for entry in item.entries:
             failure = entry.error if entry.error is not None else (
                 entry.result if isinstance(entry.result, BaseException)
@@ -711,14 +751,21 @@ class AsyncFrontend:
                     entry.request_id, stamp,
                     error=wire.error_to_wire(failure)))
             else:
+                # A conditional request ships its answer only when the
+                # client does not already hold it.
+                value = encode_result(entry.method, entry.result)
+                tag = None if entry.have is None else wire.answer_tag(value)
+                same = tag is not None and tag == entry.have
+                unchanged += same
                 responses.append(wire.response_to_wire(
-                    entry.request_id, stamp,
-                    result=encode_result(entry.method, entry.result)))
+                    entry.request_id, stamp, result=value, tag=tag,
+                    same=same))
         frame = wire.responses_bundle_to_wire(stamp, responses) \
             if item.bundle else responses[0]
         count = len(item.entries)
         self.admitted -= count
         self.requests_served += count
+        self.unchanged_answers += unchanged
         if not session.closed:
             session.unanswered -= count
             session.served += count
@@ -747,6 +794,7 @@ class AsyncFrontend:
                 "batches_dispatched": self.batches_dispatched,
                 "max_batch": self.max_batch,
                 "max_concurrent_batches": self.max_concurrent_batches,
+                "unchanged_answers": self.unchanged_answers,
                 "sessions": len(self._sessions),
             }
             frame = wire.response_to_wire(
@@ -780,6 +828,13 @@ class FrontendClient:
     ``graph`` (optional) rebinds ``segment``/``cypher`` results to a
     local graph object; without it those results are returned in wire
     form (lineage/blame decode without a graph).
+
+    :meth:`query_many` asks *conditionally*: the client holds the last
+    answer (its tag and wire value) to each ``(method, params)`` it
+    bundled, up to :data:`HELD_ANSWERS` of them, and the front-end sends
+    ``same`` instead of an answer that has not changed. The held value is
+    decoded again for every return, so callers always get an object of
+    their own.
     """
 
     def __init__(self, address: tuple[str, int], token: str | None = None,
@@ -799,8 +854,17 @@ class FrontendClient:
         self.session_id, self.epoch, self.limits = wire.welcome_from_wire(
             frame)
         self._next_id = 0
-        self._arrived: dict[int, tuple[bool, Any, str]] = {}
+        #: id -> (ok, payload, method, payload is a held value)
+        self._arrived: dict[int, tuple[bool, Any, str, bool]] = {}
         self._methods: dict[int, str] = {}
+        #: (method, canonical params) -> (tag, wire value), least recently
+        #: used first.
+        self._held: OrderedDict[tuple[str, str], tuple[str, Any]] = \
+            OrderedDict()
+        #: Conditional requests in flight: id -> (held key, the entry held
+        #: when the request was sent, or None).
+        self._asked: dict[int, tuple[tuple[str, str],
+                                     tuple[str, Any] | None]] = {}
 
     # -- pipelined surface ---------------------------------------------
 
@@ -816,33 +880,58 @@ class FrontendClient:
         """The answer for ``request_id`` (raises rebuilt typed errors)."""
         while request_id not in self._arrived:
             self._absorb(self.transport.recv(timeout=self.timeout))
-        ok, payload, method = self._arrived.pop(request_id)
+        ok, payload, method, held = self._arrived.pop(request_id)
         if not ok:
             raise wire.error_from_wire(payload)
         row = METHODS.get(method)       # ``metrics`` has none: plain JSON
-        return payload if row is None or not decode \
-            else row.result_from_wire(payload, self.graph)
+        if row is None or not decode:
+            return payload
+        result = row.result_from_wire(payload, self.graph)
+        # Every decoder builds new containers except a graph-bound row
+        # without a graph, which returns the wire value itself: never
+        # hand out the held one.
+        return _fresh(result) if held and result is payload else result
 
     def _absorb(self, frame: dict[str, Any]) -> None:
         kind = frame.get("kind")
         if kind == "response":
-            request_id, _epoch, ok, payload = wire.response_from_wire(frame)
-            self._file(request_id, ok, payload)
+            self._file(frame)
         elif kind == "responses":
             _epoch, responses = wire.responses_bundle_from_wire(frame)
             for inner in responses:
-                request_id, _inner_epoch, ok, payload = \
-                    wire.response_from_wire(inner)
-                self._file(request_id, ok, payload)
+                self._file(inner)
         # events/pongs between responses are ignored here; ping() reads
         # its pong through the same absorb path below.
 
-    def _file(self, request_id: int, ok: bool, payload: Any) -> None:
+    def _file(self, record: dict[str, Any]) -> None:
+        request_id, _epoch, ok, payload = wire.response_from_wire(record)
+        tag, same = wire.response_tag_from_wire(record)
         # A response to an id this client never sent (or already
         # collected) is dropped: filing it would keep it forever.
         method = self._methods.pop(request_id, None)
-        if method is not None:
-            self._arrived[request_id] = (ok, payload, method)
+        if method is None:
+            return
+        key, had = self._asked.pop(request_id, (None, None))
+        if same:
+            if had is not None and had[0] == tag:
+                payload = had[1]
+            else:
+                ok, payload = False, wire.error_to_wire(SerializationError(
+                    f"response {request_id} says 'same' as tag {tag!r}, "
+                    "which this client does not hold"))
+        held = key is not None and ok and tag is not None
+        if held:
+            self._hold(key, (tag, payload))
+        elif key is not None:   # an error (or an untagged answer) drops it
+            self._held.pop(key, None)
+        self._arrived[request_id] = (ok, payload, method, held)
+
+    def _hold(self, key: tuple[str, str], entry: tuple[str, Any]) -> None:
+        held = self._held
+        held[key] = entry
+        held.move_to_end(key)
+        if len(held) > HELD_ANSWERS:
+            held.popitem(last=False)
 
     # -- lockstep surface ----------------------------------------------
 
@@ -876,13 +965,18 @@ class FrontendClient:
 
     def query_many(self, specs) -> list[Any]:
         """One ``requests`` bundle; index-aligned results, errors as
-        exception *instances* (mirrors ``ProvCluster.query_many``)."""
+        exception *instances* (mirrors ``ProvCluster.query_many``).
+
+        Every request is conditional on the answer held for it (see the
+        class docstring); an error answer drops the held one.
+        """
         from repro.serve.api import normalize_specs
 
         # One slot per spec: a request id, or the exception that kept a
         # spec off the wire (it never gets an id, so nothing leaks).
         slots: list[int | Exception] = []
         calls = []
+        haves = []
         for spec in normalize_specs(specs):
             method, params = spec.as_tuple()
             try:
@@ -890,12 +984,17 @@ class FrontendClient:
             except Exception as exc:   # noqa: BLE001 - per-spec isolation
                 slots.append(exc)
                 continue
+            key = (method, json.dumps(call[1], sort_keys=True))
+            had = self._held.get(key)
             self._next_id += 1
             self._methods[self._next_id] = method
+            self._asked[self._next_id] = (key, had)
             calls.append((self._next_id, *call))
+            haves.append("" if had is None else had[0])
             slots.append(self._next_id)
         if calls:
-            self.transport.send(wire.requests_bundle_to_wire(calls))
+            self.transport.send(wire.requests_bundle_to_wire(calls,
+                                                             haves=haves))
         results = []
         for slot in slots:
             if isinstance(slot, Exception):

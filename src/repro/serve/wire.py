@@ -59,6 +59,7 @@ persistence layer already imposes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from typing import TYPE_CHECKING, Any
@@ -518,14 +519,17 @@ def frame_text(frame: Any) -> str:
 
 def request_to_wire(request_id: int, method: str,
                     params: dict[str, Any],
-                    trace_id: str | None = None) -> dict[str, Any]:
+                    trace_id: str | None = None,
+                    have: str | None = None) -> dict[str, Any]:
     """One query request as a frame.
 
     ``request_id`` correlates the response on a duplex stream that also
     carries unsolicited event frames; ids are chosen by the client and
     echoed verbatim. ``trace_id`` is the optional tracing tag — additive
     under ``repro-wire-v1``: an absent field means *untraced*, and
-    decoders that predate tracing ignore it.
+    decoders that predate tracing ignore it. ``have`` makes the request
+    conditional: the :func:`answer_tag` of the answer the client holds,
+    ``""`` for none (see :func:`have_from_wire`).
     """
     if method not in _methods.REQUEST_METHODS:
         raise SerializationError(f"unknown request method {method!r}")
@@ -534,6 +538,8 @@ def request_to_wire(request_id: int, method: str,
                              "params": params}
     if trace_id is not None:
         frame["trace_id"] = str(trace_id)
+    if have is not None:
+        frame["have"] = str(have)
     return frame
 
 
@@ -568,10 +574,36 @@ def trace_id_from_wire(record: dict[str, Any]) -> str | None:
     return trace_id
 
 
+def have_from_wire(record: dict[str, Any]) -> str | None:
+    """The optional ``have`` of a request frame (``None`` = unconditional).
+
+    A conditional request names the :func:`answer_tag` of the answer its
+    client already holds, or ``""`` when it holds none. Kept separate
+    from :func:`request_from_wire` like :func:`trace_id_from_wire`, so a
+    malformed ``have`` fails its own request, not its bundle.
+    """
+    have = record.get("have")
+    if have is None:
+        return None
+    if not isinstance(have, str):
+        raise SerializationError(
+            f"malformed have on request frame: {have!r}")
+    return have
+
+
+def answer_tag(value: "WireValue") -> str:
+    """The tag of one answer: the 128-bit BLAKE2b of its canonical text,
+    as 32 hex chars. Equal tags mean byte-identical answers."""
+    return hashlib.blake2b(value.text.encode("ascii"),
+                           digest_size=16).hexdigest()
+
+
 def response_to_wire(request_id: int, epoch: int, *,
                      result: Any = None,
                      error: dict[str, Any] | None = None,
                      trace: "list[dict[str, Any]] | None" = None,
+                     tag: str | None = None,
+                     same: bool = False,
                      ) -> dict[str, Any]:
     """One query answer as a frame.
 
@@ -582,6 +614,11 @@ def response_to_wire(request_id: int, epoch: int, *,
     its consistency stamp was honored. ``trace`` optionally returns the
     worker's span records for a traced request — additive, answers an
     incoming ``trace_id`` and is absent otherwise.
+
+    ``tag`` and ``same`` answer a conditional request (one carrying
+    ``have``): an ok answer carries its :func:`answer_tag`, and when
+    that equals ``have`` the frame says ``"same": true`` instead of
+    carrying ``result`` — the client's held answer is the answer.
     """
     frame: dict[str, Any] = {"kind": "response", "format": WIRE_FORMAT,
                              "id": int(request_id), "epoch": int(epoch)}
@@ -590,7 +627,12 @@ def response_to_wire(request_id: int, epoch: int, *,
         frame["error"] = error
     else:
         frame["ok"] = True
-        frame["result"] = result
+        if same:
+            frame["same"] = True
+        else:
+            frame["result"] = result
+    if tag is not None:
+        frame["tag"] = str(tag)
     if trace is not None:
         frame["trace"] = list(trace)
     return frame
@@ -601,7 +643,8 @@ def response_from_wire(record: dict[str, Any],
     """Decode a response frame into ``(request_id, epoch, ok, payload)``.
 
     ``payload`` is the result object when ``ok`` — a :class:`WireValue`
-    for an answer a worker sent — and the error record otherwise
+    for an answer a worker sent, ``None`` for a ``same`` answer (see
+    :func:`response_tag_from_wire`) — and the error record otherwise
     (rebuild it with :func:`error_from_wire`).
     """
     _expect_kind(record, "response")
@@ -609,7 +652,8 @@ def response_from_wire(record: dict[str, Any],
         request_id = int(record["id"])
         epoch = int(record["epoch"])
         ok = bool(record["ok"])
-        payload = record["result"] if ok else dict(record["error"])
+        payload = (None if record.get("same") is True else record["result"]) \
+            if ok else dict(record["error"])
     except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(
             f"malformed response frame: {record!r}") from exc
@@ -634,6 +678,22 @@ def response_trace_from_wire(record: dict[str, Any],
     return trace
 
 
+def response_tag_from_wire(record: dict[str, Any],
+                           ) -> tuple[str | None, bool]:
+    """The optional ``(tag, same)`` of a response frame.
+
+    ``(None, False)`` answers an unconditional request. ``same`` is true
+    only on an ok answer with a tag, whose ``result`` the frame omits.
+    """
+    tag = record.get("tag")
+    same = record.get("same", False)
+    if (tag is not None and (not isinstance(tag, str) or not tag)) \
+            or not isinstance(same, bool) or (same and tag is None):
+        raise SerializationError(
+            f"malformed tag/same on response frame: {tag!r}/{same!r}")
+    return tag, same
+
+
 # ---------------------------------------------------------------------------
 # Request / response bundle frames (batching + pipelining)
 # ---------------------------------------------------------------------------
@@ -641,7 +701,8 @@ def response_trace_from_wire(record: dict[str, Any],
 
 def requests_bundle_to_wire(
         calls: "list[tuple[int, str, dict[str, Any]]]",
-        trace_ids: "list[str | None] | None" = None) -> dict[str, Any]:
+        trace_ids: "list[str | None] | None" = None,
+        haves: "list[str | None] | None" = None) -> dict[str, Any]:
     """Many query requests as **one** frame.
 
     ``calls`` is a non-empty list of ``(request_id, method, params)``
@@ -652,8 +713,9 @@ def requests_bundle_to_wire(
     with one :func:`responses_bundle_to_wire` frame). Request ids must be
     unique within the bundle: the client correlates the answers by id.
 
-    ``trace_ids``, when given, is a list parallel to ``calls`` tagging the
-    traced inner requests (``None`` entries stay untraced) — see
+    ``trace_ids`` and ``haves``, when given, are lists parallel to
+    ``calls`` tagging the traced and the conditional inner requests
+    (``None`` entries stay untraced / unconditional) — see
     :func:`request_to_wire`.
     """
     if not calls:
@@ -661,8 +723,11 @@ def requests_bundle_to_wire(
                                  "one request")
     if trace_ids is None:
         trace_ids = [None] * len(calls)
-    elif len(trace_ids) != len(calls):
-        raise SerializationError("trace_ids must parallel the bundle calls")
+    if haves is None:
+        haves = [None] * len(calls)
+    if len(trace_ids) != len(calls) or len(haves) != len(calls):
+        raise SerializationError(
+            "trace_ids and haves must parallel the bundle calls")
     ids = [request_id for request_id, _, _ in calls]
     if len(set(ids)) != len(ids):
         raise SerializationError(
@@ -671,9 +736,9 @@ def requests_bundle_to_wire(
         "kind": "requests",
         "format": WIRE_FORMAT,
         "requests": [request_to_wire(request_id, method, params,
-                                     trace_id=trace_id)
-                     for (request_id, method, params), trace_id
-                     in zip(calls, trace_ids)],
+                                     trace_id=trace_id, have=have)
+                     for (request_id, method, params), trace_id, have
+                     in zip(calls, trace_ids, haves)],
     }
 
 

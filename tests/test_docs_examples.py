@@ -20,6 +20,7 @@ import pytest
 from repro.model.graph import ProvenanceGraph
 from repro.model.types import EdgeType, VertexType
 from repro.serve import wire
+from repro.serve.methods import METHODS
 from repro.store.delta import DeltaOp, PropertyPayload
 from repro.store.store import PropertyGraphStore
 
@@ -68,6 +69,7 @@ def test_examples_round_trip_through_codecs():
     store = worked_store()
     graph = ProvenanceGraph(store)
     methods_by_id = {}           # request id -> method, for responses
+    requests_by_id = {}          # request id -> (method, params, have)
 
     for block in blocks:
         kind = block["kind"]
@@ -127,13 +129,15 @@ def test_examples_round_trip_through_codecs():
             assert wire.bye_frame() == block
         elif kind == "request":
             request_id, method, params = wire.request_from_wire(block)
+            have = wire.have_from_wire(block)
             assert wire.request_to_wire(
                 request_id, method, params,
-                trace_id=wire.trace_id_from_wire(block)) == block
+                trace_id=wire.trace_id_from_wire(block), have=have) == block
             methods_by_id[request_id] = method
+            requests_by_id[request_id] = (method, params, have)
             _check_request_params(method, params)
         elif kind == "response":
-            _check_response(block, methods_by_id, graph)
+            _check_response(block, methods_by_id, graph, requests_by_id)
         elif kind == "requests":
             calls = wire.requests_bundle_from_wire(block)
             tagged = wire.bundle_trace_ids(block)
@@ -141,8 +145,12 @@ def test_examples_round_trip_through_codecs():
                          for request_id, _, _ in calls]
             if not any(trace_ids):
                 trace_ids = None
+            haves = [wire.have_from_wire(inner)
+                     for inner in block["requests"]]
+            if all(have is None for have in haves):
+                haves = None
             assert wire.requests_bundle_to_wire(
-                calls, trace_ids=trace_ids) == block
+                calls, trace_ids=trace_ids, haves=haves) == block
             for request_id, method, params in calls:
                 methods_by_id[request_id] = method
                 _check_request_params(method, params)
@@ -154,7 +162,7 @@ def test_examples_round_trip_through_codecs():
                 # at the envelope epoch (one armed snapshot).
                 _, inner_epoch, _, _ = wire.response_from_wire(inner)
                 assert inner_epoch == epoch
-                _check_response(inner, methods_by_id, graph)
+                _check_response(inner, methods_by_id, graph, requests_by_id)
         else:
             pytest.fail(f"example with unspecified kind {kind!r}")
 
@@ -167,18 +175,32 @@ def test_examples_round_trip_through_codecs():
     # ... and per request method (lineage shares its codec with impacted).
     assert set(methods_by_id.values()) >= {"lineage", "blame", "segment",
                                            "summarize", "cypher", "metrics"}
+    # ... and a conditional request answered `same`.
+    assert any(have for _, _, have in requests_by_id.values())
 
 
-def _check_response(block, methods_by_id, graph):
+def _check_response(block, methods_by_id, graph, requests_by_id):
     request_id, epoch, ok, payload = wire.response_from_wire(block)
     trace = wire.response_trace_from_wire(block)
+    tag, same = wire.response_tag_from_wire(block)
     if trace is not None:
         # Every documented span is a complete span record.
         for entry in trace:
             assert {"hop", "name", "dur_s"} <= set(entry)
-    if ok:
+    if same:
+        # The tag names the leader's answer on the worked store, which
+        # the conditional request said it already held.
+        assert wire.response_to_wire(request_id, epoch, trace=trace,
+                                     tag=tag, same=True) == block
+        method, params, have = requests_by_id[request_id]
+        row = METHODS[method]
+        answer, _, _ = row.evaluate(graph, None, None,
+                                    row.params_from_wire(params, graph))
+        assert tag == have == wire.answer_tag(
+            wire.WireValue(row.result_to_wire(answer)))
+    elif ok:
         assert wire.response_to_wire(
-            request_id, epoch, result=payload, trace=trace) == block
+            request_id, epoch, result=payload, trace=trace, tag=tag) == block
         method = methods_by_id.get(request_id)
         assert method is not None, \
             f"ok-response {request_id} has no documented request"

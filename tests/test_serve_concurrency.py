@@ -22,6 +22,7 @@ stack (``faults.join_or_dump``), it never hangs the job.
 """
 
 import gc
+import random
 import signal
 import sys
 import threading
@@ -268,6 +269,93 @@ def test_writer_readers_and_leader_side_calls_ungated():
         assert replica["queries_served"] > 0
         assert (replica["restarts"], replica["late_responses"],
                 replica["timeouts"], replica["poisoned"]) == (0, 0, 0, 0)
+
+
+def test_conditional_refreshes_match_the_leader_at_their_stamp():
+    """A dashboard refreshes conditionally (``FrontendClient.query_many``
+    sends the tag of each answer it holds) while a writer attributes
+    ancestors of its tiles to agents, one epoch per write, so blame and
+    segment answers keep changing. Every tile of every refresh, whether
+    it came back in full or as ``same``, equals the leader's recompute
+    at the refresh's stamped epoch when no write landed during the
+    refresh. Otherwise it equals the recompute at some epoch between the
+    stamp and the leader's epoch on arrival, because a worker catches up
+    to the leader, which may be past the stamp."""
+    load = Workload()
+    graph = load.graph
+    rng = random.Random(11)
+    targets = [params["entity"] for method, params in load.stream
+               if method == "blame"][:4]
+    tiles = ([("lineage", {"entity": entity, "max_depth": 2})
+              for entity in targets]
+             + [("blame", {"entity": entity}) for entity in targets]
+             + [("segment", {"query": query})
+                for query in load.queries[:2]])
+    roots = targets + [dst for query in load.queries[:2]
+                       for dst in query.dst]
+    ancestors = sorted(vertex for root in roots
+                       for vertex in lineage(graph, root).vertices
+                       if graph.is_entity(vertex))
+    agents = list(graph.agents())
+
+    def recompute():
+        operator = PgSegOperator(graph)
+        return [expected_answer(graph, operator, *tile) for tile in tiles]
+
+    expected = {graph.store.epoch: recompute()}
+    refreshes = []
+    stop = threading.Event()
+    with serve(graph) as cluster:
+        client = FrontendClient(cluster.frontend.address, client="dash",
+                                timeout=60.0)
+        stamps = []
+        absorb = client._absorb
+
+        def stamped(frame):
+            if frame.get("kind") == "responses":
+                stamps.append(frame["epoch"])
+            absorb(frame)
+
+        client._absorb = stamped
+        try:
+            def writer():
+                while not stop.is_set():
+                    epoch = graph.store.epoch
+                    graph.was_attributed_to(rng.choice(ancestors),
+                                            rng.choice(agents))
+                    assert graph.store.epoch == epoch + 1
+                    expected[epoch + 1] = recompute()
+                    time.sleep(0.01)
+
+            def reader():
+                while not stop.is_set():
+                    results = client.query_many(tiles)
+                    refreshes.append((stamps[-1], cluster.leader_epoch,
+                                      results))
+
+            run_all({"writer": writer, "reader": reader}, stop)
+            unchanged = cluster.frontend.unchanged_answers
+        finally:
+            client.close()
+
+    assert len(refreshes) > 20 and len(expected) > 10
+    exact = 0
+    for stamp, arrived, results in refreshes:
+        for index, answer in enumerate(results):
+            assert not isinstance(answer, BaseException), answer
+            if stamp == arrived:
+                assert answer == expected[stamp][index], tiles[index]
+            else:
+                assert any(answer == expected[epoch][index]
+                           for epoch in range(stamp, arrived + 1)), \
+                    tiles[index]
+        exact += stamp == arrived
+    assert exact > 0
+    # Both kinds of answer were exercised: unchanged tiles came back as
+    # `same`, and the writes changed some tile between refreshes.
+    assert unchanged > 0
+    assert any(before[2] != after[2]
+               for before, after in zip(refreshes, refreshes[1:]))
 
 
 def test_strict_read_inside_a_commit_stamps_the_published_epoch():

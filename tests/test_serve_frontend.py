@@ -29,6 +29,7 @@ from repro.errors import (
     SerializationError,
     VertexNotFound,
 )
+from repro.query.cypherlite import run_query
 from repro.query.ops import blame, lineage
 from repro.segment.boundary import (
     BoundaryCriteria,
@@ -39,7 +40,13 @@ from repro.segment.pgseg import PgSegOperator, PgSegQuery
 from repro.serve import wire
 from repro.serve.api import QuerySpec, ServeConfig, normalize_specs
 from repro.serve.cluster import ProvCluster
-from repro.serve.frontend import AsyncFrontend, FrontendClient, _ClientSession, _WorkItem
+from repro.serve.frontend import (
+    HELD_ANSWERS,
+    AsyncFrontend,
+    FrontendClient,
+    _ClientSession,
+    _WorkItem,
+)
 from repro.serve.pool import RawResult
 from repro.serve.transport import LineTransport
 from repro.session import LifecycleSession
@@ -794,6 +801,237 @@ class TestRawQueryMany:
             assert isinstance(refused, SerializationError)
         finally:
             cluster.close()
+
+
+# ---------------------------------------------------------------------------
+# Conditional answers: an unchanged answer crosses the client edge as a tag
+# ---------------------------------------------------------------------------
+
+
+def _spy_frames(client):
+    """Record every frame ``client`` reads, as parsed off the socket."""
+    frames = []
+    recv = client.transport.recv
+
+    def spy(timeout=None):
+        frame = recv(timeout=timeout)
+        frames.append(frame)
+        return frame
+
+    client.transport.recv = spy
+    return frames
+
+
+def _bundle_answers(frames):
+    """The inner responses of the last ``responses`` frame read."""
+    bundle = [frame for frame in frames if frame["kind"] == "responses"][-1]
+    return bundle["responses"]
+
+
+class TestConditionalAnswers:
+    """``FrontendClient.query_many`` names the tag of the answer it holds
+    (``have``); the front-end answers ``same`` with no ``result`` when
+    the answer has not changed, and the client decodes its held value
+    again — into an object of the caller's own."""
+
+    @staticmethod
+    def _tiles(example):
+        text = f"MATCH (e:E) WHERE id(e) = {example['weight-v1']} RETURN id(e)"
+        return [
+            QuerySpec.lineage(example["weight-v3"]),
+            QuerySpec.blame(example["weight-v2"]),
+            QuerySpec.blame(example["weight-v3"]),
+            QuerySpec.segment(PgSegQuery(src=(example["dataset-v1"],),
+                                         dst=(example["weight-v1"],))),
+            QuerySpec.cypher(text),
+        ]
+
+    @staticmethod
+    def _expected(example, tiles):
+        """The leader's answers, in the form a graph-free client gets."""
+        graph = example.graph
+        answers = []
+        for spec in tiles:
+            method, params = spec.as_tuple()
+            if method == "lineage":
+                answers.append(lineage(graph, params["entity"]))
+            elif method == "blame":
+                answers.append(blame(graph, params["entity"]))
+            elif method == "segment":
+                answers.append(wire.segment_to_wire(
+                    PgSegOperator(graph).evaluate(params["query"])))
+            else:
+                answers.append(wire.rows_to_wire(
+                    run_query(graph, params["text"])))
+        return answers
+
+    def test_a_second_identical_bundle_is_all_same(self, fe_cluster):
+        example, cluster = fe_cluster
+        tiles = self._tiles(example)
+        unchanged = cluster.frontend.unchanged_answers
+        with FrontendClient(cluster.frontend.address) as client:
+            frames = _spy_frames(client)
+            first = client.query_many(tiles)
+            full = _bundle_answers(frames)
+            assert all("result" in answer and not answer.get("same")
+                       for answer in full)
+            second = client.query_many(tiles)
+            again = _bundle_answers(frames)
+        assert first == second == self._expected(example, tiles)
+        for shipped, answer in zip(full, again):
+            assert answer["ok"] and answer["same"] is True
+            assert "result" not in answer
+            assert answer["tag"] == shipped["tag"]
+        assert cluster.frontend.unchanged_answers - unchanged == len(tiles)
+        stats = cluster.stats()["frontend"]
+        assert stats["unchanged_answers"] == cluster.frontend.unchanged_answers
+
+    def test_a_write_ships_only_the_tile_it_changed(self):
+        example = build_paper_example()
+        graph = example.graph
+        tiles = self._tiles(example)
+        before = self._expected(example, tiles)
+        with ProvCluster(graph, config=ServeConfig(
+                replicas=2, frontend=True)) as cluster, \
+                FrontendClient(cluster.frontend.address) as client:
+            frames = _spy_frames(client)
+            assert client.query_many(tiles) == before
+            tags = [answer["tag"] for answer in _bundle_answers(frames)]
+            # model-v2 is an ancestor of weight-v2 only: one blame tile.
+            graph.was_attributed_to(example["model-v2"], example["Bob"])
+            after = self._expected(example, tiles)
+            changed = [index for index, (old, new)
+                       in enumerate(zip(before, after)) if old != new]
+            assert changed == [1]
+            assert client.query_many(tiles) == after
+            answers = _bundle_answers(frames)
+        for index, answer in enumerate(answers):
+            if index in changed:
+                assert "same" not in answer and "result" in answer
+                assert answer["tag"] != tags[index]
+            else:
+                assert answer["same"] is True and "result" not in answer
+                assert answer["tag"] == tags[index]
+
+    def test_mutating_a_returned_answer_leaves_the_next_one_whole(
+            self, fe_cluster):
+        example, cluster = fe_cluster
+        tiles = self._tiles(example)
+        expected = self._expected(example, tiles)
+        with FrontendClient(cluster.frontend.address) as client:
+            for _ in range(3):         # the shipped answer, then `same` twice
+                walk, report, _, segment, rows = answers = \
+                    client.query_many(tiles)
+                assert answers == expected
+                walk.vertices.add(-1)
+                walk.levels[0].entities.append(-1)
+                next(iter(report.values())).add(-1)
+                report[-1] = {-1}
+                segment["vertices"].append(-1)
+                next(iter(segment["categories"].values())).append("x")
+                segment["extra"] = True
+                rows[0]["col0"] = -1
+                rows.append({"col0": -2})
+
+    def test_non_string_have_fails_only_its_own_request(self, fe_cluster):
+        example, cluster = fe_cluster
+        target = example["weight-v2"]
+        sock = socket.create_connection(cluster.frontend.address)
+        transport = LineTransport.over_socket(sock)
+        try:
+            transport.send(wire.client_hello_frame("probe"))
+            wire.welcome_from_wire(transport.recv(timeout=10))
+            bundle = wire.requests_bundle_to_wire(
+                [(1, "lineage", {"entity": target, "max_depth": None}),
+                 (2, "blame", {"entity": target}),
+                 (3, "blame", {"entity": target})], haves=[None, "", None])
+            bundle["requests"][0]["have"] = 7
+            transport.send(bundle)
+            first, second, third = wire.responses_bundle_from_wire(
+                transport.recv(timeout=10))[1]
+            request_id, _, ok, payload = wire.response_from_wire(first)
+            assert (request_id, ok) == (1, False)
+            assert isinstance(wire.error_from_wire(payload),
+                              SerializationError)
+            # A conditional sibling is tagged; an unconditional one is
+            # byte-identical to a pre-tag answer.
+            assert second["ok"] and "result" in second and second["tag"]
+            assert third["ok"] and set(third) == {
+                "kind", "format", "id", "epoch", "ok", "result"}
+            assert wire.blame_from_wire(third["result"]) \
+                == blame(example.graph, target)
+            # A lone request with a bad `have` is answered, not dropped.
+            request = wire.request_to_wire(4, "blame", {"entity": target})
+            request["have"] = ["not", "a", "tag"]
+            transport.send(request)
+            request_id, _, ok, payload = wire.response_from_wire(
+                transport.recv(timeout=10))
+            assert (request_id, ok) == (4, False)
+            assert isinstance(wire.error_from_wire(payload),
+                              SerializationError)
+        finally:
+            transport.close()
+
+    def test_the_held_store_stays_at_its_bound(self, fe_cluster):
+        example, cluster = fe_cluster
+        target = example["weight-v2"]
+        specs = [QuerySpec.lineage(target, max_depth=depth)
+                 for depth in range(HELD_ANSWERS + 40)]
+        with FrontendClient(cluster.frontend.address) as client:
+            frames = _spy_frames(client)
+            for start in range(0, len(specs), 40):
+                client.query_many(specs[start:start + 40])
+                assert len(client._held) <= HELD_ANSWERS
+            assert len(client._held) == HELD_ANSWERS
+            # Least recently used first out: the newest are still held,
+            # the oldest are asked for again unconditionally.
+            client.query_many(specs[-40:])
+            assert all(answer["same"] for answer in _bundle_answers(frames))
+            client.query_many(specs[:40])
+            assert not any(answer.get("same")
+                           for answer in _bundle_answers(frames))
+            assert len(client._held) == HELD_ANSWERS
+            assert client._asked == {} and client._methods == {}
+
+    def test_single_calls_never_opt_in(self, fe_cluster):
+        example, cluster = fe_cluster
+        target = example["weight-v2"]
+        with FrontendClient(cluster.frontend.address) as client:
+            frames = _spy_frames(client)
+            client.blame(target)
+            client.query("blame", {"entity": target})
+            assert client._held == {}
+            for frame in frames:
+                assert frame["kind"] == "response"
+                assert "tag" not in frame and "same" not in frame
+
+    def test_an_error_or_a_foreign_same_drops_the_held_answer(
+            self, fe_cluster):
+        """An error answer drops the held one; a ``same`` naming a tag
+        the client does not hold is a typed error, never a stale hit."""
+        example, cluster = fe_cluster
+        spec = QuerySpec.blame(example["weight-v2"])
+        with FrontendClient(cluster.frontend.address) as client:
+            client.query_many([spec])
+            (key, (tag, _)), = client._held.items()
+            for frame in (
+                    wire.response_to_wire(0, 0, error=wire.error_to_wire(
+                        VertexNotFound("gone"))),
+                    wire.response_to_wire(0, 0, tag="f" * 32, same=True)):
+                client.query_many([spec])          # held again
+                client._next_id += 1
+                request_id = client._next_id
+                client._methods[request_id] = "blame"
+                client._asked[request_id] = (key, client._held[key])
+                frame["id"] = request_id
+                client._absorb(frame)
+                assert key not in client._held
+                with pytest.raises((VertexNotFound, SerializationError)):
+                    client.collect(request_id)
+            # The next ask is unconditional and ships the answer again.
+            assert client.query_many([spec]) == [
+                blame(example.graph, example["weight-v2"])]
+            assert client._held[key][0] == tag
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ Checks, over ``README.md``, ``ROADMAP.md``, and ``docs/*.md``:
   ``src/repro/serve/wire.py`` — a doc example for a codec nobody wrote
   (typo'd kind, stale rename) fails here even before the round-trip
   suite runs;
+- every optional field a decoder reads is specified: each literal
+  ``record.get("field")`` inside a ``*_from_wire`` or ``*_trace*``
+  function of ``src/repro/serve/wire.py`` (``trace_id``, ``trace``,
+  ``have``, ``tag``, ``same``, …) is named in ``docs/wire-protocol.md``,
+  backticked or as a JSON key, so a new optional field cannot ship
+  without its spec text;
 - every wire method has its section: each row of the method table
   (``src/repro/serve/methods.py``) and each other ``REQUEST_METHODS``
   name has a ``### Method: `name` `` heading in
@@ -188,6 +194,40 @@ def check_frame_tags(problems: list[str]) -> None:
             )
 
 
+def optional_wire_fields() -> dict[str, str]:
+    """Field name -> the first decoder reading it: every literal
+    ``x.get("field")`` inside a ``*_from_wire`` or ``*_trace*`` function
+    of ``serve/wire.py``."""
+    tree = ast.parse((ROOT / "src" / "repro" / "serve" / "wire.py")
+                     .read_text(encoding="utf-8"))
+    fields: dict[str, str] = {}
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef) or not (
+                function.name.endswith("_from_wire")
+                or "_trace" in function.name):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "get" \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.args and isinstance(node.args[0], ast.Constant) \
+                    and isinstance(node.args[0].value, str):
+                fields.setdefault(node.args[0].value, function.name)
+    return fields
+
+
+def check_optional_fields(problems: list[str]) -> None:
+    """The spec names every field a decoder reads with ``.get``."""
+    spec = ROOT / "docs" / "wire-protocol.md"
+    text = spec.read_text(encoding="utf-8")
+    for field, decoder in sorted(optional_wire_fields().items()):
+        if f"`{field}`" not in text and f'"{field}"' not in text:
+            problems.append(
+                f"{spec.relative_to(ROOT)}: serve/wire.py {decoder} reads "
+                f"field {field!r}, which the spec never names")
+
+
 def served_methods() -> set[str]:
     """Every method ``serve/methods.py`` serves: the names of its
     ``Method(...)`` rows plus the extra ``REQUEST_METHODS`` literals."""
@@ -348,6 +388,7 @@ def main() -> int:
         check_fences(path, problems, known_kinds)
         check_test_citations(path, problems)
     check_frame_tags(problems)
+    check_optional_fields(problems)
     check_method_sections(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
