@@ -58,7 +58,6 @@ import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from itertools import chain
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -111,17 +110,11 @@ def _fresh(value: Any) -> Any:
         items = value.values()
     else:
         return value
-    kinds = set(map(type, items))
-    if kinds.isdisjoint(_CONTAINERS):
+    if _CONTAINERS.isdisjoint(map(type, items)):
         return value.copy()
-    # Lists of scalars one level down (a wire segment's ``categories``)
-    # are copied without a recursive call each.
-    flat = kinds == {list} and _CONTAINERS.isdisjoint(
-        map(type, chain.from_iterable(items)))
-    copy = list.copy if flat else _fresh
     if type(value) is list:
-        return [copy(item) for item in value]
-    return {key: copy(item) for key, item in value.items()}
+        return [_fresh(item) for item in value]
+    return {key: _fresh(item) for key, item in value.items()}
 
 
 class _Entry:

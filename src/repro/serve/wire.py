@@ -221,6 +221,9 @@ def batch_from_wire(record: dict[str, Any],
 
 
 def _expect_kind(record: dict[str, Any], kind: str) -> dict[str, Any]:
+    if not isinstance(record, dict):
+        raise SerializationError(
+            f"not a {WIRE_FORMAT} {kind!r} frame: {record!r}")
     if record.get("kind") != kind or record.get("format") != WIRE_FORMAT:
         raise SerializationError(
             f"not a {WIRE_FORMAT} {kind!r} frame: {record.get('kind')!r}"
@@ -551,7 +554,7 @@ def request_from_wire(record: dict[str, Any],
         request_id = int(record["id"])
         method = record["method"]
         params = dict(record["params"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SerializationError(
             f"malformed request frame: {record!r}") from exc
     if method not in _methods.REQUEST_METHODS:
@@ -1347,10 +1350,13 @@ def budget_from_wire(record: dict[str, Any] | None) -> "Budget | None":
 
 
 def lineage_to_wire(result: "Lineage") -> dict[str, Any]:
-    """One lineage/impact walk as a JSON-able object."""
+    """One lineage/impact walk as a JSON-able object.
+
+    ``vertices`` is not shipped: a walk's vertex set is its root plus
+    every level's members, which :func:`lineage_from_wire` rebuilds.
+    """
     return {
         "root": result.root,
-        "vertices": sorted(result.vertices),
         "levels": [
             {"depth": level.depth,
              "activities": list(level.activities),
@@ -1361,25 +1367,29 @@ def lineage_to_wire(result: "Lineage") -> dict[str, Any]:
 
 
 def lineage_from_wire(record: dict[str, Any]) -> "Lineage":
-    """Inverse of :func:`lineage_to_wire` (field-equal to the original)."""
+    """Inverse of :func:`lineage_to_wire`: field-equal to every walk
+    ``query.ops`` builds, whose ``vertices`` is the root plus each
+    level's activities and entities."""
     from repro.query.ops import Lineage, LineageLevel
 
     try:
-        return Lineage(
-            root=int(record["root"]),
-            vertices=set(record["vertices"]),
-            levels=[
-                LineageLevel(
-                    depth=int(level["depth"]),
-                    activities=list(level["activities"]),
-                    entities=list(level["entities"]),
-                )
-                for level in record["levels"]
-            ],
-        )
+        root = int(record["root"])
+        levels = [
+            LineageLevel(
+                depth=int(level["depth"]),
+                activities=list(level["activities"]),
+                entities=list(level["entities"]),
+            )
+            for level in record["levels"]
+        ]
+        vertices = {root}
+        for level in levels:
+            vertices.update(level.activities)
+            vertices.update(level.entities)
     except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(
             f"malformed wire lineage: {record!r}") from exc
+    return Lineage(root=root, levels=levels, vertices=vertices)
 
 
 def blame_to_wire(report: dict[int, set[int]]) -> dict[str, Any]:
@@ -1401,20 +1411,36 @@ def blame_from_wire(record: dict[str, Any]) -> dict[int, set[int]]:
 def segment_to_wire(segment: "Segment") -> dict[str, Any]:
     """One PgSeg segment as a JSON-able object.
 
-    Vertex/edge ids are leader ids (replication is id-exact), so the
-    client rebinds the decoded segment to its own graph handle.
+    ``categories`` maps each tag to the sorted ids carrying it, so the
+    record holds a handful of lists, not one per member. Vertex/edge ids
+    are leader ids (replication is id-exact), so the client rebinds the
+    decoded segment to its own graph handle.
     """
+    by_tag: dict[str, list[int]] = {}
+    for vertex, tags in segment.categories.items():
+        for tag in tags:
+            members = by_tag.get(tag)
+            if members is None:
+                by_tag[tag] = [vertex]
+            else:
+                members.append(vertex)
     return {
         "vertices": sorted(segment.vertices),
         "edge_ids": list(segment.edge_ids),
-        "categories": {str(vertex): sorted(tags)
-                       for vertex, tags in sorted(segment.categories.items())},
+        "categories": {tag: sorted(members)
+                       for tag, members in sorted(by_tag.items())},
     }
 
 
 def segment_from_wire(graph: "ProvenanceGraph",
                       record: dict[str, Any]) -> "Segment":
     """Inverse of :func:`segment_to_wire`, bound to ``graph``.
+
+    Every member is keyed in ``categories``, with an empty set when it
+    carries no tag. The round trip is therefore exact for every segment
+    the operator builds (it tags every member) and for a segment built
+    with ``categories=None``. A tagged id that is not a member is a
+    :class:`SerializationError`.
 
     The rebound graph must contain the segment's ids for record accessors
     (``edges()``, ``describe()``, ...) to resolve — guaranteed for strict
@@ -1424,16 +1450,25 @@ def segment_from_wire(graph: "ProvenanceGraph",
     from repro.segment.pgseg import Segment
 
     try:
-        return Segment(
-            graph,
-            vertices=[int(v) for v in record["vertices"]],
-            edge_ids=[int(e) for e in record["edge_ids"]],
-            categories={int(vertex): set(tags)
-                        for vertex, tags in record["categories"].items()},
-        )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        vertices = [int(v) for v in record["vertices"]]
+        edge_ids = [int(e) for e in record["edge_ids"]]
+        by_tag = record["categories"]
+        if not isinstance(by_tag, dict):
+            raise TypeError("categories is not an object")
+        categories: dict[int, set[str]] = {v: set() for v in vertices}
+        for tag, members in by_tag.items():
+            for vertex in members:
+                tags = categories.get(vertex)
+                if tags is None:
+                    raise SerializationError(
+                        f"wire segment tags {vertex!r} as {tag!r}, "
+                        "but it is not a member")
+                tags.add(tag)
+    except (KeyError, ValueError, TypeError) as exc:
         raise SerializationError(
             f"malformed wire segment: {record!r}") from exc
+    return Segment(graph, vertices=vertices, edge_ids=edge_ids,
+                   categories=categories)
 
 
 def pgsum_query_to_wire(query: "PgSumQuery") -> dict[str, Any]:

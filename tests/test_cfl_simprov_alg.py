@@ -1,9 +1,11 @@
 """Unit tests for SimProvAlg."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cfl.simprov_alg import SimProvAlg
 from repro.errors import QueryTimeout, SegmentationError, SolverError
+from repro.workloads.pd_generator import PdParams, generate_pd
 
 
 class TestPaperQueries:
@@ -169,3 +171,35 @@ class TestBudget:
         src, dst = pd_small.default_query()
         with pytest.raises(QueryTimeout):
             SimProvAlg(pd_small.graph, src, dst, max_steps=2).solve()
+
+
+def _depth_class_pairs(graph, dst) -> int:
+    """|∪ D_{v,d} × D_{v,d}| as unordered pairs (the diagonal included),
+    where D_{v,d} is the set of entities d G-then-U steps above v."""
+    pairs: set[tuple[int, int]] = set()
+    for v in dst:
+        level = {v}
+        while level:
+            ordered = sorted(level)
+            pairs.update((x, y) for i, x in enumerate(ordered)
+                         for y in ordered[i:])
+            level = {e for x in level
+                     for a in graph.generating_activities(x)
+                     for e in graph.used_entities(a)}
+    return len(pairs)
+
+
+class TestFactsAreDepthClasses:
+    """Without keys or pruning, Alg's ``Ee`` table is exactly the pairs of
+    entities at one descent depth from one destination (Sec. III.B.2(c)):
+    its Θ(cone²) facts are the relation itself, not search waste."""
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 5000), n=st.integers(40, 160))
+    def test_facts_entity_counts_the_depth_classes(self, seed, n):
+        instance = generate_pd(PdParams(n_vertices=n, seed=seed))
+        src, dst = instance.default_query()
+        result = SimProvAlg(instance.graph, src, dst, prune=False).solve()
+        assert result.stats.facts_entity \
+            == _depth_class_pairs(instance.graph, dst)

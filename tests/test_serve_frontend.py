@@ -359,6 +359,38 @@ class TestFrontendRoundTrip:
         finally:
             transport.close()
 
+    def test_undecodable_requests_answered_not_fatal(self, fe_cluster):
+        """Inner entries that are not objects and an id of ``Infinity``
+        (which ``json.loads`` accepts) get a malformed-frame event."""
+        example, cluster = fe_cluster
+        target = example["weight-v2"]
+        infinite = wire.request_to_wire(1, "blame", {"entity": target})
+        infinite["id"] = float("inf")
+        bundle = {"kind": "requests", "format": "repro-wire-v1"}
+        probes = [{**bundle, "requests": ["x"]},
+                  {**bundle, "requests": {"a": 1}},
+                  infinite,
+                  {**bundle, "requests": [infinite]}]
+        sock = socket.create_connection(cluster.frontend.address)
+        transport = LineTransport.over_socket(sock)
+        try:
+            transport.send(wire.client_hello_frame("probe"))
+            wire.welcome_from_wire(transport.recv(timeout=10))
+            for request_id, probe in enumerate(probes, start=2):
+                transport.send(probe)
+                frame = transport.recv(timeout=10)
+                assert (frame["kind"], frame["event"]) \
+                    == ("event", "malformed-frame"), probe
+                transport.send(wire.request_to_wire(
+                    request_id, "blame", {"entity": target}))
+                answered, _, ok, payload = wire.response_from_wire(
+                    transport.recv(timeout=10))
+                assert (answered, ok) == (request_id, True)
+                assert wire.blame_from_wire(payload) \
+                    == blame(example.graph, target)
+        finally:
+            transport.close()
+
     def test_unservable_method_refused_per_request(self, fe_cluster):
         """summarize stays single-replica routed; a client asking for it
         gets a per-request error, not a dead session."""

@@ -41,7 +41,6 @@ _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 53, 2 ** 53),
 
 _LINEAGE = st.fixed_dictionaries({
     "root": st.integers(0, 10 ** 6),
-    "vertices": _IDS,
     "levels": st.lists(st.fixed_dictionaries({
         "depth": st.integers(0, 50), "activities": _IDS,
         "entities": _IDS}), max_size=3),
@@ -52,9 +51,8 @@ _BLAME = st.fixed_dictionaries({
 _SEGMENT = st.fixed_dictionaries({
     "vertices": _IDS, "edge_ids": _IDS,
     "categories": st.dictionaries(
-        st.integers(0, 999).map(str),
-        st.lists(st.sampled_from(["VS", "VD", "VC", "VA", "Vsim"]),
-                 max_size=3), max_size=3),
+        st.sampled_from(["src", "dst", "C1", "C2", "C3", "C4", "Bx"]),
+        _IDS, max_size=3),
 })
 _ROW_VALUE = st.recursive(
     _SCALAR,
@@ -246,7 +244,7 @@ def test_in_process_raw_answers_never_alias_the_worker_cache():
         # ... and the splice reads the same, unedited answer.
         assert [json.loads(answer.payload.text) for answer in again] == first
         walk, report, segment = again
-        assert set(walk.payload.value["vertices"]) \
+        assert wire.lineage_from_wire(walk.payload.value).vertices \
             == lineage(graph, target).vertices
         assert wire.blame_from_wire(report.payload.value) \
             == blame(graph, target)

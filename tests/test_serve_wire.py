@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import (
     ReproError,
@@ -11,14 +12,15 @@ from repro.errors import (
 )
 from repro.model.types import EdgeType, VertexType
 from repro.query.cypherlite import Budget
-from repro.query.ops import blame, lineage
+from repro.query.ops import blame, impacted, lineage
 from repro.query.paths import Path, Step
 from repro.segment.boundary import (
     BoundaryCriteria,
     exclude_edge_types,
+    exclude_vertex_types,
     owned_by,
 )
-from repro.segment.pgseg import PgSegOperator, PgSegQuery
+from repro.segment.pgseg import PgSegOperator, PgSegQuery, Segment
 from repro.serve.wire import (
     blame_from_wire,
     blame_to_wire,
@@ -56,6 +58,7 @@ from repro.serve.wire import (
 )
 from repro.store.delta import Delta, DeltaBatch, DeltaOp, PropertyPayload
 from repro.store.store import PropertyGraphStore
+from repro.workloads.pd_generator import PdParams, generate_pd
 
 
 def roundtrip(batch, store=None):
@@ -374,3 +377,109 @@ class TestResultCodecs:
             rows_to_wire([{"bad": object()}])
         with pytest.raises(SerializationError):
             rows_from_wire(paper.graph, [{"bad": {"$": "no-such-tag"}}])
+
+
+class TestRecordShapes:
+    """The segment and walk records ship no field the decoder can derive."""
+
+    def test_segment_ships_ids_by_tag(self, paper):
+        graph = paper.graph
+        segment = PgSegOperator(graph).evaluate(PgSegQuery(
+            src=(paper["dataset-v1"],), dst=(paper["weight-v2"],)))
+        record = segment_to_wire(segment)
+        assert set(record) == {"vertices", "edge_ids", "categories"}
+        for tag, members in record["categories"].items():
+            assert members == sorted(segment.vertices_in_category(tag))
+
+    def test_untagged_segment_round_trips(self, paper):
+        segment = Segment(paper.graph, [paper["dataset-v1"]])
+        record = segment_to_wire(segment)
+        assert record["categories"] == {}
+        assert segment_from_wire(paper.graph, record).categories \
+            == segment.categories
+
+    def test_walk_ships_no_vertex_set(self, paper):
+        record = lineage_to_wire(lineage(paper.graph, paper["weight-v2"]))
+        assert set(record) == {"root", "levels"}
+
+    def test_tagged_id_outside_vertices_refused(self, paper):
+        record = {"vertices": [0, 1], "edge_ids": [],
+                  "categories": {"src": [0], "C1": [1, 7]}}
+        with pytest.raises(SerializationError, match="not a member"):
+            segment_from_wire(paper.graph, record)
+
+    @pytest.mark.parametrize("categories", [[["src", 0]], "src", 3, None])
+    def test_non_object_categories_refused(self, paper, categories):
+        record = {"vertices": [0], "edge_ids": [], "categories": categories}
+        with pytest.raises(SerializationError):
+            segment_from_wire(paper.graph, record)
+
+    @pytest.mark.parametrize("record", [
+        {"root": 0},
+        {"root": 0, "levels": [{"depth": 1, "activities": [[1]],
+                                "entities": []}]},
+        {"root": "x", "levels": []},
+    ])
+    def test_malformed_walk_refused(self, record):
+        with pytest.raises(SerializationError):
+            lineage_from_wire(record)
+
+
+def _pd_graph(seed: int):
+    return generate_pd(PdParams(n_vertices=90, seed=seed))
+
+
+def _segment_fields(segment):
+    return segment.vertices, segment.edge_ids, segment.categories
+
+
+class TestOperatorAnswersRoundTrip:
+    """Every answer the operators build survives its row codec, shipped
+    as canonical text, field-equal."""
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 5000), data=st.data())
+    def test_segments(self, seed, data):
+        instance = _pd_graph(seed)
+        graph = instance.graph
+        src, dst = instance.default_query()
+        boundaries = None
+        if data.draw(st.booleans(), label="bounded"):
+            criteria = BoundaryCriteria()
+            if data.draw(st.booleans(), label="no agents"):
+                criteria.exclude_vertices(
+                    exclude_vertex_types(VertexType.AGENT))
+            if data.draw(st.booleans(), label="no derivations"):
+                criteria.exclude_edges(exclude_edge_types(
+                    EdgeType.WAS_DERIVED_FROM, EdgeType.WAS_ATTRIBUTED_TO))
+            if data.draw(st.booleans(), label="expand"):
+                criteria.expand(
+                    (data.draw(st.sampled_from(instance.entities)),),
+                    k=data.draw(st.integers(1, 2)))
+            boundaries = BoundaryCriteria.from_record(
+                json.loads(json.dumps(criteria.to_record())), graph)
+        query = PgSegQuery(
+            src=tuple(src), dst=tuple(dst), boundaries=boundaries,
+            include_siblings=data.draw(st.booleans(), label="C3"),
+            include_agents=data.draw(st.booleans(), label="C4"))
+        segment = PgSegOperator(graph).evaluate(
+            query, inline_boundaries=data.draw(st.booleans(), label="inline"))
+        shipped = json.loads(json.dumps(segment_to_wire(segment)))
+        decoded = segment_from_wire(graph, shipped)
+        assert _segment_fields(decoded) == _segment_fields(segment)
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 5000), data=st.data())
+    def test_walks(self, seed, data):
+        instance = _pd_graph(seed)
+        graph = instance.graph
+        walk = data.draw(st.sampled_from([lineage, impacted]), label="walk")
+        result = walk(graph, data.draw(st.sampled_from(instance.entities)),
+                      max_depth=data.draw(st.one_of(st.none(),
+                                                    st.integers(0, 4))))
+        shipped = json.loads(json.dumps(lineage_to_wire(result)))
+        decoded = lineage_from_wire(shipped)
+        assert (decoded.root, decoded.levels, decoded.vertices) \
+            == (result.root, result.levels, result.vertices)
